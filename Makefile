@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test race race-parallel bench bench-parallel serve bench-serve bench-ingest bench-merge bench-replay bench-smoke fuzz-decode chaos chaos-cli chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test race race-parallel bench bench-parallel serve bench-serve bench-ingest bench-merge bench-replay bench-smoke bench-cluster fuzz-decode fuzz-wal chaos chaos-cli chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -138,10 +138,24 @@ bench-smoke:
 	$(GO) run ./cmd/ingestbench -emails 20000 -out BENCH_bounced.json
 	./scripts/bench_compare.sh -b ingest --max-allocs 1.0
 
+# bench-cluster runs the benchmark's replicated topology once — two
+# semi-sync shards with standbys behind routers and a coordinator — as
+# a correctness gate: it exits non-zero unless the coordinator's report
+# is byte-identical to batch, the standbys applied everything and no
+# operation failed. The numbers are printed, not asserted.
+bench-cluster:
+	bash bench/run.sh --workload cluster-2x2 --seed 42 --seconds 4 --trace 0
+
 # fuzz-decode runs the fast-path-decoder-vs-encoding/json fuzzer for a
 # short budget (the committed corpus replays in plain `make test`).
 fuzz-decode:
 	$(GO) test -fuzz FuzzDecoderMatchesEncodingJSON -fuzztime 60s ./internal/dataset/
+
+# fuzz-wal fuzzes the WAL frame walk behind FS.ReadTail: damaged
+# segments, arbitrary replay points and stale offset-index marks must
+# read exactly as a walk from the segment header does.
+fuzz-wal:
+	$(GO) test -fuzz FuzzReadTailSegment -fuzztime 60s ./internal/store/
 
 # bench-replay measures crash recovery: rebuild-from-checkpoint+tail
 # versus a cold replay of the whole WAL, over the same 100k-record log,

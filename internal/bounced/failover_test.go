@@ -270,6 +270,38 @@ func TestStandbyRefusesWrites(t *testing.T) {
 	}
 }
 
+// TestApplyBatchDecodeErrorNamesRecord: when a replicated unit straddles
+// the standby's log end, only its unapplied suffix is decoded, and a
+// payload in it that fails to decode must be reported under its index
+// in the log, not its offset in the suffix counted from the unit start.
+func TestApplyBatchDecodeErrorNamesRecord(t *testing.T) {
+	records, env := fixture(t)
+	standby := newServer(t, bounced.Config{Env: env, Standby: true, Store: store.NewMem(), QueueDepth: 8192})
+	defer standby.Abort()
+	payloads := make([][]byte, 8)
+	for i := range payloads {
+		p, err := records[i].MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = p
+	}
+	if err := standby.ApplyBatch(&replication.Unit{Start: 0, ID: "u0", Payloads: payloads[:4]}); err != nil {
+		t.Fatal(err)
+	}
+	// Records [2,8) against a log ending at 4: the suffix [4,8) is new,
+	// and record 6 in it is damaged.
+	straddling := append([][]byte{}, payloads[2:]...)
+	straddling[6-2] = []byte(`{"from":`)
+	err := standby.ApplyBatch(&replication.Unit{Start: 2, ID: "u1", Payloads: straddling})
+	if err == nil || !strings.Contains(err.Error(), "replicated record 6 ") {
+		t.Fatalf("ApplyBatch error = %v, want it to name record 6", err)
+	}
+	if got := standby.AppliedIndex(); got != 4 {
+		t.Fatalf("applied index = %d after a rejected unit, want 4", got)
+	}
+}
+
 // TestStandbyResyncFromCheckpoint covers the 410 path: a standby
 // starting from offset 0 against a primary whose WAL tail is pruned
 // must bootstrap from the shipped checkpoint, then stream the rest,
@@ -283,7 +315,12 @@ func TestStandbyResyncFromCheckpoint(t *testing.T) {
 	if ir := postBatch(t, pts.URL, "rs-0", records[:half]); ir.status != http.StatusOK {
 		t.Fatalf("primary ingest: %d %s", ir.status, ir.Error)
 	}
-	// Checkpoint prunes the Mem engine's whole tail: offset 0 is gone.
+	// Checkpoint prunes the Mem engine's whole tail: offset 0 is gone —
+	// once the consumer has folded the batch, since a checkpoint covers
+	// only consumed records and the batch is one unprunable unit.
+	waitFor(t, 5*time.Second, "primary consumption", func() bool {
+		return primary.Consumed() == uint64(half)
+	})
 	resp, err := http.Post(pts.URL+"/v1/checkpoint", "", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -156,6 +156,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("bounced_wal_appended_records_total", "Records appended to the WAL by this process.", est.AppendedRecords)
 		counter("bounced_wal_appended_batches_total", "Batches appended to the WAL by this process.", est.AppendedBatches)
 		counter("bounced_wal_pruned_segments_total", "WAL segments removed by checkpoint pruning.", est.PrunedSegments)
+		counter("bounced_wal_tail_reads_total", "WAL-tail reads served to replication standbys.", est.TailReads)
+		counter("bounced_wal_tail_scanned_bytes_total", "Log bytes WAL-tail reads decoded, wanted or not.", est.TailScannedBytes)
+		counter("bounced_wal_tail_shipped_bytes_total", "Record payload bytes WAL-tail reads shipped; shipped/scanned is the read path's useful-work ratio.", est.TailShippedBytes)
 		counter("bounced_checkpoints_total", "Checkpoints written by this process.", est.Checkpoints)
 		gauge("bounced_last_checkpoint_records", "Record count the newest checkpoint covers.", est.LastCheckpointRecords)
 		if est.LastCheckpointUnix > 0 {

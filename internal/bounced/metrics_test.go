@@ -124,6 +124,9 @@ func TestMetricsReplicationBlock(t *testing.T) {
 		"bounced_promotions_total 0\n",
 		"bounced_repl_ack_waits_total 0\n",
 		"bounced_repl_applies_total 0\n",
+		"# TYPE bounced_wal_tail_reads_total counter\nbounced_wal_tail_reads_total 0\n",
+		"# TYPE bounced_wal_tail_scanned_bytes_total counter\nbounced_wal_tail_scanned_bytes_total 0\n",
+		"# TYPE bounced_wal_tail_shipped_bytes_total counter\nbounced_wal_tail_shipped_bytes_total 0\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("standby /metrics missing %q", strings.TrimSpace(want))

@@ -274,7 +274,7 @@ func (s *Server) ApplyBatch(u *replication.Unit) error {
 	dec := &dataset.Decoder{}
 	for i, p := range payloads {
 		if err := dec.Decode(p, &recs[i]); err != nil {
-			return fmt.Errorf("bounced: replicated record %d fails to decode: %w", u.Start+uint64(i), err)
+			return fmt.Errorf("bounced: replicated record %d fails to decode: %w", cur+uint64(i), err)
 		}
 	}
 	if !s.admitWait(len(recs)) {

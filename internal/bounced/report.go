@@ -210,9 +210,15 @@ type durabilityStats struct {
 	Checkpoints           uint64       `json:"checkpoints"`
 	LastCheckpointRecords uint64       `json:"last_checkpoint_records"`
 	// LastCheckpointAgeSeconds is -1 until the first checkpoint exists.
-	LastCheckpointAgeSeconds float64      `json:"last_checkpoint_age_seconds"`
-	PrunedSegments           uint64       `json:"pruned_segments"`
-	Recovery                 RecoveryInfo `json:"recovery"`
+	LastCheckpointAgeSeconds float64 `json:"last_checkpoint_age_seconds"`
+	PrunedSegments           uint64  `json:"pruned_segments"`
+	// The replication read path: WAL-tail reads served, log bytes they
+	// decoded, payload bytes they shipped. shipped/scanned falling is a
+	// standby reading further back than the offset index reaches.
+	TailReads        uint64       `json:"tail_reads"`
+	TailScannedBytes uint64       `json:"tail_scanned_bytes"`
+	TailShippedBytes uint64       `json:"tail_shipped_bytes"`
+	Recovery         RecoveryInfo `json:"recovery"`
 }
 
 // durability assembles the sub-object from engine counters; nil on
@@ -232,6 +238,9 @@ func (s *Server) durability() *durabilityStats {
 		LastCheckpointRecords:    st.LastCheckpointRecords,
 		LastCheckpointAgeSeconds: -1,
 		PrunedSegments:           st.PrunedSegments,
+		TailReads:                st.TailReads,
+		TailScannedBytes:         st.TailScannedBytes,
+		TailShippedBytes:         st.TailShippedBytes,
 		Recovery:                 s.recovery,
 	}
 	if fs, ok := s.eng.(*store.FS); ok {

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -54,7 +55,24 @@ const (
 
 	defaultSegmentBytes    = 64 << 20
 	defaultKeepCheckpoints = 2
+
+	// markEveryBytes spaces the offset index: a unit boundary becomes a
+	// mark once it lies at least this far past the segment's previous
+	// mark, so a tail read walks at most this much plus one unit before
+	// it reaches its replay point, for 16 B of memory per 64 KiB of
+	// retained WAL.
+	markEveryBytes = 64 << 10
 )
+
+// tailMark is one entry of the in-memory offset index ReadTail seeks
+// by: the unit whose first record has index first begins at byte off
+// of its segment. Marks are a cache of what a walk from the segment
+// header would find, nothing more — nothing is written to disk, and a
+// missing mark only means the walk starts earlier.
+type tailMark struct {
+	first uint64
+	off   int64
+}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -94,6 +112,25 @@ type FS struct {
 	segments  int
 	walBytes  int64
 	scratch   []byte
+	// The active segment's first record index and the offset of its
+	// newest mark (its header while it has none): Append's half of the
+	// offset index.
+	segFirst   uint64
+	segMarkOff int64
+
+	// markMu guards marks. It is not mu, so a tail read never queues
+	// behind an fsync; where both are held, mu is taken first.
+	markMu sync.Mutex
+	// marks is the offset index: per segment (keyed by its first record
+	// index) the marks in ascending order. Only the engine that writes
+	// the directory keeps one — every removal or truncation of its files
+	// goes through it and drops the marks in step — so the map is nil on
+	// a read-only engine and after Close.
+	marks map[uint64][]tailMark
+
+	tailReads   atomic.Uint64
+	tailScanned atomic.Uint64
+	tailShipped atomic.Uint64
 
 	appendedRecords uint64
 	appendedBatches uint64
@@ -136,6 +173,7 @@ func Open(opts FSOptions) (*FS, error) {
 		}
 		return f, nil
 	}
+	f.marks = map[uint64][]tailMark{}
 	for _, d := range []string{opts.Dir, f.walDir, f.ckptDir} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
@@ -306,31 +344,240 @@ func (f *FS) Tail(from uint64, apply func(index uint64, rec *dataset.Record) err
 	return info, nil
 }
 
-// countReader tracks consumed bytes so torn-tail truncation knows the
-// offset of the frame it is cutting.
-type countReader struct {
-	br *bufio.Reader
-	n  int64
+// noteUnit offers the start of a complete unit to the offset index:
+// Append's, recovery's and a tail read's shared way of writing a mark.
+// *last is the caller's own record of the newest mark it passed in
+// segment seg, so the usual answer — not markEveryBytes past it yet —
+// takes no lock.
+func (f *FS) noteUnit(last *int64, seg uint64, m tailMark) {
+	if m.off-*last < markEveryBytes {
+		return
+	}
+	*last = m.off
+	f.markMu.Lock()
+	defer f.markMu.Unlock()
+	if f.marks == nil {
+		return
+	}
+	ms := f.marks[seg]
+	if n := len(ms); n > 0 && m.off-ms[n-1].off < markEveryBytes {
+		return // another walk has already indexed this stretch
+	}
+	f.marks[seg] = append(ms, m)
 }
 
-func (c *countReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
+// markFor returns the newest mark of segment seg whose unit starts at
+// or below from — the segment header when there is none. Caller holds
+// markMu.
+func (f *FS) markFor(seg, from uint64) tailMark {
+	ms := f.marks[seg]
+	i := sort.Search(len(ms), func(i int) bool { return ms[i].first > from })
+	if i == 0 {
+		return tailMark{first: seg, off: segHeaderSize}
+	}
+	return ms[i-1]
+}
+
+func (f *FS) forgetMarks(seg uint64) {
+	f.markMu.Lock()
+	delete(f.marks, seg)
+	f.markMu.Unlock()
+}
+
+// tornFrameError is a frame cut short, or one whose length claims more
+// bytes than the file holds: what a crash, or a writer still flushing,
+// leaves at the end of a segment.
+type tornFrameError string
+
+func (e tornFrameError) Error() string { return string(e) }
+
+var (
+	errFrameChecksum = errors.New("frame checksum mismatch")
+	// errOpenGroup is a clean end of file inside a batch group: its
+	// commit frame was never written, so the batch was never acked.
+	errOpenGroup = errors.New("batch group without its commit")
+)
+
+// walUnit is one committed unit as it lies in its segment.
+type walUnit struct {
+	off int64 // where its first frame starts
+	RawBatch
+}
+
+// unitError is a segment walk ending anywhere but cleanly between two
+// units. off is the frame that could not be accepted; unitOff is where
+// the unit it belongs to starts — the point to cut the file at — and
+// id and pending describe the batch group lost with it, if one was
+// open.
+type unitError struct {
+	off, unitOff int64
+	id           string
+	pending      int
+	cause        error
+}
+
+func (e *unitError) Error() string { return fmt.Sprintf("%v at offset %d", e.cause, e.off) }
+func (e *unitError) Unwrap() error { return e.cause }
+
+// segReader decodes one segment: frames, and the units they make up.
+// It is the one place frames are validated and groups assembled;
+// recovery (scanSegment) and the replication read path
+// (readSegmentUnits) differ only in what they do with its errors.
+type segReader struct {
+	file   *os.File
+	br     *bufio.Reader
+	off    int64 // offset of the next unread byte
+	size   int64 // file size as last observed; a live segment grows
+	frames int   // frames that passed validation
+}
+
+// newSegReader reads from off, where file must be positioned.
+func newSegReader(file *os.File, off, size int64, bufSize int) *segReader {
+	return &segReader{file: file, br: bufio.NewReaderSize(file, bufSize), off: off, size: size}
+}
+
+func (r *segReader) ReadByte() (byte, error) {
+	b, err := r.br.ReadByte()
 	if err == nil {
-		c.n++
+		r.off++
 	}
 	return b, err
 }
 
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.n += int64(n)
-	return n, err
+func (r *segReader) readFull(p []byte) error {
+	n, err := io.ReadFull(r.br, p)
+	r.off += int64(n)
+	return err
 }
 
-// scanSegment walks one segment's frames, applying records at or past
-// the replay point. It returns the offset to truncate the file at (-1
-// for none): the start of a torn/corrupt trailing frame, or of an
-// uncommitted trailing batch group.
+// holds reports whether n more bytes lie between the read position and
+// the end of the file, looking at the file again only when the size it
+// last saw says no.
+func (r *segReader) holds(n int64) bool {
+	if r.off+n <= r.size {
+		return true
+	}
+	if fi, err := r.file.Stat(); err == nil {
+		r.size = fi.Size()
+	}
+	return r.off+n <= r.size
+}
+
+// frame returns the frame at the read position and that position.
+// io.EOF is a clean end on a frame boundary, a tornFrameError a frame
+// the file does not hold in full (decided from the length, before any
+// payload is allocated), errFrameChecksum a complete frame that fails
+// its CRC. The payload is freshly allocated; callers keep it.
+func (r *segReader) frame() (kind byte, payload []byte, off int64, err error) {
+	off = r.off
+	if kind, err = r.ReadByte(); err != nil {
+		return 0, nil, off, err
+	}
+	plen, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, nil, off, tornFrameError("frame length cut short")
+	}
+	if plen > maxFrameBytes || !r.holds(4+int64(plen)) {
+		return 0, nil, off, tornFrameError(fmt.Sprintf("frame length %d exceeds file", plen))
+	}
+	var crcb [4]byte
+	if err := r.readFull(crcb[:]); err != nil {
+		return 0, nil, off, tornFrameError("frame checksum cut short")
+	}
+	payload = make([]byte, plen)
+	if err := r.readFull(payload); err != nil {
+		return 0, nil, off, tornFrameError("frame payload cut short")
+	}
+	if frameCRC(kind, payload) != binary.LittleEndian.Uint32(crcb[:]) {
+		return 0, nil, off, errFrameChecksum
+	}
+	r.frames++
+	return kind, payload, off, nil
+}
+
+// unit returns the next whole unit: a bare record, or a batch group
+// from its begin frame to a commit frame that matches it. io.EOF is a
+// clean end between units; every other failure is a *unitError.
+func (r *segReader) unit() (walUnit, error) {
+	var (
+		u     walUnit
+		open  bool
+		count int
+	)
+	fail := func(off int64, cause error) (walUnit, error) {
+		e := &unitError{off: off, unitOff: off, cause: cause}
+		if open {
+			e.unitOff, e.id, e.pending = u.off, u.ID, len(u.Payloads)
+		}
+		return walUnit{}, e
+	}
+	for {
+		kind, payload, off, err := r.frame()
+		if err == io.EOF {
+			if !open {
+				return walUnit{}, io.EOF
+			}
+			err = errOpenGroup
+		}
+		if err != nil {
+			return fail(off, err)
+		}
+		switch {
+		case kind == frameRecord && !open:
+			return walUnit{off: off, RawBatch: RawBatch{Payloads: [][]byte{payload}}}, nil
+		case kind == frameRecord:
+			u.Payloads = append(u.Payloads, payload)
+		case kind == frameBegin && !open:
+			id, n, err := parseMarker(payload)
+			if err != nil {
+				return fail(off, err)
+			}
+			// The count is only a claim until the commit matches it, so
+			// it sizes the slice up to a bound, not beyond.
+			u, open, count = walUnit{off: off, RawBatch: RawBatch{ID: id, Payloads: make([][]byte, 0, min(n, 1024))}}, true, n
+		case kind == frameCommit && open:
+			id, n, err := parseMarker(payload)
+			if err != nil {
+				return fail(off, err)
+			}
+			if id != u.ID || n != count || len(u.Payloads) != count {
+				return fail(off, fmt.Errorf("batch group %q commits %q with %d/%d records", u.ID, id, len(u.Payloads), count))
+			}
+			return u, nil
+		case kind == frameBegin:
+			return fail(off, errors.New("nested batch group"))
+		case kind == frameCommit:
+			return fail(off, errors.New("commit without batch group"))
+		default:
+			return fail(off, fmt.Errorf("unknown frame kind %d", kind))
+		}
+	}
+}
+
+// readSegHeader consumes and validates the header of the segment whose
+// name says it starts at first.
+func readSegHeader(file *os.File, name string, first uint64) error {
+	var hdr [segHeaderSize]byte
+	if _, err := io.ReadFull(file, hdr[:]); err != nil {
+		return fmt.Errorf("store: reading %s header: %w", name, err)
+	}
+	if string(hdr[:4]) != walMagic {
+		return fmt.Errorf("store: %s is not a WAL segment", name)
+	}
+	if hdr[4] != walVersion {
+		return fmt.Errorf("store: %s has segment version %d, want %d", name, hdr[4], walVersion)
+	}
+	if got := binary.LittleEndian.Uint64(hdr[5:]); got != first {
+		return fmt.Errorf("store: %s header claims first index %d", name, got)
+	}
+	return nil
+}
+
+// scanSegment walks one segment's units, applying records at or past
+// the replay point and re-recording the segment's marks on the way. It
+// returns the offset to truncate the file at (-1 for none): the start
+// of a torn/corrupt trailing frame, or of the uncommitted trailing
+// batch group it belongs to, since a headless group could never commit.
 func (f *FS) scanSegment(s segInfo, last bool, from uint64, idx *uint64, info *TailInfo, dec *dataset.Decoder, apply func(uint64, *dataset.Record) error) (int64, error) {
 	file, err := os.Open(s.path)
 	if err != nil {
@@ -339,8 +586,8 @@ func (f *FS) scanSegment(s segInfo, last bool, from uint64, idx *uint64, info *T
 	defer file.Close()
 	name := filepath.Base(s.path)
 
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(file, hdr[:]); err != nil {
+	f.forgetMarks(s.first)
+	if err := readSegHeader(file, name, s.first); err != nil {
 		if errors.Is(err, io.EOF) && s.size == 0 {
 			// Empty file: a prior recovery truncated it away entirely.
 			return -1, nil
@@ -352,163 +599,75 @@ func (f *FS) scanSegment(s segInfo, last bool, from uint64, idx *uint64, info *T
 			info.TornTruncated = true
 			return 0, nil
 		}
-		return -1, fmt.Errorf("store: reading %s header: %w", name, err)
-	}
-	if string(hdr[:4]) != walMagic {
-		return -1, fmt.Errorf("store: %s is not a WAL segment", name)
-	}
-	if hdr[4] != walVersion {
-		return -1, fmt.Errorf("store: %s has segment version %d, want %d", name, hdr[4], walVersion)
-	}
-	if first := binary.LittleEndian.Uint64(hdr[5:]); first != s.first {
-		return -1, fmt.Errorf("store: %s header claims first index %d", name, first)
+		return -1, err
 	}
 
-	cr := &countReader{br: bufio.NewReaderSize(file, 1<<20), n: segHeaderSize}
-	// Open batch group state: records buffered until their commit frame.
-	var (
-		gOpen  bool
-		gID    string
-		gCount int
-		gStart int64
-		gRecs  [][]byte
-	)
-	applyOne := func(payload []byte) error {
-		if *idx >= from {
-			var rec dataset.Record
-			if err := dec.Decode(payload, &rec); err != nil {
-				return fmt.Errorf("store: record %d in %s fails to decode: %w", *idx, name, err)
-			}
-			if err := apply(*idx, &rec); err != nil {
-				return err
-			}
-			info.Replayed++
-		}
-		*idx++
-		return nil
-	}
-	// torn reports a torn/corrupt trailing frame: in a writable store
-	// the file is truncated at the frame start (or at the start of the
-	// batch group it belongs to, since a headless group could never
-	// commit) so the next process appends to a clean log.
-	torn := func(frameStart int64, why string) (int64, error) {
-		cut := frameStart
-		dropped := ""
-		if gOpen {
-			cut = gStart
-			info.DroppedUncommitted += len(gRecs)
-			dropped = fmt.Sprintf(" (dropping uncommitted batch %q, %d records)", gID, len(gRecs))
-		}
-		action := "truncating"
-		if f.opts.ReadOnly {
-			action = "ignoring (read-only)"
-		}
-		f.logf("store: WARNING: torn WAL tail in %s at offset %d: %s; %s%s", name, frameStart, why, action, dropped)
-		info.TornTruncated = true
-		return cut, nil
-	}
-
+	r := newSegReader(file, segHeaderSize, s.size, 1<<20)
+	lastMark := int64(segHeaderSize)
 	for {
-		frameStart := cr.n
-		kind, err := cr.ReadByte()
+		u, err := r.unit()
 		if err == io.EOF {
-			if gOpen {
-				// Clean EOF mid-group: the commit frame never made it, so
-				// the batch was never acked. Drop it (and cut it from a
-				// writable log so it does not linger).
-				if !last {
-					return -1, fmt.Errorf("store: uncommitted batch group mid-log in %s", name)
-				}
-				info.DroppedUncommitted += len(gRecs)
-				action := "truncating"
-				if f.opts.ReadOnly {
-					action = "ignoring (read-only)"
-				}
-				f.logf("store: WARNING: uncommitted batch %q (%d records) at tail of %s; %s", gID, len(gRecs), name, action)
-				return gStart, nil
-			}
 			return -1, nil
 		}
 		if err != nil {
-			return -1, fmt.Errorf("store: reading %s: %w", name, err)
+			var ue *unitError
+			if !errors.As(err, &ue) {
+				return -1, fmt.Errorf("store: %s: %w", name, err)
+			}
+			return f.tailDamage(name, last, r, ue, info)
 		}
-		plen, err := binary.ReadUvarint(cr)
-		if err != nil {
-			if last {
-				return torn(frameStart, "frame length cut short")
-			}
-			return -1, fmt.Errorf("store: torn frame mid-log in %s at offset %d", name, frameStart)
-		}
-		if plen > maxFrameBytes || frameStart+int64(plen) > s.size {
-			if last {
-				return torn(frameStart, fmt.Sprintf("frame length %d exceeds file", plen))
-			}
-			return -1, fmt.Errorf("store: corrupt frame length %d mid-log in %s at offset %d", plen, name, frameStart)
-		}
-		var crcb [4]byte
-		if _, err := io.ReadFull(cr, crcb[:]); err != nil {
-			if last {
-				return torn(frameStart, "frame checksum cut short")
-			}
-			return -1, fmt.Errorf("store: torn frame mid-log in %s at offset %d", name, frameStart)
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(cr, payload); err != nil {
-			if last {
-				return torn(frameStart, "frame payload cut short")
-			}
-			return -1, fmt.Errorf("store: torn frame mid-log in %s at offset %d", name, frameStart)
-		}
-		if frameCRC(kind, payload) != binary.LittleEndian.Uint32(crcb[:]) {
-			// A checksum mismatch on the very last frame is the crash
-			// signature (half-written sector); anywhere else it is damage
-			// recovery must not paper over.
-			if last && cr.n == s.size {
-				return torn(frameStart, "checksum mismatch on final frame")
-			}
-			return -1, fmt.Errorf("store: checksum mismatch mid-log in %s at offset %d", name, frameStart)
-		}
-
-		switch kind {
-		case frameRecord:
-			if gOpen {
-				gRecs = append(gRecs, payload)
-			} else if err := applyOne(payload); err != nil {
-				return -1, err
-			}
-		case frameBegin:
-			if gOpen {
-				return -1, fmt.Errorf("store: nested batch group in %s at offset %d", name, frameStart)
-			}
-			id, count, err := parseMarker(payload)
-			if err != nil {
-				return -1, fmt.Errorf("store: %s at offset %d: %w", name, frameStart, err)
-			}
-			gOpen, gID, gCount, gStart, gRecs = true, id, count, frameStart, gRecs[:0]
-		case frameCommit:
-			if !gOpen {
-				return -1, fmt.Errorf("store: commit without batch group in %s at offset %d", name, frameStart)
-			}
-			id, count, err := parseMarker(payload)
-			if err != nil {
-				return -1, fmt.Errorf("store: %s at offset %d: %w", name, frameStart, err)
-			}
-			if id != gID || count != gCount || len(gRecs) != gCount {
-				return -1, fmt.Errorf("store: batch group %q in %s commits %q with %d/%d records", gID, name, id, len(gRecs), gCount)
-			}
-			for _, p := range gRecs {
-				if err := applyOne(p); err != nil {
+		f.noteUnit(&lastMark, s.first, tailMark{first: *idx, off: u.off})
+		for _, p := range u.Payloads {
+			if *idx >= from {
+				var rec dataset.Record
+				if err := dec.Decode(p, &rec); err != nil {
+					return -1, fmt.Errorf("store: record %d in %s fails to decode: %w", *idx, name, err)
+				}
+				if err := apply(*idx, &rec); err != nil {
 					return -1, err
 				}
+				info.Replayed++
 			}
-			if gID != "" && *idx > from {
-				info.Batches[gID] = gCount
-			}
-			gOpen = false
-		default:
-			return -1, fmt.Errorf("store: unknown frame kind %d in %s at offset %d", kind, name, frameStart)
+			*idx++
+		}
+		if u.ID != "" && *idx > from {
+			info.Batches[u.ID] = len(u.Payloads)
 		}
 	}
+}
+
+// tailDamage decides what a failed walk means to recovery. A frame cut
+// short, a bad checksum on the file's very last frame (a half-written
+// sector) and a group missing its commit are what a crash leaves at
+// the end of the log: there the damage is cut away — unless the store
+// is read-only — so the next process appends to a clean log. Anywhere
+// else, and for any other fault, it is damage recovery must not paper
+// over.
+func (f *FS) tailDamage(name string, last bool, r *segReader, ue *unitError, info *TailInfo) (int64, error) {
+	var torn tornFrameError
+	switch {
+	case errors.As(ue.cause, &torn), errors.Is(ue.cause, errOpenGroup):
+	case errors.Is(ue.cause, errFrameChecksum) && r.off == r.size:
+	default:
+		return -1, fmt.Errorf("store: %s: %w", name, ue)
+	}
+	if !last {
+		return -1, fmt.Errorf("store: %s: %w, mid-log", name, ue)
+	}
+	action := "truncating"
+	if f.opts.ReadOnly {
+		action = "ignoring (read-only)"
+	}
+	dropped := ""
+	if ue.unitOff != ue.off { // the frame belongs to an open group
+		info.DroppedUncommitted += ue.pending
+		dropped = fmt.Sprintf(" (dropping uncommitted batch %q, %d records)", ue.id, ue.pending)
+	}
+	f.logf("store: WARNING: torn WAL tail in %s: %v; %s%s", name, ue, action, dropped)
+	if !errors.Is(ue.cause, errOpenGroup) {
+		info.TornTruncated = true
+	}
+	return ue.unitOff, nil
 }
 
 func frameCRC(kind byte, payload []byte) uint32 {
@@ -542,8 +701,11 @@ func parseMarker(b []byte) (id string, count int, err error) {
 // directory listing — by stopping silently at the first anomaly and
 // reporting how far it got. A vanished starting segment (checkpoint
 // pruning won the race) is ErrTailTruncated: the caller refetches a
-// full checkpoint instead.
+// full checkpoint instead. The walk starts at the offset index's newest
+// mark at or below from, so its cost follows the bytes past from, not
+// the size of the segment holding it.
 func (f *FS) ReadTail(from uint64, apply func(start uint64, b RawBatch) error) (uint64, error) {
+	f.tailReads.Add(1)
 	segs, err := f.listSegments()
 	if err != nil {
 		return from, fmt.Errorf("store: %w", err)
@@ -574,7 +736,7 @@ func (f *FS) ReadTail(from uint64, apply func(start uint64, b RawBatch) error) (
 			// way recovery would reject; stop at the last clean boundary.
 			break
 		}
-		next, stop, err := f.readSegmentUnits(segs[k], from, idx, &delivered, apply)
+		next, stop, err := f.readSegmentUnits(segs[k], from, &delivered, apply)
 		idx = next
 		if err != nil {
 			if !delivered && errors.Is(err, os.ErrNotExist) && k == start {
@@ -595,119 +757,70 @@ func (f *FS) ReadTail(from uint64, apply func(start uint64, b RawBatch) error) (
 	return idx, nil
 }
 
-// readSegmentUnits walks one segment emitting whole committed units at
-// or past the replay point. It returns the index after the last clean
-// unit boundary, and stop=true when the scan hit an anomaly (torn
-// frame, open group at EOF) that ends the whole tail read.
-func (f *FS) readSegmentUnits(s segInfo, from, idx uint64, delivered *bool, apply func(uint64, RawBatch) error) (uint64, bool, error) {
+// readSegmentUnits emits the whole committed units of one segment at or
+// past the replay point, walking from the newest mark at or below it.
+// It returns the index after the last clean unit boundary, and
+// stop=true when the scan hit an anomaly (torn frame, open group at
+// EOF) that ends the whole tail read.
+func (f *FS) readSegmentUnits(s segInfo, from uint64, delivered *bool, apply func(uint64, RawBatch) error) (uint64, bool, error) {
+	// Looking the mark up and opening the file are one step against
+	// Reset, which can put different bytes under a segment's name.
+	f.markMu.Lock()
+	m := f.markFor(s.first, from)
 	file, err := os.Open(s.path)
+	f.markMu.Unlock()
 	if err != nil {
-		return idx, true, err
+		return s.first, true, err
 	}
 	defer file.Close()
-
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(file, hdr[:]); err != nil {
-		return idx, true, nil // header still flushing, or truncated-empty
-	}
-	if string(hdr[:4]) != walMagic || hdr[4] != walVersion || binary.LittleEndian.Uint64(hdr[5:]) != s.first {
-		return idx, true, nil
+	if readSegHeader(file, filepath.Base(s.path), s.first) != nil {
+		return s.first, true, nil // header still flushing, or truncated-empty
 	}
 
-	br := bufio.NewReaderSize(file, 1<<20)
-	emit := func(start uint64, u RawBatch) error {
-		n := uint64(len(u.Payloads))
-		if start+n <= from {
-			return nil // wholly below the replay point
-		}
-		if err := apply(start, u); err != nil {
-			return err
-		}
-		*delivered = true
-		return nil
+	next, stop, frames, err := f.walkUnits(file, s, m, from, delivered, apply)
+	if frames == 0 && m.off != segHeaderSize {
+		// A mark is written only behind a complete unit, so one with no
+		// valid frame at it is stale: the file was cut or replaced by
+		// something other than this engine. Forget the segment's marks
+		// and walk from the header, which also re-learns them.
+		f.forgetMarks(s.first)
+		next, stop, _, err = f.walkUnits(file, s, tailMark{first: s.first, off: segHeaderSize}, from, delivered, apply)
 	}
-	var (
-		gOpen  bool
-		gID    string
-		gCount int
-		gStart uint64
-		gRecs  [][]byte
-	)
+	return next, stop, err
+}
+
+// walkUnits is readSegmentUnits' walk from mark m; frames is how many
+// frames passed validation.
+func (f *FS) walkUnits(file *os.File, s segInfo, m tailMark, from uint64, delivered *bool, apply func(uint64, RawBatch) error) (idx uint64, stop bool, frames int, err error) {
+	if _, err := file.Seek(m.off, io.SeekStart); err != nil {
+		return m.first, true, 0, nil
+	}
+	r := newSegReader(file, m.off, s.size, markEveryBytes)
+	var shipped uint64
+	defer func() {
+		f.tailScanned.Add(uint64(r.off - m.off))
+		f.tailShipped.Add(shipped)
+	}()
+	idx, lastMark := m.first, m.off
 	for {
-		kind, err := br.ReadByte()
+		u, err := r.unit()
 		if err != nil {
-			if gOpen {
-				return gStart, true, nil // commit frame not flushed yet
-			}
-			return idx, err != io.EOF, nil
+			// Anything but a clean end between units ends the whole tail
+			// read at the last unit boundary: the writer may be mid-flush.
+			return idx, err != io.EOF, r.frames, nil
 		}
-		plen, err := binary.ReadUvarint(br)
-		if err != nil || plen > maxFrameBytes {
-			if gOpen {
-				idx = gStart
+		f.noteUnit(&lastMark, s.first, tailMark{first: idx, off: u.off})
+		end := idx + uint64(len(u.Payloads))
+		if end > from {
+			for _, p := range u.Payloads {
+				shipped += uint64(len(p))
 			}
-			return idx, true, nil
+			if err := apply(idx, u.RawBatch); err != nil {
+				return end, true, r.frames, err
+			}
+			*delivered = true
 		}
-		var crcb [4]byte
-		if _, err := io.ReadFull(br, crcb[:]); err != nil {
-			if gOpen {
-				idx = gStart
-			}
-			return idx, true, nil
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if gOpen {
-				idx = gStart
-			}
-			return idx, true, nil
-		}
-		if frameCRC(kind, payload) != binary.LittleEndian.Uint32(crcb[:]) {
-			if gOpen {
-				idx = gStart
-			}
-			return idx, true, nil
-		}
-		switch kind {
-		case frameRecord:
-			if gOpen {
-				gRecs = append(gRecs, payload)
-			} else {
-				if err := emit(idx, RawBatch{Payloads: [][]byte{payload}}); err != nil {
-					return idx + 1, true, err
-				}
-				idx++
-			}
-		case frameBegin:
-			if gOpen {
-				return gStart, true, nil
-			}
-			id, count, err := parseMarker(payload)
-			if err != nil {
-				return idx, true, nil
-			}
-			gOpen, gID, gCount, gStart, gRecs = true, id, count, idx, gRecs[:0]
-		case frameCommit:
-			if !gOpen {
-				return idx, true, nil
-			}
-			id, count, err := parseMarker(payload)
-			if err != nil || id != gID || count != gCount || len(gRecs) != gCount {
-				return gStart, true, nil
-			}
-			end := gStart + uint64(len(gRecs))
-			if err := emit(gStart, RawBatch{ID: gID, Payloads: gRecs}); err != nil {
-				return end, true, err
-			}
-			idx = end
-			gOpen = false
-			gRecs = nil // emitted slices escape to the callback's lifetime
-		default:
-			if gOpen {
-				idx = gStart
-			}
-			return idx, true, nil
-		}
+		idx = end
 	}
 }
 
@@ -733,11 +846,17 @@ func (f *FS) Reset(next uint64) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	// The next segment may reuse a removed one's name, so the files and
+	// their marks go in one step as far as a tail read can tell.
+	f.markMu.Lock()
+	f.marks = map[uint64][]tailMark{}
 	for _, s := range segs {
 		if err := os.Remove(s.path); err != nil {
+			f.markMu.Unlock()
 			return fmt.Errorf("store: reset: %w", err)
 		}
 	}
+	f.markMu.Unlock()
 	cps, err := f.listCheckpoints()
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -799,6 +918,7 @@ func (f *FS) Append(b Batch) error {
 			return err
 		}
 	}
+	unit := tailMark{first: f.nextIndex, off: f.segBytes}
 	batched := b.ID != "" || len(b.Records) > 1
 	if batched {
 		if err := f.writeFrame(frameBegin, appendMarker(nil, b.ID, len(b.Records))); err != nil {
@@ -822,6 +942,9 @@ func (f *FS) Append(b Batch) error {
 	if err := f.segW.Flush(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	// Only now can a tail read see the whole unit, so only now may a
+	// mark point at it.
+	f.noteUnit(&f.segMarkOff, f.segFirst, unit)
 	f.nextIndex += uint64(len(b.Records))
 	f.appendedRecords += uint64(len(b.Records))
 	if b.ID != "" {
@@ -875,6 +998,7 @@ func (f *FS) openSegLocked() error {
 	f.seg = file
 	f.segW = bufio.NewWriterSize(file, 1<<20)
 	f.segBytes = int64(segHeaderSize)
+	f.segFirst, f.segMarkOff = f.nextIndex, int64(segHeaderSize)
 	f.walBytes += int64(segHeaderSize)
 	f.segments++
 	return nil
@@ -1005,6 +1129,7 @@ func (f *FS) pruneWAL(below uint64) error {
 			f.logf("store: pruning segment %s: %v", filepath.Base(segs[k].path), err)
 			continue
 		}
+		f.forgetMarks(segs[k].first)
 		f.mu.Lock()
 		f.pruned++
 		f.segments--
@@ -1033,6 +1158,9 @@ func (f *FS) Stats() Stats {
 		LastCheckpointRecords: f.lastCPRecords,
 		LastCheckpointUnix:    f.lastCPUnix,
 		PrunedSegments:        f.pruned,
+		TailReads:             f.tailReads.Load(),
+		TailScannedBytes:      f.tailScanned.Load(),
+		TailShippedBytes:      f.tailShipped.Load(),
 	}
 }
 
@@ -1045,6 +1173,11 @@ func (f *FS) Close() error {
 		return nil
 	}
 	f.closed = true
+	// Whoever opens the directory next may cut or remove files this
+	// engine would never hear about.
+	f.markMu.Lock()
+	f.marks = nil
+	f.markMu.Unlock()
 	return f.sealLocked()
 }
 

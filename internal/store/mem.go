@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -34,6 +35,9 @@ type Mem struct {
 	lastCPRecords   uint64
 	lastCPUnix      int64
 	prunedUnits     uint64
+
+	tailReads   atomic.Uint64
+	tailShipped atomic.Uint64
 }
 
 type memUnit struct {
@@ -100,6 +104,7 @@ func (m *Mem) Tail(from uint64, apply func(index uint64, rec *dataset.Record) er
 // Engine. The in-memory log has no torn tails, so the only early stops
 // are ErrStopTail and pruning (ErrTailTruncated).
 func (m *Mem) ReadTail(from uint64, apply func(start uint64, b RawBatch) error) (uint64, error) {
+	m.tailReads.Add(1)
 	m.mu.Lock()
 	units := m.units
 	oldest := m.oldest
@@ -114,6 +119,11 @@ func (m *Mem) ReadTail(from uint64, apply func(start uint64, b RawBatch) error) 
 		if end <= from {
 			continue
 		}
+		var n uint64
+		for _, p := range u.payloads {
+			n += uint64(len(p))
+		}
+		m.tailShipped.Add(n)
 		if err := apply(u.start, RawBatch{ID: u.id, Payloads: u.payloads}); err != nil {
 			if errors.Is(err, ErrStopTail) {
 				return end, nil
@@ -243,6 +253,7 @@ func (m *Mem) Reset(next uint64) error {
 func (m *Mem) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	shipped := m.tailShipped.Load()
 	return Stats{
 		Segments:              len(m.units),
 		WALBytes:              m.bytes,
@@ -255,6 +266,11 @@ func (m *Mem) Stats() Stats {
 		LastCheckpointRecords: m.lastCPRecords,
 		LastCheckpointUnix:    m.lastCPUnix,
 		PrunedSegments:        m.prunedUnits,
+		TailReads:             m.tailReads.Load(),
+		// Units below the replay point are skipped by index; no payload
+		// byte is read that is not shipped.
+		TailScannedBytes: shipped,
+		TailShippedBytes: shipped,
 	}
 }
 

@@ -198,4 +198,12 @@ type Stats struct {
 	LastCheckpointRecords uint64
 	LastCheckpointUnix    int64
 	PrunedSegments        uint64
+	// TailReads counts ReadTail calls; TailScannedBytes the log bytes
+	// they decoded and TailShippedBytes the payload bytes they handed to
+	// their callbacks. Shipped/scanned is the replication read path's
+	// useful-work ratio: it falls when tail reads walk bytes nobody
+	// asked for.
+	TailReads        uint64
+	TailScannedBytes uint64
+	TailShippedBytes uint64
 }
