@@ -35,9 +35,11 @@ race:
 # bodies, truncated gzip, slow-loris, duplicate replays, 429 sheds)
 # across a fixed seed sweep, asserting the final report stays
 # byte-identical to a clean batch run and no record is lost or
-# double-counted. See DESIGN.md §9.
+# double-counted — plus the commit-path regressions (overlapping
+# duplicates of one batch ID, synced accepted prefix, a replicated unit
+# larger than the standby's queue). See DESIGN.md §9.
 chaos:
-	$(GO) test -run 'TestChaos|TestBatch|TestServerFault|TestReadDeadline|TestDrainZeroLoss|TestCrashRecovery|TestDurable' -count=1 -v ./internal/bounced/
+	$(GO) test -run 'TestChaos|TestBatch|TestServerFault|TestReadDeadline|TestDrainZeroLoss|TestCrashRecovery|TestDurable|TestCommit|TestApplyBatchLarger' -count=1 -v ./internal/bounced/
 
 # chaos-cli drives the same drill end-to-end through the binaries:
 # generate a corpus, then chaos-replay it against a spawned server.
@@ -75,10 +77,11 @@ chaos-shard-failover:
 	./scripts/chaos_shard_failover.sh
 
 # race-parallel focuses the race detector on the parallel delivery,
-# streaming, decode, and incremental-snapshot paths (fast enough for
-# every commit).
+# streaming, decode, and incremental-snapshot paths and on commit's
+# ordering lock from all three of its sources (fast enough for every
+# commit).
 race-parallel:
-	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|WarmSnapshot|Frozen|Decoder' ./...
+	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|WarmSnapshot|Frozen|Decoder|Commit|ApplyBatch|SourceEquivalence' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -107,9 +110,11 @@ bench-serve:
 # orders), sharded bounceanalyze report identity, and the 3-shard +
 # coordinator topology over real HTTP — every merge order must be
 # byte-identical to one node ingesting the full stream, including the
-# seed-swept torn-mid-batch chaos variant. See DESIGN.md §10.
+# seed-swept torn-mid-batch chaos variant, exact line numbers in shard
+# 400s, and the memory/durable/standby source-equivalence differential.
+# See DESIGN.md §10.
 cluster-diff:
-	$(GO) test -run 'TestPartial|TestUnmarshalPartial|TestShardedPartial|TestCluster' -count=1 -v \
+	$(GO) test -run 'TestPartial|TestUnmarshalPartial|TestShardedPartial|TestCluster|TestSourceEquivalence' -count=1 -v \
 		./internal/analysis/ ./internal/bounced/ .
 
 # bench-merge measures the coordinator's fan-in: decode + merge of K

@@ -62,6 +62,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -210,24 +211,7 @@ func serveMain(args []string) {
 			log.Fatal(err)
 		}
 		go rt.Run(ctx)
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		httpSrv := &http.Server{Handler: rt.Handler()}
-		go func() {
-			if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Fatal(err)
-			}
-		}()
-		log.Printf("router listening on %s over %d peers", ln.Addr(), len(peers))
-		<-ctx.Done()
-		stop()
-		shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shCtx); err != nil {
-			log.Printf("http shutdown: %v", err)
-		}
+		serveUntil(ctx, *addr, rt.Handler(), "router", fmt.Sprintf("over %d peers", len(peers)))
 		return
 	}
 
@@ -282,26 +266,9 @@ func serveMain(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		httpSrv := &http.Server{Handler: coord.Handler()}
-		go func() {
-			if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Fatal(err)
-			}
-		}()
-		log.Printf("coordinator listening on %s over %d shards", ln.Addr(), len(urls))
-		<-ctx.Done()
-		stop()
 		// Coordinators hold no records: shutdown is just closing the
 		// listener, no drain and no final report.
-		shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shCtx); err != nil {
-			log.Printf("http shutdown: %v", err)
-		}
+		serveUntil(ctx, *addr, coord.Handler(), "coordinator", fmt.Sprintf("over %d shards", len(urls)))
 		return
 	}
 	if *role == "shard" || (*role == "standby" && *shardCnt > 0) {
@@ -371,7 +338,7 @@ func serveMain(args []string) {
 	if engine != nil {
 		go func() {
 			engineDone <- engine.ParallelRunCtx(ctx, *workers, func(rec dataset.Record, _ *world.Submission, _ delivery.Truth) {
-				if err := srv.Ingest(&rec); err != nil {
+				if _, err := srv.IngestBatch([]dataset.Record{rec}); err != nil {
 					log.Printf("engine ingest: %v", err)
 				}
 			})
@@ -381,43 +348,19 @@ func serveMain(args []string) {
 		engineDone <- nil
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
+	who := *role
+	if *role == "shard" {
+		who = fmt.Sprintf("shard %d/%d", *shardIdx, *shardCnt)
+	} else if sCfg.ShardCount > 0 {
+		who = fmt.Sprintf("standby for shard %d/%d", *shardIdx, *shardCnt)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-	}()
-	switch *role {
-	case "shard":
-		log.Printf("shard %d/%d listening on %s (seed %d)", *shardIdx, *shardCnt, ln.Addr(), *seed)
-	case "standby":
-		if *shardCnt > 0 {
-			log.Printf("standby for shard %d/%d listening on %s (seed %d)", *shardIdx, *shardCnt, ln.Addr(), *seed)
-		} else {
-			log.Printf("standby listening on %s (seed %d)", ln.Addr(), *seed)
-		}
-	default:
-		log.Printf("listening on %s (seed %d)", ln.Addr(), *seed)
-	}
-
-	<-ctx.Done()
-	log.Print("shutting down: stopping producers, draining queue")
-	stop() // restore default signal behavior: a second Ctrl-C kills
-
 	// Shutdown order matters for the zero-loss guarantee: stop every
-	// producer first (engine at its next day boundary, HTTP after
-	// in-flight requests), then close and drain the queue.
+	// producer first (HTTP after in-flight requests, the engine at its
+	// next day boundary), then close and drain the queue.
+	serveUntil(ctx, *addr, srv.Handler(), who, fmt.Sprintf("(seed %d)", *seed))
+	log.Print("shutting down: http stopped, draining queue")
 	if err := <-engineDone; err != nil && !errors.Is(err, context.Canceled) {
 		log.Printf("engine: %v", err)
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shCtx); err != nil {
-		log.Printf("http shutdown: %v", err)
 	}
 	n := srv.Drain()
 	log.Printf("drained: %d records in store", n)
@@ -447,19 +390,41 @@ func preload(srv *bounced.Server, path string) (int, error) {
 	defer f.Close()
 	n := 0
 	for {
-		rec, ok := f.Next()
+		batch, ok := f.NextBatch()
 		if !ok {
-			break
+			return n, f.Err()
 		}
-		// The reader reuses its record buffers; hand the queue its own
-		// copy (strings/slices are fresh per record and safe to share).
-		c := *rec
-		if err := srv.Ingest(&c); err != nil {
+		w, err := srv.IngestBatch(batch)
+		n += w
+		if err != nil {
 			return n, err
 		}
-		n++
 	}
-	return n, f.Err()
+}
+
+// serveUntil serves h on addr until ctx is cancelled (SIGINT/SIGTERM),
+// then restores default signal behaviour — a second Ctrl-C kills — and
+// shuts the listener down, giving in-flight requests 30s to finish.
+// who and detail frame the "listening on" log line.
+func serveUntil(ctx context.Context, addr string, h http.Handler, who, detail string) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	httpSrv := &http.Server{Handler: h}
+	go func() {
+		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			log.Fatal(err)
+		}
+	}()
+	log.Printf("%s listening on %s %s", who, ln.Addr(), detail)
+	<-ctx.Done()
+	signal.Reset(os.Interrupt, syscall.SIGTERM)
+	shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(shCtx); err != nil {
+		log.Printf("http shutdown: %v", err)
+	}
 }
 
 func loadgenMain(args []string) {

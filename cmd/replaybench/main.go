@@ -101,7 +101,7 @@ func main() {
 	start := time.Now()
 	feed := func(part []dataset.Record) {
 		for i := range part {
-			if err := srv.Ingest(&part[i]); err != nil {
+			if _, err := srv.IngestBatch(part[i : i+1]); err != nil {
 				log.Fatal(err)
 			}
 		}

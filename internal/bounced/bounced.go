@@ -6,11 +6,12 @@
 // every table and figure is queryable at any instant over exactly the
 // records ingested so far.
 //
-// The data path is a single bounded pipeline:
+// The data path is a single bounded pipeline, and commit is its only
+// way in:
 //
-//	POST /v1/records ──┐                      ┌─ GET /v1/report  (batch-identical bytes)
-//	                   ├─▶ queue ─▶ store ────┼─ GET /v1/stats   (JSON counters)
-//	engine -generate ──┘  (Pipe)  (Incremental)└─ GET /metrics    (Prometheus text)
+//	POST /v1/records ───────┐                               ┌─ GET /v1/report  (batch-identical bytes)
+//	engine -generate/-replay ├─▶ commit ─▶ queue ─▶ store ──┼─ GET /v1/stats   (JSON counters)
+//	replication ApplyBatch ──┘  (WAL)     (Pipe) (Incremental)└─ GET /metrics    (Prometheus text)
 //
 // Ingestion accepts NDJSON batches (gzip-aware, line-numbered 400s on
 // malformed lines) and backpressures producers through the bounded
@@ -42,7 +43,7 @@ import (
 	"repro/internal/store"
 )
 
-// ErrIngestClosed is returned by Ingest once shutdown has begun.
+// ErrIngestClosed is returned by IngestBatch once shutdown has begun.
 var ErrIngestClosed = errors.New("bounced: ingestion closed")
 
 // Config assembles a Server.
@@ -145,11 +146,12 @@ type Server struct {
 	faults *faultinject.Injector
 	dedup  dedupWindow
 
-	// Durability (nil eng = memory-only). walMu orders WAL appends with
-	// queue writes so replay order equals store-fold order — the
-	// property that makes recovery byte-identical. cpMu serializes
-	// checkpoint writers; lastCP is the record count the newest
-	// checkpoint covers (the skip test for idle checkpoints).
+	// Durability (nil eng = memory-only). walMu is commit's ordering
+	// lock: dedup re-check, WAL append, ID registration and queue write
+	// happen under it on every node, so replay order equals store-fold
+	// order — the property that makes recovery byte-identical. cpMu
+	// serializes checkpoint writers; lastCP is the record count the
+	// newest checkpoint covers (the skip test for idle checkpoints).
 	eng      store.Engine
 	walMu    sync.Mutex
 	cpMu     sync.Mutex
@@ -304,12 +306,15 @@ func (s *Server) Handler() http.Handler {
 // check HTTP batch ingestion sheds on. The reservation counts records
 // admitted but not yet consumed, so a grant means the queue will have
 // room as the consumer drains — writers never block indefinitely
-// behind a full buffer.
+// behind a full buffer. A request larger than the whole queue (only a
+// replicated unit from a primary with a deeper -queue can be one) is
+// granted once nothing else is reserved, and drains through the queue
+// while its commit writes it.
 func (s *Server) tryAdmit(n int) bool {
 	depth := int64(s.cfg.QueueDepth)
 	for {
 		r := s.reserved.Load()
-		if r+int64(n) > depth {
+		if r+int64(n) > depth && r > 0 {
 			return false
 		}
 		if s.reserved.CompareAndSwap(r, r+int64(n)) {
@@ -319,9 +324,8 @@ func (s *Server) tryAdmit(n int) bool {
 }
 
 // admitWait reserves n slots, blocking until the consumer frees
-// enough — the backpressure path in-process producers and streamed
-// (non-batch-ID) HTTP ingestion use. Returns false once shutdown
-// begins.
+// enough — the backpressure path of IngestBatch and ApplyBatch.
+// Returns false once shutdown begins.
 func (s *Server) admitWait(n int) bool {
 	s.consumedMu.Lock()
 	defer s.consumedMu.Unlock()
@@ -339,33 +343,67 @@ func (s *Server) admitWait(n int) bool {
 	}
 }
 
-// enqueue writes an already-admitted record to the queue, WAL-first on
-// durable nodes. The caller must hold a reservation for it; on failure
-// the reservation is released.
-func (s *Server) enqueue(rec *dataset.Record) error {
-	if s.eng == nil {
-		return s.queueAdmitted(rec)
-	}
+// duplicateBatch is commit's verdict on a batch ID that registered
+// while this request was still decoding or waiting for admission; its
+// value is the record count the original was acked with.
+type duplicateBatch int
+
+func (duplicateBatch) Error() string { return "bounced: batch id already committed" }
+
+// commit is the one place a record enters the node. Its sources are
+// IngestBatch (in-process producers and streamed HTTP bodies), the
+// X-Batch-Id branch of ingestBody, and ApplyBatch (replicated units);
+// each holds a reservation for len(recs), which commit hands on to the
+// consumer or releases. It returns how many records reached the queue
+// and the log end after the append. A short count comes with
+// ErrIngestClosed: shutdown raced the batch, and on a durable node
+// recovery folds the dropped tail back in from the log.
+func (s *Server) commit(id string, idCount int, recs []dataset.Record) (int, uint64, error) {
 	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if err := s.eng.Append(store.Batch{Records: []dataset.Record{*rec}}); err != nil {
-		s.reserved.Add(-1)
-		return fmt.Errorf("bounced: wal append: %w", err)
-	}
-	s.walIndex.Add(1)
-	return s.queueAdmitted(rec)
+	n, err := s.commitOrdered(id, idCount, recs)
+	end := s.walIndex.Load()
+	s.walMu.Unlock()
+	s.reserved.Add(-int64(len(recs) - n))
+	s.accepted.Add(uint64(n))
+	s.observeBatch(recs[:n])
+	return n, end, err
 }
 
-// queueAdmitted is the queue half of enqueue: the record is already
-// reserved (and, on durable nodes, already in the WAL).
-func (s *Server) queueAdmitted(rec *dataset.Record) error {
-	if err := s.queue.Write(rec); err != nil {
-		s.reserved.Add(-1)
-		return ErrIngestClosed
+// commitOrdered is commit's walMu section, the single implementation
+// of the ordering every node's log and fold share:
+//
+//   - the dedup window is checked again, so check-and-register is atomic
+//     and of two overlapping requests with one ID exactly one is folded
+//     (a standby skips this: its primary already decided, and a resync
+//     checkpoint may carry the ID of a unit whose records it still owes);
+//   - the records go to the log as one unit and walIndex follows, so it
+//     always equals the log end in append order;
+//   - id registers with idCount — before any ack, and before any of the
+//     records can be consumed, so no checkpoint captures the records
+//     while missing the ID (which would double-count a post-crash retry);
+//   - one queue write, inside the section so that replay order equals
+//     fold order here and on every node applying this log — what makes
+//     recovery and failover byte-identical.
+func (s *Server) commitOrdered(id string, idCount int, recs []dataset.Record) (int, error) {
+	if id != "" && !s.standby.Load() {
+		if prev, ok := s.dedup.lookup(id); ok {
+			return 0, duplicateBatch(prev)
+		}
 	}
-	s.accepted.Add(1)
-	s.observe(rec)
-	return nil
+	if s.eng != nil {
+		if err := s.eng.Append(store.Batch{ID: id, Records: recs}); err != nil {
+			return 0, fmt.Errorf("bounced: wal append: %w", err)
+		}
+		s.walIndex.Add(uint64(len(recs)))
+	}
+	if id != "" {
+		s.dedup.register(id, idCount)
+	}
+	n, err := s.queue.WriteBatch(recs)
+	if err != nil {
+		err = ErrIngestClosed
+	}
+	return n, err
 }
 
 // incState returns the current analysis accumulator. The pointer is
@@ -385,41 +423,24 @@ func (s *Server) owns(rec *dataset.Record) bool {
 	return s.cfg.ShardCount <= 0 || analysis.OwnerOf(rec, s.cfg.ShardCount) == s.cfg.ShardIndex
 }
 
-// Ingest queues one record from an in-process producer (the -generate
-// delivery engine), under the same backpressure as HTTP ingestion.
-// The live metrics update here, on the producer's goroutine, so many
-// concurrent producers observe in parallel instead of serializing on
-// the single store consumer.
-func (s *Server) Ingest(rec *dataset.Record) error {
-	if s.closed.Load() {
-		return ErrIngestClosed
-	}
-	if s.standby.Load() {
-		return errStandbyIngest
-	}
-	if !s.admitWait(1) {
-		return ErrIngestClosed
-	}
-	return s.enqueue(rec)
-}
-
 // ingestSubBatch caps how many records IngestBatch admits per
 // reservation — small enough that a sub-batch never starves other
 // producers of the whole queue, large enough to amortize the admission
 // and WAL costs.
 const ingestSubBatch = 256
 
-// IngestBatch queues a slice of records under the same blocking
-// admission as Ingest, moving them in sub-batches so one caller cannot
-// reserve the entire queue. Records are enqueued in slice order; the
-// caller keeps ownership of recs afterwards (the queue copies). It
-// reports how many records were enqueued — short only when shutdown
-// (or a WAL failure) interrupts the batch.
+// IngestBatch commits a slice of records under blocking admission —
+// the backpressure in-process producers (-generate, -replay) and
+// streamed HTTP bodies share — in sub-batches, so one caller cannot
+// reserve the entire queue; a single record is a batch of one. Records
+// are committed in slice order and the caller keeps ownership of recs
+// afterwards (the queue copies). The live metrics update on the
+// producer's goroutine, so concurrent producers classify in parallel
+// instead of serializing on the single store consumer. It reports how
+// many records were queued — short only when shutdown (or a WAL
+// failure) interrupts the batch.
 func (s *Server) IngestBatch(recs []dataset.Record) (int, error) {
-	max := ingestSubBatch
-	if s.cfg.QueueDepth < max {
-		max = s.cfg.QueueDepth
-	}
+	sub := min(ingestSubBatch, s.cfg.QueueDepth)
 	done := 0
 	for done < len(recs) {
 		if s.closed.Load() {
@@ -428,14 +449,11 @@ func (s *Server) IngestBatch(recs []dataset.Record) (int, error) {
 		if s.standby.Load() {
 			return done, errStandbyIngest
 		}
-		n := len(recs) - done
-		if n > max {
-			n = max
-		}
+		n := min(len(recs)-done, sub)
 		if !s.admitWait(n) {
 			return done, ErrIngestClosed
 		}
-		w, err := s.enqueueBatch(recs[done : done+n])
+		w, _, err := s.commit("", 0, recs[done:done+n])
 		done += w
 		if err != nil {
 			return done, err
@@ -444,47 +462,11 @@ func (s *Server) IngestBatch(recs []dataset.Record) (int, error) {
 	return done, nil
 }
 
-// enqueueBatch writes already-admitted records to the queue under one
-// WAL group and one ring-buffer pass, reporting how many landed. On a
-// short write the unused reservations are released; replay order still
-// equals store order because the WAL append and the queue writes share
-// the walMu section, exactly as in the per-record path.
-func (s *Server) enqueueBatch(recs []dataset.Record) (int, error) {
-	if s.eng != nil {
-		s.walMu.Lock()
-		if err := s.eng.Append(store.Batch{Records: recs}); err != nil {
-			s.walMu.Unlock()
-			s.reserved.Add(-int64(len(recs)))
-			return 0, fmt.Errorf("bounced: wal append: %w", err)
-		}
-		s.walIndex.Add(uint64(len(recs)))
-		n, err := s.queue.WriteBatch(recs)
-		s.walMu.Unlock()
-		return s.finishEnqueueBatch(recs, n, err)
-	}
-	n, err := s.queue.WriteBatch(recs)
-	return s.finishEnqueueBatch(recs, n, err)
-}
-
-// finishEnqueueBatch settles accounting after a (possibly short) batch
-// queue write: accepted and live metrics for what landed, reservation
-// release for what did not.
-func (s *Server) finishEnqueueBatch(recs []dataset.Record, n int, err error) (int, error) {
-	if n > 0 {
-		s.accepted.Add(uint64(n))
-		s.observeBatch(recs[:n])
-	}
-	if err != nil {
-		s.reserved.Add(-int64(len(recs) - n))
-		return n, ErrIngestClosed
-	}
-	return n, nil
-}
-
-// consume is the single store writer: it drains the queue into the
-// incremental analysis store. The store append is a short critical
-// section (Drain training rides the Incremental's own trainer
-// goroutine), so the consumer keeps pace with many producers.
+// consume is the single store writer: it drains whatever the queue
+// holds in one ring-buffer pass and folds it into the incremental
+// analysis store under one critical section (Drain training rides the
+// Incremental's own trainer goroutine), so the consumer keeps pace with
+// many producers.
 func (s *Server) consume() {
 	defer s.consumerWG.Done()
 	defer func() {
@@ -493,34 +475,19 @@ func (s *Server) consume() {
 		s.consumedCond.Broadcast()
 		s.consumedMu.Unlock()
 	}()
-	stall := s.faults.ConsumerStall()
+	size, stall := ingestSubBatch, s.faults.ConsumerStall()
 	if stall > 0 {
 		// Injected downstream stall: the consumer wedges per record,
 		// which is what backs the queue up and exercises shedding.
-		for {
-			rec, ok := s.queue.Next()
-			if !ok {
-				return
-			}
-			time.Sleep(stall)
-			s.incState().Add(rec)
-			s.consumed.Add(1)
-			s.reserved.Add(-1)
-			s.consumedMu.Lock()
-			s.consumedCond.Broadcast()
-			s.consumedMu.Unlock()
-		}
+		size = 1
 	}
-	// Fast path: drain whatever is buffered in one ring-buffer pass and
-	// fold it into the store under one critical section. Equivalent to
-	// the per-record loop (AddBatch appends in order), with per-record
-	// lock traffic amortized across the batch.
-	batch := make([]dataset.Record, ingestSubBatch)
+	batch := make([]dataset.Record, size)
 	for {
 		n, ok := s.queue.NextBatch(batch)
 		if !ok {
 			return
 		}
+		time.Sleep(stall) // zero unless injected
 		s.incState().AddBatch(batch[:n])
 		clear(batch[:n]) // the store copied; do not pin record strings
 		s.consumed.Add(uint64(n))
@@ -560,6 +527,11 @@ func (d *dedupWindow) lookup(id string) (int, bool) {
 func (d *dedupWindow) register(id string, n int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.add(id, n)
+}
+
+// add is register with d.mu held (restore adds a whole section).
+func (d *dedupWindow) add(id string, n int) {
 	if _, ok := d.seen[id]; ok {
 		return
 	}
@@ -606,25 +578,10 @@ func (s *Server) obsCtxFor(p *analysis.ShardedPipeline) *obsCtx {
 	return &obsCtx{pipe: p, cx: p.NewClassifyCtx()}
 }
 
-// observe updates the live metrics for one record: bounce degree
-// always, bounce types and classify latency once a snapshot pipeline
-// exists. Live counters are an operational view labeled by the latest
-// snapshot — reports always re-classify against a fresh snapshot.
-func (s *Server) observe(rec *dataset.Record) {
-	s.degrees[int(rec.BounceDegree())].Add(1)
-	s.liveMu.RLock()
-	p := s.livePipe
-	s.liveMu.RUnlock()
-	if p == nil {
-		return
-	}
-	oc := s.obsCtxFor(p)
-	s.observeClassified(oc, rec)
-	s.obsPool.Put(oc)
-}
-
-// observeBatch is observe over a slice, fetching the classification
-// context once per batch instead of once per record.
+// observeBatch updates the live metrics for committed records: bounce
+// degree always, bounce types and classify latency once a snapshot
+// pipeline exists. Live counters are an operational view labeled by the
+// latest snapshot — reports always re-classify against a fresh one.
 func (s *Server) observeBatch(recs []dataset.Record) {
 	for i := range recs {
 		s.degrees[int(recs[i].BounceDegree())].Add(1)

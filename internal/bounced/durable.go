@@ -344,15 +344,7 @@ func (d *dedupWindow) restore(b []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i, id := range snap.IDs {
-		if _, ok := d.seen[id]; ok {
-			continue
-		}
-		if len(d.order) >= d.cap {
-			delete(d.seen, d.order[0])
-			d.order = d.order[1:]
-		}
-		d.seen[id] = snap.Counts[i]
-		d.order = append(d.order, id)
+		d.add(id, snap.Counts[i])
 	}
 	return nil
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/dataset"
 	"repro/internal/faultinject"
-	"repro/internal/store"
 )
 
 // Batch headers for the idempotent ingest mode. X-Batch-Id switches a
@@ -45,10 +44,10 @@ type ingestResponse struct {
 //
 // Two admission modes share the endpoint:
 //
-//   - Streamed (no X-Batch-Id): lines are validated and queued one at
-//     a time under blocking backpressure. A malformed line yields a 400
-//     naming its 1-based line number, with every preceding valid line
-//     already accepted.
+//   - Streamed (no X-Batch-Id): records are committed as they decode,
+//     under blocking backpressure. A malformed line yields a 400 naming
+//     its 1-based line number, with every preceding valid line already
+//     accepted — and synced and replicated like a 200's.
 //
 //   - Idempotent batch (X-Batch-Id set): the whole body is decoded
 //     first, then admitted atomically — all records or none. A full
@@ -93,19 +92,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	}
 	if batchID != "" {
 		if n, ok := s.dedup.lookup(batchID); ok {
-			// A replay of a batch already admitted: acknowledge with the
-			// original accepted count, ingest nothing. The semi-sync gate
-			// still applies — the usual reason for this replay is a retry
-			// after an ack timed out waiting for a standby, and acking it
-			// before the standby catches up would reopen the loss window.
-			if err := s.waitReplicated(s.walIndex.Load()); err != nil {
-				w.Header().Set("Retry-After", "1")
-				httpError(w, http.StatusServiceUnavailable, 0, 0, err.Error())
-				return
-			}
-			s.deduped.Add(uint64(n))
-			s.dedupBatches.Add(1)
-			writeJSON(w, http.StatusOK, ingestResponse{Accepted: n, Deduped: true})
+			s.replyDeduped(w, n)
 			return
 		}
 	}
@@ -146,85 +133,140 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnsupportedMediaType, 0, 0, "unsupported Content-Encoding "+enc)
 		return
 	}
-	reader = plan.WrapDecoded(reader)
-
-	if batchID != "" {
-		s.ingestBatch(w, reader, batchID, declared)
-		return
-	}
-	s.ingestStream(w, reader)
+	s.ingestBody(w, plan.WrapDecoded(reader), batchID, declared)
 }
 
-// ingestStream is the legacy streamed path: records enter the queue as
-// they decode, blocking on backpressure, and a mid-body fault keeps
-// the already-accepted prefix.
-func (s *Server) ingestStream(w http.ResponseWriter, reader io.Reader) {
-	// Decode fans out across workers while this goroutine queues the
-	// in-order results; records surface strictly in body order, so the
-	// accepted prefix before a malformed line is exactly what a serial
-	// scan would have admitted.
+// replyDeduped acknowledges a replay of a batch already committed with
+// the original accepted count, ingesting nothing. The semi-sync gate
+// still applies — the usual reason for a replay is a retry after an ack
+// timed out waiting for a standby, and acking it before the standby
+// catches up would reopen the loss window.
+func (s *Server) replyDeduped(w http.ResponseWriter, n int) {
+	if err := s.waitReplicated(s.walIndex.Load()); err != nil {
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusServiceUnavailable, 0, 0, err.Error())
+		return
+	}
+	s.deduped.Add(uint64(n))
+	s.dedupBatches.Add(1)
+	writeJSON(w, http.StatusOK, ingestResponse{Accepted: n, Deduped: true})
+}
+
+// ingestBody decodes one request body and commits it, in every mode and
+// role. Decode fans out across workers while this goroutine takes the
+// in-order chunks, so the prefix before a bad line is exactly what a
+// serial scan would have seen. A streamed body commits each chunk's
+// owned prefix as it decodes, blocking on backpressure, and a mid-body
+// fault keeps what was accepted. Under an X-Batch-Id the whole body is
+// held back and then admitted all or nothing; a full queue sheds it
+// with 429 rather than blocking. A record another shard owns is a bad
+// line like a malformed one: the 400 names it (BatchLines keeps the
+// number exact inside a chunk), and under an ID nothing was admitted,
+// so the client can re-partition and resend the same ID.
+func (s *Server) ingestBody(w http.ResponseWriter, reader io.Reader, batchID string, declared int) {
 	pr := dataset.NewParallelReader(reader, s.cfg.DecodeWorkers)
 	defer pr.Close()
-	accepted := 0
-	if s.cfg.ShardCount > 0 {
-		// Shard role: the ownership check needs the per-record line
-		// number for its 400, so admit record by record.
-		for {
-			rec, ok := pr.Next()
-			if !ok {
-				break
+	streamed := batchID == ""
+	var held []dataset.Record
+	if !streamed && declared > 0 {
+		held = make([]dataset.Record, 0, declared)
+	}
+	status, line, msg := http.StatusOK, 0, ""
+	accepted, decoded := 0, 0
+	for status == http.StatusOK {
+		batch, ok := pr.NextBatch()
+		if !ok {
+			if err := pr.Err(); err != nil {
+				status, line, msg = classifyIngestErr(err)
 			}
-			if !s.owns(rec) {
-				s.badLines.Add(1)
-				s.rejected.Add(1)
-				httpError(w, http.StatusBadRequest, pr.Line(), accepted,
-					s.notOwnedMsg(rec))
-				return
-			}
-			// The reader reuses its record buffers once a chunk is consumed,
-			// but the queue holds the pointer until the store folds it in —
-			// copy the (small) struct out; its strings and slices are fresh
-			// per-record allocations and safe to share.
-			c := *rec
-			if err := s.Ingest(&c); err != nil {
-				httpError(w, http.StatusServiceUnavailable, pr.Line(), accepted, err.Error())
-				return
-			}
-			accepted++
+			break
 		}
-	} else {
-		// Single role owns everything: admit whole decoded chunks. The
-		// queue copies the records before the reader reuses the chunk.
-		for {
-			batch, ok := pr.NextBatch()
-			if !ok {
-				break
-			}
-			n, err := s.IngestBatch(batch)
+		own := 0
+		for own < len(batch) && s.owns(&batch[own]) {
+			own++
+		}
+		decoded += own
+		if streamed {
+			n, err := s.IngestBatch(batch[:own])
 			accepted += n
 			if err != nil {
-				httpError(w, http.StatusServiceUnavailable, pr.Line(), accepted, err.Error())
-				return
+				status, line, msg = http.StatusServiceUnavailable, pr.Line(), err.Error()
+				break
 			}
+		} else {
+			held = append(held, batch[:own]...)
+		}
+		if own < len(batch) {
+			decoded++
+			status, line, msg = http.StatusBadRequest, pr.BatchLines()[own], s.notOwnedMsg(&batch[own])
 		}
 	}
-	if err := pr.Err(); err != nil {
+	end := s.walIndex.Load()
+	switch {
+	case status == http.StatusServiceUnavailable:
+		// IngestBatch was interrupted; the reply says how far it got.
+	case status != http.StatusOK:
+		// A bad line costs a stream that line, a batch under an ID all
+		// of itself.
 		s.badLines.Add(1)
-		s.rejected.Add(1)
-		status, line, msg := classifyIngestErr(err)
+		if streamed {
+			s.rejected.Add(1)
+		} else {
+			s.countRejected(declared, decoded)
+		}
+	case streamed:
+		// Every chunk is committed already.
+	case declared >= 0 && declared != len(held):
+		s.countRejected(declared, len(held))
+		status, msg = http.StatusBadRequest,
+			fmt.Sprintf("%s declares %d records, body has %d", headerBatchRecords, declared, len(held))
+	case len(held) > s.cfg.QueueDepth:
+		// Larger than the queue can ever hold: admission would shed it
+		// forever, so refuse it outright instead of sending the client
+		// into a retry loop.
+		s.countRejected(declared, len(held))
+		status, msg = http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch of %d records exceeds queue capacity %d; split it", len(held), s.cfg.QueueDepth)
+	case !s.tryAdmit(len(held)):
+		s.shed(w, len(held))
+		return
+	default:
+		var err error
+		var dup duplicateBatch
+		accepted, end, err = s.commit(batchID, len(held), held)
+		switch {
+		case errors.As(err, &dup):
+			// The same ID overlapped this request and committed first.
+			s.replyDeduped(w, int(dup))
+			return
+		case errors.Is(err, ErrIngestClosed):
+			status, msg = http.StatusServiceUnavailable, err.Error()
+		case err != nil:
+			status, msg = http.StatusInternalServerError, err.Error()
+		}
+	}
+	s.finishIngest(w, status, line, accepted, end, msg)
+}
+
+// finishIngest is the way out of every request that may have committed
+// records: whatever status it carries, a reply reporting accepted > 0
+// leaves only after the group-commit fsync (which is also what shows
+// the records to standby long-polls) and the semi-sync gate. When the
+// gate times out the records are in the local log but the client must
+// not count them delivered: under an X-Batch-Id the retry it now owes
+// dedups and waits here again; a streamed body is not idempotent, so
+// use batch IDs when semi-sync replication is on.
+func (s *Server) finishIngest(w http.ResponseWriter, status, line, accepted int, end uint64, msg string) {
+	if status == http.StatusOK || accepted > 0 {
+		if err := s.syncWAL(); err != nil {
+			status, line, msg = http.StatusInternalServerError, 0, err.Error()
+		} else if err := s.waitReplicated(end); err != nil {
+			w.Header().Set("Retry-After", "1")
+			status, line, msg = http.StatusServiceUnavailable, 0, err.Error()
+		}
+	}
+	if status != http.StatusOK {
 		httpError(w, status, line, accepted, msg)
-		return
-	}
-	if err := s.syncWAL(); err != nil {
-		httpError(w, http.StatusInternalServerError, 0, accepted, err.Error())
-		return
-	}
-	if err := s.waitReplicated(s.walIndex.Load()); err != nil {
-		// The streamed path is not idempotent: the records are durable
-		// locally but the client must not count them as delivered. Use
-		// X-Batch-Id batches when semi-sync replication is on.
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, 0, accepted, err.Error())
 		return
 	}
 	s.batches.Add(1)
@@ -232,149 +274,20 @@ func (s *Server) ingestStream(w http.ResponseWriter, reader io.Reader) {
 	writeJSON(w, http.StatusOK, ingestResponse{Accepted: accepted})
 }
 
-// ingestBatch is the idempotent all-or-nothing path: decode the whole
-// body, then admit every record or none. Admission failure sheds with
-// 429 + Retry-After rather than blocking the request on a full queue.
-func (s *Server) ingestBatch(w http.ResponseWriter, reader io.Reader, batchID string, declared int) {
-	pr := dataset.NewParallelReader(reader, s.cfg.DecodeWorkers)
-	defer pr.Close()
-	var recs []dataset.Record
-	if declared > 0 {
-		recs = make([]dataset.Record, 0, declared)
-	}
-	if s.cfg.ShardCount > 0 {
-		for {
-			rec, ok := pr.Next()
-			if !ok {
-				break
-			}
-			if !s.owns(rec) {
-				// All-or-nothing: a misrouted record rejects the whole batch
-				// before anything is admitted, so the client can re-partition
-				// and resend under the same ID.
-				s.badLines.Add(1)
-				s.countRejected(declared, len(recs)+1)
-				httpError(w, http.StatusBadRequest, pr.Line(), 0, s.notOwnedMsg(rec))
-				return
-			}
-			recs = append(recs, *rec)
-		}
-	} else {
-		for {
-			batch, ok := pr.NextBatch()
-			if !ok {
-				break
-			}
-			recs = append(recs, batch...)
-		}
-	}
-	if err := pr.Err(); err != nil {
-		// Nothing was admitted: the whole batch is rejected and the
-		// client may fix and resend it under the same ID.
-		s.badLines.Add(1)
-		s.countRejected(declared, len(recs))
-		status, line, msg := classifyIngestErr(err)
-		httpError(w, status, line, 0, msg)
-		return
-	}
-	if declared >= 0 && declared != len(recs) {
-		s.countRejected(declared, len(recs))
-		httpError(w, http.StatusBadRequest, 0, 0,
-			fmt.Sprintf("%s declares %d records, body has %d", headerBatchRecords, declared, len(recs)))
-		return
-	}
-	if len(recs) > s.cfg.QueueDepth {
-		// Larger than the queue can ever hold: admission would shed it
-		// forever, so refuse it outright instead of sending the client
-		// into a retry loop.
-		s.countRejected(declared, len(recs))
-		httpError(w, http.StatusRequestEntityTooLarge, 0, 0,
-			fmt.Sprintf("batch of %d records exceeds queue capacity %d; split it", len(recs), s.cfg.QueueDepth))
-		return
-	}
-	if !s.tryAdmit(len(recs)) {
-		s.shedRecords.Add(uint64(len(recs)))
-		s.shedBatches.Add(1)
-		hint := s.retryAfter()
-		// One rounding for both header and body so clients comparing the
-		// two never see them disagree.
-		ms := math.Round(float64(hint.Nanoseconds())/1e5) / 10
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(hint.Seconds()))))
-		w.Header().Set(headerRetryAfterMs, strconv.FormatFloat(ms, 'f', 1, 64))
-		writeJSON(w, http.StatusTooManyRequests, ingestResponse{
-			Error: "queue full, batch shed; retry with the same " + headerBatchID, RetryAfterMs: ms,
-		})
-		return
-	}
-	if s.eng != nil {
-		if !s.ingestBatchDurable(w, batchID, recs) {
-			return
-		}
-	} else {
-		for i := range recs {
-			if err := s.enqueue(&recs[i]); err != nil {
-				// Shutdown raced the admitted batch: release the unused
-				// reservations and report how far it got. The batch ID stays
-				// unregistered, but the server is terminal at this point.
-				s.reserved.Add(-int64(len(recs) - i - 1))
-				httpError(w, http.StatusServiceUnavailable, 0, i, err.Error())
-				return
-			}
-		}
-		s.dedup.register(batchID, len(recs))
-	}
-	s.batches.Add(1)
-	s.shedStreak.Store(0)
-	writeJSON(w, http.StatusOK, ingestResponse{Accepted: len(recs)})
-}
-
-// ingestBatchDurable commits an admitted batch on a durable node and
-// reports whether the caller should send the 200. The WAL group and the
-// queue writes share one walMu section so replay order equals store
-// order; the batch ID registers as soon as the group is in the log —
-// before any ack and before any of its records can be consumed — so no
-// checkpoint can capture the records while missing the ID (the race
-// that would double-count a post-crash client retry). The group-commit
-// fsync lands before the ack.
-func (s *Server) ingestBatchDurable(w http.ResponseWriter, batchID string, recs []dataset.Record) bool {
-	s.walMu.Lock()
-	if err := s.eng.Append(store.Batch{ID: batchID, Records: recs}); err != nil {
-		s.walMu.Unlock()
-		s.reserved.Add(-int64(len(recs)))
-		httpError(w, http.StatusInternalServerError, 0, 0, "wal append: "+err.Error())
-		return false
-	}
-	end := s.walIndex.Add(uint64(len(recs)))
-	s.dedup.register(batchID, len(recs))
-	enqueued, enqErr := s.queue.WriteBatch(recs)
-	s.walMu.Unlock()
-	if enqueued > 0 {
-		s.accepted.Add(uint64(enqueued))
-		s.observeBatch(recs[:enqueued])
-	}
-	if enqErr != nil {
-		// Shutdown raced the batch after its WAL commit: the dropped
-		// tail is not lost — recovery folds it back in from the log.
-		// Release the reservations the queue never took.
-		s.reserved.Add(-int64(len(recs) - enqueued))
-	}
-	if err := s.syncWAL(); err != nil {
-		httpError(w, http.StatusInternalServerError, 0, enqueued, err.Error())
-		return false
-	}
-	if enqErr != nil {
-		httpError(w, http.StatusServiceUnavailable, 0, enqueued, ErrIngestClosed.Error())
-		return false
-	}
-	if err := s.waitReplicated(end); err != nil {
-		// The batch is committed and registered locally, so the retry the
-		// client now owes dedups — and its ack waits here again until a
-		// standby really holds the records.
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, 0, 0, err.Error())
-		return false
-	}
-	return true
+// shed refuses an X-Batch-Id batch the queue has no room for with 429
+// and a Retry-After hint.
+func (s *Server) shed(w http.ResponseWriter, n int) {
+	s.shedRecords.Add(uint64(n))
+	s.shedBatches.Add(1)
+	hint := s.retryAfter()
+	// One rounding for both header and body so clients comparing the
+	// two never see them disagree.
+	ms := math.Round(float64(hint.Nanoseconds())/1e5) / 10
+	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(hint.Seconds()))))
+	w.Header().Set(headerRetryAfterMs, strconv.FormatFloat(ms, 'f', 1, 64))
+	writeJSON(w, http.StatusTooManyRequests, ingestResponse{
+		Error: "queue full, batch shed; retry with the same " + headerBatchID, RetryAfterMs: ms,
+	})
 }
 
 // notOwnedMsg names the shard a misrouted record belongs to.

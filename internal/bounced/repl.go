@@ -20,9 +20,10 @@ import (
 // semi-sync ack gate. The correctness argument for byte-identical
 // failover lives on these four facts:
 //
-//  1. WAL order equals fold order on both nodes (walMu orders appends
-//     with queue writes; ApplyBatch reuses the same section), so a
-//     standby's analysis state is the primary's replayed.
+//  1. WAL order equals fold order on both nodes (commit orders the
+//     append with the queue write under walMu, and ApplyBatch is one of
+//     commit's sources), so a standby's analysis state is the primary's
+//     replayed.
 //  2. Units ship whole: a standby never applies half a client batch,
 //     mirroring crash replay's uncommitted-batch discard.
 //  3. With ReplAck ≥ 1, an ack reaches the client only after the
@@ -243,12 +244,13 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 // the sync loop polls from. Implements replication.Applier.
 func (s *Server) AppliedIndex() uint64 { return s.walIndex.Load() }
 
-// ApplyBatch folds one replicated WAL unit through the same path local
-// ingest uses: WAL append, dedup registration, and queue writes under
-// one walMu section, so the standby's replay order — and therefore its
-// report bytes — match the primary's. A unit straddling the local log
-// end (a mid-batch checkpoint boundary after a resync) is trimmed to
-// its unapplied suffix. Implements replication.Applier.
+// ApplyBatch commits one replicated WAL unit: the third source of
+// commit, so the standby's log and fold order — and therefore its
+// report bytes — are the primary's by construction. A unit straddling
+// the local log end (a mid-batch checkpoint boundary after a resync) is
+// trimmed to its unapplied suffix, but registers its full original
+// count: a client retry after failover must be acked with the number
+// the primary admitted. Implements replication.Applier.
 func (s *Server) ApplyBatch(u *replication.Unit) error {
 	if !s.standby.Load() {
 		return errors.New("bounced: ApplyBatch on a primary")
@@ -257,11 +259,10 @@ func (s *Server) ApplyBatch(u *replication.Unit) error {
 		return ErrIngestClosed
 	}
 	cur := s.walIndex.Load()
-	end := u.Start + uint64(len(u.Payloads))
 	if u.Start > cur {
 		return fmt.Errorf("bounced: replication gap: unit starts at %d, local log ends at %d", u.Start, cur)
 	}
-	if end <= cur {
+	if u.Start+uint64(len(u.Payloads)) <= cur {
 		// Wholly applied already (a re-sent overlap); only make sure the
 		// batch ID still dedups client retries.
 		if u.ID != "" {
@@ -277,41 +278,21 @@ func (s *Server) ApplyBatch(u *replication.Unit) error {
 			return fmt.Errorf("bounced: replicated record %d fails to decode: %w", cur+uint64(i), err)
 		}
 	}
+	// Units ship whole, so one larger than this node's queue is still
+	// one reservation (tryAdmit grants it on an idle queue).
 	if !s.admitWait(len(recs)) {
 		return ErrIngestClosed
 	}
-	s.walMu.Lock()
-	if err := s.eng.Append(store.Batch{ID: u.ID, Records: recs}); err != nil {
-		s.walMu.Unlock()
-		s.reserved.Add(-int64(len(recs)))
-		return fmt.Errorf("bounced: wal append: %w", err)
-	}
-	s.walIndex.Store(end)
-	if u.ID != "" {
-		// Register the full original count: a client retry of this batch
-		// after failover must be acked with the number the primary
-		// admitted, not the trimmed suffix this node happened to apply.
-		s.dedup.register(u.ID, len(u.Payloads))
-	}
-	var enqErr error
-	for i := range recs {
-		if err := s.queue.Write(&recs[i]); err != nil {
-			// Shutdown raced the unit after its WAL commit; recovery folds
-			// the dropped tail back in from the log.
-			s.reserved.Add(-int64(len(recs) - i))
-			enqErr = ErrIngestClosed
-			break
-		}
-		s.accepted.Add(1)
-		s.observe(&recs[i])
-	}
-	s.walMu.Unlock()
-	if err := s.syncWAL(); err != nil {
+	_, _, err := s.commit(u.ID, len(u.Payloads), recs)
+	if err != nil && !errors.Is(err, ErrIngestClosed) {
 		return err
+	}
+	if serr := s.syncWAL(); serr != nil {
+		return serr
 	}
 	s.replApplies.Add(1)
 	s.replAppliedRecords.Add(uint64(len(recs)))
-	return enqErr
+	return err
 }
 
 // ResetTo discards this standby's state and restores from a checkpoint

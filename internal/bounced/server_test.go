@@ -187,7 +187,7 @@ func TestDrainZeroLoss(t *testing.T) {
 		go func(part []dataset.Record) {
 			defer wg.Done()
 			for i := range part {
-				if err := srv.Ingest(&part[i]); err != nil {
+				if _, err := srv.IngestBatch(part[i : i+1]); err != nil {
 					t.Errorf("ingest: %v", err)
 					return
 				}
@@ -202,7 +202,7 @@ func TestDrainZeroLoss(t *testing.T) {
 	if srv.Consumed() != want {
 		t.Fatalf("consumed %d after drain, want %d", srv.Consumed(), want)
 	}
-	if err := srv.Ingest(&records[0]); err == nil {
+	if _, err := srv.IngestBatch(records[:1]); err == nil {
 		t.Fatal("ingest after drain succeeded")
 	}
 	// The final flush covers every drained record.

@@ -102,6 +102,7 @@ type ParallelReader struct {
 
 	cur     *chunk
 	curIdx  int
+	batchAt int // index in cur of the last NextBatch's first record
 	line    int // number of the last line yielded or faulted
 	err     error
 	readErr *LineError // set by the scanner goroutine before closing order
@@ -317,7 +318,7 @@ func (p *ParallelReader) NextBatch() ([]Record, bool) {
 		if p.cur != nil && p.curIdx < len(p.cur.recs) {
 			recs := p.cur.recs[p.curIdx:len(p.cur.recs):len(p.cur.recs)]
 			p.line = p.cur.nums[len(p.cur.recs)-1]
-			p.curIdx = len(p.cur.recs)
+			p.batchAt, p.curIdx = p.curIdx, len(p.cur.recs)
 			return recs, true
 		}
 		if !p.advance() {
@@ -325,6 +326,10 @@ func (p *ParallelReader) NextBatch() ([]Record, bool) {
 		}
 	}
 }
+
+// BatchLines returns the 1-based line number of each record in the
+// slice the last NextBatch returned, valid as long as that slice is.
+func (p *ParallelReader) BatchLines() []int { return p.cur.nums[p.batchAt:] }
 
 // advance retires the current chunk (surfacing its decode error, if
 // any) and pulls the next one in stream order. False means the stream
