@@ -9,10 +9,9 @@
 //	bounced                                # serve, ingest via POST /v1/records
 //	bounced -generate -emails 400000       # feed an in-process delivery run
 //	bounced -replay dataset.jsonl.gz       # preload a bouncegen file, then serve
-//	bounced loadgen -in dataset.jsonl -url http://localhost:8425
-//	bounced loadgen -in dataset.jsonl -spawn -out BENCH_bounced.json
+//	bounced loadgen -in dataset.jsonl -url http://localhost:8425   # idempotent replay client
 //	bounced -fault-spec 'seed=7,torn=0.05' -read-timeout 5s   # hostile-stream drills
-//	bounced loadgen -in dataset.jsonl -spawn -chaos 'seed=3,torn=0.3,dup=0.5'
+//	bounced loadgen -in dataset.jsonl -chaos 'seed=3,torn=0.3,dup=0.5'   # ... with a hostile client
 //	bounced -data-dir /var/lib/bounced -fsync batch           # durable: WAL + checkpoints, kill -9 safe
 //
 // Cluster mode (DESIGN.md §10) splits one logical service across shard
@@ -70,7 +69,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -200,12 +198,7 @@ func serveMain(args []string) {
 	if *role == "router" {
 		// Routers hold no records and serve no reports of their own, so
 		// they skip the world/env restore entirely.
-		var peers []string
-		for _, u := range strings.Split(*peersArg, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				peers = append(peers, u)
-			}
-		}
+		peers := splitList(*peersArg)
 		rt, err := replication.NewRouter(replication.RouterConfig{Peers: peers})
 		if err != nil {
 			log.Fatal(err)
@@ -256,12 +249,7 @@ func serveMain(args []string) {
 	}
 
 	if *role == "coordinator" {
-		var urls []string
-		for _, u := range strings.Split(*shardArg, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
+		urls := splitList(*shardArg)
 		coord, err := bounced.NewCoordinator(bounced.CoordinatorConfig{ShardURLs: urls, Env: sCfg.Env})
 		if err != nil {
 			log.Fatal(err)
@@ -427,165 +415,87 @@ func serveUntil(ctx context.Context, addr string, h http.Handler, who, detail st
 	}
 }
 
+// splitList parses a comma-separated flag value, trimming blanks and
+// dropping empty entries.
+func splitList(arg string) []string {
+	var out []string
+	for _, v := range strings.Split(arg, ",") {
+		if v = strings.TrimSpace(v); v != "" {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// loadgenMain is the replay client: it sends a record file to a running
+// bounced (or, with -shard-urls, to a sharded deployment) as sequential
+// idempotent X-Batch-Id batches, retrying each until it is accepted, so
+// the server's report ends byte-identical to batch over the file. -chaos
+// arms the client-side fault schedule on top (DESIGN.md §9). Measuring
+// is bench/'s job, not this client's.
 func loadgenMain(args []string) {
 	fs := flag.NewFlagSet("bounced loadgen", flag.ExitOnError)
 	var (
 		url     = fs.String("url", "http://localhost:8425", "bounced base URL")
+		shardsA = fs.String("shard-urls", "", "comma-separated per-shard ingest URLs (shard node or its router); records route by substream ownership and -url is ignored")
 		in      = fs.String("in", "", "JSONL(.gz) record file to replay (required)")
-		rate    = fs.Float64("rate", 0, "records per second (0 = unthrottled)")
 		batch   = fs.Int("batch", 500, "records per POST")
-		workers = fs.Int("workers", 4, "concurrent senders")
+		rate    = fs.Float64("rate", 0, "records per second (0 = unthrottled)")
 		gz      = fs.Bool("gzip", false, "gzip request bodies")
+		chaos   = fs.String("chaos", "", "client-side fault spec, e.g. 'seed=3,torn=0.3,truncgz=0.2,dup=0.5' (DESIGN.md §9); empty = a plain replay")
+		seed    = fs.Uint64("seed", 1, "batch-ID namespace and default fault seed")
+		retries = fs.Int("retries", 0, "max attempts per batch (0 = default 50)")
+		noVerif = fs.Bool("no-verify", false, "skip the server-counter balance check (needed when the server did not start empty or restarts mid-run, which resets its counters)")
 		out     = fs.String("out", "-", "write the result JSON here ('-' for stdout)")
-		spawn   = fs.Bool("spawn", false, "boot an in-process server on a loopback port and replay against it (for benchmarks)")
-		warm    = fs.Int("warm", 0, "re-post this many head records after the replay and measure the warm snapshot")
-		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the replay here")
-		memProf = fs.String("memprofile", "", "write a heap profile after the replay here")
-		chaos   = fs.String("chaos", "", "chaos mode: client-side fault spec, e.g. 'seed=3,torn=0.3,truncgz=0.2,dup=0.5' (DESIGN.md §9)")
-		shardsA = fs.String("shard-urls", "", "chaos mode: comma-separated per-shard ingest URLs (shard node or its router); records route by substream ownership")
-		noVerif = fs.Bool("no-verify", false, "chaos mode: skip the server-counter balance check (needed when the server restarts mid-run, which resets its counters)")
-		seed    = fs.Uint64("seed", 1, "chaos mode: batch-ID namespace and default fault seed")
-		retries = fs.Int("retries", 0, "chaos mode: max attempts per batch (0 = default 50)")
 	)
 	fs.Parse(args)
 	if *in == "" {
 		log.Fatal("loadgen: -in is required")
 	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	csp, err := faultinject.ParseSpec(*chaos)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if csp.Seed == 0 {
+		csp.Seed = *seed
+	}
+	shardURLs := splitList(*shardsA)
+	res, err := bounced.Chaos(bounced.ChaosConfig{
+		URL: *url, ShardURLs: shardURLs, Path: *in, BatchSize: *batch, Seed: *seed,
+		Faults: csp, MaxRetries: *retries, Gzip: *gz, Rate: *rate,
+		Progress: os.Stderr,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The zero-loss balance is the run's pass/fail line: every presented
+	// record classified exactly once, server-side. A restarted server
+	// starts its counters over, so cross-restart drills verify by report
+	// differential instead (-no-verify). Sharded runs also skip it: no
+	// single node's counters cover the stream (verify via the
+	// coordinator's report).
+	verdict := "balance unchecked"
+	if !*noVerif && len(shardURLs) == 0 {
+		if err := bounced.ChaosVerify(*url, res); err != nil {
+			log.Fatalf("%v (the balance holds only against a server that started empty; -no-verify skips it)", err)
+		}
+		verdict = "balance OK"
+	}
+	log.Printf("loadgen: %d records in %d batches (%d presented, %d retries, %d shed, %d faulted, %d dups) in %.2fs — %s",
+		res.Records, res.Batches, res.Presented, res.Retries, res.Shed, res.Faulted, res.Duplicates, res.Seconds, verdict)
+
+	w := os.Stdout
+	if *out != "-" {
+		f, err := os.Create(*out)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+		w = f
 	}
-
-	target := *url
-	var shutdown func()
-	if *spawn {
-		// A self-contained benchmark server: no env (classify latency
-		// and ingest throughput do not depend on it), loopback only. In
-		// chaos mode it also gets a read deadline so client slow-loris
-		// sends are actually cut off.
-		sCfg := bounced.Config{}
-		if *chaos != "" {
-			sCfg.ReadTimeout = 5 * time.Second
-			sCfg.Seed = *seed
-		}
-		srv, err := bounced.New(sCfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go httpSrv.Serve(ln)
-		target = "http://" + ln.Addr().String()
-		log.Printf("spawned in-process server on %s", target)
-		shutdown = func() {
-			httpSrv.Close()
-			srv.Abort()
-		}
-	}
-
-	if *chaos != "" {
-		csp, err := faultinject.ParseSpec(*chaos)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if csp.Seed == 0 {
-			csp.Seed = *seed
-		}
-		var shardURLs []string
-		if *shardsA != "" {
-			for _, u := range strings.Split(*shardsA, ",") {
-				if u = strings.TrimSpace(u); u != "" {
-					shardURLs = append(shardURLs, u)
-				}
-			}
-		}
-		cres, err := bounced.Chaos(bounced.ChaosConfig{
-			URL: target, ShardURLs: shardURLs, Path: *in, BatchSize: *batch, Seed: *seed,
-			Faults: csp, MaxRetries: *retries, Gzip: *gz, Rate: *rate,
-			Progress: os.Stderr,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		// The zero-loss balance is the run's pass/fail line: every
-		// presented record classified exactly once, server-side. A
-		// restarted server starts its counters over, so cross-restart
-		// drills verify by report differential instead (-no-verify).
-		// Sharded runs also skip it: no single node's counters cover the
-		// stream (the drill verifies by coordinator report differential).
-		if !*noVerif && len(shardURLs) == 0 {
-			if err := bounced.ChaosVerify(target, cres); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if shutdown != nil {
-			shutdown()
-		}
-		verdict := "balance OK"
-		if *noVerif {
-			verdict = "balance unchecked"
-		}
-		log.Printf("chaos: %d records in %d batches (%d presented, %d retries, %d shed, %d faulted, %d dups) in %.2fs — %s",
-			cres.Records, cres.Batches, cres.Presented, cres.Retries, cres.Shed, cres.Faulted, cres.Duplicates, cres.Seconds, verdict)
-		writeResult(*out, cres)
-		return
-	}
-
-	res, err := bounced.Loadgen(bounced.LoadgenConfig{
-		URL: target, Path: *in, Rate: *rate, BatchSize: *batch,
-		Workers: *workers, Gzip: *gz, WarmRecords: *warm, Progress: os.Stderr,
-	})
-	if shutdown != nil {
-		shutdown()
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-	}
-	log.Printf("replayed %d records in %.2fs (%.0f records/s; server classify p50 %.0fns p99 %.0fns)",
-		res.Records, res.Seconds, res.RecordsPerSec, res.ClassifyP50NS, res.ClassifyP99NS)
-
-	writeResult(*out, res)
-}
-
-// writeResult emits a run summary: pretty JSON on stdout for "-", or
-// one compact appended line per run so a bench/chaos file accumulates
-// a history (ingestbench entries land in the same file).
-func writeResult(out string, v any) {
-	if out == "-" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	f, err := os.OpenFile(out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := json.NewEncoder(f).Encode(v); err != nil {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
 		log.Fatal(err)
 	}
 }

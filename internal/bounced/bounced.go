@@ -237,6 +237,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Standby && cfg.Store == nil {
 		return nil, errors.New("bounced: a standby needs a storage engine (replication ships WAL tails)")
 	}
+	if cfg.ReplAck > 0 && cfg.Store == nil {
+		return nil, errors.New("bounced: semi-sync acks (ReplAck) need a storage engine: without a WAL nothing replicates and every ack would pass ungated")
+	}
 	s := &Server{
 		cfg:       cfg,
 		inc:       analysis.NewIncremental(cfg.Pipeline),

@@ -75,10 +75,13 @@ type ChaosResult struct {
 	FaultCounts map[string]uint64 `json:"fault_counts,omitempty"`
 }
 
-// Chaos replays cfg.Path against cfg.URL under the fault schedule.
-// Batches are sent sequentially — batch k+1 only after k is accepted —
-// because the server's report depends on ingestion order; the price is
-// throughput, the prize is a byte-identical final report.
+// Chaos replays cfg.Path against cfg.URL (or, record by owning shard,
+// cfg.ShardURLs) under the fault schedule. It is the one HTTP replay
+// client: bounced loadgen, the kill drills and the chaos soak all call
+// it, and under a nil or inactive schedule it is a plain idempotent
+// replay. Batches are sent sequentially — batch k+1 only after k is
+// accepted — because the server's report depends on ingestion order;
+// the price is throughput, the prize is a byte-identical final report.
 func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 200
@@ -91,115 +94,101 @@ func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
 		return nil, err
 	}
 	defer f.Close()
+	// Replay raw lines (decoded if gzipped) rather than parsed records:
+	// the server is the component under test, including its decoding.
 	rd, err := dataset.NewDecodingReader(f)
 	if err != nil {
 		return nil, err
 	}
 
+	// One batch stream per target, each with its own ID namespace, still
+	// one batch in flight at a time overall.
+	urls := cfg.ShardURLs
+	if len(urls) == 0 {
+		urls = []string{cfg.URL}
+	}
 	inj := faultinject.New(cfg.Faults)
 	client := &http.Client{Timeout: 2 * time.Minute}
 	res := &ChaosResult{}
+	idxs := make([]int, len(urls))
 	start := time.Now()
-	var sendErr error
-	if n := len(cfg.ShardURLs); n > 0 {
-		// Sharded replay: per-shard batch streams with per-shard ID
-		// namespaces, still one batch in flight at a time overall.
-		idxs := make([]int, n)
-		sent := 0
-		scanErr := scanShardRecordLines(rd, LoadgenConfig{BatchSize: cfg.BatchSize, Rate: cfg.Rate}, n, start, func(shard int, body []byte, count int) {
-			if sendErr != nil {
-				return
-			}
-			idxs[shard]++
-			sent++
-			id := fmt.Sprintf("chaos-%d-s%d-%d", cfg.Seed, shard, idxs[shard])
-			sendErr = sendChaosBatch(client, cfg, cfg.ShardURLs[shard], inj.NextPlan(), res, id, body, count)
-			if cfg.Progress != nil && sent%50 == 0 {
-				fmt.Fprintf(cfg.Progress, "chaos: %d records in %d batches across %d shards (%d retries, %d shed)\n",
-					res.Records, res.Batches, n, res.Retries, res.Shed)
-			}
-		})
-		if sendErr != nil {
-			return nil, sendErr
+	err = scanRecordLines(rd, cfg.BatchSize, cfg.Rate, len(urls), func(shard int, body []byte, count int) error {
+		idxs[shard]++
+		id := fmt.Sprintf("chaos-%d-%d", cfg.Seed, idxs[shard])
+		if len(cfg.ShardURLs) > 0 {
+			id = fmt.Sprintf("chaos-%d-s%d-%d", cfg.Seed, shard, idxs[shard])
 		}
-		if scanErr != nil {
-			return nil, scanErr
+		err := sendChaosBatch(client, cfg, urls[shard], inj.NextPlan(), res, id, body, count)
+		if cfg.Progress != nil && err == nil && res.Batches%50 == 0 {
+			fmt.Fprintf(cfg.Progress, "chaos: %d records in %d batches to %d target(s) (%d retries, %d shed)\n",
+				res.Records, res.Batches, len(urls), res.Retries, res.Shed)
 		}
-		res.Seconds = time.Since(start).Seconds()
-		res.FaultCounts = inj.Counts()
-		return res, nil
-	}
-	idx := 0
-	scanRecordLines(rd, LoadgenConfig{BatchSize: cfg.BatchSize, Rate: cfg.Rate}, start, func(body []byte, count int) {
-		if sendErr != nil {
-			return
-		}
-		idx++
-		id := fmt.Sprintf("chaos-%d-%d", cfg.Seed, idx)
-		sendErr = sendChaosBatch(client, cfg, cfg.URL, inj.NextPlan(), res, id, body, count)
-		if cfg.Progress != nil && idx%50 == 0 {
-			fmt.Fprintf(cfg.Progress, "chaos: %d records in %d batches (%d retries, %d shed)\n",
-				res.Records, res.Batches, res.Retries, res.Shed)
-		}
+		return err
 	})
-	if sendErr != nil {
-		return nil, sendErr
+	if err != nil {
+		return nil, err
 	}
 	res.Seconds = time.Since(start).Seconds()
 	res.FaultCounts = inj.Counts()
 	return res, nil
 }
 
-// scanShardRecordLines is scanRecordLines for a sharded target: it
-// decodes every line just enough to compute its owning shard and
-// accumulates per-shard batch bodies, flushing each shard's batch when
-// it fills. Rate pacing covers the total record stream. The final
-// short batches flush in shard order at EOF.
-func scanShardRecordLines(r io.Reader, cfg LoadgenConfig, shards int, start time.Time, emit func(shard int, body []byte, count int)) error {
+// scanRecordLines streams the (decoded) file, groups non-empty lines
+// into NDJSON batch bodies of batchSize records, paces emission to rate
+// records per second over the whole stream (0 = unpaced), and stops at
+// emit's first error. With shards > 1 every line is decoded just enough
+// to find its owning shard and each shard accumulates its own batch,
+// flushed when it fills; the final short batches flush in shard order
+// at EOF.
+func scanRecordLines(r io.Reader, batchSize int, rate float64, shards int, emit func(shard int, body []byte, count int) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	bufs := make([]bytes.Buffer, shards)
 	counts := make([]int, shards)
+	start := time.Now()
 	total := 0
-	var dec dataset.Decoder
-	var rec dataset.Record
-	flush := func(shard int) {
+	flush := func(shard int) error {
 		if counts[shard] == 0 {
-			return
+			return nil
 		}
-		if cfg.Rate > 0 {
-			due := start.Add(time.Duration(float64(total) / cfg.Rate * float64(time.Second)))
-			if d := time.Until(due); d > 0 {
-				time.Sleep(d)
-			}
+		if rate > 0 {
+			due := start.Add(time.Duration(float64(total) / rate * float64(time.Second)))
+			time.Sleep(time.Until(due))
 		}
-		body := make([]byte, bufs[shard].Len())
-		copy(body, bufs[shard].Bytes())
-		emit(shard, body, counts[shard])
+		body := bytes.Clone(bufs[shard].Bytes())
+		count := counts[shard]
 		bufs[shard].Reset()
 		counts[shard] = 0
+		return emit(shard, body, count)
 	}
-	line := 0
+	var dec dataset.Decoder
+	var rec dataset.Record
 	for sc.Scan() {
 		b := sc.Bytes()
 		if len(b) == 0 {
 			continue
 		}
-		line++
-		if err := dec.Decode(b, &rec); err != nil {
-			return fmt.Errorf("chaos: line %d: %v", line, err)
+		total++
+		shard := 0
+		if shards > 1 {
+			if err := dec.Decode(b, &rec); err != nil {
+				return fmt.Errorf("chaos: record %d: %v", total, err)
+			}
+			shard = analysis.OwnerOf(&rec, shards)
 		}
-		shard := analysis.OwnerOf(&rec, shards)
 		bufs[shard].Write(b)
 		bufs[shard].WriteByte('\n')
 		counts[shard]++
-		total++
-		if counts[shard] >= cfg.BatchSize {
-			flush(shard)
+		if counts[shard] >= batchSize {
+			if err := flush(shard); err != nil {
+				return err
+			}
 		}
 	}
 	for s := range bufs {
-		flush(s)
+		if err := flush(s); err != nil {
+			return err
+		}
 	}
 	return sc.Err()
 }

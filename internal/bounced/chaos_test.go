@@ -2,6 +2,7 @@ package bounced_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -90,11 +91,18 @@ func TestChaosDifferentialSeedSweep(t *testing.T) {
 }
 
 // TestChaosCleanScheduleIsPlainReplay: an inactive fault spec must
-// degrade Chaos to an ordinary idempotent replay with zero damage.
+// degrade Chaos to an ordinary idempotent replay with zero damage —
+// the client bounced loadgen is. It replays a gzipped file as gzipped
+// bodies, so the round trip through the real HTTP stack covers both
+// decoders, and the server must have folded every record.
 func TestChaosCleanScheduleIsPlainReplay(t *testing.T) {
 	records, env := fixture(t)
-	path := filepath.Join(t.TempDir(), "corpus.jsonl")
-	if err := os.WriteFile(path, encodeNDJSON(t, records[:500]), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "corpus.jsonl.gz")
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	zw.Write(encodeNDJSON(t, records))
+	zw.Close()
+	if err := os.WriteFile(path, zbuf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	srv := newServer(t, bounced.Config{Env: env})
@@ -102,17 +110,27 @@ func TestChaosCleanScheduleIsPlainReplay(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	res, err := bounced.Chaos(bounced.ChaosConfig{URL: ts.URL, Path: path, BatchSize: 100, Seed: 9})
+	res, err := bounced.Chaos(bounced.ChaosConfig{URL: ts.URL, Path: path, BatchSize: 128, Seed: 9, Gzip: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Records != 500 || res.Faulted != 0 || res.Duplicates != 0 || res.Retries != 0 {
+	if res.Records != len(records) || res.Faulted != 0 || res.Duplicates != 0 || res.Retries != 0 {
 		t.Fatalf("clean chaos run not clean: %+v", res)
 	}
-	if res.Presented != 500 {
-		t.Fatalf("presented %d, want 500", res.Presented)
+	if want := (len(records) + 127) / 128; res.Batches != want {
+		t.Fatalf("sent %d batches, want %d", res.Batches, want)
+	}
+	if res.Presented != len(records) {
+		t.Fatalf("presented %d, want %d", res.Presented, len(records))
 	}
 	if err := bounced.ChaosVerify(ts.URL, res); err != nil {
 		t.Fatal(err)
+	}
+	// A report waits for the store to fold in everything accepted.
+	if status, _ := getBody(t, ts.URL+"/v1/report?section=overview"); status != http.StatusOK {
+		t.Fatalf("/v1/report status %d", status)
+	}
+	if n := srv.Consumed(); n != uint64(len(records)) {
+		t.Fatalf("server consumed %d, want %d", n, len(records))
 	}
 }

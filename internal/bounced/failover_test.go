@@ -196,6 +196,23 @@ func TestFailoverReportByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSemiSyncNeedsStore: semi-sync acks without a WAL would gate
+// nothing — every batch acked, none replicated — so New must refuse the
+// configuration rather than boot it (bounced -repl-ack 1 without
+// -data-dir).
+func TestSemiSyncNeedsStore(t *testing.T) {
+	srv, err := bounced.New(bounced.Config{ReplAck: 1})
+	if err == nil {
+		srv.Abort()
+		t.Fatal("New accepted ReplAck > 0 without a Store: acks would pass ungated")
+	}
+	srv, err = bounced.New(bounced.Config{ReplAck: 1, Store: store.NewMem()})
+	if err != nil {
+		t.Fatalf("New refused ReplAck with a Store: %v", err)
+	}
+	srv.Abort()
+}
+
 // TestSemiSyncAckGate pins the zero-acked-loss mechanism: with
 // ReplAck=1 and no standby attached, an ingest ack times out into a
 // retryable 503 — including the dedup-hit retry — and succeeds only

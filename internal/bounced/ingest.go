@@ -106,7 +106,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	var reader io.Reader
 	switch enc := strings.ToLower(r.Header.Get("Content-Encoding")); enc {
 	case "", "identity":
-		// Sniff anyway: loadgen may stream a .jsonl.gz byte-for-byte.
+		// Sniff anyway: a client may post a .jsonl.gz byte-for-byte
+		// (curl --data-binary @corpus.jsonl.gz).
 		dr, err := dataset.NewDecodingReader(body)
 		if err != nil {
 			s.countRejected(declared, 0)

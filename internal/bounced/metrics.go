@@ -74,7 +74,7 @@ func quantile(bounds []int64, buckets []uint64, count uint64, q float64) float64
 	return float64(bounds[len(bounds)-1])
 }
 
-// stats summarizes the histogram for /v1/stats and BENCH_bounced.json.
+// stats summarizes the histogram for /v1/stats.
 func (h *latencyHist) stats() latencyStats {
 	h.mu.Lock()
 	buckets := append([]uint64(nil), h.buckets...)

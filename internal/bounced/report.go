@@ -89,8 +89,8 @@ func (s *Server) WriteFinalReport(w interface{ Write([]byte) (int, error) }, sec
 }
 
 // handleSnapshot forces a fresh analysis snapshot and reports its
-// shape — the explicit warm-up hook loadgen uses to arm the live
-// classifier before measuring classify latency.
+// shape — the explicit warm-up hook a client uses to arm the live
+// classifier, or to wait until everything accepted has been folded.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, 0, 0, "POST only")

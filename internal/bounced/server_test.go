@@ -330,39 +330,3 @@ func TestStatsAndMetrics(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadgenRoundTrip replays a gzipped JSONL file through the real
-// HTTP stack and checks the bench result accounting.
-func TestLoadgenRoundTrip(t *testing.T) {
-	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	path := filepath.Join(t.TempDir(), "replay.jsonl.gz")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zw := gzip.NewWriter(f)
-	zw.Write(encodeNDJSON(t, records))
-	zw.Close()
-	f.Close()
-
-	res, err := bounced.Loadgen(bounced.LoadgenConfig{
-		URL: ts.URL, Path: path, BatchSize: 128, Workers: 3, Gzip: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Records != len(records) {
-		t.Fatalf("replayed %d records, want %d", res.Records, len(records))
-	}
-	if res.ServerConsumed != uint64(len(records)) {
-		t.Fatalf("server consumed %d, want %d", res.ServerConsumed, len(records))
-	}
-	if res.RecordsPerSec <= 0 {
-		t.Fatalf("bad rate: %+v", res)
-	}
-}
