@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test race race-parallel bench bench-parallel serve bench-cluster fuzz-decode fuzz-wal chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test race race-parallel bench bench-parallel serve bench-cluster bench-durable fuzz-decode fuzz-wal chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -73,7 +73,7 @@ chaos-shard-failover:
 # ordering lock from all three of its sources (fast enough for every
 # commit).
 race-parallel:
-	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|WarmSnapshot|Frozen|Decoder|Commit|ApplyBatch|SourceEquivalence' ./...
+	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|Frozen|Decoder|Commit|ApplyBatch|SourceEquivalence' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -106,6 +106,14 @@ cluster-diff:
 # operation failed. The numbers are printed, not asserted.
 bench-cluster:
 	bash bench/run.sh --workload cluster-2x2 --seed 42 --seconds 4 --trace 0
+
+# bench-durable runs the benchmark's durable node once as the same kind
+# of gate over the checkpoint path: it checkpoints, SIGKILLs, restarts
+# on the data dir and re-posts the last X-Batch-Id, and exits non-zero
+# unless every acked record is back, the retry dedups and the report is
+# byte-identical to batch.
+bench-durable:
+	bash bench/run.sh --workload durable-batch --seed 42 --seconds 4 --trace 0
 
 # fuzz-decode runs the fast-path-decoder-vs-encoding/json fuzzer for a
 # short budget (the committed corpus replays in plain `make test`).

@@ -289,7 +289,7 @@ func BenchmarkSquatFunnel(b *testing.B) {
 	cfg := squat.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = squat.Scan(s.Analysis, nil, cfg) // includes fresh detections
+		_ = squat.Scan(s.Analysis, s.Analysis.Detect(), cfg) // includes fresh detections
 	}
 }
 

@@ -20,6 +20,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
@@ -75,16 +77,31 @@ func ConfigForScale(s Scale) world.Config {
 	}
 }
 
-// Study is a completed simulation + analysis.
+// Study is a completed simulation + analysis. Handle it by pointer: it
+// carries the sync.Once that guards Detections.
 type Study struct {
 	World      *world.World
 	Engine     *delivery.Engine
 	Records    dataset.Records
 	Truths     []delivery.Truth
 	Analysis   *analysis.Analysis
-	Detections *analysis.Detections
+	Detections *analysis.Detections // assignable; left nil, computed on first use
 
+	detOnce  sync.Once
 	partials *analysis.PartialSet // lazily built by Partials
+}
+
+// detections resolves the entity detections the first time a section
+// needs them (table2, fig7, attackers, typos, squat, advice, Summary;
+// overview, fig5 and a partial aggregate never do). Safe for concurrent
+// report requests over one cached Study.
+func (s *Study) detections() *analysis.Detections {
+	s.detOnce.Do(func() {
+		if s.Detections == nil {
+			s.Detections = s.Analysis.Detect()
+		}
+	})
+	return s.Detections
 }
 
 // Generate builds a world and delivers its full 15-month workload,
@@ -182,7 +199,7 @@ func RunCtx(ctx context.Context, opts Options) (*Study, error) {
 
 // Squat runs the Section-5 squatting scan over the study.
 func (s *Study) Squat(cfg squat.Config) *squat.Result {
-	return squat.Scan(s.Analysis, s.Detections, cfg)
+	return squat.Scan(s.Analysis, s.detections(), cfg)
 }
 
 // ProxyRegions re-exports the fleet layout for callers that do not
@@ -222,6 +239,24 @@ var AllSections = []Section{
 	SecTable5, SecTable6, SecFig4, SecFig5, SecFig6, SecFig7, SecFig8,
 	SecFig10, SecSTARTTLS, SecAttacker, SecFilters, SecTypos, SecSquat,
 	SecAdvice,
+}
+
+// ParseSections reads a comma-separated section list — the grammar of
+// bounceanalyze -section, bounced -flush-sections and ?section= on a
+// node or a coordinator. Empty and "all" select all; blanks around an
+// entry and empty entries are dropped. Names are not checked here:
+// WriteReport rejects an unknown one.
+func ParseSections(arg string, all []Section) []Section {
+	if arg == "" || arg == "all" {
+		return all
+	}
+	var out []Section
+	for _, name := range strings.Split(arg, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			out = append(out, Section(name))
+		}
+	}
+	return out
 }
 
 // WriteReport renders the requested sections to w.

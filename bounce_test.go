@@ -3,6 +3,7 @@ package bounce_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -95,6 +96,32 @@ func TestWriteReportUnknownSection(t *testing.T) {
 	var buf bytes.Buffer
 	if err := s.WriteReport(&buf, []bounce.Section{"nonsense"}); err == nil {
 		t.Error("unknown section should error")
+	}
+}
+
+// TestParseSections pins the one section-list grammar every caller
+// shares (bounceanalyze -section, bounced -flush-sections, ?section= on
+// a node and on a coordinator).
+func TestParseSections(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		all  []bounce.Section
+		want []bounce.Section
+	}{
+		{"", bounce.AllSections, bounce.AllSections},
+		{"all", bounce.AllSections, bounce.AllSections},
+		{"all", bounce.PartialSections, bounce.PartialSections},
+		{"table1", bounce.AllSections, []bounce.Section{bounce.SecTable1}},
+		{" overview , fig5 ", bounce.AllSections, []bounce.Section{bounce.SecOverview, bounce.SecFig5}},
+		{"table1,,fig8,", bounce.AllSections, []bounce.Section{bounce.SecTable1, bounce.SecFig8}},
+		{"fig8,table1", bounce.PartialSections, []bounce.Section{bounce.SecFig8, bounce.SecTable1}},
+		{"all,table1", bounce.AllSections, []bounce.Section{"all", bounce.SecTable1}},
+		{"nonsense", bounce.AllSections, []bounce.Section{"nonsense"}},
+		{",", bounce.AllSections, nil},
+	} {
+		if got := bounce.ParseSections(tc.arg, tc.all); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseSections(%q) = %v, want %v", tc.arg, got, tc.want)
+		}
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 
 	"repro"
@@ -127,7 +126,6 @@ func main() {
 		}
 		a := inc.Finish(bounce.NewEnvironment(w))
 		study = &bounce.Study{World: w, Records: a.Records, Analysis: a}
-		study.Detections = a.Detect()
 	} else {
 		// Transparently decodes .jsonl.gz; NDJSON decode fans out across
 		// GOMAXPROCS workers with an input-order merge.
@@ -159,7 +157,6 @@ func main() {
 			log.Fatal(err)
 		}
 		study = &bounce.Study{World: w, Records: a.Records, Analysis: a}
-		study.Detections = a.Detect()
 	}
 
 	if *asJSON {
@@ -169,14 +166,7 @@ func main() {
 		return
 	}
 
-	sections := bounce.AllSections
-	if *section != "all" {
-		sections = nil
-		for _, s := range strings.Split(*section, ",") {
-			sections = append(sections, bounce.Section(strings.TrimSpace(s)))
-		}
-	}
-	if err := study.WriteReport(os.Stdout, sections); err != nil {
+	if err := study.WriteReport(os.Stdout, bounce.ParseSections(*section, bounce.AllSections)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -222,16 +212,10 @@ func runSharded(src *dataset.ContextSource, f recordSource, env *analysis.Enviro
 		}
 	}
 
-	sections := bounce.PartialSections
-	if section != "all" {
-		sections = nil
-		for _, s := range strings.Split(section, ",") {
-			sections = append(sections, bounce.Section(strings.TrimSpace(s)))
-		}
-	} else {
+	if section == "all" {
 		log.Print("note: squat and advice need the full corpus; run without -shards to include them")
 	}
-	if err := bounce.NewPartialStudy(merged).WriteReport(os.Stdout, sections); err != nil {
+	if err := bounce.NewPartialStudy(merged).WriteReport(os.Stdout, bounce.ParseSections(section, bounce.PartialSections)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -114,7 +114,6 @@ func serveMain(args []string) {
 		queue    = fs.Int("queue", 1024, "ingest queue depth (backpressure bound)")
 		noEnv    = fs.Bool("no-env", false, "skip world regeneration; env-dependent sections degrade")
 		flushSec = fs.String("flush-sections", "overview", "report sections flushed to stdout on shutdown ('' to disable, 'all' for everything)")
-		decodeW  = fs.Int("decode-workers", 0, "NDJSON decode fan-out per ingest request (0 = GOMAXPROCS)")
 		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		faultArg = fs.String("fault-spec", "", "arm deterministic fault injection, e.g. 'seed=7,torn=0.05,stall=2ms' (DESIGN.md §9)")
 		readTO   = fs.Duration("read-timeout", 0, "per-request body read deadline; slow-loris cutoff (0 disables)")
@@ -213,7 +212,7 @@ func serveMain(args []string) {
 	cfg.Seed = *seed
 
 	sCfg := bounced.Config{
-		QueueDepth: *queue, Seed: *seed, DecodeWorkers: *decodeW, EnablePprof: *pprofOn,
+		QueueDepth: *queue, Seed: *seed, EnablePprof: *pprofOn,
 		ReadTimeout: *readTO, DedupWindow: *dedupWin,
 		Standby: *role == "standby", ReplAck: *replAck, ReplAckTimeout: *replAckT,
 	}
@@ -354,15 +353,7 @@ func serveMain(args []string) {
 	log.Printf("drained: %d records in store", n)
 
 	if *flushSec != "" && n > 0 {
-		sections := []bounce.Section{}
-		if *flushSec == "all" {
-			sections = bounce.AllSections
-		} else {
-			for _, s := range strings.Split(*flushSec, ",") {
-				sections = append(sections, bounce.Section(strings.TrimSpace(s)))
-			}
-		}
-		if err := srv.WriteFinalReport(os.Stdout, sections); err != nil {
+		if err := srv.WriteFinalReport(os.Stdout, bounce.ParseSections(*flushSec, bounce.AllSections)); err != nil {
 			log.Printf("final report: %v", err)
 		}
 	}

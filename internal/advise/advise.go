@@ -110,14 +110,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// Run evaluates every rule over the corpus. det may be nil (recomputed)
-// and sq may be nil (the squatting rules are skipped).
+// Run evaluates every rule over the corpus. sq may be nil (the
+// squatting rules are skipped).
 func Run(a *analysis.Analysis, det *analysis.Detections, sq *squat.Result, cfg Config) []Advisory {
 	if cfg.MaxPerRule <= 0 {
 		cfg = DefaultConfig()
-	}
-	if det == nil {
-		det = a.Detect()
 	}
 	var out []Advisory
 	out = append(out, communityRules(a)...)

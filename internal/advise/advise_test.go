@@ -83,7 +83,7 @@ func env() *analysis.Environment {
 
 func TestRulesFire(t *testing.T) {
 	a := analysis.New(corpus(), env())
-	advs := Run(a, nil, nil, DefaultConfig())
+	advs := Run(a, a.Detect(), nil, DefaultConfig())
 	bySubject := map[string]Advisory{}
 	for _, adv := range advs {
 		bySubject[adv.Subject] = adv
@@ -113,7 +113,7 @@ func TestRulesFire(t *testing.T) {
 
 func TestAdvisoriesSortedBySeverity(t *testing.T) {
 	a := analysis.New(corpus(), env())
-	advs := Run(a, nil, nil, DefaultConfig())
+	advs := Run(a, a.Detect(), nil, DefaultConfig())
 	for i := 1; i < len(advs); i++ {
 		if advs[i].Severity > advs[i-1].Severity {
 			t.Fatalf("advisories not sorted by severity at %d", i)
@@ -133,7 +133,7 @@ func TestSquattingRules(t *testing.T) {
 		},
 	}
 	a := analysis.New(corpus(), nil)
-	advs := Run(a, nil, sq, DefaultConfig())
+	advs := Run(a, a.Detect(), sq, DefaultConfig())
 	found := 0
 	for _, adv := range advs {
 		switch adv.Subject {
@@ -165,7 +165,7 @@ func TestCleanCorpusFewAdvisories(t *testing.T) {
 		clean = append(clean, rec("a@s.com", "t@x.com", day(i*50), tpl(ndr.T14Timeout, "t@x.com"), "250 OK"))
 	}
 	a := analysis.New(clean, nil)
-	advs := Run(a, nil, nil, DefaultConfig())
+	advs := Run(a, a.Detect(), nil, DefaultConfig())
 	for _, adv := range advs {
 		if adv.Severity == Critical {
 			t.Errorf("clean corpus produced critical advisory: %+v", adv)

@@ -75,7 +75,7 @@ func New(records []dataset.Record, env *Environment) *Analysis {
 	view := dataset.SliceRecords(records)
 	sp := buildShardedPipeline(view, DefaultPipelineConfig())
 	verdicts := make([]ClassifiedRecord, len(records))
-	classifyRange(sp, view, verdicts, 0)
+	classifyRange(sp, view, verdicts)
 	counts := make(map[string]int, 64)
 	for i := range records {
 		counts[records[i].ToDomain()]++
@@ -89,7 +89,7 @@ func NewWithPipeline(records []dataset.Record, p *Pipeline, env *Environment) *A
 	view := dataset.SliceRecords(records)
 	sp := SinglePipeline(p)
 	verdicts := make([]ClassifiedRecord, len(records))
-	classifyRange(sp, view, verdicts, 0)
+	classifyRange(sp, view, verdicts)
 	counts := make(map[string]int, 64)
 	for i := range records {
 		counts[records[i].ToDomain()]++

@@ -210,7 +210,7 @@ func TestDetectTypos(t *testing.T) {
 
 func TestRootCauses(t *testing.T) {
 	a := buildAnalysis(t)
-	tbl := a.RootCauses(nil)
+	tbl := a.RootCauses(a.Detect())
 	get := func(reason string) int {
 		for _, r := range tbl.Rows {
 			if r.Reason == reason {
@@ -282,7 +282,7 @@ func TestTimeline(t *testing.T) {
 
 func TestDurationsInference(t *testing.T) {
 	a := buildAnalysis(t)
-	fig := a.Durations(nil)
+	fig := a.Durations(a.Detect())
 	// MX: one domain with one completed episode ≈ 11 days (day 10 →
 	// day 20).
 	if fig.MXRecords.Entities != 1 {

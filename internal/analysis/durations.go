@@ -276,9 +276,6 @@ func (uc *durationsCollector) resolve(det *Detections) DurationsFigure {
 
 // Durations infers Figure 7 from the dataset alone.
 func (a *Analysis) Durations(det *Detections) DurationsFigure {
-	if det == nil {
-		det = a.Detect()
-	}
 	uc := newDurationsCollector()
 	a.visit(uc)
 	return uc.resolve(det)

@@ -25,16 +25,9 @@ import (
 //   - trainMu guards the pipeline builder and the training watermark
 //     (how many stored records Drain has absorbed). Lock order is
 //     trainMu before storeMu, never the reverse.
-//   - snapMu serializes snapshots and guards the warm-verdict cache.
-//
-// Snapshot reuse ("warm" snapshots): classification verdicts depend
-// only on the finished pipeline's match structure and labels, so when
-// those are unchanged since the previous snapshot (checked via the
-// Drain structural fingerprint plus label-map equality), the cached
-// verdicts for the previous prefix stay valid and only the new suffix
-// is classified — work proportional to the records added since, not to
-// the total. Any structural change invalidates the cache and forces a
-// full re-pass, so results are byte-identical either way.
+//   - snapMu serializes snapshots and guards lastPipes, the previous
+//     snapshot's finished pipelines, which FinishWarm reuses the EBRC
+//     and the template votes from.
 //
 // Add, Snapshot, and Len are safe for concurrent use.
 type Incremental struct {
@@ -51,9 +44,6 @@ type Incremental struct {
 
 	snapMu    sync.Mutex
 	lastPipes [NumStreams]*Pipeline
-	verdicts  []ClassifiedRecord // cache: verdicts[i] classifies record i under lastPipes
-	warm      uint64
-	cold      uint64
 }
 
 // NewIncremental starts an empty accumulator (zero cfg.TopTemplates
@@ -105,14 +95,6 @@ func (inc *Incremental) Len() int {
 	inc.storeMu.Lock()
 	defer inc.storeMu.Unlock()
 	return inc.store.Len()
-}
-
-// Snapshots reports how many snapshots ran warm (cached verdicts kept,
-// only the new suffix classified) versus cold (full re-pass).
-func (inc *Incremental) Snapshots() (warm, cold uint64) {
-	inc.snapMu.Lock()
-	defer inc.snapMu.Unlock()
-	return inc.warm, inc.cold
 }
 
 // StartTrainer launches the dedicated training goroutine, which keeps
@@ -184,11 +166,9 @@ func (inc *Incremental) trainTo(view dataset.Records, n int) {
 
 // Snapshot builds an Analysis over the records added so far without
 // stopping ingestion. The builder is caught up to the store, cloned,
-// and finished outside the ingest lock; then either the cached
-// verdicts carry over and only the new suffix is classified (warm), or
-// the whole prefix is re-classified (cold, after a pipeline-structure
-// change). Suffix classification fans out across GOMAXPROCS workers
-// with a deterministic indexed merge.
+// and finished outside the ingest lock against the previous snapshot's
+// pipelines; then every record is classified, fanned out across
+// GOMAXPROCS workers with a deterministic indexed merge.
 func (inc *Incremental) Snapshot(env *Environment) *Analysis {
 	inc.snapMu.Lock()
 	defer inc.snapMu.Unlock()
@@ -212,37 +192,14 @@ func (inc *Incremental) Snapshot(env *Environment) *Analysis {
 	// Finish each substream warm against its own predecessor — per-shard
 	// EBRC and vote reuse even when a sibling shard changed.
 	sp := &ShardedPipeline{Shards: make([]*Pipeline, NumStreams)}
-	allEqual := true
 	for s := range bcs {
-		p := bcs[s].FinishWarm(inc.lastPipes[s])
-		sp.Shards[s] = p
-		if !matchLabelingEqual(p, inc.lastPipes[s]) {
-			allEqual = false
-		}
+		sp.Shards[s] = bcs[s].FinishWarm(inc.lastPipes[s])
 	}
-
-	// The verdict cache is all-or-nothing: a structural change in any
-	// substream forces a full re-pass, exactly as a single pipeline's
-	// change did before sharding.
-	if allEqual && len(inc.verdicts) <= n {
-		inc.warm++
-	} else {
-		inc.cold++
-		inc.verdicts = nil
-	}
-	start := len(inc.verdicts)
-	if cap(inc.verdicts) < n {
-		grown := make([]ClassifiedRecord, start, n+n/4+1)
-		copy(grown, inc.verdicts)
-		inc.verdicts = grown
-	}
-	inc.verdicts = inc.verdicts[:n]
-	classifyRange(sp, view, inc.verdicts, start)
 	copy(inc.lastPipes[:], sp.Shards)
 
-	// The three-index cap isolates the returned Analysis from later
-	// cache growth into the same backing array.
-	return assemble(view, inc.verdicts[:n:n], sp, counts, env)
+	verdicts := make([]ClassifiedRecord, n)
+	classifyRange(sp, view, verdicts)
+	return assemble(view, verdicts, sp, counts, env)
 }
 
 // Finish consumes the accumulator into its final Analysis — the batch
@@ -263,34 +220,33 @@ func (inc *Incremental) Finish(env *Environment) *Analysis {
 	inc.trainMu.Unlock()
 
 	verdicts := make([]ClassifiedRecord, n)
-	classifyRange(sp, view, verdicts, 0)
+	classifyRange(sp, view, verdicts)
 	return assemble(view, verdicts, sp, counts, env)
 }
 
-// classifyRange fills out[i] = classify(view.At(i)) for i in
-// [start, len(out)), fanning out across GOMAXPROCS workers when the
-// span is large enough to amortize them. Each worker classifies its
-// contiguous block through its own ClassifyCtx (reused token buffers
-// and verdict arenas — the zero-alloc batch path). Each slot depends
-// only on its own record, so the output is identical for any worker
-// count, and identical to per-record sp.ClassifyRecord.
-func classifyRange(sp *ShardedPipeline, view dataset.Records, out []ClassifiedRecord, start int) {
+// classifyRange fills out[i] = classify(view.At(i)) for every i, fanning
+// out across GOMAXPROCS workers when there are enough records to
+// amortize them. Each worker classifies its contiguous block through
+// its own ClassifyCtx (reused token buffers and verdict arenas — the
+// zero-alloc batch path). Each slot depends only on its own record, so
+// the output is identical for any worker count, and identical to
+// per-record sp.ClassifyRecord.
+func classifyRange(sp *ShardedPipeline, view dataset.Records, out []ClassifiedRecord) {
 	n := len(out)
-	span := n - start
 	workers := runtime.GOMAXPROCS(0)
-	if w := span / 2048; workers > w {
+	if w := n / 2048; workers > w {
 		workers = w
 	}
 	if workers <= 1 {
 		cx := sp.NewClassifyCtx()
-		for i := start; i < n; i++ {
+		for i := range out {
 			out[i] = cx.ClassifyRecord(view.At(i))
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	step := (span + workers - 1) / workers
-	for lo := start; lo < n; lo += step {
+	step := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += step {
 		hi := lo + step
 		if hi > n {
 			hi = n

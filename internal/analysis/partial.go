@@ -365,16 +365,10 @@ func (ps *PartialSet) Detect() *Detections {
 
 // RootCauses builds Table 2 using the detections.
 func (ps *PartialSet) RootCauses(d *Detections) RootCauseTable {
-	if d == nil {
-		d = ps.Detect()
-	}
 	return buildRootCauseTable(ps.cause.resolve(d), ps.cause.total)
 }
 
 // Durations infers Figure 7.
 func (ps *PartialSet) Durations(det *Detections) DurationsFigure {
-	if det == nil {
-		det = ps.Detect()
-	}
 	return ps.durations.resolve(det)
 }

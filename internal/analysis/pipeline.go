@@ -11,7 +11,6 @@
 package analysis
 
 import (
-	"maps"
 	"sort"
 	"strings"
 
@@ -265,24 +264,6 @@ func hashSamples(samples []ebrc.Sample) uint64 {
 		mix(0xff)
 	}
 	return h
-}
-
-// matchLabelingEqual reports whether two finished pipelines classify
-// every line THEY BOTH SAW DURING TRAINING identically: same Drain
-// structure (fingerprint) and same per-group labels. Lines trained
-// into the parser always Match their group (absorption requires
-// similarity ≥ threshold, and wildcarding only raises similarity), so
-// the EBRC — consulted only for unmatched lines — does not bear on
-// verdicts for retained records and is excluded from this check.
-func matchLabelingEqual(a, b *Pipeline) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	if a.Parser.Fingerprint() != b.Parser.Fingerprint() {
-		return false
-	}
-	return maps.Equal(a.groupType, b.groupType) &&
-		maps.Equal(a.groupAmbiguous, b.groupAmbiguous)
 }
 
 // sampleLine keeps up to PredictSample raw lines per group (reservoir

@@ -666,9 +666,6 @@ func buildRootCauseTable(counts map[string]int, total int) RootCauseTable {
 
 // RootCauses builds Table 2 using the detections.
 func (a *Analysis) RootCauses(d *Detections) RootCauseTable {
-	if d == nil {
-		d = a.Detect()
-	}
 	cc := newCauseCollector()
 	a.visit(cc)
 	return buildRootCauseTable(cc.resolve(d), cc.total)

@@ -65,9 +65,6 @@ type Config struct {
 	// Seed is reported on /v1/stats so clients can reproduce the
 	// environment.
 	Seed uint64
-	// DecodeWorkers sets the NDJSON decode fan-out per ingest request
-	// (<=0 selects GOMAXPROCS).
-	DecodeWorkers int
 	// EnablePprof mounts the net/http/pprof handlers under
 	// /debug/pprof/ on the service mux.
 	EnablePprof bool
@@ -203,14 +200,12 @@ type Server struct {
 	ambiguous atomic.Uint64
 
 	// snapshot cache: rebuilding is skipped while no new records have
-	// been consumed since the last snapshot. snapColdMs/snapWarmMs
-	// hold the wall time of the most recent cold (full re-classify)
-	// and warm (suffix-only) snapshot builds.
-	snapMu     sync.Mutex
-	snapStudy  *bounce.Study
-	snapAt     uint64 // consumed count the cached snapshot covers
-	snapColdMs float64
-	snapWarmMs float64
+	// been consumed since the last snapshot. snapMs holds the wall time
+	// of the most recent snapshot build.
+	snapMu    sync.Mutex
+	snapStudy *bounce.Study
+	snapAt    uint64 // consumed count the cached snapshot covers
+	snapMs    float64
 
 	// partial snapshot cache: the marshaled partial aggregate for the
 	// cached study (rebuilt only when the study advances).

@@ -48,9 +48,9 @@ func clusterNodes(t *testing.T, records []dataset.Record, env *analysis.Environm
 	}
 }
 
-// partialSectionQuery asks a single node for exactly the sections a
+// coordinatorSectionQuery asks a single node for exactly the sections a
 // coordinator serves by default.
-func partialSectionQuery() string {
+func coordinatorSectionQuery() string {
 	names := make([]string, len(bounce.PartialSections))
 	for i, s := range bounce.PartialSections {
 		names[i] = string(s)
@@ -70,7 +70,7 @@ func singleNodeReport(t *testing.T, records []dataset.Record, env *analysis.Envi
 	if ir.status != http.StatusOK || ir.Accepted != len(records) {
 		t.Fatalf("single node: status %d accepted %d of %d: %s", ir.status, ir.Accepted, len(records), ir.Error)
 	}
-	status, b := getBody(t, ts.URL+partialSectionQuery())
+	status, b := getBody(t, ts.URL+coordinatorSectionQuery())
 	if status != http.StatusOK {
 		t.Fatalf("single node report: status %d", status)
 	}
@@ -135,7 +135,8 @@ func TestClusterEndpointsAndFailure(t *testing.T) {
 		t.Fatalf("metrics: status %d body %s", status, b)
 	}
 
-	// A shard without /v1/partial (404) must fail the whole fan-in.
+	// A URL that answers neither status probe is not a shard: it fails
+	// the whole fan-in at the probe, before any partial is fetched.
 	broken, err := bounced.NewCoordinator(bounced.CoordinatorConfig{
 		ShardURLs: []string{urls[0], dead.URL, urls[2]}, Env: env,
 	})
@@ -144,8 +145,9 @@ func TestClusterEndpointsAndFailure(t *testing.T) {
 	}
 	bts := httptest.NewServer(broken.Handler())
 	defer bts.Close()
-	if status, _ := getBody(t, bts.URL+"/v1/report"); status != http.StatusServiceUnavailable {
-		t.Fatalf("dead shard: report status %d, want 503", status)
+	if status, b := getBody(t, bts.URL+"/v1/report"); status != http.StatusServiceUnavailable ||
+		!bytes.Contains(b, []byte("neither a router nor a bounced node")) {
+		t.Fatalf("dead shard: report status %d, want 503 from the probe: %s", status, b)
 	}
 	dead.Close()
 	if status, _ := getBody(t, bts.URL+"/v1/report"); status != http.StatusServiceUnavailable {

@@ -104,8 +104,8 @@ type shardInfo struct {
 // resolveShard decides where a shard's partial snapshot lives. A
 // replica-set router answers /v1/router/status: follow its elected
 // primary and record epoch plus the worst standby lag. A plain node
-// 404s there; fall back to its own /v1/repl/status for the epoch and
-// fetch from the node itself.
+// 404s there; its own /v1/repl/status, which every bounced node
+// serves, gives the epoch, and the partial comes from the node itself.
 func (c *Coordinator) resolveShard(ctx context.Context, base string) (target string, info shardInfo, err error) {
 	info = shardInfo{URL: base}
 	var rs replication.RouterStatus
@@ -135,15 +135,13 @@ func (c *Coordinator) resolveShard(ctx context.Context, base string) (target str
 		}
 		return rs.Primary, info, nil
 	}
-	// Not a router. A bounced node reports its own role/epoch; tolerate
-	// a 404 (foreign or ancient node) and fetch from the base URL with
-	// no epoch rather than failing the gather.
 	var ns replication.NodeStatus
 	if ok, err = c.getJSON(ctx, base+replication.PathStatus, &ns); err != nil {
 		return "", info, err
-	} else if ok {
-		info.Epoch = ns.Epoch
+	} else if !ok {
+		return "", info, fmt.Errorf("neither a router nor a bounced node: %s and %s are both 404", replication.PathRouterStatus, replication.PathStatus)
 	}
+	info.Epoch = ns.Epoch
 	return base, info, nil
 }
 
@@ -270,23 +268,10 @@ func (c *Coordinator) gather(ctx context.Context) (*analysis.PartialSet, []shard
 	return merged, infos, nil
 }
 
-// parseCoordinatorSections mirrors the node's -section grammar, with
-// "all" meaning every partial-renderable section (squat and advice
-// need the raw corpus, which no coordinator holds).
-func parseCoordinatorSections(arg string) []bounce.Section {
-	if arg == "" || arg == "all" {
-		return bounce.PartialSections
-	}
-	var out []bounce.Section
-	for _, s := range strings.Split(arg, ",") {
-		out = append(out, bounce.Section(strings.TrimSpace(s)))
-	}
-	return out
-}
-
 // handleReport renders the merged report. Bytes are identical to a
 // single node serving the same sections over the union of the shards'
-// records.
+// records; "all" means every partial-renderable section (squat and
+// advice need the raw corpus, which no coordinator holds).
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, 0, 0, "GET only")
@@ -299,7 +284,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf strings.Builder
 	st := bounce.NewPartialStudy(merged)
-	if err := st.WriteReport(&buf, parseCoordinatorSections(r.URL.Query().Get("section"))); err != nil {
+	if err := st.WriteReport(&buf, bounce.ParseSections(r.URL.Query().Get("section"), bounce.PartialSections)); err != nil {
 		httpError(w, http.StatusBadRequest, 0, 0, err.Error())
 		return
 	}

@@ -15,7 +15,8 @@ import (
 )
 
 // Checkpoint section names. The storage engine treats sections as
-// opaque; these are the server's composition of them.
+// opaque; these are the server's composition of them. A section under
+// any other name (older builds wrote a "partial" one) is never read.
 const (
 	// sectionIncremental is the analysis accumulator: slab store, drain
 	// trees, training watermark (analysis.IncrementalState).
@@ -23,11 +24,6 @@ const (
 	// sectionDedup is the X-Batch-Id idempotency window, so a client
 	// replaying an already-acked batch after a crash still dedups.
 	sectionDedup = "dedup"
-	// sectionPartial is the PartialSet wire envelope of the newest
-	// study at checkpoint time — a coordinator-mergeable summary whose
-	// coverage may lag the checkpoint's record count (it is advisory;
-	// recovery only validates that it decodes).
-	sectionPartial = "partial"
 	// sectionRepl carries the replication epoch, the fencing token a
 	// promotion bumps. Persisting it in the checkpoint is what keeps a
 	// promoted node's epoch ahead of the dead primary's across its own
@@ -132,11 +128,6 @@ func (s *Server) recover() error {
 				return fmt.Errorf("bounced: checkpoint %s section: %w", sectionDedup, err)
 			}
 		}
-		if blob, ok := cp.Sections[sectionPartial]; ok && len(blob) > 0 {
-			if _, err := analysis.UnmarshalPartialSet(blob, s.cfg.Env); err != nil {
-				return fmt.Errorf("bounced: checkpoint %s section: %w", sectionPartial, err)
-			}
-		}
 	}
 	// Sorted for a deterministic FIFO eviction order; the window is
 	// far larger than any plausible tail batch count.
@@ -180,8 +171,8 @@ func RecoverIncremental(dir string, cfg analysis.PipelineConfig) (*analysis.Incr
 }
 
 // CheckpointNow captures the analysis state at a record boundary and
-// persists it — with the dedup window and the newest partial envelope —
-// as one atomic checkpoint, then prunes WAL segments the retained
+// persists it — with the dedup window and the replication epoch — as
+// one atomic checkpoint, then prunes WAL segments the retained
 // checkpoints fully cover. Returns nil without writing when no record
 // has been consumed since the last checkpoint. Safe to call
 // concurrently with ingestion; the capture runs under the analysis
@@ -213,7 +204,6 @@ func (s *Server) CheckpointNow() error {
 	cp := &store.Checkpoint{Records: n, Sections: map[string][]byte{
 		sectionIncremental: blob,
 		sectionDedup:       s.dedup.marshal(),
-		sectionPartial:     s.partialSection(),
 		sectionRepl:        replBody,
 	}}
 	if err := s.eng.Checkpoint(cp); err != nil {
@@ -222,21 +212,6 @@ func (s *Server) CheckpointNow() error {
 	s.lastCP.Store(n)
 	s.lastCPEpoch.Store(epoch)
 	return nil
-}
-
-// partialSection returns the marshaled partial aggregate of the newest
-// study, refreshing the /v1/partial cache as a side effect. Coverage
-// may differ from the checkpoint's record boundary; the section is a
-// warm-start convenience for coordinators, not recovery state.
-func (s *Server) partialSection() []byte {
-	st := s.study()
-	s.partialMu.Lock()
-	defer s.partialMu.Unlock()
-	if s.partialFor != st {
-		s.partialBytes = st.Partials().Marshal()
-		s.partialFor = st
-	}
-	return s.partialBytes
 }
 
 // checkpointLoop checkpoints on a fixed cadence until Drain/Abort.

@@ -8,9 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro"
+	"repro/internal/analysis"
 	"repro/internal/bounced"
 	"repro/internal/dataset"
 	"repro/internal/store"
@@ -287,5 +290,99 @@ func TestDurableStreamPath(t *testing.T) {
 	want := batchReport(t, records[:n], env, bounce.AllSections)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-crash stream report diverges (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestDurableCheckpointBuildsNoStudy: a checkpoint persists the state
+// recovery reads and nothing else — no snapshot is taken for it, and it
+// carries exactly the three sections.
+func TestDurableCheckpointBuildsNoStudy(t *testing.T) {
+	records, env := fixture(t)
+	eng := store.NewMem()
+	srv := newServer(t, bounced.Config{Env: env, Store: eng})
+	defer srv.Abort()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	sendBatches(t, ts.URL, "c", 0, records[:600], 200)
+	waitConsumed(t, srv, 600)
+
+	resp, err := http.Post(ts.URL+"/v1/checkpoint", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/checkpoint status %d", resp.StatusCode)
+	}
+	if n := serverStats(t, ts.URL)["snapshots"].(float64); n != 0 {
+		t.Fatalf("the checkpoint took %v snapshots, want none", n)
+	}
+	cp, err := eng.Recover()
+	if err != nil || cp == nil || cp.Records != 600 {
+		t.Fatalf("checkpoint %+v, err %v; want one at 600 records", cp, err)
+	}
+	var names []string
+	for name := range cp.Sections {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if want := []string{"dedup", "incremental", "repl"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("checkpoint sections %v, want %v", names, want)
+	}
+}
+
+// TestDurableRecoversParentCheckpoint: builds before this one wrote a
+// fourth, advisory "partial" section into every checkpoint. A data
+// directory holding one — the bytes such a build wrote, or bytes of a
+// partial format this build cannot decode — boots, replays its WAL tail
+// and serves the batch-identical report: sections nobody reads cannot
+// keep a node down.
+func TestDurableRecoversParentCheckpoint(t *testing.T) {
+	records, env := fixture(t)
+	half := len(records) / 2
+	want := batchReport(t, records, env, bounce.AllSections)
+	parent := analysis.NewFromSource(dataset.NewSliceSource(records[:half]),
+		analysis.DefaultPipelineConfig(), env).Partials().Marshal()
+	foreign := bytes.Clone(parent)
+	foreign[4] = 0x7f // the envelope's format version, after the 4-byte magic
+	for name, blob := range map[string][]byte{"parent bytes": parent, "foreign version": foreign} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv := newServer(t, bounced.Config{Env: env, Store: openEngine(t, dir)})
+			ts := httptest.NewServer(srv.Handler())
+			next := sendBatches(t, ts.URL, "p", 0, records[:half], 200)
+			waitConsumed(t, srv, half)
+			if err := srv.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+			sendBatches(t, ts.URL, "p", next, records[half:], 200)
+			ts.Close()
+			srv.Abort() // no final checkpoint: the second half is WAL tail
+
+			eng := openEngine(t, dir)
+			cp, err := eng.Recover()
+			if err != nil || cp == nil || cp.Records != uint64(half) {
+				t.Fatalf("checkpoint %+v, err %v; want one at %d records", cp, err, half)
+			}
+			cp.Sections["partial"] = blob
+			if err := eng.Checkpoint(cp); err != nil {
+				t.Fatal(err)
+			}
+			eng.Close()
+
+			srv2, err := bounced.New(bounced.Config{Env: env, Store: openEngine(t, dir)})
+			if err != nil {
+				t.Fatalf("boot over a checkpoint with a partial section: %v", err)
+			}
+			defer srv2.Abort()
+			if ri := srv2.Recovery(); ri.CheckpointRecords != uint64(half) || ri.Replayed != len(records)-half {
+				t.Fatalf("recovery %+v, want checkpoint at %d and %d replayed", ri, half, len(records)-half)
+			}
+			ts2 := httptest.NewServer(srv2.Handler())
+			defer ts2.Close()
+			if got := reportBytes(t, ts2.URL); !bytes.Equal(got, want) {
+				t.Fatalf("report over a parent-format data dir diverges from batch (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
 }

@@ -183,6 +183,58 @@ func TestBatchOversizedRejected(t *testing.T) {
 	}
 }
 
+// TestBatchDeclaredCountIsBounded: nothing an X-Batch-Id request can
+// make the node hold outgrows the queue bound. A declared count past it
+// is refused on the header alone — it used to size an allocation, and
+// four billion ended the process — and an undeclared body is refused as
+// soon as what was decoded passes it, not after the whole body is held.
+func TestBatchDeclaredCountIsBounded(t *testing.T) {
+	records, env := fixture(t)
+	srv := newServer(t, bounced.Config{Env: env, QueueDepth: 8})
+	defer srv.Abort()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const lie = 4_000_000_000
+	if _, ir := postBatchID(t, ts.URL, "lie", lie, nil); ir.status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("declared %d records: status %d, want 413: %s", lie, ir.status, ir.Error)
+	}
+	if _, ir := postBatchID(t, ts.URL, "big", -1, encodeNDJSON(t, records[:64])); ir.status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("64 undeclared records into a queue of 8: status %d, want 413: %s", ir.status, ir.Error)
+	}
+	if status, _ := getBody(t, ts.URL+"/healthz"); status != http.StatusOK {
+		t.Fatalf("/healthz status %d after the refusals", status)
+	}
+	if _, ir := postBatchID(t, ts.URL, "fits", 8, encodeNDJSON(t, records[:8])); ir.status != http.StatusOK || ir.Accepted != 8 {
+		t.Fatalf("a batch that fits: status %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
+	}
+	st := serverStats(t, ts.URL)
+	balance := st["accepted"].(float64) + st["records_shed"].(float64) +
+		st["records_rejected"].(float64) + st["records_deduped"].(float64)
+	if want := float64(lie + 64 + 8); balance != want {
+		t.Fatalf("accepted+shed+rejected+deduped = %.0f, want %.0f presented", balance, want)
+	}
+
+	// A body of several decode blocks is refused after the first: what
+	// was counted rejected is what had been decoded, not the whole body.
+	// (Served without a socket: a server that stops reading mid-body may
+	// reset the connection under the client's write.)
+	one := encodeNDJSON(t, records)
+	copies := 1<<21/len(one) + 1
+	lines := copies * len(records)
+	req := httptest.NewRequest("POST", "/v1/records", bytes.NewReader(bytes.Repeat(one, copies)))
+	req.Header.Set("X-Batch-Id", "huge")
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d undeclared records: status %d, want 413: %s", lines, rec.Code, rec.Body)
+	}
+	held := serverStats(t, ts.URL)["records_rejected"].(float64) - st["records_rejected"].(float64)
+	if held <= 8 || held >= float64(lines) {
+		t.Fatalf("refused after decoding %.0f of %d records, want more than the queue's 8 and not the whole body", held, lines)
+	}
+}
+
 // TestBatchAtomicOnDecodeError: with a batch ID, a malformed line
 // must reject the whole batch — no partial prefix — and the ID stays
 // unregistered so a corrected resend under the same ID succeeds.

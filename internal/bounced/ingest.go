@@ -95,6 +95,13 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			s.replyDeduped(w, n)
 			return
 		}
+		if declared > s.cfg.QueueDepth {
+			// Refused on the header alone: the count sizes the buffer the
+			// body is held in, and it is the client's to lie about.
+			s.countRejected(declared, 0)
+			httpError(w, http.StatusRequestEntityTooLarge, 0, 0, s.oversizeMsg(declared))
+			return
+		}
 	}
 
 	var plan faultinject.Plan
@@ -123,12 +130,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer zr.Close()
-		// Inflate ahead of the decoder from a dedicated goroutine, so
-		// decompression overlaps the parallel NDJSON decode instead of
-		// serializing with it.
-		ra := dataset.NewReadAhead(zr, 4)
-		defer ra.Close()
-		reader = ra
+		reader = zr
 	default:
 		s.countRejected(declared, 0)
 		httpError(w, http.StatusUnsupportedMediaType, 0, 0, "unsupported Content-Encoding "+enc)
@@ -159,13 +161,14 @@ func (s *Server) replyDeduped(w http.ResponseWriter, n int) {
 // serial scan would have seen. A streamed body commits each chunk's
 // owned prefix as it decodes, blocking on backpressure, and a mid-body
 // fault keeps what was accepted. Under an X-Batch-Id the whole body is
-// held back and then admitted all or nothing; a full queue sheds it
-// with 429 rather than blocking. A record another shard owns is a bad
+// held back — never more of it than the queue bound, past which it is a
+// 413 — and then admitted all or nothing; a full queue sheds it with
+// 429 rather than blocking. A record another shard owns is a bad
 // line like a malformed one: the 400 names it (BatchLines keeps the
 // number exact inside a chunk), and under an ID nothing was admitted,
 // so the client can re-partition and resend the same ID.
 func (s *Server) ingestBody(w http.ResponseWriter, reader io.Reader, batchID string, declared int) {
-	pr := dataset.NewParallelReader(reader, s.cfg.DecodeWorkers)
+	pr := dataset.NewParallelReader(reader, 0)
 	defer pr.Close()
 	streamed := batchID == ""
 	var held []dataset.Record
@@ -196,6 +199,9 @@ func (s *Server) ingestBody(w http.ResponseWriter, reader io.Reader, batchID str
 			}
 		} else {
 			held = append(held, batch[:own]...)
+			if len(held) > s.cfg.QueueDepth {
+				break // a 413 below; the rest of the body is not decoded
+			}
 		}
 		if own < len(batch) {
 			decoded++
@@ -217,17 +223,16 @@ func (s *Server) ingestBody(w http.ResponseWriter, reader io.Reader, batchID str
 		}
 	case streamed:
 		// Every chunk is committed already.
-	case declared >= 0 && declared != len(held):
-		s.countRejected(declared, len(held))
-		status, msg = http.StatusBadRequest,
-			fmt.Sprintf("%s declares %d records, body has %d", headerBatchRecords, declared, len(held))
 	case len(held) > s.cfg.QueueDepth:
 		// Larger than the queue can ever hold: admission would shed it
 		// forever, so refuse it outright instead of sending the client
 		// into a retry loop.
 		s.countRejected(declared, len(held))
-		status, msg = http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d records exceeds queue capacity %d; split it", len(held), s.cfg.QueueDepth)
+		status, msg = http.StatusRequestEntityTooLarge, s.oversizeMsg(len(held))
+	case declared >= 0 && declared != len(held):
+		s.countRejected(declared, len(held))
+		status, msg = http.StatusBadRequest,
+			fmt.Sprintf("%s declares %d records, body has %d", headerBatchRecords, declared, len(held))
 	case !s.tryAdmit(len(held)):
 		s.shed(w, len(held))
 		return
@@ -289,6 +294,12 @@ func (s *Server) shed(w http.ResponseWriter, n int) {
 	writeJSON(w, http.StatusTooManyRequests, ingestResponse{
 		Error: "queue full, batch shed; retry with the same " + headerBatchID, RetryAfterMs: ms,
 	})
+}
+
+// oversizeMsg refuses an X-Batch-Id batch of n records, declared or
+// decoded so far, that no amount of retrying could get admitted.
+func (s *Server) oversizeMsg(n int) string {
+	return fmt.Sprintf("batch of %d records exceeds queue capacity %d; split it", n, s.cfg.QueueDepth)
 }
 
 // notOwnedMsg names the shard a misrouted record belongs to.

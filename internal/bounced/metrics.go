@@ -123,9 +123,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	counter("bounced_snapshots_total", "Analysis snapshots built.", s.snapTaken.Load())
-	warmSnaps, coldSnaps := s.incState().Snapshots()
-	counter("bounced_snapshots_warm_total", "Snapshots that reused cached verdicts (suffix-only classify).", warmSnaps)
-	counter("bounced_snapshots_cold_total", "Snapshots that re-classified the full corpus.", coldSnaps)
 	gauge("bounced_queue_depth", "Records buffered in the ingest queue.", s.queue.Len())
 	gauge("bounced_queue_capacity", "Ingest queue capacity.", s.queue.Cap())
 

@@ -3,7 +3,6 @@ package bounced
 import (
 	"bytes"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro"
@@ -27,38 +26,18 @@ func (s *Server) study() *bounce.Study {
 	if s.snapStudy != nil && s.snapAt == n {
 		return s.snapStudy
 	}
-	inc := s.incState()
-	warmBefore, _ := inc.Snapshots()
 	t0 := time.Now()
-	a := inc.Snapshot(s.cfg.Env)
-	ms := float64(time.Since(t0).Nanoseconds()) / 1e6
-	if warmAfter, _ := inc.Snapshots(); warmAfter > warmBefore {
-		s.snapWarmMs = ms
-	} else {
-		s.snapColdMs = ms
-	}
+	a := s.incState().Snapshot(s.cfg.Env)
+	s.snapMs = float64(time.Since(t0).Nanoseconds()) / 1e6
+	// The study resolves its detections on first use, so /v1/partial,
+	// POST /v1/snapshot and ?section=overview never pay for them.
 	st := &bounce.Study{Records: a.Records, Analysis: a}
-	st.Detections = a.Detect()
 	s.snapStudy, s.snapAt = st, n
 	s.snapTaken.Add(1)
 	s.liveMu.Lock()
 	s.livePipe = a.Pipeline
 	s.liveMu.Unlock()
 	return st
-}
-
-// parseSections mirrors bounceanalyze's -section flag: a
-// comma-separated list, or "all" for every section in presentation
-// order. Validation happens in WriteReport (unknown sections 400).
-func parseSections(arg string) []bounce.Section {
-	if arg == "" || arg == "all" {
-		return bounce.AllSections
-	}
-	var out []bounce.Section
-	for _, s := range strings.Split(arg, ",") {
-		out = append(out, bounce.Section(strings.TrimSpace(s)))
-	}
-	return out
 }
 
 // handleReport serves the batch report over the records ingested so
@@ -71,7 +50,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.study()
 	var buf bytes.Buffer
-	if err := st.WriteReport(&buf, parseSections(r.URL.Query().Get("section"))); err != nil {
+	if err := st.WriteReport(&buf, bounce.ParseSections(r.URL.Query().Get("section"), bounce.AllSections)); err != nil {
 		httpError(w, http.StatusBadRequest, 0, 0, err.Error())
 		return
 	}
@@ -96,11 +75,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, 0, 0, "POST only")
 		return
 	}
-	warm0, cold0 := s.incState().Snapshots()
+	taken := s.snapTaken.Load()
 	t0 := time.Now()
 	st := s.study()
 	elapsedMs := float64(time.Since(t0).Nanoseconds()) / 1e6
-	warm1, cold1 := s.incState().Snapshots()
 	labeled, coverage := st.Analysis.Pipeline.ManualLabelStats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"records":        st.Records.Len(),
@@ -108,8 +86,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		"labeled":        labeled,
 		"label_coverage": coverage,
 		"elapsed_ms":     elapsedMs,
-		"warm":           warm1 > warm0,
-		"cached":         warm1 == warm0 && cold1 == cold0,
+		"cached":         s.snapTaken.Load() == taken,
 	})
 }
 
@@ -122,7 +99,9 @@ type latencyStats struct {
 	MeanNS float64 `json:"mean_ns"`
 }
 
-// statsResponse is the /v1/stats JSON schema.
+// statsResponse is the /v1/stats JSON schema. snapshot_ms_cold is the
+// wall time of the newest snapshot build (each one classifies every
+// record); the key keeps the name bench/ reads.
 type statsResponse struct {
 	Seed            uint64            `json:"seed"`
 	UptimeSeconds   float64           `json:"uptime_seconds"`
@@ -141,10 +120,7 @@ type statsResponse struct {
 	FaultsByKind    map[string]uint64 `json:"faults_by_kind,omitempty"`
 	Snapshots       uint64            `json:"snapshots"`
 	SnapshotRecords uint64            `json:"snapshot_records"`
-	SnapshotsWarm   uint64            `json:"snapshots_warm"`
-	SnapshotsCold   uint64            `json:"snapshots_cold"`
 	SnapshotMsCold  float64           `json:"snapshot_ms_cold"`
-	SnapshotMsWarm  float64           `json:"snapshot_ms_warm"`
 	Degrees         map[string]uint64 `json:"degrees"`
 	Types           map[string]uint64 `json:"types,omitempty"`
 	AmbiguousLive   uint64            `json:"ambiguous_live"`
@@ -294,11 +270,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if faults := s.faults.Counts(); len(faults) > 0 {
 		resp.FaultsByKind = faults
 	}
-	resp.SnapshotsWarm, resp.SnapshotsCold = s.incState().Snapshots()
 	s.snapMu.Lock()
 	resp.SnapshotRecords = s.snapAt
-	resp.SnapshotMsCold = s.snapColdMs
-	resp.SnapshotMsWarm = s.snapWarmMs
+	resp.SnapshotMsCold = s.snapMs
 	s.snapMu.Unlock()
 	if s.cfg.PolicyMetrics != nil {
 		resp.PolicyStages = s.cfg.PolicyMetrics.Snapshot()

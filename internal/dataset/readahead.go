@@ -17,6 +17,8 @@ const readAheadBlock = 256 << 10
 // Read is not safe for concurrent use (io.Reader's usual contract).
 // Close releases the pump goroutine and must be called exactly once;
 // it does not close the underlying reader.
+//
+// Nothing outside bench/stage.go calls it; the file goes with that row.
 type ReadAhead struct {
 	blocks chan raBlock
 	free   chan []byte

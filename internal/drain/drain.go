@@ -118,8 +118,8 @@ func (p *Parser) mixString(s string) {
 // token sequence) and template positions wildcarded — in order. Count
 // increments do not change it, because Match routes on the tree and
 // templates only: two parsers with equal fingerprints (same lineage)
-// return the same group for every line. Snapshot invalidation in
-// analysis.Incremental keys on this.
+// return the same group for every line. Only tests read it; it stays
+// because the tree codec writes it into every checkpoint.
 func (p *Parser) Fingerprint() uint64 {
 	if p.frozen {
 		return p.fp

@@ -108,7 +108,7 @@ func TestTable1Rendering(t *testing.T) {
 func TestTable2Rendering(t *testing.T) {
 	a := newAnalysis()
 	var buf bytes.Buffer
-	Table2(&buf, a.RootCauses(nil))
+	Table2(&buf, a.RootCauses(a.Detect()))
 	out := buf.String()
 	for _, cause := range []string{"Malicious Email Behavior", "Spam Blocking Policy",
 		"Server Manager Misconfiguration", "Improper User Operation", "Poor Email Infrastructure"} {
@@ -129,7 +129,7 @@ func TestTablesAndFiguresDoNotPanic(t *testing.T) {
 	Fig4(&buf, a.MTACountryDistribution(), 10)
 	Fig5(&buf, a.Timeline())
 	Fig6(&buf, a.BlocklistFigure())
-	Fig7(&buf, a.Durations(nil))
+	Fig7(&buf, a.Durations(a.Detect()))
 	Fig8(&buf, a.InfraMatrix(1, 5))
 	Fig10(&buf, a.LatencyByCountry(1), 5)
 	STARTTLS(&buf, a.STARTTLS())
@@ -175,7 +175,7 @@ func TestClip(t *testing.T) {
 func TestFig7RendersAnchors(t *testing.T) {
 	a := newAnalysis()
 	var buf bytes.Buffer
-	Fig7(&buf, a.Durations(nil))
+	Fig7(&buf, a.Durations(a.Detect()))
 	if !strings.Contains(buf.String(), "DKIM/SPF") || !strings.Contains(buf.String(), "mailbox full") {
 		t.Errorf("Fig7 output:\n%s", buf.String())
 	}

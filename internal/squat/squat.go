@@ -102,9 +102,6 @@ type Result struct {
 // WHOIS) and Env.UserRegs (registration-UI probing); missing services
 // skip the corresponding funnel.
 func Scan(a *analysis.Analysis, det *analysis.Detections, cfg Config) *Result {
-	if det == nil {
-		det = a.Detect()
-	}
 	res := &Result{}
 	vulnerable := scanDomains(a, det, cfg, res)
 	vulnUsers := scanUsernames(a, cfg, res)

@@ -106,7 +106,7 @@ func scenario(t *testing.T) (*analysis.Analysis, Config) {
 
 func TestDomainFunnel(t *testing.T) {
 	a, cfg := scenario(t)
-	res := Scan(a, nil, cfg)
+	res := Scan(a, a.Detect(), cfg)
 
 	wantVuln := map[string]bool{"popula.com": true, "expired.com": true}
 	got := map[string]bool{}
@@ -128,7 +128,7 @@ func TestDomainFunnel(t *testing.T) {
 
 func TestTypoAndResidualTrustClasses(t *testing.T) {
 	a, cfg := scenario(t)
-	res := Scan(a, nil, cfg)
+	res := Scan(a, a.Detect(), cfg)
 	var typoF, expiredF *DomainFinding
 	for i := range res.VulnerableDomains {
 		switch res.VulnerableDomains[i].Domain {
@@ -157,7 +157,7 @@ func TestReRegistrationAudit(t *testing.T) {
 	// taken.com is not vulnerable so it is not audited; make the audit
 	// meaningful by re-registering expired.com after scan.
 	a.Env.Registry.Register("expired.com", "newowner", time.Date(2024, 1, 5, 0, 0, 0, 0, time.UTC), time.Time{}, true)
-	res := Scan(a, nil, cfg)
+	res := Scan(a, a.Detect(), cfg)
 	if res.ReRegistered != 1 || res.RegistrantChanged != 1 || res.RegistrantSame != 0 {
 		t.Errorf("audit: rereg=%d changed=%d same=%d", res.ReRegistered, res.RegistrantChanged, res.RegistrantSame)
 	}
@@ -168,7 +168,7 @@ func TestReRegistrationAudit(t *testing.T) {
 
 func TestUsernameFunnel(t *testing.T) {
 	a, cfg := scenario(t)
-	res := Scan(a, nil, cfg)
+	res := Scan(a, a.Detect(), cfg)
 	if res.ProbedUsernames != 2 {
 		t.Fatalf("probed = %d want 2", res.ProbedUsernames)
 	}
@@ -185,7 +185,7 @@ func TestUsernameFunnel(t *testing.T) {
 
 func TestWeeklyTimeline(t *testing.T) {
 	a, cfg := scenario(t)
-	res := Scan(a, nil, cfg)
+	res := Scan(a, a.Detect(), cfg)
 	totalEmails := 0
 	for _, n := range res.WeeklyEmails {
 		totalEmails += n
@@ -209,7 +209,7 @@ func TestWeeklyTimeline(t *testing.T) {
 func TestScanWithoutEnvironment(t *testing.T) {
 	records := []dataset.Record{rec("a@a.com", "b@b.com", day(0), "250 OK")}
 	a := analysis.New(records, nil)
-	res := Scan(a, nil, DefaultConfig())
+	res := Scan(a, a.Detect(), DefaultConfig())
 	if res.VulnerableCount != 0 || res.ProbedUsernames != 0 {
 		t.Errorf("env-less scan should be empty: %+v", res)
 	}

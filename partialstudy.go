@@ -49,7 +49,7 @@ func (s *PartialStudy) WriteReport(w io.Writer, sections []Section) error {
 		sections = PartialSections
 	}
 	for _, sec := range sections {
-		if err := renderSection(w, s.P, s.Detections(), s.P.Total, sec); err != nil {
+		if err := renderSection(w, s.P, s.Detections, s.P.Total, sec); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)

@@ -380,7 +380,6 @@ func reference(recs []dataset.Record, partial bool) ([]byte, error) {
 		err := bounce.NewPartialStudy(st.Partials()).WriteReport(&buf, bounce.PartialSections)
 		return buf.Bytes(), err
 	}
-	st.Detections = a.Detect()
 	err := st.WriteReport(&buf, bounce.AllSections)
 	return buf.Bytes(), err
 }

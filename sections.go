@@ -37,9 +37,9 @@ type sectionSource interface {
 }
 
 // renderSection writes one section from any source. total is the
-// record count (scales the representativeness threshold); det carries
-// the entity detections the attribution sections need.
-func renderSection(w io.Writer, src sectionSource, det *analysis.Detections, total int, sec Section) error {
+// record count (scales the representativeness threshold); det resolves
+// the entity detections, and only the attribution sections call it.
+func renderSection(w io.Writer, src sectionSource, det func() *analysis.Detections, total int, sec Section) error {
 	threshold := countryThreshold(total)
 	switch sec {
 	case SecOverview:
@@ -53,7 +53,7 @@ func renderSection(w io.Writer, src sectionSource, det *analysis.Detections, tot
 		o := src.Overview()
 		report.Table1(w, src.TypeDistribution(), o.Bounced()-o.AmbiguousBounced)
 	case SecTable2:
-		report.Table2(w, src.RootCauses(det))
+		report.Table2(w, src.RootCauses(det()))
 	case SecTable3:
 		report.Table3(w, src.TopDomains(10))
 	case SecTable4:
@@ -70,7 +70,7 @@ func renderSection(w io.Writer, src sectionSource, det *analysis.Detections, tot
 	case SecFig6:
 		report.Fig6(w, src.BlocklistFigure())
 	case SecFig7:
-		report.Fig7(w, src.Durations(det))
+		report.Fig7(w, src.Durations(det()))
 	case SecFig8:
 		report.Fig8(w, src.InfraMatrix(threshold, 20))
 	case SecFig10:
@@ -78,9 +78,9 @@ func renderSection(w io.Writer, src sectionSource, det *analysis.Detections, tot
 	case SecSTARTTLS:
 		report.STARTTLS(w, src.STARTTLS())
 	case SecAttacker:
-		report.Attackers(w, det)
+		report.Attackers(w, det())
 	case SecTypos:
-		report.Typos(w, det)
+		report.Typos(w, det())
 	case SecFilters:
 		report.Filters(w, src.FilterDisagreement(), src.BlocklistRecovery())
 	case SecSquat, SecAdvice:
@@ -100,9 +100,9 @@ func (s *Study) writeSection(w io.Writer, sec Section) error {
 		report.Squat(w, s.Squat(squat.DefaultConfig()))
 	case SecAdvice:
 		sq := s.Squat(squat.DefaultConfig())
-		report.Advisories(w, advise.Run(s.Analysis, s.Detections, sq, advise.DefaultConfig()))
+		report.Advisories(w, advise.Run(s.Analysis, s.detections(), sq, advise.DefaultConfig()))
 	default:
-		return renderSection(w, s.Analysis, s.Detections, s.Records.Len(), sec)
+		return renderSection(w, s.Analysis, s.detections, s.Records.Len(), sec)
 	}
 	return nil
 }

@@ -113,7 +113,7 @@ func (s *Study) Summary() Summary {
 	out.BlocklistNormalPct = bl.NormalShare * 100
 	out.BlocklistRecoveryPct = a.BlocklistRecovery().RecoveryShare() * 100
 
-	dur := a.Durations(s.Detections)
+	dur := a.Durations(s.detections())
 	out.AuthFixMeanDays = dur.AuthDKIMSPF.MeanDays()
 	out.MXFixMedianDays = dur.MXRecords.MedianDays()
 	out.FullFixMedianDays = dur.MailboxFull.MedianDays()
@@ -126,7 +126,7 @@ func (s *Study) Summary() Summary {
 	out.FilterSenderDisPct = fd.SenderDisagreeShare() * 100
 	out.FilterRcvrDisPct = fd.ReceiverDisagreeShare() * 100
 
-	det := s.Detections
+	det := s.detections()
 	out.GuessHitRatePct = stats.Pct(det.GuessHits, det.GuessTargets)
 	out.BulkHardPct = stats.Pct(det.BulkHard, det.BulkEmails)
 	out.UsernameTypos = len(det.UsernameTypos)
