@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test race race-parallel bench bench-parallel serve bench-cluster bench-durable fuzz-decode fuzz-wal chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable fuzz-decode fuzz-wal chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -25,6 +25,15 @@ build-cmds:
 
 test:
 	$(GO) test ./...
+
+# loc prints the code-line count the simplicity PRs quote: non-blank,
+# non-comment lines of non-test Go outside bench/ — in total, and for
+# the service (internal/bounced + cmd/bounced/main.go). Reported, never
+# asserted.
+loc:
+	@count() { cat "$$@" | grep -cvE '^[[:space:]]*(//.*)?$$'; }; \
+	echo "code lines, total:   $$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'))"; \
+	echo "code lines, bounced: $$(count $$(ls internal/bounced/*.go | grep -v _test.go) cmd/bounced/main.go)"
 
 # race runs the whole suite under the race detector.
 race:

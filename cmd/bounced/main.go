@@ -46,10 +46,29 @@
 //	... same trio for shard 1 on :8428-:8430 ...
 //	bounced -role=coordinator -shards http://h0:8427,http://h1:8430
 //
+// A role is a row of flags (the roles table below): the ones it
+// requires and the ones it reads. Every role reads -role and -addr; a
+// flag set outside the role's row is refused, naming flag and role.
+//
+//	role         requires           reads
+//	single       —                  node flags, -generate, -replay
+//	shard        -shard-count       node flags, -shard-index
+//	standby      -primary -data-dir node flags, -shard-index, -shard-count, -poll-interval, -failover-timeout
+//	coordinator  -shards            -emails -seed -workers -no-env
+//	router       -peers             —
+//
+// The node flags are -emails -seed -workers -no-env -queue
+// -flush-sections -pprof -fault-spec -read-timeout -dedup-window
+// -data-dir -checkpoint-interval -fsync -repl-ack. A shard reads neither
+// -generate nor -replay: feed shards over HTTP, where every record's
+// ownership is checked.
+//
 // Endpoints: POST /v1/records (NDJSON, gzip-aware), GET /v1/report
 // ?section=table1,fig8, GET /v1/stats, POST /v1/snapshot, GET
-// /v1/partial (shard snapshot for coordinators), GET /metrics
-// (Prometheus text), GET /healthz.
+// /v1/partial (shard snapshot for coordinators), GET /v1/repl/status,
+// GET /metrics (Prometheus text), GET /healthz; a node with -data-dir
+// also mounts POST /v1/checkpoint, GET /v1/repl/wal, GET
+// /v1/repl/checkpoint and POST /v1/promote.
 //
 // SIGINT/SIGTERM shuts down gracefully: HTTP ingestion stops, the
 // queue drains completely into the store (no accepted record is
@@ -69,15 +88,18 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro"
+	"repro/internal/analysis"
 	"repro/internal/bounced"
 	"repro/internal/dataset"
 	"repro/internal/delivery"
 	"repro/internal/faultinject"
+	"repro/internal/policy"
 	"repro/internal/replication"
 	"repro/internal/store"
 	"repro/internal/world"
@@ -102,40 +124,159 @@ func main() {
 	serveMain(os.Args[1:])
 }
 
-func serveMain(args []string) {
-	fs := flag.NewFlagSet("bounced", flag.ExitOnError)
-	var (
-		addr     = fs.String("addr", ":8425", "listen address")
-		generate = fs.Bool("generate", false, "feed the service from an in-process delivery engine run")
-		replay   = fs.String("replay", "", "preload a JSONL(.gz) dataset before serving")
-		emails   = fs.Int("emails", 400_000, "corpus size (generate mode and env replay)")
-		seed     = fs.Uint64("seed", 42, "world seed")
-		workers  = fs.Int("workers", 1, "delivery fan-out width (generate mode)")
-		queue    = fs.Int("queue", 1024, "ingest queue depth (backpressure bound)")
-		noEnv    = fs.Bool("no-env", false, "skip world regeneration; env-dependent sections degrade")
-		flushSec = fs.String("flush-sections", "overview", "report sections flushed to stdout on shutdown ('' to disable, 'all' for everything)")
-		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		faultArg = fs.String("fault-spec", "", "arm deterministic fault injection, e.g. 'seed=7,torn=0.05,stall=2ms' (DESIGN.md §9)")
-		readTO   = fs.Duration("read-timeout", 0, "per-request body read deadline; slow-loris cutoff (0 disables)")
-		dedupWin = fs.Int("dedup-window", 256, "idempotent X-Batch-Id dedup window, in batches")
-		role     = fs.String("role", "single", "node role: single, shard (owns a slice of the 16 substreams), coordinator (merges shard partials), standby (replicates a primary), or router (fronts a replica set)")
-		shardIdx = fs.Int("shard-index", 0, "shard/standby role: this node's index in [0, shard-count)")
-		shardCnt = fs.Int("shard-count", 0, "shard/standby role: total shards; a record belongs here iff OwnerOf(record, shard-count) == shard-index (standbys carry their shard primary's values so ownership survives promotion)")
-		shardArg = fs.String("shards", "", "coordinator role: comma-separated shard base URLs (their order is the merge order)")
-		dataDir  = fs.String("data-dir", "", "durability directory (WAL + checkpoints); boot recovers from it, empty = memory-only")
-		cpEvery  = fs.Duration("checkpoint-interval", 30*time.Second, "background checkpoint cadence with -data-dir (0 disables; shutdown still checkpoints)")
-		fsyncArg = fs.String("fsync", "batch", "WAL fsync mode with -data-dir: batch (per acked batch), always, or off (flush-to-OS only)")
-		primary  = fs.String("primary", "", "standby role: the primary's base URL to replicate from")
-		sbID     = fs.String("standby-id", "", "standby role: this node's name in the primary's standby registry (default the listen address)")
-		pollWait = fs.Duration("poll-interval", 2*time.Second, "standby role: WAL long-poll hold time on the primary")
-		failTO   = fs.Duration("failover-timeout", 0, "standby role: auto-promote after this long without a successful sync (0 = manual /v1/promote only)")
-		peersArg = fs.String("peers", "", "router role: comma-separated replica-set base URLs to probe and forward to")
-		replAck  = fs.Int("repl-ack", 0, "primary: semi-sync — gate each ingest ack on this many standbys having applied the batch (0 = async)")
-		replAckT = fs.Duration("repl-ack-timeout", 5*time.Second, "primary: semi-sync ack wait bound; on expiry the client gets a retryable 503")
-	)
-	fs.Parse(args)
+// serveFlags is every flag the server takes; the roles table says which
+// role reads which.
+type serveFlags struct {
+	addr, role, replay, flushSec, faultSpec, dataDir, fsync, primary, shards, peers string
+	generate, noEnv, pprof                                                          bool
+	emails, workers, queue, dedupWin, replAck, shardIdx, shardCnt                   int
+	seed                                                                            uint64
+	readTO, cpEvery, pollWait, failTO                                               time.Duration
+}
 
-	if *pprofOn {
+// nodeFlags are the flags every record-holding role reads.
+const nodeFlags = "emails seed workers no-env queue flush-sections pprof fault-spec read-timeout dedup-window " +
+	"data-dir checkpoint-interval fsync repl-ack"
+
+// roles is the role table: the flags a role requires and the further
+// flags it reads. Every role reads -role and -addr; any other flag set
+// outside a role's row is refused, so a flag is never silently ignored.
+// The shard row reads neither -generate nor -replay: both feed through
+// IngestBatch, which checks no ownership, so shards are fed over HTTP.
+var roles = map[string]struct{ requires, reads string }{
+	"single":      {"", nodeFlags + " generate replay"},
+	"shard":       {"shard-count", nodeFlags + " shard-index"},
+	"standby":     {"primary data-dir", nodeFlags + " shard-index shard-count poll-interval failover-timeout"},
+	"coordinator": {"shards", "emails seed workers no-env"},
+	"router":      {"peers", ""},
+}
+
+// checkFlags holds the flags set on the command line against the role's
+// row.
+func checkFlags(role string, set []string) error {
+	row, ok := roles[role]
+	if !ok {
+		return fmt.Errorf("unknown -role %q (want single, shard, coordinator, standby, or router)", role)
+	}
+	for _, name := range strings.Fields(row.requires) {
+		if !slices.Contains(set, name) {
+			return fmt.Errorf("-role=%s requires -%s", role, name)
+		}
+	}
+	reads := strings.Fields("role addr " + row.requires + " " + row.reads)
+	for _, name := range set {
+		if !slices.Contains(reads, name) {
+			return fmt.Errorf("-%s is not a -role=%s flag (that role reads: -%s)", name, role, strings.Join(reads, " -"))
+		}
+	}
+	return nil
+}
+
+// serveFlagSet declares the server's flags over f.
+func serveFlagSet(f *serveFlags) *flag.FlagSet {
+	fs := flag.NewFlagSet("bounced", flag.ExitOnError)
+	fs.StringVar(&f.addr, "addr", ":8425", "listen address")
+	fs.StringVar(&f.role, "role", "single", "node role: single, shard (owns a slice of the 16 substreams), coordinator (merges shard partials), standby (replicates a primary), or router (fronts a replica set)")
+	fs.BoolVar(&f.generate, "generate", false, "single role: feed the service from an in-process delivery engine run")
+	fs.StringVar(&f.replay, "replay", "", "single role: preload a JSONL(.gz) dataset before serving")
+	fs.IntVar(&f.emails, "emails", 400_000, "corpus size (generate mode and env replay)")
+	fs.Uint64Var(&f.seed, "seed", 42, "world seed")
+	fs.IntVar(&f.workers, "workers", 1, "delivery fan-out width (generate mode and env replay)")
+	fs.BoolVar(&f.noEnv, "no-env", false, "skip world regeneration; env-dependent sections degrade")
+	fs.IntVar(&f.queue, "queue", 1024, "ingest queue depth (backpressure bound)")
+	fs.StringVar(&f.flushSec, "flush-sections", "overview", "report sections flushed to stdout on shutdown ('' to disable, 'all' for everything)")
+	fs.BoolVar(&f.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
+	fs.StringVar(&f.faultSpec, "fault-spec", "", "arm deterministic fault injection, e.g. 'seed=7,torn=0.05,stall=2ms' (DESIGN.md §9)")
+	fs.DurationVar(&f.readTO, "read-timeout", 0, "per-request body read deadline; slow-loris cutoff (0 disables)")
+	fs.IntVar(&f.dedupWin, "dedup-window", 256, "idempotent X-Batch-Id dedup window, in batches")
+	fs.StringVar(&f.dataDir, "data-dir", "", "durability directory (WAL + checkpoints); boot recovers from it, empty = memory-only")
+	fs.DurationVar(&f.cpEvery, "checkpoint-interval", 30*time.Second, "background checkpoint cadence with -data-dir (0 disables; shutdown still checkpoints)")
+	fs.StringVar(&f.fsync, "fsync", "batch", "WAL fsync mode with -data-dir: batch (per acked batch), always, or off (flush-to-OS only)")
+	fs.IntVar(&f.replAck, "repl-ack", 0, "semi-sync: gate each ingest ack on this many standbys having applied the batch, for up to 5s (0 = async)")
+	fs.IntVar(&f.shardIdx, "shard-index", 0, "shard/standby role: this node's index in [0, shard-count)")
+	fs.IntVar(&f.shardCnt, "shard-count", 0, "shard/standby role: total shards; a record belongs here iff OwnerOf(record, shard-count) == shard-index (standbys carry their shard primary's values so ownership survives promotion)")
+	fs.StringVar(&f.primary, "primary", "", "standby role: the primary's base URL to replicate from")
+	fs.DurationVar(&f.pollWait, "poll-interval", 2*time.Second, "standby role: WAL long-poll hold time on the primary")
+	fs.DurationVar(&f.failTO, "failover-timeout", 0, "standby role: auto-promote after this long without a successful sync (0 = manual /v1/promote only)")
+	fs.StringVar(&f.shards, "shards", "", "coordinator role: comma-separated shard base URLs (their order is the merge order)")
+	fs.StringVar(&f.peers, "peers", "", "router role: comma-separated replica-set base URLs to probe and forward to")
+	return fs
+}
+
+func serveMain(args []string) {
+	var f serveFlags
+	fs := serveFlagSet(&f)
+	fs.Parse(args)
+	var set []string
+	fs.Visit(func(fl *flag.Flag) { set = append(set, fl.Name) })
+	if err := checkFlags(f.role, set); err != nil {
+		log.Fatal(err)
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	switch f.role {
+	case "router":
+		runRouter(ctx, &f)
+	case "coordinator":
+		runCoordinator(ctx, &f)
+	default:
+		runNode(ctx, &f)
+	}
+}
+
+// runRouter fronts a replica set. Routers hold no records and serve no
+// reports of their own, so they skip the world/env restore entirely.
+func runRouter(ctx context.Context, f *serveFlags) {
+	peers := splitList(f.peers)
+	rt, err := replication.NewRouter(replication.RouterConfig{Peers: peers})
+	if err != nil {
+		log.Fatal(err)
+	}
+	go rt.Run(ctx)
+	serveUntil(ctx, listen(f.addr), rt.Handler(), "router", fmt.Sprintf("over %d peers", len(peers)))
+}
+
+// runCoordinator merges shard partials. Coordinators hold no records:
+// shutdown is just closing the listener, no drain and no final report.
+func runCoordinator(ctx context.Context, f *serveFlags) {
+	env, _ := restoreEnv(ctx, f)
+	urls := splitList(f.shards)
+	coord, err := bounced.NewCoordinator(bounced.CoordinatorConfig{ShardURLs: urls, Env: env})
+	if err != nil {
+		log.Fatal(err)
+	}
+	serveUntil(ctx, listen(f.addr), coord.Handler(), "coordinator", fmt.Sprintf("over %d shards", len(urls)))
+}
+
+// newEngine regenerates the world from -seed and -emails and puts a
+// delivery engine over it.
+func newEngine(f *serveFlags) *delivery.Engine {
+	cfg := world.DefaultConfig()
+	cfg.TotalEmails = f.emails
+	cfg.Seed = f.seed
+	return delivery.New(world.New(cfg))
+}
+
+// restoreEnv is the ingest-mode environment: regenerate the world from
+// the seed and replay the delivery (discarding records) to restore the
+// stateful external services — blocklist listings accrue during
+// delivery — exactly like bounceanalyze -in does. Nil with -no-env.
+func restoreEnv(ctx context.Context, f *serveFlags) (*analysis.Environment, *policy.Metrics) {
+	if f.noEnv {
+		return nil, nil
+	}
+	log.Printf("restoring environment (seed %d, %d emails); -no-env skips this", f.seed, f.emails)
+	e := newEngine(f)
+	if err := e.ParallelRunCtx(ctx, f.workers, func(dataset.Record, *world.Submission, delivery.Truth) {}); err != nil {
+		log.Fatal(err)
+	}
+	return bounce.NewEnvironment(e.W), e.Metrics
+}
+
+// runNode serves a record-holding role: single, shard or standby.
+func runNode(ctx context.Context, f *serveFlags) {
+	if f.pprof {
 		// CPU and heap endpoints work unconditionally; contention
 		// profiling needs explicit sampling turned on. Rates follow the
 		// net/http/pprof documentation: every 1000th contended mutex
@@ -145,79 +286,19 @@ func serveMain(args []string) {
 		runtime.SetMutexProfileFraction(1000)
 		runtime.SetBlockProfileRate(100_000)
 	}
-
-	switch *role {
-	case "single":
-	case "shard":
-		if *shardCnt <= 0 || *shardIdx < 0 || *shardIdx >= *shardCnt {
-			log.Fatalf("-role=shard needs 0 <= -shard-index < -shard-count (got index %d, count %d)", *shardIdx, *shardCnt)
-		}
-		if *generate {
-			log.Fatal("-generate is incompatible with -role=shard: feed shards over HTTP so records route by ownership")
-		}
-	case "coordinator":
-		if *shardArg == "" {
-			log.Fatal("-role=coordinator requires -shards (comma-separated shard base URLs)")
-		}
-		if *generate || *replay != "" {
-			log.Fatal("-role=coordinator holds no records; -generate and -replay are shard-side flags")
-		}
-		if *dataDir != "" {
-			log.Fatal("-role=coordinator holds no records; -data-dir is a single/shard flag")
-		}
-	case "standby":
-		if *primary == "" {
-			log.Fatal("-role=standby requires -primary (the primary's base URL)")
-		}
-		if *dataDir == "" {
-			log.Fatal("-role=standby requires -data-dir: a standby replays the primary's WAL into its own durable log so it can survive promotion")
-		}
-		if *generate || *replay != "" {
-			log.Fatal("-role=standby refuses local ingestion; -generate and -replay are primary-side flags")
-		}
-		// A standby may replicate a *shard* primary; it then carries the
-		// same shard coordinates so a promotion keeps enforcing ownership.
-		if (*shardCnt != 0 || *shardIdx != 0) && (*shardCnt <= 0 || *shardIdx < 0 || *shardIdx >= *shardCnt) {
-			log.Fatalf("standby shard attachment needs 0 <= -shard-index < -shard-count (got index %d, count %d)", *shardIdx, *shardCnt)
-		}
-	case "router":
-		if *peersArg == "" {
-			log.Fatal("-role=router requires -peers (comma-separated replica-set base URLs)")
-		}
-		if *generate || *replay != "" || *dataDir != "" {
-			log.Fatal("-role=router holds no records; -generate, -replay, and -data-dir are replica-side flags")
-		}
-	default:
-		log.Fatalf("unknown -role %q (want single, shard, coordinator, standby, or router)", *role)
+	// A standby of a shard primary carries the same shard coordinates,
+	// so a promotion keeps enforcing ownership.
+	if (f.role == "shard" || f.shardCnt != 0 || f.shardIdx != 0) && (f.shardIdx < 0 || f.shardIdx >= f.shardCnt) {
+		log.Fatalf("-role=%s needs 0 <= -shard-index < -shard-count (got index %d, count %d)", f.role, f.shardIdx, f.shardCnt)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *role == "router" {
-		// Routers hold no records and serve no reports of their own, so
-		// they skip the world/env restore entirely.
-		peers := splitList(*peersArg)
-		rt, err := replication.NewRouter(replication.RouterConfig{Peers: peers})
-		if err != nil {
-			log.Fatal(err)
-		}
-		go rt.Run(ctx)
-		serveUntil(ctx, *addr, rt.Handler(), "router", fmt.Sprintf("over %d peers", len(peers)))
-		return
-	}
-
-	cfg := world.DefaultConfig()
-	cfg.TotalEmails = *emails
-	cfg.Seed = *seed
-
 	sCfg := bounced.Config{
-		QueueDepth: *queue, Seed: *seed, EnablePprof: *pprofOn,
-		ReadTimeout: *readTO, DedupWindow: *dedupWin,
-		Standby: *role == "standby", ReplAck: *replAck, ReplAckTimeout: *replAckT,
+		QueueDepth: f.queue, Seed: f.seed, EnablePprof: f.pprof,
+		ReadTimeout: f.readTO, DedupWindow: f.dedupWin,
+		ShardCount: f.shardCnt, ShardIndex: f.shardIdx,
+		Standby: f.role == "standby", ReplAck: f.replAck,
 	}
-	if *faultArg != "" {
-		sp, err := faultinject.ParseSpec(*faultArg)
+	if f.faultSpec != "" {
+		sp, err := faultinject.ParseSpec(f.faultSpec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -225,81 +306,57 @@ func serveMain(args []string) {
 		log.Printf("fault injection armed: %s", sp)
 	}
 	var engine *delivery.Engine
-	var w *world.World
-	switch {
-	case *generate:
-		w = world.New(cfg)
-		engine = delivery.New(w)
-		sCfg.Env = bounce.NewEnvironment(w)
-		sCfg.PolicyMetrics = engine.Metrics
-	case !*noEnv:
-		// Ingest mode: regenerate the world from the seed and replay the
-		// delivery (discarding records) to restore the stateful external
-		// services — blocklist listings accrue during delivery — exactly
-		// like bounceanalyze -in does.
-		log.Printf("restoring environment (seed %d, %d emails); -no-env skips this", *seed, *emails)
-		w = world.New(cfg)
-		e := delivery.New(w)
-		if err := e.ParallelRunCtx(ctx, *workers, func(dataset.Record, *world.Submission, delivery.Truth) {}); err != nil {
-			log.Fatal(err)
-		}
-		sCfg.Env = bounce.NewEnvironment(w)
-		sCfg.PolicyMetrics = e.Metrics
+	if f.generate {
+		engine = newEngine(f)
+		sCfg.Env, sCfg.PolicyMetrics = bounce.NewEnvironment(engine.W), engine.Metrics
+	} else {
+		sCfg.Env, sCfg.PolicyMetrics = restoreEnv(ctx, f)
 	}
-
-	if *role == "coordinator" {
-		urls := splitList(*shardArg)
-		coord, err := bounced.NewCoordinator(bounced.CoordinatorConfig{ShardURLs: urls, Env: sCfg.Env})
+	if f.dataDir != "" {
+		mode, err := store.ParseFsyncMode(f.fsync)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Coordinators hold no records: shutdown is just closing the
-		// listener, no drain and no final report.
-		serveUntil(ctx, *addr, coord.Handler(), "coordinator", fmt.Sprintf("over %d shards", len(urls)))
-		return
-	}
-	if *role == "shard" || (*role == "standby" && *shardCnt > 0) {
-		sCfg.ShardCount = *shardCnt
-		sCfg.ShardIndex = *shardIdx
-	}
-
-	if *dataDir != "" {
-		mode, err := store.ParseFsyncMode(*fsyncArg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng, err := store.Open(store.FSOptions{Dir: *dataDir, Mode: mode, Logf: log.Printf})
+		eng, err := store.Open(store.FSOptions{Dir: f.dataDir, Mode: mode, Logf: log.Printf})
 		if err != nil {
 			log.Fatal(err)
 		}
 		sCfg.Store = eng
-		sCfg.CheckpointInterval = *cpEvery
+		sCfg.CheckpointInterval = f.cpEvery
 	}
 
 	srv, err := bounced.New(sCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *dataDir != "" {
+	if f.dataDir != "" {
 		ri := srv.Recovery()
 		log.Printf("recovered from %s: checkpoint at %d records, %d replayed from WAL (%d batches re-registered, fsync=%s)",
-			*dataDir, ri.CheckpointRecords, ri.Replayed, ri.Batches, *fsyncArg)
+			f.dataDir, ri.CheckpointRecords, ri.Replayed, ri.Batches, f.fsync)
 		if ri.TornTruncated || ri.DroppedUncommitted > 0 {
 			log.Printf("recovery repaired a torn WAL tail (%d uncommitted records dropped; their batch was never acked)",
 				ri.DroppedUncommitted)
 		}
 	}
-
-	if *role == "standby" {
-		id := *sbID
-		if id == "" {
-			id = *addr
+	if f.replay != "" {
+		n, err := preload(srv, f.replay)
+		if err != nil {
+			log.Fatal(err)
 		}
+		log.Printf("replayed %d records from %s", n, f.replay)
+	}
+
+	// Listen before wiring the standby: its name in the primary's
+	// registry is the address it actually bound, so standbys started on
+	// ":0" stay distinct.
+	ln := listen(f.addr)
+	if f.role == "standby" {
+		id := ln.Addr().String()
 		sl, err := replication.NewStandby(replication.StandbyConfig{
-			PrimaryURL:      *primary,
+			PrimaryURL:      f.primary,
 			ID:              id,
-			PollWait:        *pollWait,
-			FailoverTimeout: *failTO,
+			PollWait:        f.pollWait,
+			FailoverTimeout: f.failTO,
 		}, srv)
 		if err != nil {
 			log.Fatal(err)
@@ -310,21 +367,13 @@ func serveMain(args []string) {
 				log.Printf("sync loop: %v", err)
 			}
 		}()
-		log.Printf("standby %q replicating from %s (failover-timeout %s)", id, *primary, *failTO)
-	}
-
-	if *replay != "" {
-		n, err := preload(srv, *replay)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("replayed %d records from %s", n, *replay)
+		log.Printf("standby %q replicating from %s (failover-timeout %s)", id, f.primary, f.failTO)
 	}
 
 	engineDone := make(chan error, 1)
 	if engine != nil {
 		go func() {
-			engineDone <- engine.ParallelRunCtx(ctx, *workers, func(rec dataset.Record, _ *world.Submission, _ delivery.Truth) {
+			engineDone <- engine.ParallelRunCtx(ctx, f.workers, func(rec dataset.Record, _ *world.Submission, _ delivery.Truth) {
 				if _, err := srv.IngestBatch([]dataset.Record{rec}); err != nil {
 					log.Printf("engine ingest: %v", err)
 				}
@@ -335,16 +384,16 @@ func serveMain(args []string) {
 		engineDone <- nil
 	}
 
-	who := *role
-	if *role == "shard" {
-		who = fmt.Sprintf("shard %d/%d", *shardIdx, *shardCnt)
-	} else if sCfg.ShardCount > 0 {
-		who = fmt.Sprintf("standby for shard %d/%d", *shardIdx, *shardCnt)
+	who := f.role
+	if f.role == "shard" {
+		who = fmt.Sprintf("shard %d/%d", f.shardIdx, f.shardCnt)
+	} else if f.shardCnt > 0 {
+		who = fmt.Sprintf("standby for shard %d/%d", f.shardIdx, f.shardCnt)
 	}
 	// Shutdown order matters for the zero-loss guarantee: stop every
 	// producer first (HTTP after in-flight requests, the engine at its
 	// next day boundary), then close and drain the queue.
-	serveUntil(ctx, *addr, srv.Handler(), who, fmt.Sprintf("(seed %d)", *seed))
+	serveUntil(ctx, ln, srv.Handler(), who, fmt.Sprintf("(seed %d)", f.seed))
 	log.Print("shutting down: http stopped, draining queue")
 	if err := <-engineDone; err != nil && !errors.Is(err, context.Canceled) {
 		log.Printf("engine: %v", err)
@@ -352,8 +401,8 @@ func serveMain(args []string) {
 	n := srv.Drain()
 	log.Printf("drained: %d records in store", n)
 
-	if *flushSec != "" && n > 0 {
-		if err := srv.WriteFinalReport(os.Stdout, bounce.ParseSections(*flushSec, bounce.AllSections)); err != nil {
+	if f.flushSec != "" && n > 0 {
+		if err := srv.WriteFinalReport(os.Stdout, bounce.ParseSections(f.flushSec, bounce.AllSections)); err != nil {
 			log.Printf("final report: %v", err)
 		}
 	}
@@ -381,15 +430,20 @@ func preload(srv *bounced.Server, path string) (int, error) {
 	}
 }
 
-// serveUntil serves h on addr until ctx is cancelled (SIGINT/SIGTERM),
-// then restores default signal behaviour — a second Ctrl-C kills — and
-// shuts the listener down, giving in-flight requests 30s to finish.
-// who and detail frame the "listening on" log line.
-func serveUntil(ctx context.Context, addr string, h http.Handler, who, detail string) {
+// listen binds the service socket.
+func listen(addr string) net.Listener {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatal(err)
 	}
+	return ln
+}
+
+// serveUntil serves h on ln until ctx is cancelled (SIGINT/SIGTERM),
+// then restores default signal behaviour — a second Ctrl-C kills — and
+// shuts the listener down, giving in-flight requests 30s to finish.
+// who and detail frame the "listening on" log line.
+func serveUntil(ctx context.Context, ln net.Listener, h http.Handler, who, detail string) {
 	httpSrv := &http.Server{Handler: h}
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {

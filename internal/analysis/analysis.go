@@ -83,20 +83,6 @@ func New(records []dataset.Record, env *Environment) *Analysis {
 	return assemble(view, verdicts, sp, counts, env)
 }
 
-// NewWithPipeline classifies records with one pre-built pipeline (no
-// substream split — every record routes to it).
-func NewWithPipeline(records []dataset.Record, p *Pipeline, env *Environment) *Analysis {
-	view := dataset.SliceRecords(records)
-	sp := SinglePipeline(p)
-	verdicts := make([]ClassifiedRecord, len(records))
-	classifyRange(sp, view, verdicts)
-	counts := make(map[string]int, 64)
-	for i := range records {
-		counts[records[i].ToDomain()]++
-	}
-	return assemble(view, verdicts, sp, counts, env)
-}
-
 // NewFromSource consumes a record stream in a single pass: while
 // records arrive it trains the classification pipeline and accumulates
 // the popularity counts, then labels templates, trains the EBRC, and

@@ -325,7 +325,7 @@ func TestNoEnhancedCodeShare(t *testing.T) {
 		rec("a@s.com", "b@x.com", t0, "550 5.1.1 user unknown"),
 		rec("a@s.com", "b@x.com", t0, "550 no status code here"),
 	}
-	a := NewWithPipeline(records, BuildPipeline(testCorpus(), DefaultPipelineConfig()), nil)
+	a := New(records, nil)
 	if got := a.NoEnhancedCodeShare(); got != 0.5 {
 		t.Errorf("no-enhanced-code share %g want 0.5", got)
 	}

@@ -77,18 +77,6 @@ func CollectStream(src dataset.RecordSource, p RecordClassifier, cs ...Collector
 	}
 }
 
-// CollectPartials streams src through a full PartialSet — the sharded
-// batch path: classify one shard's records, ship or merge the partial,
-// and render from the merged set.
-func CollectPartials(src dataset.RecordSource, p RecordClassifier, env *Environment) (*PartialSet, int) {
-	ps := NewPartialSet(env)
-	n := CollectStream(src, p, ps)
-	if sp, ok := p.(*ShardedPipeline); ok {
-		ps.Pipe = sp.Summary()
-	}
-	return ps, n
-}
-
 // overviewCollector accumulates the Section-4.1 headline statistic.
 type overviewCollector struct {
 	o            Overview

@@ -441,11 +441,6 @@ func receiverCCIn(db *geo.DB, rec *dataset.Record) string {
 	return cc
 }
 
-// receiverCC geolocates a record's receiver by any attempt with an IP.
-func (a *Analysis) receiverCC(rec *dataset.Record) string {
-	return receiverCCIn(a.Env.Geo, rec)
-}
-
 // CountryLatency is one Figure-10 point.
 type CountryLatency struct {
 	Country  string

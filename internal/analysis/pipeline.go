@@ -164,17 +164,6 @@ func (b *PipelineBuilder) Clone() *PipelineBuilder {
 	return &PipelineBuilder{p: p, total: b.total}
 }
 
-// Snapshot labels and trains a pipeline over everything mined so far
-// WITHOUT consuming the builder. A snapshot over N records is
-// identical to the pipeline Finish would produce after those same N
-// records — the invariant behind the online report path.
-func (b *PipelineBuilder) Snapshot() *Pipeline {
-	return b.Clone().Finish()
-}
-
-// Total reports how many NDR lines the builder has absorbed.
-func (b *PipelineBuilder) Total() int { return b.total }
-
 // finishPipeline runs the post-mining steps (template labeling, EBRC
 // training, majority-vote prediction) over an already-mined pipeline.
 // prev, when non-nil, donates provably-identical work (see FinishWarm).

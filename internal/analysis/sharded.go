@@ -8,19 +8,12 @@ import (
 // ShardedPipeline is the classifier stack partitioned across the fixed
 // content-hash substreams: shard s is trained on exactly the records
 // with StreamOf(rec) == s, in their substream arrival order. With one
-// shard it degenerates to the plain pipeline (the NewWithPipeline
-// path); with NumStreams shards it is the canonical sharded form every
-// constructor builds, whose per-substream training order is invariant
+// shard it degenerates to the plain pipeline; with NumStreams shards
+// it is the canonical sharded form every constructor builds, whose per-substream training order is invariant
 // under any order-preserving split of the stream — the property that
 // makes multi-node reports byte-identical to a single node's.
 type ShardedPipeline struct {
 	Shards []*Pipeline
-}
-
-// SinglePipeline wraps one pre-built pipeline as a 1-shard stack (all
-// records route to it).
-func SinglePipeline(p *Pipeline) *ShardedPipeline {
-	return &ShardedPipeline{Shards: []*Pipeline{p}}
 }
 
 // For returns the shard pipeline responsible for rec.

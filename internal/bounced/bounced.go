@@ -25,7 +25,6 @@ package bounced
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	httppprof "net/http/pprof"
 	"sync"
@@ -143,40 +142,27 @@ type Server struct {
 	faults *faultinject.Injector
 	dedup  dedupWindow
 
-	// Durability (nil eng = memory-only). walMu is commit's ordering
-	// lock: dedup re-check, WAL append, ID registration and queue write
-	// happen under it on every node, so replay order equals store-fold
-	// order — the property that makes recovery byte-identical. cpMu
-	// serializes checkpoint writers; lastCP is the record count the
-	// newest checkpoint covers (the skip test for idle checkpoints).
-	eng      store.Engine
+	// walMu is commit's ordering lock: dedup re-check, WAL append, ID
+	// registration and queue write happen under it on every node, so
+	// replay order equals store-fold order — the property that makes
+	// recovery byte-identical. walIndex is the log end in record indices
+	// (it stays 0 without a log) and is bumped under walMu so it always
+	// equals the log end in append order. incMu protects the s.inc
+	// pointer itself, which a standby resync (ResetTo) swaps while
+	// readers are live. epoch is the fencing token: promotion bumps it,
+	// the checkpoint persists it, and the router prefers the highest one
+	// it can see. Every node has these — a memory-only one answers
+	// /v1/repl/status as a primary at epoch 1.
 	walMu    sync.Mutex
-	cpMu     sync.Mutex
-	lastCP   atomic.Uint64
-	recovery RecoveryInfo
-	cpStop   chan struct{}
-	cpWG     sync.WaitGroup
+	walIndex atomic.Uint64
+	incMu    sync.RWMutex
+	standby  atomic.Bool
+	epoch    atomic.Uint64
 
-	// Replication (durable nodes only). walIndex mirrors the engine's
-	// next WAL index and is bumped under walMu so it always equals the
-	// log end in append order; the tracker wakes standby long-polls
-	// when it advances past a synced prefix and gates semi-sync acks.
-	// incMu protects the s.inc pointer itself, which a standby resync
-	// (ResetTo) swaps while readers are live. epoch is the fencing
-	// token: promotion bumps it, the checkpoint persists it, and the
-	// router prefers the highest one it can see.
-	standby            atomic.Bool
-	epoch              atomic.Uint64
-	lastCPEpoch        atomic.Uint64
-	promotions         atomic.Uint64
-	walIndex           atomic.Uint64
-	tracker            *replication.Tracker
-	incMu              sync.RWMutex
-	syncLoop           atomic.Pointer[replication.Standby]
-	replApplies        atomic.Uint64
-	replAppliedRecords atomic.Uint64
-	replAckWaits       atomic.Uint64
-	replAckTimeouts    atomic.Uint64
+	// j is everything that exists only with Config.Store (durable.go);
+	// nil on a memory-only node. A standby always has one: New refuses
+	// Config.Standby without a Store.
+	j *journal
 
 	// consumedCond broadcasts store progress for drain barriers: a
 	// report taken after an ingest request returns covers everything
@@ -244,7 +230,6 @@ func New(cfg Config) (*Server, error) {
 		startedAt: time.Now(),
 		faults:    faultinject.New(cfg.Faults),
 		retryRNG:  simrng.New(cfg.Seed).Stream("retry-after"),
-		eng:       cfg.Store,
 	}
 	s.dedup.init(cfg.DedupWindow)
 	s.consumedCond = sync.NewCond(&s.consumedMu)
@@ -253,40 +238,37 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.epoch.Store(1)
 	s.standby.Store(cfg.Standby)
-	if s.eng != nil {
-		if err := s.recover(); err != nil {
+	if cfg.Store != nil {
+		var err error
+		if s.j, err = openJournal(s); err != nil {
 			return nil, err
 		}
-		next := s.eng.Stats().NextIndex
-		s.walIndex.Store(next)
-		s.lastCPEpoch.Store(s.epoch.Load())
-		s.tracker = replication.NewTracker(next)
 	}
 	s.inc.StartTrainer()
 	s.consumerWG.Add(1)
 	go s.consume()
-	if s.eng != nil && cfg.CheckpointInterval > 0 {
-		s.cpStop = make(chan struct{})
-		s.cpWG.Add(1)
-		go s.checkpointLoop(cfg.CheckpointInterval)
-	}
 	return s, nil
 }
 
-// Handler returns the service's HTTP routes.
+// Handler returns the service's HTTP routes: what every node serves,
+// plus the journal's endpoints on a node that has one. A wrong method
+// is the mux's 405 with an Allow header, a journal endpoint on a
+// memory-only node its 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/records", s.handleRecords)
-	mux.HandleFunc("/v1/report", s.handleReport)
-	mux.HandleFunc("/v1/partial", s.handlePartial)
+	mux.HandleFunc("POST /v1/records", s.handleRecords)
+	mux.HandleFunc("GET /v1/report", s.handleReport)
+	mux.HandleFunc("GET /v1/partial", s.handlePartial)
 	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/v1/checkpoint", s.handleCheckpoint)
+	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc(replication.PathStatus, s.handleReplStatus)
-	mux.HandleFunc(replication.PathWAL, s.handleReplWAL)
-	mux.HandleFunc(replication.PathCheckpoint, s.handleReplCheckpoint)
-	mux.HandleFunc(replication.PathPromote, s.handlePromote)
+	mux.HandleFunc("GET "+replication.PathStatus, s.handleReplStatus)
+	if s.j != nil {
+		mux.HandleFunc("POST /v1/checkpoint", s.j.handleCheckpoint)
+		mux.HandleFunc("GET "+replication.PathWAL, s.j.handleWAL)
+		mux.HandleFunc("GET "+replication.PathCheckpoint, s.j.handleReplCheckpoint)
+		mux.HandleFunc("POST "+replication.PathPromote, s.j.handlePromote)
+	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
@@ -388,8 +370,8 @@ func (s *Server) commitOrdered(id string, idCount int, recs []dataset.Record) (i
 			return 0, duplicateBatch(prev)
 		}
 	}
-	if s.eng != nil {
-		if err := s.eng.Append(store.Batch{ID: id, Records: recs}); err != nil {
+	if s.j != nil {
+		if err := s.j.eng.Append(store.Batch{ID: id, Records: recs}); err != nil {
 			return 0, fmt.Errorf("bounced: wal append: %w", err)
 		}
 		s.walIndex.Add(uint64(len(recs)))
@@ -436,7 +418,9 @@ const ingestSubBatch = 256
 // producer's goroutine, so concurrent producers classify in parallel
 // instead of serializing on the single store consumer. It reports how
 // many records were queued — short only when shutdown (or a WAL
-// failure) interrupts the batch.
+// failure) interrupts the batch. It checks no ownership: owns is the
+// HTTP body handler's test, so a shard must be fed over HTTP (which is
+// why cmd/bounced refuses -generate and -replay in the shard role).
 func (s *Server) IngestBatch(recs []dataset.Record) (int, error) {
 	sub := min(ingestSubBatch, s.cfg.QueueDepth)
 	done := 0
@@ -636,19 +620,7 @@ func (s *Server) Drain() uint64 {
 	if s.closed.CompareAndSwap(false, true) {
 		s.queue.Close()
 	}
-	s.consumerWG.Wait()
-	s.incState().StopTrainer()
-	if s.eng != nil {
-		s.stopCheckpointLoop()
-		// The final checkpoint makes the next boot replay-free; failing
-		// to take it only costs the restart a WAL-tail replay.
-		if err := s.CheckpointNow(); err != nil {
-			log.Printf("bounced: final checkpoint: %v", err)
-		}
-		if err := s.eng.Close(); err != nil {
-			log.Printf("bounced: store close: %v", err)
-		}
-	}
+	s.stop(true)
 	return s.consumed.Load()
 }
 
@@ -661,19 +633,16 @@ func (s *Server) Drain() uint64 {
 func (s *Server) Abort() {
 	s.closed.Store(true)
 	s.queue.CloseRead()
-	s.consumerWG.Wait()
-	s.incState().StopTrainer()
-	if s.eng != nil {
-		s.stopCheckpointLoop()
-		s.eng.Close()
-	}
+	s.stop(false)
 }
 
-func (s *Server) stopCheckpointLoop() {
-	if s.cpStop != nil {
-		close(s.cpStop)
-		s.cpWG.Wait()
-		s.cpStop = nil
+// stop waits out the consumer and the trainer, then closes the journal,
+// behind a final checkpoint when the shutdown is graceful.
+func (s *Server) stop(graceful bool) {
+	s.consumerWG.Wait()
+	s.incState().StopTrainer()
+	if s.j != nil {
+		s.j.close(graceful)
 	}
 }
 

@@ -81,7 +81,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // Handler returns the coordinator's HTTP routes.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/report", c.handleReport)
+	mux.HandleFunc("GET /v1/report", c.handleReport)
 	mux.HandleFunc("/v1/stats", c.handleStats)
 	mux.HandleFunc("/metrics", c.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -273,10 +273,6 @@ func (c *Coordinator) gather(ctx context.Context) (*analysis.PartialSet, []shard
 // records; "all" means every partial-renderable section (squat and
 // advice need the raw corpus, which no coordinator holds).
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, 0, 0, "GET only")
-		return
-	}
 	merged, _, err := c.gather(r.Context())
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, 0, 0, err.Error())

@@ -7,12 +7,121 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
+	"repro/internal/replication"
 	"repro/internal/store"
 )
+
+// journal is everything a node has only with Config.Store: the storage
+// engine, checkpointing and recovery (this file), and the replication
+// built on the log — tail shipping, the standby registry, semi-sync
+// acks, promotion (repl.go). New allocates one iff a store is
+// configured; Server tests the pointer where the two kinds of node
+// part ways and mounts the journal's endpoints only when it is set.
+type journal struct {
+	s   *Server
+	eng store.Engine
+
+	// cpMu serializes checkpoint writers; lastCP and lastCPEpoch are the
+	// record count and epoch the newest checkpoint covers (the skip test
+	// for idle checkpoints).
+	cpMu        sync.Mutex
+	lastCP      atomic.Uint64
+	lastCPEpoch atomic.Uint64
+	cpStop      chan struct{}
+	cpWG        sync.WaitGroup
+	recovery    RecoveryInfo
+
+	// tracker wakes standby long-polls when the log end advances past a
+	// synced prefix and gates semi-sync acks; syncLoop is the loop
+	// driving this node while it is a standby.
+	tracker            *replication.Tracker
+	syncLoop           atomic.Pointer[replication.Standby]
+	promotions         atomic.Uint64
+	replApplies        atomic.Uint64
+	replAppliedRecords atomic.Uint64
+	replAckWaits       atomic.Uint64
+	replAckTimeouts    atomic.Uint64
+}
+
+// openJournal is New's boot path on a durable node: restore the
+// analysis state, dedup window and epoch from the newest checkpoint,
+// replay the WAL tail and re-register its batches — so a client
+// retrying an acked batch from before the crash still dedups — then
+// point the replication offsets at the recovered log end and start the
+// background checkpoints.
+func openJournal(s *Server) (*journal, error) {
+	j := &journal{s: s, eng: s.cfg.Store}
+	inc, cp, info, err := recoverState(j.eng, s.cfg.Pipeline)
+	if err != nil {
+		return nil, err
+	}
+	s.inc = inc
+	var from uint64
+	if cp != nil {
+		from = cp.Records
+		if blob, ok := cp.Sections[sectionDedup]; ok {
+			if err := s.dedup.restore(blob); err != nil {
+				return nil, fmt.Errorf("bounced: checkpoint %s section: %w", sectionDedup, err)
+			}
+		}
+		if epoch := replEpoch(cp); epoch > s.epoch.Load() {
+			s.epoch.Store(epoch)
+		}
+	}
+	// Sorted for a deterministic FIFO eviction order; the window is
+	// far larger than any plausible tail batch count.
+	ids := make([]string, 0, len(info.Batches))
+	for id := range info.Batches {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		s.dedup.register(id, info.Batches[id])
+	}
+	j.recovery = RecoveryInfo{
+		CheckpointRecords:  from,
+		Replayed:           info.Replayed,
+		Batches:            len(info.Batches),
+		DroppedUncommitted: info.DroppedUncommitted,
+		TornTruncated:      info.TornTruncated,
+	}
+	j.lastCP.Store(from)
+	j.lastCPEpoch.Store(s.epoch.Load())
+	next := j.eng.Stats().NextIndex
+	s.walIndex.Store(next)
+	j.tracker = replication.NewTracker(next)
+	if every := s.cfg.CheckpointInterval; every > 0 {
+		j.cpStop = make(chan struct{})
+		j.cpWG.Add(1)
+		go j.checkpointLoop(every)
+	}
+	return j, nil
+}
+
+// close stops the checkpoint loop and closes the engine. The final
+// checkpoint of a graceful shutdown makes the next boot replay-free;
+// failing to take it only costs the restart a WAL-tail replay.
+func (j *journal) close(graceful bool) {
+	if j.cpStop != nil {
+		close(j.cpStop)
+		j.cpWG.Wait()
+		j.cpStop = nil
+	}
+	if graceful {
+		if err := j.checkpoint(); err != nil {
+			log.Printf("bounced: final checkpoint: %v", err)
+		}
+	}
+	if err := j.eng.Close(); err != nil {
+		log.Printf("bounced: store close: %v", err)
+	}
+}
 
 // Checkpoint section names. The storage engine treats sections as
 // opaque; these are the server's composition of them. A section under
@@ -71,7 +180,29 @@ type RecoveryInfo struct {
 
 // Recovery reports what New restored from the storage engine; zero for
 // memory-only servers.
-func (s *Server) Recovery() RecoveryInfo { return s.recovery }
+func (s *Server) Recovery() RecoveryInfo {
+	if s.j == nil {
+		return RecoveryInfo{}
+	}
+	return s.j.recovery
+}
+
+// restoreIncremental decodes the analysis accumulator a checkpoint
+// carries and checks it against the record count the checkpoint claims.
+func restoreIncremental(cp *store.Checkpoint) (*analysis.Incremental, error) {
+	blob, ok := cp.Sections[sectionIncremental]
+	if !ok {
+		return nil, fmt.Errorf("bounced: checkpoint at %d records has no %q section", cp.Records, sectionIncremental)
+	}
+	inc, err := analysis.RestoreIncremental(blob)
+	if err != nil {
+		return nil, fmt.Errorf("bounced: checkpoint %s section: %w", sectionIncremental, err)
+	}
+	if got := uint64(inc.Len()); got != cp.Records {
+		return nil, fmt.Errorf("bounced: checkpoint covers %d records but its state holds %d", cp.Records, got)
+	}
+	return inc, nil
+}
 
 // recoverState rebuilds an analysis accumulator from eng: the newest
 // decodable checkpoint (whose embedded pipeline config wins over cfg),
@@ -85,15 +216,8 @@ func recoverState(eng store.Engine, cfg analysis.PipelineConfig) (*analysis.Incr
 	inc := analysis.NewIncremental(cfg)
 	var from uint64
 	if cp != nil {
-		blob, ok := cp.Sections[sectionIncremental]
-		if !ok {
-			return nil, nil, store.TailInfo{}, fmt.Errorf("bounced: checkpoint at %d records has no %q section", cp.Records, sectionIncremental)
-		}
-		if inc, err = analysis.RestoreIncremental(blob); err != nil {
-			return nil, nil, store.TailInfo{}, fmt.Errorf("bounced: checkpoint %s section: %w", sectionIncremental, err)
-		}
-		if got := uint64(inc.Len()); got != cp.Records {
-			return nil, nil, store.TailInfo{}, fmt.Errorf("bounced: checkpoint covers %d records but its state holds %d", cp.Records, got)
+		if inc, err = restoreIncremental(cp); err != nil {
+			return nil, nil, store.TailInfo{}, err
 		}
 		from = cp.Records
 	}
@@ -108,51 +232,6 @@ func recoverState(eng store.Engine, cfg analysis.PipelineConfig) (*analysis.Incr
 		return nil, nil, info, fmt.Errorf("bounced: recovery holds %d records, WAL index says %d", got, info.NextIndex)
 	}
 	return inc, cp, info, nil
-}
-
-// recover is New's boot path on durable nodes: restore the analysis
-// state and dedup window from the newest checkpoint, replay the WAL
-// tail, and re-register tail batches so a client retrying an acked
-// batch from before the crash still dedups.
-func (s *Server) recover() error {
-	inc, cp, info, err := recoverState(s.eng, s.cfg.Pipeline)
-	if err != nil {
-		return err
-	}
-	s.inc = inc
-	var from uint64
-	if cp != nil {
-		from = cp.Records
-		if blob, ok := cp.Sections[sectionDedup]; ok {
-			if err := s.dedup.restore(blob); err != nil {
-				return fmt.Errorf("bounced: checkpoint %s section: %w", sectionDedup, err)
-			}
-		}
-	}
-	// Sorted for a deterministic FIFO eviction order; the window is
-	// far larger than any plausible tail batch count.
-	ids := make([]string, 0, len(info.Batches))
-	for id := range info.Batches {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		s.dedup.register(id, info.Batches[id])
-	}
-	if cp != nil {
-		if epoch := replEpoch(cp); epoch > s.epoch.Load() {
-			s.epoch.Store(epoch)
-		}
-	}
-	s.lastCP.Store(from)
-	s.recovery = RecoveryInfo{
-		CheckpointRecords:  from,
-		Replayed:           info.Replayed,
-		Batches:            len(info.Batches),
-		DroppedUncommitted: info.DroppedUncommitted,
-		TornTruncated:      info.TornTruncated,
-	}
-	return nil
 }
 
 // RecoverIncremental rebuilds the analysis accumulator from a bounced
@@ -170,25 +249,31 @@ func RecoverIncremental(dir string, cfg analysis.PipelineConfig) (*analysis.Incr
 	return inc, info, err
 }
 
-// CheckpointNow captures the analysis state at a record boundary and
+// CheckpointNow forces a checkpoint (see journal.checkpoint); an error
+// on a memory-only server.
+func (s *Server) CheckpointNow() error {
+	if s.j == nil {
+		return errors.New("bounced: no storage engine configured")
+	}
+	return s.j.checkpoint()
+}
+
+// checkpoint captures the analysis state at a record boundary and
 // persists it — with the dedup window and the replication epoch — as
 // one atomic checkpoint, then prunes WAL segments the retained
 // checkpoints fully cover. Returns nil without writing when no record
 // has been consumed since the last checkpoint. Safe to call
 // concurrently with ingestion; the capture runs under the analysis
 // locks, the (expensive) serialization and file writes do not.
-func (s *Server) CheckpointNow() error {
-	if s.eng == nil {
-		return errors.New("bounced: no storage engine configured")
-	}
-	s.cpMu.Lock()
-	defer s.cpMu.Unlock()
-	st := s.incState().CaptureState()
+func (j *journal) checkpoint() error {
+	j.cpMu.Lock()
+	defer j.cpMu.Unlock()
+	st := j.s.incState().CaptureState()
 	n := uint64(st.Records())
-	epoch := s.epoch.Load()
+	epoch := j.s.epoch.Load()
 	// An epoch bump alone (promotion with no new records) still forces
 	// a write: the fencing token must survive a restart.
-	if n == s.lastCP.Load() && epoch == s.lastCPEpoch.Load() {
+	if n == j.lastCP.Load() && epoch == j.lastCPEpoch.Load() {
 		return nil
 	}
 	blob, err := st.MarshalBinary()
@@ -203,67 +288,54 @@ func (s *Server) CheckpointNow() error {
 	// captures whose records were already consumed.
 	cp := &store.Checkpoint{Records: n, Sections: map[string][]byte{
 		sectionIncremental: blob,
-		sectionDedup:       s.dedup.marshal(),
+		sectionDedup:       j.s.dedup.marshal(),
 		sectionRepl:        replBody,
 	}}
-	if err := s.eng.Checkpoint(cp); err != nil {
+	if err := j.eng.Checkpoint(cp); err != nil {
 		return err
 	}
-	s.lastCP.Store(n)
-	s.lastCPEpoch.Store(epoch)
+	j.lastCP.Store(n)
+	j.lastCPEpoch.Store(epoch)
 	return nil
 }
 
 // checkpointLoop checkpoints on a fixed cadence until Drain/Abort.
-func (s *Server) checkpointLoop(every time.Duration) {
-	defer s.cpWG.Done()
+func (j *journal) checkpointLoop(every time.Duration) {
+	defer j.cpWG.Done()
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.cpStop:
+		case <-j.cpStop:
 			return
 		case <-t.C:
-			if err := s.CheckpointNow(); err != nil && !s.closed.Load() {
+			if err := j.checkpoint(); err != nil && !j.s.closed.Load() {
 				log.Printf("bounced: checkpoint: %v", err)
 			}
 		}
 	}
 }
 
-// syncWAL makes every prior append durable per the engine's fsync mode
-// — the group-commit point an ingest ack waits on. The replication
+// sync makes every prior append durable per the engine's fsync mode —
+// the group-commit point an ingest ack waits on. The replication
 // tracker advances here, not at append time, so a woken standby poll
 // always finds the promised tail bytes readable.
-func (s *Server) syncWAL() error {
-	if s.eng == nil {
-		return nil
-	}
-	if err := s.eng.Sync(); err != nil {
+func (j *journal) sync() error {
+	if err := j.eng.Sync(); err != nil {
 		return fmt.Errorf("wal sync: %w", err)
 	}
-	if s.tracker != nil {
-		s.tracker.Advance(s.walIndex.Load())
-	}
+	j.tracker.Advance(j.s.walIndex.Load())
 	return nil
 }
 
 // handleCheckpoint forces a checkpoint — the operational hook (and the
 // crash drill's way to pin a mid-stream checkpoint deterministically).
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, 0, 0, "POST only")
-		return
-	}
-	if s.eng == nil {
-		httpError(w, http.StatusNotFound, 0, 0, "no storage engine configured (-data-dir)")
-		return
-	}
-	if err := s.CheckpointNow(); err != nil {
+func (j *journal) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+	if err := j.checkpoint(); err != nil {
 		httpError(w, http.StatusInternalServerError, 0, 0, err.Error())
 		return
 	}
-	st := s.eng.Stats()
+	st := j.eng.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"checkpoint_records": st.LastCheckpointRecords,
 		"wal_segments":       st.Segments,

@@ -419,3 +419,53 @@ func TestDrainZeroLossUnderSlowLoris(t *testing.T) {
 		t.Errorf("final report does not cover all %d records:\n%s", want, buf.String())
 	}
 }
+
+// TestBatchDedupWindowEvictsFIFO pins the idempotency window's stated
+// limit: it remembers the last Config.DedupWindow batch IDs and no
+// more, so a retry older than that is folded a second time. Eviction is
+// first in, first out, and the order survives a checkpoint and restart
+// of a durable node (the dedup section's parallel arrays).
+func TestBatchDedupWindowEvictsFIFO(t *testing.T) {
+	records, env := fixture(t)
+	dir := t.TempDir()
+	cfg := func() bounced.Config {
+		return bounced.Config{Env: env, DedupWindow: 2, Store: openEngine(t, dir)}
+	}
+	srv := newServer(t, cfg())
+	ts := httptest.NewServer(srv.Handler())
+	retry := func(url, id string, wantDeduped bool) {
+		t.Helper()
+		n := int(id[0]-'a') * 10
+		ir := postBatch(t, url, id, records[n:n+10])
+		if ir.status != http.StatusOK || ir.Accepted != 10 || ir.Deduped != wantDeduped {
+			t.Fatalf("batch %s: status %d accepted %d deduped %v, want deduped %v: %s",
+				id, ir.status, ir.Accepted, ir.Deduped, wantDeduped, ir.Error)
+		}
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		retry(ts.URL, id, false)
+	}
+	retry(ts.URL, "b", true)
+	retry(ts.URL, "c", true)
+	ts.Close()
+	if got := srv.Drain(); got != 30 {
+		t.Fatalf("drained %d records, want 30", got)
+	}
+
+	srv = newServer(t, cfg())
+	defer srv.Abort()
+	if ri := srv.Recovery(); ri.CheckpointRecords != 30 || ri.Replayed != 0 {
+		t.Fatalf("recovery %+v, want the window restored from a checkpoint at 30", ri)
+	}
+	ts = httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// a fell out of the window when c registered: its retry is new work,
+	// and registering it again evicts b — the oldest entry only if the
+	// restored window kept b ahead of c.
+	retry(ts.URL, "a", false)
+	retry(ts.URL, "c", true)
+	retry(ts.URL, "b", false)
+	if got := srv.Accepted(); got != 20 {
+		t.Fatalf("restarted node accepted %d records, want the two evicted batches (20)", got)
+	}
+}

@@ -58,10 +58,6 @@ type ingestResponse struct {
 // With a configured ReadTimeout, a request that cannot deliver its
 // body in time (slow-loris) is cut off at the read deadline.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, 0, 0, "POST only")
-		return
-	}
 	if s.closed.Load() {
 		httpError(w, http.StatusServiceUnavailable, 0, 0, "shutting down")
 		return
@@ -145,9 +141,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 // timed out waiting for a standby, and acking it before the standby
 // catches up would reopen the loss window.
 func (s *Server) replyDeduped(w http.ResponseWriter, n int) {
-	if err := s.waitReplicated(s.walIndex.Load()); err != nil {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, 0, 0, err.Error())
+	if status, msg := s.gateAck(w, s.walIndex.Load(), false); status != 0 {
+		httpError(w, status, 0, 0, msg)
 		return
 	}
 	s.deduped.Add(uint64(n))
@@ -254,21 +249,40 @@ func (s *Server) ingestBody(w http.ResponseWriter, reader io.Reader, batchID str
 	s.finishIngest(w, status, line, accepted, end, msg)
 }
 
+// gateAck holds a reply that reports committed records until the
+// journal has made them as safe as the node promises: the group-commit
+// fsync when sync is set (which is also what shows the records to
+// standby long-polls), then the semi-sync wait for standbys to confirm
+// they applied through end. It returns the status and message to fail
+// the request with, 0 to let the reply go; a memory-only node has
+// nothing to wait for. When the semi-sync wait times out the records
+// are in the local log but the client must not count them delivered:
+// under an X-Batch-Id the retry it now owes dedups and waits here
+// again; a streamed body is not idempotent, so use batch IDs when
+// semi-sync replication is on.
+func (s *Server) gateAck(w http.ResponseWriter, end uint64, sync bool) (int, string) {
+	if s.j == nil {
+		return 0, ""
+	}
+	if sync {
+		if err := s.j.sync(); err != nil {
+			return http.StatusInternalServerError, err.Error()
+		}
+	}
+	if err := s.j.waitReplicated(end); err != nil {
+		w.Header().Set("Retry-After", "1")
+		return http.StatusServiceUnavailable, err.Error()
+	}
+	return 0, ""
+}
+
 // finishIngest is the way out of every request that may have committed
 // records: whatever status it carries, a reply reporting accepted > 0
-// leaves only after the group-commit fsync (which is also what shows
-// the records to standby long-polls) and the semi-sync gate. When the
-// gate times out the records are in the local log but the client must
-// not count them delivered: under an X-Batch-Id the retry it now owes
-// dedups and waits here again; a streamed body is not idempotent, so
-// use batch IDs when semi-sync replication is on.
+// leaves only through gateAck.
 func (s *Server) finishIngest(w http.ResponseWriter, status, line, accepted int, end uint64, msg string) {
 	if status == http.StatusOK || accepted > 0 {
-		if err := s.syncWAL(); err != nil {
-			status, line, msg = http.StatusInternalServerError, 0, err.Error()
-		} else if err := s.waitReplicated(end); err != nil {
-			w.Header().Set("Retry-After", "1")
-			status, line, msg = http.StatusServiceUnavailable, 0, err.Error()
+		if st, m := s.gateAck(w, end, true); st != 0 {
+			status, line, msg = st, 0, m
 		}
 	}
 	if status != http.StatusOK {

@@ -74,43 +74,61 @@ func quantile(bounds []int64, buckets []uint64, count uint64, q float64) float64
 	return float64(bounds[len(bounds)-1])
 }
 
-// stats summarizes the histogram for /v1/stats.
-func (h *latencyHist) stats() latencyStats {
+// snapshot copies the histogram out from under its lock.
+func (h *latencyHist) snapshot() (buckets []uint64, count uint64, sum int64) {
 	h.mu.Lock()
-	buckets := append([]uint64(nil), h.buckets...)
-	count, sum := h.count, h.sum
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	return append([]uint64(nil), h.buckets...), h.count, h.sum
+}
+
+// summarize is a histogram's /v1/stats form. bounds, buckets and sum
+// are in nanoseconds.
+func summarize(bounds []int64, buckets []uint64, count uint64, sum int64) latencyStats {
 	st := latencyStats{Count: count}
 	if count == 0 {
 		return st
 	}
-	st.P50NS = quantile(latencyBounds, buckets, count, 0.50)
-	st.P90NS = quantile(latencyBounds, buckets, count, 0.90)
-	st.P99NS = quantile(latencyBounds, buckets, count, 0.99)
+	st.P50NS = quantile(bounds, buckets, count, 0.50)
+	st.P90NS = quantile(bounds, buckets, count, 0.90)
+	st.P99NS = quantile(bounds, buckets, count, 0.99)
 	st.MeanNS = float64(sum) / float64(count)
 	return st
+}
+
+// writeHistogram is a histogram's /metrics form, in seconds.
+func writeHistogram(b *strings.Builder, name, help string, bounds []int64, buckets []uint64, count uint64, sum int64) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	var cum uint64
+	for i, bound := range bounds {
+		cum += buckets[i]
+		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, float64(bound)/1e9, cum)
+	}
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, count)
+	fmt.Fprintf(b, "%s_sum %g\n", name, float64(sum)/1e9)
+	fmt.Fprintf(b, "%s_count %d\n", name, count)
+}
+
+func gauge(b *strings.Builder, name, help string, v any) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
+}
+
+func counter(b *strings.Builder, name, help string, v uint64) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 }
 
 // handleMetrics serves the service counters in the Prometheus text
 // exposition format (hand-rolled; the repo is stdlib-only).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	gauge := func(name, help string, v interface{}) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	counter("bounced_records_accepted_total", "Records admitted to the ingest queue.", s.accepted.Load())
-	counter("bounced_records_consumed_total", "Records folded into the analysis store.", s.consumed.Load())
-	counter("bounced_ingest_batches_total", "Accepted POST /v1/records batches.", s.batches.Load())
-	counter("bounced_ingest_bad_lines_total", "Rejected NDJSON lines.", s.badLines.Load())
-	counter("bounced_records_shed_total", "Records refused with 429 under queue overload.", s.shedRecords.Load())
-	counter("bounced_shed_batches_total", "Batches refused with 429 under queue overload.", s.shedBatches.Load())
-	counter("bounced_records_rejected_total", "Records refused with 4xx (malformed or oversized batches).", s.rejected.Load())
-	counter("bounced_records_deduped_total", "Records skipped as batch-ID replays.", s.deduped.Load())
-	counter("bounced_dedup_batches_total", "Batches acknowledged from the idempotency window.", s.dedupBatches.Load())
+	counter(&b, "bounced_records_accepted_total", "Records admitted to the ingest queue.", s.accepted.Load())
+	counter(&b, "bounced_records_consumed_total", "Records folded into the analysis store.", s.consumed.Load())
+	counter(&b, "bounced_ingest_batches_total", "Accepted POST /v1/records batches.", s.batches.Load())
+	counter(&b, "bounced_ingest_bad_lines_total", "Rejected NDJSON lines.", s.badLines.Load())
+	counter(&b, "bounced_records_shed_total", "Records refused with 429 under queue overload.", s.shedRecords.Load())
+	counter(&b, "bounced_shed_batches_total", "Batches refused with 429 under queue overload.", s.shedBatches.Load())
+	counter(&b, "bounced_records_rejected_total", "Records refused with 4xx (malformed or oversized batches).", s.rejected.Load())
+	counter(&b, "bounced_records_deduped_total", "Records skipped as batch-ID replays.", s.deduped.Load())
+	counter(&b, "bounced_dedup_batches_total", "Batches acknowledged from the idempotency window.", s.dedupBatches.Load())
 	if faults := s.faults.Counts(); len(faults) > 0 {
 		kinds := make([]string, 0, len(faults))
 		for k := range faults {
@@ -122,9 +140,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "bounced_faults_injected_total{kind=%q} %d\n", k, faults[k])
 		}
 	}
-	counter("bounced_snapshots_total", "Analysis snapshots built.", s.snapTaken.Load())
-	gauge("bounced_queue_depth", "Records buffered in the ingest queue.", s.queue.Len())
-	gauge("bounced_queue_capacity", "Ingest queue capacity.", s.queue.Cap())
+	counter(&b, "bounced_snapshots_total", "Analysis snapshots built.", s.snapTaken.Load())
+	gauge(&b, "bounced_queue_depth", "Records buffered in the ingest queue.", s.queue.Len())
+	gauge(&b, "bounced_queue_capacity", "Ingest queue capacity.", s.queue.Cap())
 
 	fmt.Fprintf(&b, "# HELP bounced_bounce_degree_total Records by bounce degree.\n# TYPE bounced_bounce_degree_total counter\n")
 	for d := dataset.NonBounced; d <= dataset.HardBounced; d++ {
@@ -135,7 +153,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, t := range ndr.AllTypes {
 		fmt.Fprintf(&b, "bounced_bounce_type_total{type=%q} %d\n", t.String(), s.typeHits[t].Load())
 	}
-	counter("bounced_ambiguous_records_total", "Live-classified records with only ambiguous failures.", s.ambiguous.Load())
+	counter(&b, "bounced_ambiguous_records_total", "Live-classified records with only ambiguous failures.", s.ambiguous.Load())
 
 	if s.cfg.PolicyMetrics != nil {
 		fmt.Fprintf(&b, "# HELP bounced_policy_stage_hits_total Delivery-engine policy-chain rejections by stage.\n# TYPE bounced_policy_stage_hits_total counter\n")
@@ -145,74 +163,58 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if s.eng != nil {
-		est := s.eng.Stats()
-		gauge("bounced_wal_segments", "WAL segments on disk (gauge; pruning shrinks it).", est.Segments)
-		gauge("bounced_wal_bytes", "Total WAL bytes on disk.", est.WALBytes)
-		gauge("bounced_wal_next_index", "Record index the next WAL append assigns (log length over all time).", est.NextIndex)
-		counter("bounced_wal_appended_records_total", "Records appended to the WAL by this process.", est.AppendedRecords)
-		counter("bounced_wal_appended_batches_total", "Batches appended to the WAL by this process.", est.AppendedBatches)
-		counter("bounced_wal_pruned_segments_total", "WAL segments removed by checkpoint pruning.", est.PrunedSegments)
-		counter("bounced_wal_tail_reads_total", "WAL-tail reads served to replication standbys.", est.TailReads)
-		counter("bounced_wal_tail_scanned_bytes_total", "Log bytes WAL-tail reads decoded, wanted or not.", est.TailScannedBytes)
-		counter("bounced_wal_tail_shipped_bytes_total", "Record payload bytes WAL-tail reads shipped; shipped/scanned is the read path's useful-work ratio.", est.TailShippedBytes)
-		counter("bounced_checkpoints_total", "Checkpoints written by this process.", est.Checkpoints)
-		gauge("bounced_last_checkpoint_records", "Record count the newest checkpoint covers.", est.LastCheckpointRecords)
-		if est.LastCheckpointUnix > 0 {
-			gauge("bounced_last_checkpoint_age_seconds", "Seconds since the newest checkpoint was written.",
-				fmt.Sprintf("%g", time.Since(time.Unix(est.LastCheckpointUnix, 0)).Seconds()))
-		}
-		gauge("bounced_records_replayed_at_start", "WAL-tail records replayed during boot recovery.", s.recovery.Replayed)
-		fmt.Fprintf(&b, "# HELP bounced_fsync_latency_seconds WAL fsync latency.\n# TYPE bounced_fsync_latency_seconds histogram\n")
-		var cum uint64
-		for i, bound := range store.FsyncBounds {
-			cum += est.FsyncHist[i]
-			fmt.Fprintf(&b, "bounced_fsync_latency_seconds_bucket{le=\"%g\"} %d\n", float64(bound)/1e9, cum)
-		}
-		fmt.Fprintf(&b, "bounced_fsync_latency_seconds_bucket{le=\"+Inf\"} %d\n", est.Fsyncs)
-		fmt.Fprintf(&b, "bounced_fsync_latency_seconds_sum %g\n", float64(est.FsyncNanos)/1e9)
-		fmt.Fprintf(&b, "bounced_fsync_latency_seconds_count %d\n", est.Fsyncs)
+	if s.j != nil {
+		s.j.writeMetrics(&b)
 	}
 
-	if s.tracker != nil {
-		role := 0
-		if s.standby.Load() {
-			role = 1
-		}
-		standbys, maxLag := s.tracker.Snapshot()
-		gauge("bounced_standby", "1 when the node is a replication standby, 0 when primary.", role)
-		gauge("bounced_epoch", "Replication fencing epoch; promotion bumps it.", s.epoch.Load())
-		gauge("bounced_repl_next_index", "WAL log end in record indices (replication offset space).", s.walIndex.Load())
-		gauge("bounced_repl_standbys", "Standbys currently polling this node.", len(standbys))
-		gauge("bounced_repl_max_lag_records", "Records the slowest polling standby is behind the log end.", maxLag)
-		counter("bounced_promotions_total", "Standby-to-primary promotions on this node.", s.promotions.Load())
-		counter("bounced_repl_ack_waits_total", "Ingest acks gated on a semi-sync standby confirmation.", s.replAckWaits.Load())
-		counter("bounced_repl_ack_timeouts_total", "Semi-sync ack waits that timed out into a retryable 503.", s.replAckTimeouts.Load())
-		counter("bounced_repl_applies_total", "Replicated WAL units applied by this standby.", s.replApplies.Load())
-		counter("bounced_repl_applied_records_total", "Records applied from replicated WAL units.", s.replAppliedRecords.Load())
-		if sl := s.syncLoop.Load(); sl != nil && s.standby.Load() {
-			st := sl.Status()
-			gauge("bounced_repl_sync_lag_records", "Records this standby is behind the primary's reported log end.", st.LagRecords)
-			counter("bounced_repl_polls_total", "WAL-tail polls this standby has completed.", st.Polls)
-			counter("bounced_repl_resyncs_total", "Full checkpoint resyncs this standby has performed.", st.Resyncs)
-		}
-	}
-
-	h := s.hist
-	h.mu.Lock()
-	buckets := append([]uint64(nil), h.buckets...)
-	count, sum := h.count, h.sum
-	h.mu.Unlock()
-	fmt.Fprintf(&b, "# HELP bounced_classify_latency_seconds Live per-record classification latency.\n# TYPE bounced_classify_latency_seconds histogram\n")
-	var cum uint64
-	for i, bound := range latencyBounds {
-		cum += buckets[i]
-		fmt.Fprintf(&b, "bounced_classify_latency_seconds_bucket{le=\"%g\"} %d\n", float64(bound)/1e9, cum)
-	}
-	fmt.Fprintf(&b, "bounced_classify_latency_seconds_bucket{le=\"+Inf\"} %d\n", count)
-	fmt.Fprintf(&b, "bounced_classify_latency_seconds_sum %g\n", float64(sum)/1e9)
-	fmt.Fprintf(&b, "bounced_classify_latency_seconds_count %d\n", count)
+	buckets, count, sum := s.hist.snapshot()
+	writeHistogram(&b, "bounced_classify_latency_seconds", "Live per-record classification latency.", latencyBounds, buckets, count, sum)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write([]byte(b.String()))
+}
+
+// writeMetrics appends the durability and replication blocks of
+// /metrics, which only a node with a journal exports.
+func (j *journal) writeMetrics(b *strings.Builder) {
+	est := j.eng.Stats()
+	gauge(b, "bounced_wal_segments", "WAL segments on disk (gauge; pruning shrinks it).", est.Segments)
+	gauge(b, "bounced_wal_bytes", "Total WAL bytes on disk.", est.WALBytes)
+	gauge(b, "bounced_wal_next_index", "Record index the next WAL append assigns (log length over all time).", est.NextIndex)
+	counter(b, "bounced_wal_appended_records_total", "Records appended to the WAL by this process.", est.AppendedRecords)
+	counter(b, "bounced_wal_appended_batches_total", "Batches appended to the WAL by this process.", est.AppendedBatches)
+	counter(b, "bounced_wal_pruned_segments_total", "WAL segments removed by checkpoint pruning.", est.PrunedSegments)
+	counter(b, "bounced_wal_tail_reads_total", "WAL-tail reads served to replication standbys.", est.TailReads)
+	counter(b, "bounced_wal_tail_scanned_bytes_total", "Log bytes WAL-tail reads decoded, wanted or not.", est.TailScannedBytes)
+	counter(b, "bounced_wal_tail_shipped_bytes_total", "Record payload bytes WAL-tail reads shipped; shipped/scanned is the read path's useful-work ratio.", est.TailShippedBytes)
+	counter(b, "bounced_checkpoints_total", "Checkpoints written by this process.", est.Checkpoints)
+	gauge(b, "bounced_last_checkpoint_records", "Record count the newest checkpoint covers.", est.LastCheckpointRecords)
+	if est.LastCheckpointUnix > 0 {
+		gauge(b, "bounced_last_checkpoint_age_seconds", "Seconds since the newest checkpoint was written.",
+			fmt.Sprintf("%g", time.Since(time.Unix(est.LastCheckpointUnix, 0)).Seconds()))
+	}
+	gauge(b, "bounced_records_replayed_at_start", "WAL-tail records replayed during boot recovery.", j.recovery.Replayed)
+	writeHistogram(b, "bounced_fsync_latency_seconds", "WAL fsync latency.", store.FsyncBounds, est.FsyncHist, est.Fsyncs, est.FsyncNanos)
+
+	role := 0
+	if j.s.standby.Load() {
+		role = 1
+	}
+	standbys, maxLag := j.tracker.Snapshot()
+	gauge(b, "bounced_standby", "1 when the node is a replication standby, 0 when primary.", role)
+	gauge(b, "bounced_epoch", "Replication fencing epoch; promotion bumps it.", j.s.epoch.Load())
+	gauge(b, "bounced_repl_next_index", "WAL log end in record indices (replication offset space).", j.s.walIndex.Load())
+	gauge(b, "bounced_repl_standbys", "Standbys currently polling this node.", len(standbys))
+	gauge(b, "bounced_repl_max_lag_records", "Records the slowest polling standby is behind the log end.", maxLag)
+	counter(b, "bounced_promotions_total", "Standby-to-primary promotions on this node.", j.promotions.Load())
+	counter(b, "bounced_repl_ack_waits_total", "Ingest acks gated on a semi-sync standby confirmation.", j.replAckWaits.Load())
+	counter(b, "bounced_repl_ack_timeouts_total", "Semi-sync ack waits that timed out into a retryable 503.", j.replAckTimeouts.Load())
+	counter(b, "bounced_repl_applies_total", "Replicated WAL units applied by this standby.", j.replApplies.Load())
+	counter(b, "bounced_repl_applied_records_total", "Records applied from replicated WAL units.", j.replAppliedRecords.Load())
+	if sl := j.syncLoop.Load(); sl != nil && j.s.standby.Load() {
+		st := sl.Status()
+		gauge(b, "bounced_repl_sync_lag_records", "Records this standby is behind the primary's reported log end.", st.LagRecords)
+		counter(b, "bounced_repl_polls_total", "WAL-tail polls this standby has completed.", st.Polls)
+		counter(b, "bounced_repl_resyncs_total", "Full checkpoint resyncs this standby has performed.", st.Resyncs)
+	}
 }

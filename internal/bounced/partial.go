@@ -16,10 +16,6 @@ const headerPartialRecords = "X-Partial-Records"
 // per study, so repeated coordinator polls while no new record arrived
 // are free.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, 0, 0, "GET only")
-		return
-	}
 	st := s.study()
 	s.partialMu.Lock()
 	if s.partialFor != st {

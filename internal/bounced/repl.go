@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/dataset"
 	"repro/internal/replication"
 	"repro/internal/store"
@@ -44,8 +43,8 @@ const maxReplBatch = 65536
 
 // SetSync attaches the replication sync loop driving this standby so
 // /v1/promote can cut its in-flight poll and /v1/stats can report
-// sync-side lag. Harmless on a primary.
-func (s *Server) SetSync(sl *replication.Standby) { s.syncLoop.Store(sl) }
+// sync-side lag. The node must have a Store, as every standby does.
+func (s *Server) SetSync(sl *replication.Standby) { s.j.syncLoop.Store(sl) }
 
 // Epoch reports the node's current fencing epoch.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
@@ -60,39 +59,32 @@ func (s *Server) role() string {
 	return "primary"
 }
 
-// handleReplStatus serves the node's replication identity — the
-// router's probe target and the failover drill's assertion surface.
-func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, 0, 0, "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, replication.NodeStatus{
+// nodeStatus is the body of /v1/repl/status and of a promotion's reply.
+func (s *Server) nodeStatus() replication.NodeStatus {
+	return replication.NodeStatus{
 		Role:      s.role(),
 		Epoch:     s.epoch.Load(),
 		NextIndex: s.walIndex.Load(),
 		Consumed:  s.consumed.Load(),
-	})
+	}
+}
+
+// handleReplStatus serves the node's replication identity — the
+// router's probe target and the failover drill's assertion surface.
+func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.nodeStatus())
 }
 
 // handleReplCheckpoint ships the node's newest checkpoint — the
 // standby's full-resync bootstrap. A fresh checkpoint is forced first
 // so the shipped state is as close to the log end as possible, which
 // minimizes the WAL tail the standby must then stream.
-func (s *Server) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, 0, 0, "GET only")
-		return
-	}
-	if s.eng == nil {
-		httpError(w, http.StatusNotFound, 0, 0, "no storage engine configured (-data-dir)")
-		return
-	}
-	if err := s.CheckpointNow(); err != nil {
+func (j *journal) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
+	if err := j.checkpoint(); err != nil {
 		httpError(w, http.StatusInternalServerError, 0, 0, err.Error())
 		return
 	}
-	cp, err := s.eng.Recover()
+	cp, err := j.eng.Recover()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, 0, 0, err.Error())
 		return
@@ -107,7 +99,7 @@ func (s *Server) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 	w.Write(blob)
 }
 
-// handleReplWAL streams the WAL tail from ?from= as whole units,
+// handleWAL streams the WAL tail from ?from= as whole units,
 // long-polling up to ?wait= when the log end is at from. The poll
 // doubles as the standby's progress report: ?id= and ?applied= feed
 // the tracker that semi-sync acks wait on.
@@ -116,15 +108,8 @@ func (s *Server) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 //	    poller has diverged; it must resync from a checkpoint).
 //	410 Gone — the tail below from was pruned by checkpointing; the
 //	    poller fetches /v1/repl/checkpoint and resyncs onto it.
-func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, 0, 0, "GET only")
-		return
-	}
-	if s.eng == nil || s.tracker == nil {
-		httpError(w, http.StatusNotFound, 0, 0, "no storage engine configured (-data-dir)")
-		return
-	}
+func (j *journal) handleWAL(w http.ResponseWriter, r *http.Request) {
+	s := j.s
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {
@@ -138,7 +123,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 				applied = a
 			}
 		}
-		s.tracker.Observe(id, applied)
+		j.tracker.Observe(id, applied)
 	}
 	if from > s.walIndex.Load() {
 		httpError(w, http.StatusConflict, 0, 0,
@@ -168,14 +153,14 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	if wait > 0 {
 		// The tracker advances on sync, not append, so a wake means the
 		// tail bytes are already visible to ReadTail.
-		s.tracker.WaitNext(from, wait)
+		j.tracker.WaitNext(from, wait)
 	}
 
 	// The writer is created lazily on the first unit so a truncated
 	// tail can still turn into a clean 410 instead of a torn 200.
 	var tw *replication.TailWriter
 	sent := 0
-	_, err = s.eng.ReadTail(from, func(start uint64, b store.RawBatch) error {
+	_, err = j.eng.ReadTail(from, func(start uint64, b store.RawBatch) error {
 		if tw == nil {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			if tw, err = replication.NewTailWriter(w, from); err != nil {
@@ -218,26 +203,18 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 // handlePromote flips a standby to primary — the operator's manual
 // failover. On a node with an attached sync loop the promotion goes
 // through it, cutting any in-flight poll; already-primary nodes 409.
-func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, 0, 0, "POST only")
-		return
-	}
+func (j *journal) handlePromote(w http.ResponseWriter, r *http.Request) {
+	s := j.s
 	if !s.standby.Load() {
 		httpError(w, http.StatusConflict, 0, 0, "already primary")
 		return
 	}
-	if sl := s.syncLoop.Load(); sl != nil {
+	if sl := j.syncLoop.Load(); sl != nil {
 		sl.Promote("manual POST " + replication.PathPromote)
 	} else {
 		s.Promote(s.epoch.Load()+1, "manual POST "+replication.PathPromote)
 	}
-	writeJSON(w, http.StatusOK, replication.NodeStatus{
-		Role:      s.role(),
-		Epoch:     s.epoch.Load(),
-		NextIndex: s.walIndex.Load(),
-		Consumed:  s.consumed.Load(),
-	})
+	writeJSON(w, http.StatusOK, s.nodeStatus())
 }
 
 // AppliedIndex reports how far this node's log reaches — the offset
@@ -287,11 +264,11 @@ func (s *Server) ApplyBatch(u *replication.Unit) error {
 	if err != nil && !errors.Is(err, ErrIngestClosed) {
 		return err
 	}
-	if serr := s.syncWAL(); serr != nil {
+	if serr := s.j.sync(); serr != nil {
 		return serr
 	}
-	s.replApplies.Add(1)
-	s.replAppliedRecords.Add(uint64(len(recs)))
+	s.j.replApplies.Add(1)
+	s.j.replAppliedRecords.Add(uint64(len(recs)))
 	return err
 }
 
@@ -307,29 +284,23 @@ func (s *Server) ResetTo(cp *store.Checkpoint) error {
 	// flight and ingest is refused; draining the queue leaves the
 	// consumer idle and the old accumulator untouched from here on.
 	s.waitConsumed(s.accepted.Load())
-	s.cpMu.Lock()
-	defer s.cpMu.Unlock()
-	blob, ok := cp.Sections[sectionIncremental]
-	if !ok {
-		return fmt.Errorf("bounced: checkpoint at %d records has no %q section", cp.Records, sectionIncremental)
-	}
-	inc, err := analysis.RestoreIncremental(blob)
+	j := s.j
+	j.cpMu.Lock()
+	defer j.cpMu.Unlock()
+	inc, err := restoreIncremental(cp)
 	if err != nil {
-		return fmt.Errorf("bounced: checkpoint %s section: %w", sectionIncremental, err)
-	}
-	if got := uint64(inc.Len()); got != cp.Records {
-		return fmt.Errorf("bounced: checkpoint covers %d records but its state holds %d", cp.Records, got)
+		return err
 	}
 	if err := s.dedup.reset(cp.Sections[sectionDedup]); err != nil {
 		return fmt.Errorf("bounced: checkpoint %s section: %w", sectionDedup, err)
 	}
 	epoch := replEpoch(cp)
-	if err := s.eng.Reset(cp.Records); err != nil {
+	if err := j.eng.Reset(cp.Records); err != nil {
 		return err
 	}
 	// Persist the restore point immediately: a crash between here and
 	// the next checkpoint must not reboot into an empty log.
-	if err := s.eng.Checkpoint(cp); err != nil {
+	if err := j.eng.Checkpoint(cp); err != nil {
 		return err
 	}
 	s.incMu.Lock()
@@ -342,9 +313,9 @@ func (s *Server) ResetTo(cp *store.Checkpoint) error {
 		s.epoch.Store(epoch)
 	}
 	s.walIndex.Store(cp.Records)
-	s.tracker.Reset(cp.Records)
-	s.lastCP.Store(cp.Records)
-	s.lastCPEpoch.Store(s.epoch.Load())
+	j.tracker.Reset(cp.Records)
+	j.lastCP.Store(cp.Records)
+	j.lastCPEpoch.Store(s.epoch.Load())
 	s.consumedMu.Lock()
 	s.accepted.Store(cp.Records)
 	s.consumed.Store(cp.Records)
@@ -371,15 +342,13 @@ func (s *Server) Promote(epoch uint64, reason string) bool {
 	if epoch > s.epoch.Load() {
 		s.epoch.Store(epoch)
 	}
-	s.promotions.Add(1)
+	s.j.promotions.Add(1)
 	log.Printf("bounced: promoted to primary at epoch %d: %s", s.epoch.Load(), reason)
-	if s.eng != nil {
-		go func() {
-			if err := s.CheckpointNow(); err != nil {
-				log.Printf("bounced: post-promotion checkpoint: %v", err)
-			}
-		}()
-	}
+	go func() {
+		if err := s.j.checkpoint(); err != nil {
+			log.Printf("bounced: post-promotion checkpoint: %v", err)
+		}
+	}()
 	return true
 }
 
@@ -388,18 +357,18 @@ func (s *Server) Promote(epoch uint64, reason string) bool {
 // applied through end. On timeout the batch stays in the local WAL but
 // the client gets a retryable error — it must not treat the records as
 // safely delivered yet.
-func (s *Server) waitReplicated(end uint64) error {
-	n := s.cfg.ReplAck
-	if n <= 0 || s.tracker == nil || s.standby.Load() {
+func (j *journal) waitReplicated(end uint64) error {
+	n := j.s.cfg.ReplAck
+	if n <= 0 || j.s.standby.Load() {
 		return nil
 	}
-	timeout := s.cfg.ReplAckTimeout
+	timeout := j.s.cfg.ReplAckTimeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	s.replAckWaits.Add(1)
-	if !s.tracker.WaitApplied(end, n, timeout) {
-		s.replAckTimeouts.Add(1)
+	j.replAckWaits.Add(1)
+	if !j.tracker.WaitApplied(end, n, timeout) {
+		j.replAckTimeouts.Add(1)
 		return fmt.Errorf("bounced: %d standby(s) did not confirm WAL index %d within %s; retry", n, end, timeout)
 	}
 	return nil

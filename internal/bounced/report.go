@@ -44,10 +44,6 @@ func (s *Server) study() *bounce.Study {
 // far: the bytes are identical to `bounceanalyze -in <file>` over a
 // file holding the same records (the differential test's invariant).
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, 0, 0, "GET only")
-		return
-	}
 	st := s.study()
 	var buf bytes.Buffer
 	if err := st.WriteReport(&buf, bounce.ParseSections(r.URL.Query().Get("section"), bounce.AllSections)); err != nil {
@@ -71,10 +67,6 @@ func (s *Server) WriteFinalReport(w interface{ Write([]byte) (int, error) }, sec
 // shape — the explicit warm-up hook a client uses to arm the live
 // classifier, or to wait until everything accepted has been folded.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, 0, 0, "POST only")
-		return
-	}
 	taken := s.snapTaken.Load()
 	t0 := time.Now()
 	st := s.study()
@@ -148,25 +140,23 @@ type replicationStats struct {
 	Sync           *replication.SyncStatus   `json:"sync,omitempty"`
 }
 
-// replicationBlock assembles the sub-object; nil on memory-only nodes.
-func (s *Server) replicationBlock() *replicationStats {
-	if s.tracker == nil {
-		return nil
-	}
-	standbys, maxLag := s.tracker.Snapshot()
+// replication assembles the replication sub-object.
+func (j *journal) replication() *replicationStats {
+	s := j.s
+	standbys, maxLag := j.tracker.Snapshot()
 	rs := &replicationStats{
 		Role:           s.role(),
 		Epoch:          s.epoch.Load(),
 		NextIndex:      s.walIndex.Load(),
-		Promotions:     s.promotions.Load(),
+		Promotions:     j.promotions.Load(),
 		Standbys:       standbys,
 		MaxLagRecords:  maxLag,
-		AckWaits:       s.replAckWaits.Load(),
-		AckTimeouts:    s.replAckTimeouts.Load(),
-		Applies:        s.replApplies.Load(),
-		AppliedRecords: s.replAppliedRecords.Load(),
+		AckWaits:       j.replAckWaits.Load(),
+		AckTimeouts:    j.replAckTimeouts.Load(),
+		Applies:        j.replApplies.Load(),
+		AppliedRecords: j.replAppliedRecords.Load(),
 	}
-	if sl := s.syncLoop.Load(); sl != nil && s.standby.Load() {
+	if sl := j.syncLoop.Load(); sl != nil && s.standby.Load() {
 		st := sl.Status()
 		rs.Sync = &st
 	}
@@ -197,13 +187,9 @@ type durabilityStats struct {
 	Recovery         RecoveryInfo `json:"recovery"`
 }
 
-// durability assembles the sub-object from engine counters; nil on
-// memory-only nodes.
-func (s *Server) durability() *durabilityStats {
-	if s.eng == nil {
-		return nil
-	}
-	st := s.eng.Stats()
+// durability assembles the durability sub-object from engine counters.
+func (j *journal) durability() *durabilityStats {
+	st := j.eng.Stats()
 	d := &durabilityStats{
 		WALSegments:              st.Segments,
 		WALBytes:                 st.WALBytes,
@@ -217,27 +203,22 @@ func (s *Server) durability() *durabilityStats {
 		TailReads:                st.TailReads,
 		TailScannedBytes:         st.TailScannedBytes,
 		TailShippedBytes:         st.TailShippedBytes,
-		Recovery:                 s.recovery,
+		Recovery:                 j.recovery,
 	}
-	if fs, ok := s.eng.(*store.FS); ok {
+	if fs, ok := j.eng.(*store.FS); ok {
 		d.FsyncMode = fs.Mode().String()
 	}
 	if st.LastCheckpointUnix > 0 {
 		d.LastCheckpointAgeSeconds = time.Since(time.Unix(st.LastCheckpointUnix, 0)).Seconds()
 	}
-	d.Fsync = latencyStats{Count: st.Fsyncs}
-	if st.Fsyncs > 0 {
-		d.Fsync.P50NS = quantile(store.FsyncBounds, st.FsyncHist, st.Fsyncs, 0.50)
-		d.Fsync.P90NS = quantile(store.FsyncBounds, st.FsyncHist, st.Fsyncs, 0.90)
-		d.Fsync.P99NS = quantile(store.FsyncBounds, st.FsyncHist, st.Fsyncs, 0.99)
-		d.Fsync.MeanNS = float64(st.FsyncNanos) / float64(st.Fsyncs)
-	}
+	d.Fsync = summarize(store.FsyncBounds, st.FsyncHist, st.Fsyncs, st.FsyncNanos)
 	return d
 }
 
 // handleStats serves the service counters as JSON — the programmatic
 // twin of /metrics, including the policy-chain per-stage hit counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	buckets, count, sum := s.hist.snapshot()
 	resp := statsResponse{
 		Seed:            s.cfg.Seed,
 		UptimeSeconds:   time.Since(s.startedAt).Seconds(),
@@ -257,7 +238,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		AmbiguousLive:   s.ambiguous.Load(),
 		Degrees:         make(map[string]uint64, 3),
 		Types:           make(map[string]uint64),
-		Classify:        s.hist.stats(),
+		Classify:        summarize(latencyBounds, buckets, count, sum),
 	}
 	for d := dataset.NonBounced; d <= dataset.HardBounced; d++ {
 		resp.Degrees[d.String()] = s.degrees[int(d)].Load()
@@ -277,7 +258,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.PolicyMetrics != nil {
 		resp.PolicyStages = s.cfg.PolicyMetrics.Snapshot()
 	}
-	resp.Durability = s.durability()
-	resp.Replication = s.replicationBlock()
+	if s.j != nil {
+		resp.Durability, resp.Replication = s.j.durability(), s.j.replication()
+	}
 	writeJSON(w, http.StatusOK, resp)
 }

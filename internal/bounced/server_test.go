@@ -18,6 +18,8 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/bounced"
 	"repro/internal/dataset"
+	"repro/internal/replication"
+	"repro/internal/store"
 )
 
 // The tiny corpus is generated once: every test replays slices of it.
@@ -327,6 +329,64 @@ func TestStatsAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestHandlerMountsByCapability: a node mounts the journal's endpoints
+// only when it has a journal, every node answers /v1/repl/status, and a
+// wrong method is the mux's 405 naming the right one.
+func TestHandlerMountsByCapability(t *testing.T) {
+	records, _ := fixture(t)
+	// The status a primary with a journal answers; a memory-only node
+	// 404s all four.
+	journal := []struct {
+		method, path string
+		status       int
+	}{
+		{http.MethodPost, "/v1/checkpoint", http.StatusOK},
+		{http.MethodGet, "/v1/repl/wal?from=10", http.StatusOK}, // the log end: an empty tail
+		{http.MethodGet, "/v1/repl/checkpoint", http.StatusOK},
+		{http.MethodPost, "/v1/promote", http.StatusConflict}, // nothing to promote
+	}
+	do := func(method, url string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	for name, cfg := range map[string]bounced.Config{"memory": {}, "durable": {Store: store.NewMem()}} {
+		srv := newServer(t, cfg)
+		defer srv.Abort()
+		if _, err := srv.IngestBatch(records[:10]); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		for _, e := range journal {
+			want := e.status
+			if cfg.Store == nil {
+				want = http.StatusNotFound
+			}
+			if got := do(e.method, ts.URL+e.path).StatusCode; got != want {
+				t.Errorf("%s node: %s %s = %d, want %d", name, e.method, e.path, got, want)
+			}
+		}
+		status, b := getBody(t, ts.URL+"/v1/repl/status")
+		var ns replication.NodeStatus
+		if err := json.Unmarshal(b, &ns); err != nil || status != http.StatusOK || ns.Role != "primary" || ns.Epoch != 1 {
+			t.Errorf("%s node: /v1/repl/status = %d %s (%v), want a primary at epoch 1", name, status, b, err)
+		}
+		resp := do(http.MethodGet, ts.URL+"/v1/records")
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+			t.Errorf("%s node: GET /v1/records = %d Allow %q, want 405 Allow POST", name, resp.StatusCode, resp.Header.Get("Allow"))
 		}
 	}
 }

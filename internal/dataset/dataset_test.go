@@ -131,30 +131,6 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStream(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := 0; i < 5; i++ {
-		r := sampleRecord()
-		if err := w.Write(&r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Count() != 5 {
-		t.Errorf("Count = %d", w.Count())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if err := Stream(&buf, func(r *Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Errorf("streamed %d records", n)
-	}
-}
-
 func TestReadAllSkipsBlankLines(t *testing.T) {
 	r := sampleRecord()
 	b, _ := json.Marshal(r)

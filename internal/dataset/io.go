@@ -89,28 +89,6 @@ func ReadFile(path string) ([]Record, error) {
 	return ReadAll(r)
 }
 
-// Stream calls fn for each record in r without retaining them,
-// supporting datasets larger than memory.
-func Stream(r io.Reader, fn func(*Record) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		if err := fn(&rec); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
-}
-
 // RankEntry is one InEmailRank row.
 type RankEntry struct {
 	Domain string

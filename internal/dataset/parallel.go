@@ -28,31 +28,6 @@ func (e *LineError) Error() string {
 
 func (e *LineError) Unwrap() error { return e.Err }
 
-// ScanLines streams r line by line with the package's buffer limits,
-// calling fn with each non-empty line and its 1-based number (blank
-// lines are skipped but still numbered). fn's byte slice is only valid
-// during the call. A non-nil error from fn stops the scan and is
-// returned as-is; read errors are wrapped in a *LineError.
-func ScanLines(r io.Reader, fn func(line []byte, num int) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), maxLineBytes)
-	n := 0
-	for sc.Scan() {
-		n++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if err := fn(line, n); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return &LineError{Line: n, After: true, Err: err}
-	}
-	return nil
-}
-
 // Block sizing for ParallelReader. The scanner goroutine only moves
 // blocks: it reads parallelBlock bytes, cuts at the last newline, and
 // hands the whole block to a worker — line splitting, numbering inside

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -27,7 +26,6 @@ type RecordSource interface {
 var _ RecordSink = (*Writer)(nil)
 var _ RecordSource = (*SliceSource)(nil)
 var _ RecordSource = (*ReaderSource)(nil)
-var _ RecordSource = (*FileSource)(nil)
 var _ RecordSource = (*ContextSource)(nil)
 var _ RecordSink = (*Pipe)(nil)
 var _ RecordSource = (*Pipe)(nil)
@@ -318,31 +316,6 @@ func NewDecodingReader(r io.Reader) (io.Reader, error) {
 	}
 	return br, nil
 }
-
-// FileSource is a ReaderSource over a (possibly gzip-compressed)
-// dataset file. Close it when done.
-type FileSource struct {
-	*ReaderSource
-	f *os.File
-}
-
-// Open opens a JSONL dataset file for streaming, transparently
-// decoding gzip input (sniffed by magic bytes, not extension).
-func Open(path string) (*FileSource, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	r, err := NewDecodingReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileSource{ReaderSource: NewReaderSource(r), f: f}, nil
-}
-
-// Close releases the underlying file.
-func (s *FileSource) Close() error { return s.f.Close() }
 
 // ContextSource stops yielding records once ctx is cancelled, which
 // propagates Ctrl-C through streaming consumers (NewFromSource,

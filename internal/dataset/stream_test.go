@@ -79,6 +79,9 @@ func TestReaderSourceMatchesReadAll(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if w.Count() != len(recs) {
+		t.Errorf("Count = %d, want %d", w.Count(), len(recs))
+	}
 
 	all, err := ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -169,7 +172,7 @@ func TestOpenDecodesGzipByMagicBytes(t *testing.T) {
 	if err := os.WriteFile(path, gz.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src, err := Open(path)
+	src, err := OpenParallel(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

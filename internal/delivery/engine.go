@@ -138,10 +138,6 @@ func (e *Engine) ForceStages(names ...string) error {
 	return nil
 }
 
-// StageHits snapshots the per-stage rejection counts accumulated so
-// far.
-func (e *Engine) StageHits() map[string]uint64 { return e.Metrics.Hits() }
-
 // shardOf maps a receiver domain to its shard.
 func (e *Engine) shardOf(domain string) int {
 	if s, ok := e.domainShard[domain]; ok {

@@ -273,15 +273,6 @@ func (m *Metrics) bump(name string) {
 	}
 }
 
-// Hits snapshots the per-stage rejection counts.
-func (m *Metrics) Hits() map[string]uint64 {
-	out := make(map[string]uint64, len(m.hits))
-	for name, c := range m.hits {
-		out[name] = c.Load()
-	}
-	return out
-}
-
 // StageHit is one per-stage rejection counter in exportable form —
 // the /v1/stats and /metrics surface of the policy chain.
 type StageHit struct {

@@ -135,8 +135,8 @@ func TestChainFirstRejectionAndMetrics(t *testing.T) {
 	if v.Type != ndr.T8NoSuchUser {
 		t.Fatalf("ghost verdict %v, want T8", v.Type)
 	}
-	if m.Hits()["rcpt-exists"] != 1 {
-		t.Errorf("rcpt-exists hits = %d, want 1", m.Hits()["rcpt-exists"])
+	if got := m.Format(); got != "rcpt-exists=1" {
+		t.Errorf("stage hits = %q, want rcpt-exists=1", got)
 	}
 }
 

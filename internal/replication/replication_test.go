@@ -140,10 +140,6 @@ func TestTrackerWaits(t *testing.T) {
 	if len(infos) != 1 || infos[0].ID != "s1" || infos[0].Applied != 15 || lag != 5 {
 		t.Fatalf("snapshot = %+v lag %d", infos, lag)
 	}
-	tr.Forget("s1")
-	if infos, _ := tr.Snapshot(); len(infos) != 0 {
-		t.Fatalf("after forget: %+v", infos)
-	}
 }
 
 // fakeApplier is an in-memory Applier recording everything.

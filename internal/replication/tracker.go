@@ -84,15 +84,6 @@ func (t *Tracker) Observe(id string, applied uint64) {
 	t.mu.Unlock()
 }
 
-// Forget drops a standby from the registry (it promoted, or an
-// operator detached it).
-func (t *Tracker) Forget(id string) {
-	t.mu.Lock()
-	delete(t.standbys, id)
-	t.wakeLocked()
-	t.mu.Unlock()
-}
-
 // Reset forces the log end to next, downward included — the standby
 // full-resync path, where the local log is rebuilt from a checkpoint
 // whose boundary may sit below a diverged local tail.
@@ -101,13 +92,6 @@ func (t *Tracker) Reset(next uint64) {
 	t.next = next
 	t.wakeLocked()
 	t.mu.Unlock()
-}
-
-// Next reports the current log end.
-func (t *Tracker) Next() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
 }
 
 // WaitNext blocks until the log end exceeds from (returning the new
