@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable fuzz-decode fuzz-wal chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-wal fuzz-typo chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -78,11 +78,11 @@ chaos-shard-failover:
 	$(GO) run ./scripts/drill shard-failover
 
 # race-parallel focuses the race detector on the parallel delivery,
-# streaming, decode, and incremental-snapshot paths and on commit's
-# ordering lock from all three of its sources (fast enough for every
-# commit).
+# streaming, decode, and incremental-snapshot paths, on commit's
+# ordering lock from all three of its sources and on concurrent reports
+# over one cached study (fast enough for every commit).
 race-parallel:
-	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|Frozen|Decoder|Commit|ApplyBatch|SourceEquivalence' ./...
+	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|Frozen|Decoder|Commit|ApplyBatch|SourceEquivalence|StudyDurations' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -124,6 +124,14 @@ bench-cluster:
 bench-durable:
 	bash bench/run.sh --workload durable-batch --seed 42 --seconds 4 --trace 0
 
+# bench-report runs the benchmark's mixed workload once as the same kind
+# of gate over the report path under load: a closed-loop reader fetches
+# full reports from a node an open-loop writer is feeding, and the run
+# exits non-zero unless the last served report is byte-identical to
+# batch and no operation failed.
+bench-report:
+	bash bench/run.sh --workload report-mixed --seed 42 --seconds 4 --trace 0
+
 # fuzz-decode runs the fast-path-decoder-vs-encoding/json fuzzer for a
 # short budget (the committed corpus replays in plain `make test`).
 fuzz-decode:
@@ -134,3 +142,9 @@ fuzz-decode:
 # read exactly as a walk from the segment header does.
 fuzz-wal:
 	$(GO) test -fuzz FuzzReadTailSegment -fuzztime 60s ./internal/store/
+
+# fuzz-typo fuzzes typo.Classify and ClassifyLocal, which decide by the
+# edit before they generate, against a plain scan of the generated
+# candidates: same membership, same kind, for any pair of names.
+fuzz-typo:
+	$(GO) test -fuzz FuzzClassifyMatchesGeneration -fuzztime 60s ./internal/typo/

@@ -78,7 +78,7 @@ func ConfigForScale(s Scale) world.Config {
 }
 
 // Study is a completed simulation + analysis. Handle it by pointer: it
-// carries the sync.Once that guards Detections.
+// carries the sync.Onces that guard Detections and Figure 7.
 type Study struct {
 	World      *world.World
 	Engine     *delivery.Engine
@@ -88,6 +88,8 @@ type Study struct {
 	Detections *analysis.Detections // assignable; left nil, computed on first use
 
 	detOnce  sync.Once
+	durOnce  sync.Once
+	dur      analysis.DurationsFigure
 	partials *analysis.PartialSet // lazily built by Partials
 }
 
@@ -102,6 +104,14 @@ func (s *Study) detections() *analysis.Detections {
 		}
 	})
 	return s.Detections
+}
+
+// durations infers Figure 7 the first time fig7, advice or Summary
+// needs it: one episode pass per study, however many sections and
+// report requests read it.
+func (s *Study) durations() analysis.DurationsFigure {
+	s.durOnce.Do(func() { s.dur = s.Analysis.Durations(s.detections()) })
+	return s.dur
 }
 
 // Generate builds a world and delivers its full 15-month workload,

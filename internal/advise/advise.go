@@ -110,9 +110,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// Run evaluates every rule over the corpus. sq may be nil (the
+// Run evaluates every rule over the corpus. fig is Figure 7 as
+// a.Durations(det) infers it — the caller's, so a report that also
+// prints the figure walks the corpus for it once. sq may be nil (the
 // squatting rules are skipped).
-func Run(a *analysis.Analysis, det *analysis.Detections, sq *squat.Result, cfg Config) []Advisory {
+func Run(a *analysis.Analysis, det *analysis.Detections, fig analysis.DurationsFigure, sq *squat.Result, cfg Config) []Advisory {
 	if cfg.MaxPerRule <= 0 {
 		cfg = DefaultConfig()
 	}
@@ -120,8 +122,8 @@ func Run(a *analysis.Analysis, det *analysis.Detections, sq *squat.Result, cfg C
 	out = append(out, communityRules(a)...)
 	out = append(out, senderESPRules(a, cfg)...)
 	out = append(out, receiverESPRules(a, cfg)...)
-	out = append(out, domainManagerRules(a, det, cfg)...)
-	out = append(out, userRules(a, det, cfg)...)
+	out = append(out, domainManagerRules(fig, cfg)...)
+	out = append(out, userRules(det, fig, cfg)...)
 	if sq != nil {
 		out = append(out, squattingRules(sq, cfg)...)
 	}
@@ -221,9 +223,8 @@ func receiverESPRules(a *analysis.Analysis, cfg Config) []Advisory {
 }
 
 // domainManagerRules: auth and MX episodes.
-func domainManagerRules(a *analysis.Analysis, det *analysis.Detections, cfg Config) []Advisory {
+func domainManagerRules(fig analysis.DurationsFigure, cfg Config) []Advisory {
 	var out []Advisory
-	fig := a.Durations(det)
 	if fig.AuthDKIMSPF.Entities > 0 {
 		mean := fig.AuthDKIMSPF.MeanDays()
 		sev := Warning
@@ -253,9 +254,8 @@ func domainManagerRules(a *analysis.Analysis, det *analysis.Detections, cfg Conf
 }
 
 // userRules: full mailboxes, inactive accounts, typo'd contacts.
-func userRules(a *analysis.Analysis, det *analysis.Detections, cfg Config) []Advisory {
+func userRules(det *analysis.Detections, fig analysis.DurationsFigure, cfg Config) []Advisory {
 	var out []Advisory
-	fig := a.Durations(det)
 	if n := fig.MailboxFull.Entities; n > 0 {
 		longShare := fig.MailboxFull.ShareAtLeast(cfg.FullMailboxDaysWarn)
 		out = append(out, Advisory{

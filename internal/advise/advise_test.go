@@ -81,9 +81,16 @@ func env() *analysis.Environment {
 	}
 }
 
+// run evaluates the rules over a with the detections and the Figure 7
+// inferred from it, as a report does.
+func run(a *analysis.Analysis, sq *squat.Result) []Advisory {
+	det := a.Detect()
+	return Run(a, det, a.Durations(det), sq, DefaultConfig())
+}
+
 func TestRulesFire(t *testing.T) {
 	a := analysis.New(corpus(), env())
-	advs := Run(a, a.Detect(), nil, DefaultConfig())
+	advs := run(a, nil)
 	bySubject := map[string]Advisory{}
 	for _, adv := range advs {
 		bySubject[adv.Subject] = adv
@@ -113,7 +120,7 @@ func TestRulesFire(t *testing.T) {
 
 func TestAdvisoriesSortedBySeverity(t *testing.T) {
 	a := analysis.New(corpus(), env())
-	advs := Run(a, a.Detect(), nil, DefaultConfig())
+	advs := run(a, nil)
 	for i := 1; i < len(advs); i++ {
 		if advs[i].Severity > advs[i-1].Severity {
 			t.Fatalf("advisories not sorted by severity at %d", i)
@@ -133,7 +140,7 @@ func TestSquattingRules(t *testing.T) {
 		},
 	}
 	a := analysis.New(corpus(), nil)
-	advs := Run(a, a.Detect(), sq, DefaultConfig())
+	advs := run(a, sq)
 	found := 0
 	for _, adv := range advs {
 		switch adv.Subject {
@@ -165,7 +172,7 @@ func TestCleanCorpusFewAdvisories(t *testing.T) {
 		clean = append(clean, rec("a@s.com", "t@x.com", day(i*50), tpl(ndr.T14Timeout, "t@x.com"), "250 OK"))
 	}
 	a := analysis.New(clean, nil)
-	advs := Run(a, a.Detect(), nil, DefaultConfig())
+	advs := run(a, nil)
 	for _, adv := range advs {
 		if adv.Severity == Critical {
 			t.Errorf("clean corpus produced critical advisory: %+v", adv)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dataset"
 	"repro/internal/ndr"
+	"repro/internal/typo"
 )
 
 var t0 = clock.StudyStart.Add(12 * time.Hour)
@@ -189,10 +190,20 @@ func TestPipelineStats(t *testing.T) {
 }
 
 func TestDetectTypos(t *testing.T) {
-	a := buildAnalysis(t)
+	// Beside the corpus's own typo pair, a bounced address that spells
+	// its domain in another case: domains compare case-insensitively
+	// (RFC 5321 §2.4), so it still meets the sender's working contact.
+	at := clock.StudyStart.AddDate(0, 0, 50)
+	a := New(append(testCorpus(),
+		rec("typist@s.com", "carol.jones@ok.com", at, "250 OK"),
+		rec("typist@s.com", "carol.jnes@OK.com", at, renderT(ndr.T8NoSuchUser, "carol.jnes@OK.com")),
+	), nil)
 	d := a.Detect()
 	if _, ok := d.UsernameTypos["alice.smth@ok.com"]; !ok {
 		t.Errorf("username typo not detected: %v", d.UsernameTypos)
+	}
+	if k, ok := d.UsernameTypos["carol.jnes@OK.com"]; !ok || k != typo.Omission {
+		t.Errorf("username typo under a mixed-case domain: %v %v in %v", k, ok, d.UsernameTypos)
 	}
 	if _, ok := d.DomainTypos["okk.com"]; !ok {
 		t.Errorf("domain typo okk.com not detected: %v (never-resolved %v)", d.DomainTypos, d.NeverResolved)
@@ -473,5 +484,21 @@ func TestBlocklistRecovery(t *testing.T) {
 	}
 	if r.AvgAttempts != 3 {
 		t.Errorf("avg attempts %g want 3", r.AvgAttempts)
+	}
+}
+
+func TestContainsFoldMatchesToLower(t *testing.T) {
+	for _, s := range []string{
+		"", "inactiv", "inactive", "550 5.2.1 account INACTIVE and disabled", "InAcTiVe", "xinactivex",
+		"in active", "inactivE", "ininactive", "İNACTİVE", "İnactive mailbox", "posta kutusu inaktif é",
+		"inactive é", "\xffinactive", "\xffINACTIVE",
+	} {
+		if got, want := containsFold(s, "inactive"), strings.Contains(strings.ToLower(s), "inactive"); got != want {
+			t.Errorf("containsFold(%q) = %v, strings.ToLower says %v", s, got, want)
+		}
+	}
+	line := "550-5.2.1 The email account that you tried to reach is inactive and has been disabled (V1)"
+	if n := testing.AllocsPerRun(100, func() { containsFold(line, "inactive") }); n != 0 {
+		t.Errorf("containsFold allocates %v times on an ASCII line", n)
 	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/dataset"
 	"repro/internal/ndr"
@@ -224,7 +225,7 @@ func (dc *detectCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
 		case ndr.T9MailboxFull:
 			dc.full[rec.To] = true
 		case ndr.T8NoSuchUser:
-			if strings.Contains(strings.ToLower(rec.DeliveryResult[j]), "inactive") {
+			if containsFold(rec.DeliveryResult[j], "inactive") {
 				dc.inactive[rec.To] = true
 			}
 		}
@@ -444,6 +445,7 @@ func (dc *detectCollector) result(env *Environment, rank []dataset.RankEntry) *D
 	// writes across senders stay deterministic.
 	for _, from := range sortedKeys(dc.perFrom) {
 		s := dc.perFrom[from]
+		sorted := map[string][]string{} // receiver domain -> s.okBy[domain], sorted once
 		for failedAddr := range s.failed {
 			if _, done := d.UsernameTypos[failedAddr]; done {
 				continue
@@ -452,11 +454,20 @@ func (dc *detectCollector) result(env *Environment, rank []dataset.RankEntry) *D
 			if dpos < 0 {
 				continue
 			}
-			flocal, fdomain := failedAddr[:dpos], failedAddr[dpos+1:]
-			okLocals := append([]string(nil), s.okBy[fdomain]...)
-			sort.Strings(okLocals)
+			// Add files okBy under the lower-cased domain (RFC 5321 §2.4:
+			// domains compare case-insensitively), so look it up the same way.
+			flocal, fdomain := failedAddr[:dpos], strings.ToLower(failedAddr[dpos+1:])
+			okLocals, ok := sorted[fdomain]
+			if !ok {
+				okLocals = append([]string(nil), s.okBy[fdomain]...)
+				sort.Strings(okLocals)
+				sorted[fdomain] = okLocals
+			}
 			for _, okLocal := range okLocals {
-				if okLocal == flocal || typo.Similarity(flocal, okLocal) <= 0.9 {
+				// Similarity first: most of a sender's contacts are one
+				// edit from one another ("u12", "u13") but too short to
+				// be 90 % alike, and for those it is the cheap test.
+				if typo.Similarity(flocal, okLocal) <= 0.9 {
 					continue
 				}
 				if kind, ok := typo.ClassifyLocal(flocal, okLocal); ok {
@@ -490,6 +501,27 @@ func (dc *detectCollector) result(env *Environment, rank []dataset.RankEntry) *D
 		}
 	}
 	return d
+}
+
+// containsFold reports whether strings.ToLower(s) contains sub, which
+// must be lower-case ASCII letters, without building the lowered copy.
+func containsFold(s, sub string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			// Rare: runes outside ASCII can fold into it (İ → i).
+			return strings.Contains(strings.ToLower(s), sub)
+		}
+	}
+	for i := 0; i+len(sub) <= len(s); i++ {
+		j := 0
+		for j < len(sub) && s[i+j]|0x20 == sub[j] { // sub is letters: |0x20 folds exactly A–Z onto them
+			j++
+		}
+		if j == len(sub) {
+			return true
+		}
+	}
+	return false
 }
 
 func localOf(addr string) string {

@@ -24,3 +24,14 @@ func BenchmarkSimilarity(b *testing.B) {
 		Similarity("alice.smith", "alice.smth")
 	}
 }
+
+// BenchmarkClassifyMiss times what a detection pass mostly does: a
+// pair that is no typo of one another.
+func BenchmarkClassifyMiss(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := Classify("mail-gateway7.example.net", "hotmail.com"); ok {
+			b.Fatal("match")
+		}
+	}
+}

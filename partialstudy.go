@@ -43,13 +43,15 @@ func (s *PartialStudy) Detections() *analysis.Detections {
 	return s.det
 }
 
+func (s *PartialStudy) durations() analysis.DurationsFigure { return s.P.Durations(s.Detections()) }
+
 // WriteReport renders the requested sections (default PartialSections).
 func (s *PartialStudy) WriteReport(w io.Writer, sections []Section) error {
 	if len(sections) == 0 {
 		sections = PartialSections
 	}
 	for _, sec := range sections {
-		if err := renderSection(w, s.P, s.Detections, s.P.Total, sec); err != nil {
+		if err := renderSection(w, s.P, s.Detections, s.durations, s.P.Total, sec); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)

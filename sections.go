@@ -28,7 +28,6 @@ type sectionSource interface {
 	MTACountryDistribution() []analysis.MTACountry
 	Timeline() analysis.Timeline
 	BlocklistFigure() analysis.BlocklistFigure
-	Durations(*analysis.Detections) analysis.DurationsFigure
 	InfraMatrix(int, int) analysis.InfraMatrix
 	LatencyByCountry(int) analysis.LatencyStats
 	STARTTLS() analysis.STARTTLSStats
@@ -38,8 +37,9 @@ type sectionSource interface {
 
 // renderSection writes one section from any source. total is the
 // record count (scales the representativeness threshold); det resolves
-// the entity detections, and only the attribution sections call it.
-func renderSection(w io.Writer, src sectionSource, det func() *analysis.Detections, total int, sec Section) error {
+// the entity detections and dur Figure 7 on top of them, and only the
+// sections that print them call them.
+func renderSection(w io.Writer, src sectionSource, det func() *analysis.Detections, dur func() analysis.DurationsFigure, total int, sec Section) error {
 	threshold := countryThreshold(total)
 	switch sec {
 	case SecOverview:
@@ -70,7 +70,7 @@ func renderSection(w io.Writer, src sectionSource, det func() *analysis.Detectio
 	case SecFig6:
 		report.Fig6(w, src.BlocklistFigure())
 	case SecFig7:
-		report.Fig7(w, src.Durations(det()))
+		report.Fig7(w, dur())
 	case SecFig8:
 		report.Fig8(w, src.InfraMatrix(threshold, 20))
 	case SecFig10:
@@ -100,9 +100,9 @@ func (s *Study) writeSection(w io.Writer, sec Section) error {
 		report.Squat(w, s.Squat(squat.DefaultConfig()))
 	case SecAdvice:
 		sq := s.Squat(squat.DefaultConfig())
-		report.Advisories(w, advise.Run(s.Analysis, s.detections(), sq, advise.DefaultConfig()))
+		report.Advisories(w, advise.Run(s.Analysis, s.detections(), s.durations(), sq, advise.DefaultConfig()))
 	default:
-		return renderSection(w, s.Analysis, s.detections, s.Records.Len(), sec)
+		return renderSection(w, s.Analysis, s.detections, s.durations, s.Records.Len(), sec)
 	}
 	return nil
 }

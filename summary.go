@@ -113,7 +113,7 @@ func (s *Study) Summary() Summary {
 	out.BlocklistNormalPct = bl.NormalShare * 100
 	out.BlocklistRecoveryPct = a.BlocklistRecovery().RecoveryShare() * 100
 
-	dur := a.Durations(s.detections())
+	dur := s.durations()
 	out.AuthFixMeanDays = dur.AuthDKIMSPF.MeanDays()
 	out.MXFixMedianDays = dur.MXRecords.MedianDays()
 	out.FullFixMedianDays = dur.MailboxFull.MedianDays()
