@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-wal fuzz-typo chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-wal fuzz-typo fuzz-ebrc chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -80,9 +80,10 @@ chaos-shard-failover:
 # race-parallel focuses the race detector on the parallel delivery,
 # streaming, decode, and incremental-snapshot paths, on commit's
 # ordering lock from all three of its sources and on concurrent reports
-# over one cached study (fast enough for every commit).
+# and partial aggregates over one cached study (fast enough for every
+# commit).
 race-parallel:
-	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|Frozen|Decoder|Commit|ApplyBatch|SourceEquivalence|StudyDurations' ./...
+	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|Frozen|Decoder|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -148,3 +149,9 @@ fuzz-wal:
 # candidates: same membership, same kind, for any pair of names.
 fuzz-typo:
 	$(GO) test -fuzz FuzzClassifyMatchesGeneration -fuzztime 60s ./internal/typo/
+
+# fuzz-ebrc fuzzes the in-place token walk ebrc.Train and Predict run
+# against ebrc.Tokenize, which stays the definition: same tokens, same
+# order, same vocabulary ids, for arbitrary bytes.
+fuzz-ebrc:
+	$(GO) test -fuzz FuzzTokensMatchTokenize -fuzztime 60s ./internal/ebrc/

@@ -6,6 +6,7 @@
 package bounce_test
 
 import (
+	"io"
 	"sync"
 	"testing"
 
@@ -327,6 +328,47 @@ func BenchmarkAttackerAnalysis(b *testing.B) {
 		d = s.Analysis.Detect()
 	}
 	b.ReportMetric(float64(len(d.BulkSpamSenders)), "bulk-senders")
+}
+
+// BenchmarkReportCold is what a node does for the first report after an
+// ingest — a cold snapshot (finish the pipelines, classify every
+// record), Detect, every section — over the default world at the
+// process benchmark's 80k emails, without the process harness. no-env
+// is the benchmark's node (-no-env); env adds the leak-corpus, geo and
+// registry sections it skips.
+func BenchmarkReportCold(b *testing.B) {
+	cfg := world.DefaultConfig()
+	cfg.TotalEmails = 80_000
+	w, records := bounce.GenerateParallel(cfg, 2)
+	inc := analysis.NewIncremental(analysis.DefaultPipelineConfig())
+	inc.AddBatch(records)
+	state, err := inc.CaptureState().MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, node := range []struct {
+		name string
+		env  *analysis.Environment
+	}{{"no-env", nil}, {"env", bounce.NewEnvironment(w)}} {
+		b.Run(node.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// A restored accumulator has no previous snapshot to
+				// finish warm against.
+				b.StopTimer()
+				inc, err := analysis.RestoreIncremental(state)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				a := inc.Snapshot(node.env)
+				st := &bounce.Study{Records: a.Records, Analysis: a, Detections: a.Detect()}
+				if err := st.WriteReport(io.Discard, bounce.AllSections); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // ---- EBRC (Section 3.2 evaluation) ----

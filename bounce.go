@@ -78,7 +78,7 @@ func ConfigForScale(s Scale) world.Config {
 }
 
 // Study is a completed simulation + analysis. Handle it by pointer: it
-// carries the sync.Onces that guard Detections and Figure 7.
+// carries the sync.Onces that guard Detections, Figure 7 and Partials.
 type Study struct {
 	World      *world.World
 	Engine     *delivery.Engine
@@ -87,10 +87,11 @@ type Study struct {
 	Analysis   *analysis.Analysis
 	Detections *analysis.Detections // assignable; left nil, computed on first use
 
-	detOnce  sync.Once
-	durOnce  sync.Once
-	dur      analysis.DurationsFigure
-	partials *analysis.PartialSet // lazily built by Partials
+	detOnce      sync.Once
+	durOnce      sync.Once
+	dur          analysis.DurationsFigure
+	partialsOnce sync.Once
+	partials     *analysis.PartialSet
 }
 
 // detections resolves the entity detections the first time a section
@@ -255,7 +256,7 @@ var AllSections = []Section{
 // bounceanalyze -section, bounced -flush-sections and ?section= on a
 // node or a coordinator. Empty and "all" select all; blanks around an
 // entry and empty entries are dropped. Names are not checked here:
-// WriteReport rejects an unknown one.
+// CheckSections does, and WriteReport rejects an unknown one.
 func ParseSections(arg string, all []Section) []Section {
 	if arg == "" || arg == "all" {
 		return all

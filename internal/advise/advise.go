@@ -354,11 +354,11 @@ func NotificationPlan(a *analysis.Analysis, sq *squat.Result, start time.Time) [
 	var order []string
 	reason := map[string]string{}
 	for i := 0; i < a.Records.Len(); i++ {
-		rec := a.Records.At(i)
+		rec, to := a.Records.At(i), a.Classified[i].ToDomain
 		var subj string
 		switch {
-		case vulnDomains[rec.ToDomain()]:
-			subj = "the domain " + rec.ToDomain() + " you email is registrable by squatters"
+		case vulnDomains[to]:
+			subj = "the domain " + to + " you email is registrable by squatters"
 		case vulnUsers[rec.To]:
 			subj = "the address " + rec.To + " you email is registrable by squatters"
 		default:

@@ -31,18 +31,45 @@ type Environment struct {
 	ProxyRegion map[string]string // proxy IP -> country code
 }
 
-// ClassifiedRecord is one record run through the bounce pipeline.
+// ClassifiedRecord is one record run through the bounce pipeline: its
+// verdict, and the record's own facts every later pass asks for
+// (Degree, the two domains, Succeeded), derived once by the classify
+// pass — which reads the record anyway — so that a pass over the
+// non-bounced five sixths of a corpus reads the verdict slice in order
+// and never follows a pointer into record memory.
 type ClassifiedRecord struct {
 	Degree dataset.Degree
+	// FromDomain and ToDomain are rec.FromDomain() and rec.ToDomain():
+	// the lower-cased sender and receiver domain.
+	FromDomain, ToDomain string
 	// AttemptTypes aligns with DeliveryResult; TNone for accepted
 	// attempts.
 	AttemptTypes []ndr.Type
 	// Types is the set of distinct non-ambiguous bounce types across
 	// failed attempts.
 	Types []ndr.Type
+	// Succeeded is rec.Succeeded(): the final attempt was accepted.
+	Succeeded bool
 	// Ambiguous reports that every failed attempt carried only
 	// ambiguous NDR text — the 6M emails the paper excludes.
 	Ambiguous bool
+}
+
+// setFacts fills in what needs no pipeline, in place: the verdict is
+// 96 bytes and the classify pass makes one per record.
+func (c *ClassifiedRecord) setFacts(rec *dataset.Record) {
+	c.Degree = rec.BounceDegree()
+	c.FromDomain = rec.FromDomain()
+	c.ToDomain = rec.ToDomain()
+	c.Succeeded = rec.Succeeded()
+}
+
+// failed reports whether the record is anything but cleanly delivered:
+// some attempt was refused (AttemptTypes[i] != TNone, whichever line it
+// was — an ingested record may open with a 2xx and carry an NDR after
+// it, so Degree does not say) or none was made.
+func (c *ClassifiedRecord) failed() bool {
+	return !c.Succeeded || c.Ambiguous || len(c.Types) > 0
 }
 
 // HasType reports whether t appears among the record's bounce types.
@@ -77,8 +104,8 @@ func New(records []dataset.Record, env *Environment) *Analysis {
 	verdicts := make([]ClassifiedRecord, len(records))
 	classifyRange(sp, view, verdicts)
 	counts := make(map[string]int, 64)
-	for i := range records {
-		counts[records[i].ToDomain()]++
+	for i := range verdicts {
+		counts[verdicts[i].ToDomain]++
 	}
 	return assemble(view, verdicts, sp, counts, env)
 }
@@ -106,8 +133,8 @@ func NewFromSource(src dataset.RecordSource, cfg PipelineConfig, env *Environmen
 
 // ClassifyRecord runs one record's attempt replies through the trained
 // pipeline.
-func (p *Pipeline) ClassifyRecord(rec *dataset.Record) ClassifiedRecord {
-	c := ClassifiedRecord{Degree: rec.BounceDegree()}
+func (p *Pipeline) ClassifyRecord(rec *dataset.Record) (c ClassifiedRecord) {
+	c.setFacts(rec)
 	c.AttemptTypes = make([]ndr.Type, len(rec.DeliveryResult))
 	seen := map[ndr.Type]bool{}
 	failed, ambiguousOnly := 0, true

@@ -46,7 +46,7 @@ func (cx *ClassifyCtx) matcher(shard int) *drain.Matcher {
 // classifies it through the ctx's reusable buffers. The returned
 // verdict's slices are arena-backed: immutable once returned, valid
 // indefinitely, full-capacity (appends copy out).
-func (cx *ClassifyCtx) ClassifyRecord(rec *dataset.Record) ClassifiedRecord {
+func (cx *ClassifyCtx) ClassifyRecord(rec *dataset.Record) (c ClassifiedRecord) {
 	shard := 0
 	if len(cx.sp.Shards) > 1 {
 		shard = StreamOf(rec)
@@ -54,7 +54,7 @@ func (cx *ClassifyCtx) ClassifyRecord(rec *dataset.Record) ClassifiedRecord {
 	p := cx.sp.Shards[shard]
 	m := cx.matcher(shard)
 
-	c := ClassifiedRecord{Degree: rec.BounceDegree()}
+	c.setFacts(rec)
 	n := len(rec.DeliveryResult)
 	if n == 0 {
 		c.AttemptTypes = emptyTypes

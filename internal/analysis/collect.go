@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/ndr"
@@ -57,6 +56,22 @@ func (a *Analysis) visit(cs ...Collector) {
 	}
 }
 
+// bouncedFirst is how Detect and Durations walk a whole corpus: failed
+// over the records with a failed attempt — the sixth that names every
+// entity the detections reason about — and only then every over all of
+// them, in record order both times, so every can tell which of a
+// delivered record's contributions a bounce made worth keeping.
+func (a *Analysis) bouncedFirst(failed, every func(*dataset.Record, *ClassifiedRecord)) {
+	for i := range a.Classified {
+		if c := &a.Classified[i]; c.failed() {
+			failed(a.Records.At(i), c)
+		}
+	}
+	for i := range a.Classified {
+		every(a.Records.At(i), &a.Classified[i])
+	}
+}
+
 // CollectStream classifies records from src on the fly and feeds them
 // to the collectors without retaining them — single-pass aggregation
 // for datasets larger than memory. The classifier must already be
@@ -83,14 +98,14 @@ type overviewCollector struct {
 	softAttempts int
 }
 
-func (oc *overviewCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
+func (oc *overviewCollector) Add(_ *dataset.Record, c *ClassifiedRecord) {
 	oc.o.Total++
 	switch c.Degree {
 	case dataset.NonBounced:
 		oc.o.NonBounced++
 	case dataset.SoftBounced:
 		oc.o.SoftBounced++
-		oc.softAttempts += rec.Attempts()
+		oc.softAttempts += len(c.AttemptTypes)
 	default:
 		oc.o.HardBounced++
 	}
@@ -207,13 +222,16 @@ type enhancedCollector struct {
 	with, total int
 }
 
-func (ec *enhancedCollector) Add(rec *dataset.Record, _ *ClassifiedRecord) {
-	for _, line := range rec.DeliveryResult {
-		if strings.HasPrefix(line, "2") {
+func (ec *enhancedCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
+	if !c.failed() {
+		return // no NDR line, and no need to look
+	}
+	for j, t := range c.AttemptTypes {
+		if t == ndr.TNone {
 			continue
 		}
 		ec.total++
-		if ndr.HasEnhancedCode(line) {
+		if ndr.HasEnhancedCode(rec.DeliveryResult[j]) {
 			ec.with++
 		}
 	}

@@ -92,6 +92,10 @@ type durationsCollector struct {
 	okByDom  map[string][]int64         // receiver domain -> non-T2 success ends
 	fullBad  map[string][]int64         // recipient -> T9 bounce starts
 	okByAddr map[string][]int64         // recipient -> non-T9 success ends
+
+	// scoped: fed a whole corpus bounced first (Analysis.Durations), as
+	// detectCollector.scoped. A partial is never scoped.
+	scoped bool
 }
 
 func newDurationsCollector() *durationsCollector {
@@ -107,30 +111,51 @@ func newDurationsCollector() *durationsCollector {
 }
 
 func (uc *durationsCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
-	from := rec.FromDomain()
-	to := rec.ToDomain()
+	if c.failed() {
+		uc.addFailed(rec, c)
+	}
+	uc.addRecord(rec, c)
+}
+
+// addFailed files the bad events: when an auth failure (T3), an MX
+// error (T2) or a full mailbox (T9) bounced the record, and for T3 at
+// which receiver.
+func (uc *durationsCollector) addFailed(rec *dataset.Record, c *ClassifiedRecord) {
 	if c.HasType(ndr.T3AuthFail) {
-		uc.authBad[from] = append(uc.authBad[from], rec.StartTime.UnixNano())
-		set := uc.authRcvr[from]
+		uc.authBad[c.FromDomain] = append(uc.authBad[c.FromDomain], rec.StartTime.UnixNano())
+		set := uc.authRcvr[c.FromDomain]
 		if set == nil {
 			set = map[string]bool{}
-			uc.authRcvr[from] = set
+			uc.authRcvr[c.FromDomain] = set
 		}
-		set[to] = true
-	}
-	if rec.Succeeded() {
-		k := from + "\x00" + to
-		uc.authOk[k] = append(uc.authOk[k], rec.EndTime.UnixNano())
+		set[c.ToDomain] = true
 	}
 	if c.HasType(ndr.T2ReceiverDNS) {
-		uc.mxBad[to] = append(uc.mxBad[to], rec.StartTime.UnixNano())
-	} else if rec.Succeeded() {
-		uc.okByDom[to] = append(uc.okByDom[to], rec.EndTime.UnixNano())
+		uc.mxBad[c.ToDomain] = append(uc.mxBad[c.ToDomain], rec.StartTime.UnixNano())
 	}
 	if c.HasType(ndr.T9MailboxFull) {
 		uc.fullBad[rec.To] = append(uc.fullBad[rec.To], rec.StartTime.UnixNano())
-	} else if rec.Succeeded() {
-		uc.okByAddr[rec.To] = append(uc.okByAddr[rec.To], rec.EndTime.UnixNano())
+	}
+}
+
+// addRecord files the good events: when a delivery succeeded, for the
+// (sender, receiver), the receiver domain and the recipient. resolve
+// reads an entity's good events only beside its bad ones, so a scoped
+// collector keeps them only for an entity addFailed has named.
+func (uc *durationsCollector) addRecord(rec *dataset.Record, c *ClassifiedRecord) {
+	if !c.Succeeded {
+		return
+	}
+	end := rec.EndTime.UnixNano()
+	if !uc.scoped || uc.authRcvr[c.FromDomain][c.ToDomain] {
+		k := c.FromDomain + "\x00" + c.ToDomain
+		uc.authOk[k] = append(uc.authOk[k], end)
+	}
+	if !c.HasType(ndr.T2ReceiverDNS) && (!uc.scoped || uc.mxBad[c.ToDomain] != nil) {
+		uc.okByDom[c.ToDomain] = append(uc.okByDom[c.ToDomain], end)
+	}
+	if !c.HasType(ndr.T9MailboxFull) && (!uc.scoped || uc.fullBad[rec.To] != nil) {
+		uc.okByAddr[rec.To] = append(uc.okByAddr[rec.To], end)
 	}
 }
 
@@ -274,10 +299,12 @@ func (uc *durationsCollector) resolve(det *Detections) DurationsFigure {
 	return fig
 }
 
-// Durations infers Figure 7 from the dataset alone.
+// Durations infers Figure 7 from the dataset alone: the bad events
+// first, then the good events of the entities that had one.
 func (a *Analysis) Durations(det *Detections) DurationsFigure {
 	uc := newDurationsCollector()
-	a.visit(uc)
+	uc.scoped = true
+	a.bouncedFirst(uc.addFailed, uc.addRecord)
 	return uc.resolve(det)
 }
 

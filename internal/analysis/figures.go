@@ -475,11 +475,11 @@ func newLatencyCollector(db *geo.DB) *latencyCollector {
 	return &latencyCollector{geo: db, perCC: map[string][]float64{}}
 }
 
-func (lc *latencyCollector) Add(rec *dataset.Record, _ *ClassifiedRecord) {
+func (lc *latencyCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
 	if lc.geo == nil {
 		return
 	}
-	if !rec.Succeeded() {
+	if !c.Succeeded {
 		return
 	}
 	// Latency of the successful (final) attempt.
@@ -603,9 +603,9 @@ func newSTARTTLSCollector() *starttlsCollector {
 	return &starttlsCollector{mandating: map[string]bool{}}
 }
 
-func (sc *starttlsCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
+func (sc *starttlsCollector) Add(_ *dataset.Record, c *ClassifiedRecord) {
 	if c.HasType(ndr.T4STARTTLS) {
-		sc.mandating[rec.ToDomain()] = true
+		sc.mandating[c.ToDomain] = true
 		sc.softBounced++
 	}
 }
@@ -719,7 +719,7 @@ func (fc *filterCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
 	isT13 := c.HasType(ndr.T13ContentSpam)
 	if rec.EmailFlag == "Spam" {
 		fc.f.SenderSpamTotal++
-		if rec.Succeeded() || !isT13 {
+		if c.Succeeded || !isT13 {
 			fc.f.SenderSpamNotSpamAtReceiver++
 		}
 	}
@@ -727,7 +727,7 @@ func (fc *filterCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
 		fc.f.ReceiverSpamTotal++
 		if rec.EmailFlag != "Spam" {
 			fc.f.ReceiverSpamFlaggedNormal++
-			if n := rec.Attempts(); n > 1 {
+			if n := len(c.AttemptTypes); n > 1 {
 				fc.f.NormalSpamRetryAttempts += n - 1
 			}
 		}
@@ -799,14 +799,14 @@ type recoveryCollector struct {
 	attempts int
 }
 
-func (rc *recoveryCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
+func (rc *recoveryCollector) Add(_ *dataset.Record, c *ClassifiedRecord) {
 	if !c.HasType(ndr.T5Blocklisted) {
 		return
 	}
 	rc.out.Affected++
-	if rec.Succeeded() {
+	if c.Succeeded {
 		rc.out.Recovered++
-		rc.attempts += rec.Attempts()
+		rc.attempts += len(c.AttemptTypes)
 	}
 }
 

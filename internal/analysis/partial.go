@@ -179,7 +179,7 @@ func NewPartialSet(env *Environment) *PartialSet {
 // so it plugs into visit and CollectStream directly.
 func (ps *PartialSet) Add(rec *dataset.Record, c *ClassifiedRecord) {
 	ps.Total++
-	ps.Counts[rec.ToDomain()]++
+	ps.Counts[c.ToDomain]++
 	ps.rank, ps.rankPos = nil, nil
 	for _, np := range ps.cols {
 		np.c.Add(rec, c)

@@ -100,10 +100,13 @@ type Detections struct {
 	FullMailboxes map[string]bool
 }
 
-// Detect runs the entity detections over the classified corpus.
+// Detect runs the entity detections over the classified corpus: what
+// the bounced records name first, then what all records say about it.
 func (a *Analysis) Detect() *Detections {
 	dc := newDetectCollector()
-	a.visit(dc)
+	dc.scoped = true
+	dc.breach = a.Env != nil && a.Env.Breach != nil
+	a.bouncedFirst(dc.addFailed, dc.addRecord)
 	return dc.result(a.Env, a.rank)
 }
 
@@ -143,6 +146,14 @@ type detectCollector struct {
 	resolved map[string]uint8
 	inactive map[string]bool
 	full     map[string]bool
+
+	// scoped says the collector is fed a whole corpus bounced first
+	// (Analysis.Detect): addFailed has seen every failed attempt before
+	// addRecord sees its first record, so addRecord leaves out what
+	// result then provably never reads. A partial is never scoped — the
+	// bounce that makes a delivery matter may be on another shard.
+	scoped bool
+	breach bool // scoped: result has a leak corpus to ask, so recipient sets and bulk counts are read
 }
 
 func newDetectCollector() *detectCollector {
@@ -157,69 +168,55 @@ func newDetectCollector() *detectCollector {
 	}
 }
 
-func (dc *detectCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
-	fromDom := rec.FromDomain()
-	toDom := rec.ToDomain()
-	isT8 := c.HasType(ndr.T8NoSuchUser)
-
-	s := dc.senders[fromDom]
+func (dc *detectCollector) sender(domain string) *detectSender {
+	s := dc.senders[domain]
 	if s == nil {
 		s = &detectSender{recipients: map[string]bool{}, t8PerRcvr: map[string]int{}}
-		dc.senders[fromDom] = s
+		dc.senders[domain] = s
 	}
-	s.total++
-	s.recipients[rec.To] = true
-	if isT8 {
-		s.t8PerRcvr[toDom]++
-	}
+	return s
+}
 
-	pk := fromDom + "\x00" + toDom + "\x00" + rec.To
-	if rec.Succeeded() {
-		dc.pairs[pk]++
-	} else if _, ok := dc.pairs[pk]; !ok {
-		dc.pairs[pk] = 0
-	}
-
-	b := dc.bulk[fromDom]
-	if b == nil {
-		b = &bulkAgg{}
-		dc.bulk[fromDom] = b
-	}
-	b.emails++
-	switch c.Degree {
-	case dataset.HardBounced:
-		b.hard++
-	case dataset.SoftBounced:
-		b.soft++
-	}
-
-	io := dc.perFrom[rec.From]
+func (dc *detectCollector) from(addr string) *detectIO {
+	io := dc.perFrom[addr]
 	if io == nil {
 		io = &detectIO{failed: map[string]bool{}, okBy: map[string][]string{}}
-		dc.perFrom[rec.From] = io
+		dc.perFrom[addr] = io
 	}
-	if rec.Succeeded() {
-		io.okBy[toDom] = append(io.okBy[toDom], localOf(rec.To))
-	}
-	if isT8 {
-		io.failed[rec.To] = true
-	}
+	return io
+}
 
-	onlyT2 := !rec.Succeeded()
+func (dc *detectCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
+	if c.failed() {
+		dc.addFailed(rec, c)
+	}
+	dc.addRecord(rec, c)
+}
+
+// onlyT2 reports whether the record never got past the receiver's DNS.
+func onlyT2(c *ClassifiedRecord) bool {
+	if c.Succeeded {
+		return false
+	}
 	for _, t := range c.AttemptTypes {
 		if t != ndr.T2ReceiverDNS {
-			onlyT2 = false
-			break
+			return false
 		}
 	}
-	if onlyT2 {
-		if dc.resolved[toDom] == 0 {
-			dc.resolved[toDom] = 1
-		}
-	} else {
-		dc.resolved[toDom] = 2
-	}
+	return true
+}
 
+// addFailed files what a record's failed attempts name: the T8 count
+// per sender and receiver, the sender address's failed recipients, a
+// domain that never resolved, a full or inactive mailbox.
+func (dc *detectCollector) addFailed(rec *dataset.Record, c *ClassifiedRecord) {
+	if c.HasType(ndr.T8NoSuchUser) {
+		dc.sender(c.FromDomain).t8PerRcvr[c.ToDomain]++
+		dc.from(rec.From).failed[rec.To] = true
+	}
+	if onlyT2(c) && dc.resolved[c.ToDomain] == 0 {
+		dc.resolved[c.ToDomain] = 1
+	}
 	for j, t := range c.AttemptTypes {
 		switch t {
 		case ndr.T9MailboxFull:
@@ -232,17 +229,70 @@ func (dc *detectCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
 	}
 }
 
+// addRecord files what every record says whatever became of it: the
+// sender's total, recipients and bulk counts, the delivered count of
+// its (sender, receiver, recipient), a working contact of its sender
+// address, a receiver domain that resolved after all. Each scoped
+// exception names the one place result reads the contribution.
+func (dc *detectCollector) addRecord(rec *dataset.Record, c *ClassifiedRecord) {
+	s := dc.sender(c.FromDomain)
+	s.total++
+
+	// result asks the leak corpus about a sender's recipients, and
+	// counts a bulk sender's emails, only with a leak corpus.
+	if !dc.scoped || dc.breach {
+		s.recipients[rec.To] = true
+		b := dc.bulk[c.FromDomain]
+		if b == nil {
+			b = &bulkAgg{}
+			dc.bulk[c.FromDomain] = b
+		}
+		b.emails++
+		switch c.Degree {
+		case dataset.HardBounced:
+			b.hard++
+		case dataset.SoftBounced:
+			b.soft++
+		}
+	}
+
+	// result quantifies the pairs of a guessing sender and its victim:
+	// a receiver that T8-bounced the sender at least 30 times.
+	if !dc.scoped || s.t8PerRcvr[c.ToDomain] >= 30 {
+		pk := c.FromDomain + "\x00" + c.ToDomain + "\x00" + rec.To
+		if c.Succeeded {
+			dc.pairs[pk]++
+		} else if _, ok := dc.pairs[pk]; !ok {
+			dc.pairs[pk] = 0
+		}
+	}
+
+	// result pairs a sender address's T8-failed recipients with its
+	// working contacts: no failed recipient, no reader.
+	io := dc.perFrom[rec.From]
+	if io == nil && !dc.scoped {
+		io = dc.from(rec.From)
+	}
+	if io != nil && c.Succeeded {
+		io.okBy[c.ToDomain] = append(io.okBy[c.ToDomain], localOf(rec.To))
+	}
+
+	// result lists the domains still at 1: one addFailed never named
+	// has nothing to be promoted from.
+	if !onlyT2(c) {
+		if _, named := dc.resolved[c.ToDomain]; named || !dc.scoped {
+			dc.resolved[c.ToDomain] = 2
+		}
+	}
+}
+
 func (dc *detectCollector) Merge(other PartialCollector) error {
 	o, ok := other.(*detectCollector)
 	if !ok {
 		return mergeTypeError("detect", other)
 	}
 	for dom, s := range o.senders {
-		t := dc.senders[dom]
-		if t == nil {
-			t = &detectSender{recipients: map[string]bool{}, t8PerRcvr: map[string]int{}}
-			dc.senders[dom] = t
-		}
+		t := dc.sender(dom)
 		t.total += s.total
 		for r := range s.recipients {
 			t.recipients[r] = true
@@ -252,11 +302,7 @@ func (dc *detectCollector) Merge(other PartialCollector) error {
 		}
 	}
 	for from, io := range o.perFrom {
-		t := dc.perFrom[from]
-		if t == nil {
-			t = &detectIO{failed: map[string]bool{}, okBy: map[string][]string{}}
-			dc.perFrom[from] = t
-		}
+		t := dc.from(from)
 		for f := range io.failed {
 			t.failed[f] = true
 		}
@@ -558,11 +604,11 @@ func (cc *causeCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
 	for _, t := range c.Types {
 		switch t {
 		case ndr.T8NoSuchUser:
-			cc.t8[rec.FromDomain()+"\x00"+rec.ToDomain()+"\x00"+rec.To]++
+			cc.t8[c.FromDomain+"\x00"+c.ToDomain+"\x00"+rec.To]++
 		case ndr.T13ContentSpam:
-			cc.t13[rec.FromDomain()]++
+			cc.t13[c.FromDomain]++
 		case ndr.T2ReceiverDNS:
-			cc.t2[rec.ToDomain()]++
+			cc.t2[c.ToDomain]++
 		case ndr.T5Blocklisted:
 			cc.flat["blocklist"]++
 		case ndr.T6Greylisted:

@@ -31,11 +31,11 @@ func newDomainCollector() *domainCollector {
 	return &domainCollector{agg: map[string]*DomainStats{}}
 }
 
-func (dc *domainCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
-	d := dc.agg[rec.ToDomain()]
+func (dc *domainCollector) Add(_ *dataset.Record, c *ClassifiedRecord) {
+	d := dc.agg[c.ToDomain]
 	if d == nil {
-		d = &DomainStats{Domain: rec.ToDomain()}
-		dc.agg[rec.ToDomain()] = d
+		d = &DomainStats{Domain: c.ToDomain}
+		dc.agg[c.ToDomain] = d
 	}
 	d.Emails++
 	switch c.Degree {

@@ -2,6 +2,7 @@ package bounced_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -254,5 +255,70 @@ func TestClusterChaosTornShardStream(t *testing.T) {
 			servers[i].Close()
 			srvs[i].Abort()
 		}
+	}
+}
+
+// TestMisspeltSectionRefusedBeforeTheWork: a report request naming a
+// section the role cannot render is a 400 with WriteReport's own error
+// text, answered before the node takes a snapshot for it and before
+// the coordinator asks its shards for anything — `snapshots` and
+// `fanins` stay where they were (the parent rendered table1 first and
+// moved both).
+func TestMisspeltSectionRefusedBeforeTheWork(t *testing.T) {
+	records, env := fixture(t)
+	servers, cleanup := clusterNodes(t, records, env, 2)
+	defer cleanup()
+	counter := func(url, key string) float64 {
+		t.Helper()
+		status, b := getBody(t, url+"/v1/stats")
+		var stats map[string]any
+		if err := json.Unmarshal(b, &stats); status != http.StatusOK || err != nil {
+			t.Fatalf("stats: status %d, %v: %s", status, err, b)
+		}
+		n, ok := stats[key].(float64)
+		if !ok {
+			t.Fatalf("stats has no %q: %s", key, b)
+		}
+		return n
+	}
+	refused := func(url, sections, wantErr string) {
+		t.Helper()
+		status, b := getBody(t, url+"/v1/report?section="+sections)
+		if status != http.StatusBadRequest || !bytes.Contains(b, []byte(wantErr)) {
+			t.Fatalf("section=%s: status %d body %s, want 400 with %q", sections, status, b, wantErr)
+		}
+	}
+
+	node := servers[0].URL
+	before := counter(node, "snapshots")
+	refused(node, "table1,nope", `bounce: unknown section \"nope\"`)
+	if after := counter(node, "snapshots"); after != before {
+		t.Errorf("node: a refused report took %v snapshot(s)", after-before)
+	}
+	if status, _ := getBody(t, node+"/v1/report?section=table1,squat"); status != http.StatusOK {
+		t.Errorf("node: table1,squat is status %d, want 200", status)
+	}
+	if after := counter(node, "snapshots"); after != before+1 {
+		t.Errorf("node: a served report moved snapshots by %v, want 1", after-before)
+	}
+
+	coord, err := bounced.NewCoordinator(bounced.CoordinatorConfig{ShardURLs: []string{servers[0].URL, servers[1].URL}, Env: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(coord.Handler())
+	defer cts.Close()
+	// A coordinator's /v1/stats is itself one fan-in.
+	base := counter(cts.URL, "fanins")
+	refused(cts.URL, "table1,nope", `bounce: unknown section \"nope\"`)
+	refused(cts.URL, "table1,squat", `needs the full corpus`)
+	if after := counter(cts.URL, "fanins"); after != base+1 {
+		t.Errorf("coordinator: two refused reports fanned in %v time(s)", after-base-1)
+	}
+	if status, _ := getBody(t, cts.URL+"/v1/report?section=table1"); status != http.StatusOK {
+		t.Errorf("coordinator: table1 is status %d, want 200", status)
+	}
+	if after := counter(cts.URL, "fanins"); after != base+3 {
+		t.Errorf("coordinator: a served report and two stats calls moved fanins by %v, want 3", after-base)
 	}
 }

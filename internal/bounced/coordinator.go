@@ -273,6 +273,13 @@ func (c *Coordinator) gather(ctx context.Context) (*analysis.PartialSet, []shard
 // records; "all" means every partial-renderable section (squat and
 // advice need the raw corpus, which no coordinator holds).
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
+	sections := bounce.ParseSections(r.URL.Query().Get("section"), bounce.PartialSections)
+	// A misspelt (or corpus-only) name is refused before the shards are
+	// asked for anything.
+	if err := bounce.CheckSections(sections, bounce.PartialSections); err != nil {
+		httpError(w, http.StatusBadRequest, 0, 0, err.Error())
+		return
+	}
 	merged, _, err := c.gather(r.Context())
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, 0, 0, err.Error())
@@ -280,7 +287,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf strings.Builder
 	st := bounce.NewPartialStudy(merged)
-	if err := st.WriteReport(&buf, bounce.ParseSections(r.URL.Query().Get("section"), bounce.PartialSections)); err != nil {
+	if err := st.WriteReport(&buf, sections); err != nil {
 		httpError(w, http.StatusBadRequest, 0, 0, err.Error())
 		return
 	}

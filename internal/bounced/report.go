@@ -44,9 +44,15 @@ func (s *Server) study() *bounce.Study {
 // far: the bytes are identical to `bounceanalyze -in <file>` over a
 // file holding the same records (the differential test's invariant).
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	sections := bounce.ParseSections(r.URL.Query().Get("section"), bounce.AllSections)
+	// A misspelt name is refused before a snapshot is taken for it.
+	if err := bounce.CheckSections(sections, bounce.AllSections); err != nil {
+		httpError(w, http.StatusBadRequest, 0, 0, err.Error())
+		return
+	}
 	st := s.study()
 	var buf bytes.Buffer
-	if err := st.WriteReport(&buf, bounce.ParseSections(r.URL.Query().Get("section"), bounce.AllSections)); err != nil {
+	if err := st.WriteReport(&buf, sections); err != nil {
 		httpError(w, http.StatusBadRequest, 0, 0, err.Error())
 		return
 	}

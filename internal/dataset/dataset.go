@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // TimeLayout is the timestamp format of Figure 3.
@@ -53,8 +54,19 @@ func (r *Record) ToDomain() string { return domainOf(r.To) }
 func (r *Record) FromDomain() string { return domainOf(r.From) }
 
 func domainOf(addr string) string {
-	if i := strings.LastIndexByte(addr, '@'); i >= 0 {
-		return strings.ToLower(addr[i+1:])
+	// One backward scan finds the '@' and sees that the domain is
+	// lower-case ASCII already — true of all but a few addresses — so
+	// the common case is a substring and no second pass.
+	for i := len(addr) - 1; i >= 0; i-- {
+		switch c := addr[i]; {
+		case c == '@':
+			return addr[i+1:]
+		case c >= utf8.RuneSelf || 'A' <= c && c <= 'Z':
+			if at := strings.LastIndexByte(addr[:i], '@'); at >= 0 {
+				return strings.ToLower(addr[at+1:])
+			}
+			return ""
+		}
 	}
 	return ""
 }

@@ -100,6 +100,20 @@ func TestDomainHelpers(t *testing.T) {
 	if bad.ToDomain() != "" {
 		t.Errorf("malformed To should yield empty domain")
 	}
+	// domainOf's one backward scan against its definition: the
+	// lower-cased part after the last '@'.
+	for _, addr := range []string{
+		"", "@", "a@", "@b.com", "a@b.com", "A@b.com", "a@B.com", "a@b.COM", "a@b@c.com", "a@B@c.com",
+		"a@b@C.com", "NO-AT-SIGN", "no-at-SIGN", "a@b\xc3\x89.com", "\xc3\x89@b.com", "a@K.com", "a@\xff",
+	} {
+		want := ""
+		if i := strings.LastIndexByte(addr, '@'); i >= 0 {
+			want = strings.ToLower(addr[i+1:])
+		}
+		if got := domainOf(addr); got != want {
+			t.Errorf("domainOf(%q) = %q, want %q", addr, got, want)
+		}
+	}
 }
 
 func TestAttemptsAndFinal(t *testing.T) {

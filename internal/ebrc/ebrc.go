@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/ndr"
 )
@@ -86,6 +87,94 @@ func normalizeToken(tok string) string {
 	}
 }
 
+// The three tokens normalizeToken and Tokenize substitute.
+var (
+	tokAddr = []byte("<addr>")
+	tokID   = []byte("<id>")
+	tokNum  = []byte("<num>")
+)
+
+// tokens walks the tokens of an ASCII line in place: next yields, in
+// order, exactly the strings Tokenize(line) holds, as byte spans of the
+// lower-cased line (or one of the three substitutes) instead of a
+// string apiece. Tokenize stays the definition; FuzzTokensMatchTokenize
+// holds the walk to it.
+type tokens struct {
+	low      []byte // the line, ASCII-lower-cased
+	pos      int
+	fieldEnd int // end of the '@'-free field pos is inside
+}
+
+func isSpace(c byte) bool { return c == ' ' || c >= '\t' && c <= '\r' } // strings.Fields' ASCII set
+
+func isAlnum(c byte) bool { return c >= 'a' && c <= 'z' || c >= '0' && c <= '9' }
+
+// next returns the next token, nil after the last. The span is valid
+// until the line buffer is reused.
+func (t *tokens) next() []byte {
+	for t.pos < len(t.low) {
+		if t.pos >= t.fieldEnd {
+			// Between fields: find the next one and look for its '@'.
+			if isSpace(t.low[t.pos]) {
+				t.pos++
+				continue
+			}
+			end, addr := t.pos, false
+			for end < len(t.low) && !isSpace(t.low[end]) {
+				addr = addr || t.low[end] == '@'
+				end++
+			}
+			if addr {
+				t.pos = end
+				return tokAddr
+			}
+			t.fieldEnd = end
+		}
+		if !isAlnum(t.low[t.pos]) {
+			t.pos++
+			continue
+		}
+		start, digits := t.pos, 0
+		for t.pos < t.fieldEnd && isAlnum(t.low[t.pos]) {
+			if t.low[t.pos] <= '9' {
+				digits++
+			}
+			t.pos++
+		}
+		tok := t.low[start:t.pos]
+		switch { // normalizeToken, on the counts the scan already has
+		case digits == 0:
+			return tok
+		case digits < len(tok):
+			return tokID
+		case len(tok) == 1:
+			return tok
+		case len(tok) == 3 && (tok[0] == '2' || tok[0] == '4' || tok[0] == '5'):
+			return tok
+		default:
+			return tokNum
+		}
+	}
+	return nil
+}
+
+// lowerASCII appends line to buf with A–Z lower-cased; ok is false (and
+// the result unusable) if line holds a byte outside ASCII, where
+// ToLower and Fields follow Unicode and only Tokenize will do.
+func lowerASCII(buf []byte, line string) (low []byte, ok bool) {
+	for i := 0; i < len(line); i++ {
+		c := line[i]
+		if c >= utf8.RuneSelf {
+			return nil, false
+		}
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c)
+	}
+	return buf, true
+}
+
 // Classifier is a trained multinomial naive Bayes model. It is
 // immutable after Train, so Predict and PredictTemplate are safe for
 // concurrent use — the property the online classify path relies on.
@@ -118,14 +207,12 @@ func Train(samples []Sample) *Classifier {
 			c.classes = append(c.classes, t)
 		}
 	}
-	tokenized := make([][]string, len(samples))
+	// Every sample's token ids, back to back; ends[i] closes sample i.
+	var ids []int32
+	ends := make([]int, len(samples))
 	for i, s := range samples {
-		tokenized[i] = Tokenize(s.Text)
-		for _, tok := range tokenized[i] {
-			if _, ok := c.vocab[tok]; !ok {
-				c.vocab[tok] = len(c.vocab)
-			}
-		}
+		ids = c.tokenIDs(ids, s.Text, true)
+		ends[i] = len(ids)
 	}
 	nc, nv := len(c.classes), len(c.vocab)
 	counts := make([][]float64, nc)
@@ -134,13 +221,15 @@ func Train(samples []Sample) *Classifier {
 	for i := range counts {
 		counts[i] = make([]float64, nv)
 	}
+	start := 0
 	for i, s := range samples {
 		ci := c.classIdx[s.Type]
 		classN[ci]++
-		for _, tok := range tokenized[i] {
-			counts[ci][c.vocab[tok]]++
+		for _, vi := range ids[start:ends[i]] {
+			counts[ci][vi]++
 			totals[ci]++
 		}
+		start = ends[i]
 	}
 	c.logPrior = make([]float64, nc)
 	c.logLik = make([][]float64, nc)
@@ -156,6 +245,36 @@ func Train(samples []Sample) *Classifier {
 	return c
 }
 
+// tokenIDs appends the vocabulary id of every token of Tokenize(line),
+// in order. A token outside the vocabulary gets the unknown slot's id,
+// or — with grow, while training — the next free one. An ASCII line of
+// ordinary length allocates nothing but the vocabulary's own new keys.
+func (c *Classifier) tokenIDs(ids []int32, line string, grow bool) []int32 {
+	id := func(tok []byte) int32 {
+		vi, ok := c.vocab[string(tok)] // no copy: the compiler sees a lookup
+		if !ok {
+			vi = len(c.vocab)
+			if grow {
+				c.vocab[string(tok)] = vi
+			}
+		}
+		return int32(vi)
+	}
+	var buf [256]byte
+	low, ok := lowerASCII(buf[:0], line)
+	if !ok {
+		for _, tok := range Tokenize(line) {
+			ids = append(ids, id([]byte(tok)))
+		}
+		return ids
+	}
+	t := tokens{low: low}
+	for tok := t.next(); tok != nil; tok = t.next() {
+		ids = append(ids, id(tok))
+	}
+	return ids
+}
+
 // Classes returns the types the classifier can predict.
 func (c *Classifier) Classes() []ndr.Type {
 	return append([]ndr.Type(nil), c.classes...)
@@ -164,18 +283,15 @@ func (c *Classifier) Classes() []ndr.Type {
 // Predict labels one NDR line, returning the type and the log-domain
 // margin between the best and second-best class (a confidence proxy).
 func (c *Classifier) Predict(line string) (ndr.Type, float64) {
-	toks := Tokenize(line)
+	var buf [64]int32
+	ids := c.tokenIDs(buf[:0], line, false)
 	best, second := math.Inf(-1), math.Inf(-1)
 	bestIdx := 0
-	unk := len(c.vocab)
 	for ci := range c.classes {
 		score := c.logPrior[ci]
-		for _, tok := range toks {
-			vi, ok := c.vocab[tok]
-			if !ok {
-				vi = unk
-			}
-			score += c.logLik[ci][vi]
+		lik := c.logLik[ci]
+		for _, vi := range ids {
+			score += lik[vi]
 		}
 		if score > best {
 			second = best

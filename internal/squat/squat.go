@@ -135,18 +135,18 @@ func scanDomains(a *analysis.Analysis, det *analysis.Detections, cfg Config, res
 	senders := map[string]map[string]bool{}
 	emails := map[string]int{}
 	received := map[string]bool{}
-	for i := 0; i < a.Records.Len(); i++ {
-		rec := a.Records.At(i)
-		to := rec.ToDomain()
+	for i := range a.Classified {
+		c := &a.Classified[i]
+		to := c.ToDomain
 		if !vulnerable[to] {
 			continue
 		}
 		if senders[to] == nil {
 			senders[to] = map[string]bool{}
 		}
-		senders[to][rec.From] = true
+		senders[to][a.Records.At(i).From] = true
 		emails[to]++
-		if rec.Succeeded() {
+		if c.Succeeded {
 			received[to] = true
 		}
 	}
@@ -173,16 +173,15 @@ func scanDomains(a *analysis.Analysis, det *analysis.Detections, cfg Config, res
 	// Second exposure pass now that died-mid-study domains are included.
 	senders = map[string]map[string]bool{}
 	emails = map[string]int{}
-	for i := 0; i < a.Records.Len(); i++ {
-		rec := a.Records.At(i)
-		to := rec.ToDomain()
+	for i := range a.Classified {
+		to := a.Classified[i].ToDomain
 		if !vulnerable[to] {
 			continue
 		}
 		if senders[to] == nil {
 			senders[to] = map[string]bool{}
 		}
-		senders[to][rec.From] = true
+		senders[to][a.Records.At(i).From] = true
 		emails[to]++
 	}
 
@@ -247,14 +246,14 @@ func domainLifecycle(a *analysis.Analysis) map[string]lifecycle {
 		failSeen bool
 	}
 	st := map[string]*state{}
-	for i := 0; i < a.Records.Len(); i++ {
-		rec := a.Records.At(i)
-		s := st[rec.ToDomain()]
+	for i := range a.Classified {
+		rec, c := a.Records.At(i), &a.Classified[i]
+		s := st[c.ToDomain]
 		if s == nil {
 			s = &state{}
-			st[rec.ToDomain()] = s
+			st[c.ToDomain] = s
 		}
-		if rec.Succeeded() {
+		if c.Succeeded {
 			s.okSeen = true
 			if rec.EndTime.After(s.lastOK) {
 				s.lastOK = rec.EndTime
@@ -292,17 +291,17 @@ func scanUsernames(a *analysis.Analysis, cfg Config, res *Result) map[string]boo
 	// UI, ranked by incoming-email count.
 	counts := map[string]int{}
 	everOK := map[string]bool{}
-	for i := 0; i < a.Records.Len(); i++ {
-		rec := a.Records.At(i)
-		provider := rec.ToDomain()
-		if env.UserRegs[provider] == nil {
+	for i := range a.Classified {
+		c := &a.Classified[i]
+		if env.UserRegs[c.ToDomain] == nil {
 			continue
 		}
-		if rec.Succeeded() {
+		rec := a.Records.At(i)
+		if c.Succeeded {
 			everOK[rec.To] = true
 			continue
 		}
-		if a.Classified[i].HasType(ndr.T8NoSuchUser) {
+		if c.HasType(ndr.T8NoSuchUser) {
 			counts[rec.To]++
 		}
 	}
@@ -365,7 +364,7 @@ func timeline(a *analysis.Analysis, vulnDomains, vulnUsers map[string]bool, res 
 	weekSenders := make([]map[string]bool, clock.StudyWeeks)
 	for i := 0; i < a.Records.Len(); i++ {
 		rec := a.Records.At(i)
-		if !vulnDomains[rec.ToDomain()] && !vulnUsers[rec.To] {
+		if !vulnDomains[a.Classified[i].ToDomain] && !vulnUsers[rec.To] {
 			continue
 		}
 		wk := clock.Week(rec.StartTime)

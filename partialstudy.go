@@ -60,10 +60,9 @@ func (s *PartialStudy) WriteReport(w io.Writer, sections []Section) error {
 }
 
 // Partials condenses the study's classified corpus into its partial
-// aggregate (cached — a Study is immutable once built).
+// aggregate, once per study — a Study is immutable once built — and is
+// safe for concurrent callers, like detections and durations.
 func (s *Study) Partials() *analysis.PartialSet {
-	if s.partials == nil {
-		s.partials = s.Analysis.Partials()
-	}
+	s.partialsOnce.Do(func() { s.partials = s.Analysis.Partials() })
 	return s.partials
 }

@@ -3,6 +3,7 @@ package bounce
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/advise"
 	"repro/internal/analysis"
@@ -83,10 +84,30 @@ func renderSection(w io.Writer, src sectionSource, det func() *analysis.Detectio
 		report.Typos(w, det())
 	case SecFilters:
 		report.Filters(w, src.FilterDisagreement(), src.BlocklistRecovery())
-	case SecSquat, SecAdvice:
-		return fmt.Errorf("bounce: section %q needs the full corpus (not available from partial aggregates)", sec)
 	default:
-		return fmt.Errorf("bounce: unknown section %q", sec)
+		return refuse(sec)
+	}
+	return nil
+}
+
+// refuse is the error for a section renderSection has no case for:
+// squat and advice, which need the full corpus, or no section at all.
+func refuse(sec Section) error {
+	if sec == SecSquat || sec == SecAdvice {
+		return fmt.Errorf("bounce: section %q needs the full corpus (not available from partial aggregates)", sec)
+	}
+	return fmt.Errorf("bounce: unknown section %q", sec)
+}
+
+// CheckSections returns the error WriteReport would end with for the
+// first of sections that is not among allowed (AllSections for a
+// Study, PartialSections for a PartialStudy), so a server can refuse a
+// misspelt request before it builds what the report is rendered from.
+func CheckSections(sections, allowed []Section) error {
+	for _, sec := range sections {
+		if !slices.Contains(allowed, sec) {
+			return refuse(sec)
+		}
 	}
 	return nil
 }

@@ -250,3 +250,31 @@ func TestStudyDurationsOnce(t *testing.T) {
 		t.Error("doctored detections render the same fig7: the case tests nothing")
 	}
 }
+
+// TestStudyPartialsOnce: eight concurrent callers of Partials on one
+// Study — bounceanalyze -shards, or any library caller sharing a cached
+// study — get one and the same aggregate. Before the sync.Once the
+// unsynchronised lazy init raced on the field (this test fails under
+// -race) and could build the aggregate once per caller.
+func TestStudyPartialsOnce(t *testing.T) {
+	base := tinyStudy(t)
+	shared := &bounce.Study{World: base.World, Records: base.Records, Analysis: base.Analysis}
+	got := make([]*analysis.PartialSet, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = shared.Partials()
+		}()
+	}
+	wg.Wait()
+	for i, p := range got {
+		if p == nil || p != got[0] {
+			t.Fatalf("caller %d got aggregate %p, caller 0 got %p", i, p, got[0])
+		}
+	}
+	if want := base.Analysis.Partials().Marshal(); !bytes.Equal(got[0].Marshal(), want) {
+		t.Error("the shared aggregate differs from a.Partials()")
+	}
+}
