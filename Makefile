@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-wal fuzz-typo fuzz-ebrc chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-typo fuzz-ebrc chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -79,11 +79,12 @@ chaos-shard-failover:
 
 # race-parallel focuses the race detector on the parallel delivery,
 # streaming, decode, and incremental-snapshot paths, on commit's
-# ordering lock from all three of its sources and on concurrent reports
-# and partial aggregates over one cached study (fast enough for every
-# commit).
+# ordering lock from all three of its sources, on what the ingest path
+# pools (a Decoder handed from one request to the next, tail payloads
+# cut from shared chunks) and on concurrent reports and partial
+# aggregates over one cached study (fast enough for every commit).
 race-parallel:
-	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|Frozen|Decoder|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials' ./...
+	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -138,9 +139,17 @@ bench-report:
 fuzz-decode:
 	$(GO) test -fuzz FuzzDecoderMatchesEncodingJSON -fuzztime 60s ./internal/dataset/
 
+# fuzz-encode runs the hand-written record encoder against
+# encoding/json, and the decoder against the encoder, for the same
+# budget; its seeds (every NDR template, the escapes, a 16 MB line) and
+# committed corpus replay in plain `make test`.
+fuzz-encode:
+	$(GO) test -fuzz FuzzAppendJSONMatchesMarshal -fuzztime 60s ./internal/dataset/
+
 # fuzz-wal fuzzes the WAL frame walk behind FS.ReadTail: damaged
 # segments, arbitrary replay points and stale offset-index marks must
-# read exactly as a walk from the segment header does.
+# (the tip, the newest unit's, among them) read exactly as a walk from
+# the segment header does.
 fuzz-wal:
 	$(GO) test -fuzz FuzzReadTailSegment -fuzztime 60s ./internal/store/
 

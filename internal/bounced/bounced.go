@@ -334,13 +334,16 @@ func (duplicateBatch) Error() string { return "bounced: batch id already committ
 // IngestBatch (in-process producers and streamed HTTP bodies), the
 // X-Batch-Id branch of ingestBody, and ApplyBatch (replicated units);
 // each holds a reservation for len(recs), which commit hands on to the
-// consumer or releases. It returns how many records reached the queue
-// and the log end after the append. A short count comes with
-// ErrIngestClosed: shutdown raced the batch, and on a durable node
-// recovery folds the dropped tail back in from the log.
-func (s *Server) commit(id string, idCount int, recs []dataset.Record) (int, uint64, error) {
+// consumer or releases. payloads is ApplyBatch's alone: the bytes its
+// primary's log holds for recs, which this node's log then holds too
+// (store.Batch.Payloads); every other source passes nil and the engine
+// encodes. It returns how many records reached the queue and the log
+// end after the append. A short count comes with ErrIngestClosed:
+// shutdown raced the batch, and on a durable node recovery folds the
+// dropped tail back in from the log.
+func (s *Server) commit(id string, idCount int, recs []dataset.Record, payloads [][]byte) (int, uint64, error) {
 	s.walMu.Lock()
-	n, err := s.commitOrdered(id, idCount, recs)
+	n, err := s.commitOrdered(id, idCount, recs, payloads)
 	end := s.walIndex.Load()
 	s.walMu.Unlock()
 	s.reserved.Add(-int64(len(recs) - n))
@@ -364,14 +367,14 @@ func (s *Server) commit(id string, idCount int, recs []dataset.Record) (int, uin
 //   - one queue write, inside the section so that replay order equals
 //     fold order here and on every node applying this log — what makes
 //     recovery and failover byte-identical.
-func (s *Server) commitOrdered(id string, idCount int, recs []dataset.Record) (int, error) {
+func (s *Server) commitOrdered(id string, idCount int, recs []dataset.Record, payloads [][]byte) (int, error) {
 	if id != "" && !s.standby.Load() {
 		if prev, ok := s.dedup.lookup(id); ok {
 			return 0, duplicateBatch(prev)
 		}
 	}
 	if s.j != nil {
-		if err := s.j.eng.Append(store.Batch{ID: id, Records: recs}); err != nil {
+		if err := s.j.eng.Append(store.Batch{ID: id, Records: recs, Payloads: payloads}); err != nil {
 			return 0, fmt.Errorf("bounced: wal append: %w", err)
 		}
 		s.walIndex.Add(uint64(len(recs)))
@@ -435,7 +438,7 @@ func (s *Server) IngestBatch(recs []dataset.Record) (int, error) {
 		if !s.admitWait(n) {
 			return done, ErrIngestClosed
 		}
-		w, _, err := s.commit("", 0, recs[done:done+n])
+		w, _, err := s.commit("", 0, recs[done:done+n], nil)
 		done += w
 		if err != nil {
 			return done, err

@@ -316,15 +316,19 @@ func (j *journal) checkpointLoop(every time.Duration) {
 	}
 }
 
-// sync makes every prior append durable per the engine's fsync mode —
-// the group-commit point an ingest ack waits on. The replication
-// tracker advances here, not at append time, so a woken standby poll
-// always finds the promised tail bytes readable.
-func (j *journal) sync() error {
+// sync makes every append up to the log end the caller committed, end,
+// durable per the engine's fsync mode — the group-commit point an
+// ingest ack waits on. The replication tracker advances here, not at
+// append time, and to end, not to wherever the log has got to since:
+// another connection's commit can append the moment the fsync lets go
+// of the engine, and a standby must not be woken for, or apply, a unit
+// no fsync has covered — it would be ahead of a primary that lost
+// power.
+func (j *journal) sync(end uint64) error {
 	if err := j.eng.Sync(); err != nil {
 		return fmt.Errorf("wal sync: %w", err)
 	}
-	j.tracker.Advance(j.s.walIndex.Load())
+	j.tracker.Advance(end)
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -105,7 +106,14 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		plan = s.faults.NextPlan()
 	}
 
-	body := bufio.NewReaderSize(plan.WrapRaw(r.Body), 1<<16)
+	// ingestBody returns only once nothing reads the body any more, so
+	// its buffers go back for the next request as this one leaves.
+	body := bodyReaders.Get().(*bufio.Reader)
+	body.Reset(plan.WrapRaw(r.Body))
+	defer func() {
+		body.Reset(nil)
+		bodyReaders.Put(body)
+	}()
 	var reader io.Reader
 	switch enc := strings.ToLower(r.Header.Get("Content-Encoding")); enc {
 	case "", "identity":
@@ -119,13 +127,16 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		}
 		reader = dr
 	case "gzip":
-		zr, err := gzip.NewReader(body)
+		zr, err := gunzipper(body)
 		if err != nil {
 			s.countRejected(declared, 0)
 			httpError(w, http.StatusBadRequest, 0, 0, "bad gzip body: "+err.Error())
 			return
 		}
-		defer zr.Close()
+		defer func() {
+			zr.Close()
+			gzipReaders.Put(zr)
+		}()
 		reader = zr
 	default:
 		s.countRejected(declared, 0)
@@ -133,6 +144,54 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ingestBody(w, plan.WrapDecoded(reader), batchID, declared)
+}
+
+// What a request sets up before it has decoded a record is sized for a
+// corpus — 64 KiB of body buffer, an inflater's 40-odd KiB of window
+// and tables, a record slice for the whole batch — and a body is a few
+// hundred records, so all three are kept between requests.
+var (
+	bodyReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+	gzipReaders sync.Pool // of *gzip.Reader
+	recordBufs  sync.Pool // of *[]dataset.Record, every element zero
+)
+
+// gunzipper returns a gzip reader over r, a pooled one when there is
+// one; the caller Puts it back when done. An error is r's header's.
+func gunzipper(r io.Reader) (*gzip.Reader, error) {
+	zr, _ := gzipReaders.Get().(*gzip.Reader)
+	if zr == nil {
+		return gzip.NewReader(r)
+	}
+	if err := zr.Reset(r); err != nil {
+		gzipReaders.Put(zr)
+		return nil, err
+	}
+	return zr, nil
+}
+
+// maxPooledRecords keeps a once-in-a-while huge unit's slice out of the
+// pool.
+const maxPooledRecords = 8192
+
+// getRecords returns an empty record slice with room for n.
+func getRecords(n int) []dataset.Record {
+	if p, _ := recordBufs.Get().(*[]dataset.Record); p != nil && cap(*p) >= n {
+		return *p
+	}
+	return make([]dataset.Record, 0, n)
+}
+
+// putRecords gives recs up once nothing reads it any more — after
+// commit, which copies into the queue. The records are zeroed first, so
+// a pooled slice pins no request's strings.
+func putRecords(recs []dataset.Record) {
+	if cap(recs) > maxPooledRecords {
+		return
+	}
+	clear(recs)
+	recs = recs[:0]
+	recordBufs.Put(&recs)
 }
 
 // replyDeduped acknowledges a replay of a batch already committed with
@@ -167,8 +226,9 @@ func (s *Server) ingestBody(w http.ResponseWriter, reader io.Reader, batchID str
 	defer pr.Close()
 	streamed := batchID == ""
 	var held []dataset.Record
-	if !streamed && declared > 0 {
-		held = make([]dataset.Record, 0, declared)
+	if !streamed {
+		held = getRecords(max(declared, 0))
+		defer func() { putRecords(held) }()
 	}
 	status, line, msg := http.StatusOK, 0, ""
 	accepted, decoded := 0, 0
@@ -234,7 +294,7 @@ func (s *Server) ingestBody(w http.ResponseWriter, reader io.Reader, batchID str
 	default:
 		var err error
 		var dup duplicateBatch
-		accepted, end, err = s.commit(batchID, len(held), held)
+		accepted, end, err = s.commit(batchID, len(held), held, nil)
 		switch {
 		case errors.As(err, &dup):
 			// The same ID overlapped this request and committed first.
@@ -265,7 +325,7 @@ func (s *Server) gateAck(w http.ResponseWriter, end uint64, sync bool) (int, str
 		return 0, ""
 	}
 	if sync {
-		if err := s.j.sync(); err != nil {
+		if err := s.j.sync(end); err != nil {
 			return http.StatusInternalServerError, err.Error()
 		}
 	}

@@ -248,8 +248,10 @@ func (s *Server) ApplyBatch(u *replication.Unit) error {
 		return nil
 	}
 	payloads := u.Payloads[cur-u.Start:]
-	recs := make([]dataset.Record, len(payloads))
-	dec := &dataset.Decoder{}
+	recs := getRecords(len(payloads))[:len(payloads)]
+	defer putRecords(recs)
+	dec := dataset.GetDecoder()
+	defer dataset.PutDecoder(dec)
 	for i, p := range payloads {
 		if err := dec.Decode(p, &recs[i]); err != nil {
 			return fmt.Errorf("bounced: replicated record %d fails to decode: %w", cur+uint64(i), err)
@@ -260,11 +262,13 @@ func (s *Server) ApplyBatch(u *replication.Unit) error {
 	if !s.admitWait(len(recs)) {
 		return ErrIngestClosed
 	}
-	_, _, err := s.commit(u.ID, len(u.Payloads), recs)
+	// The log gets the bytes the records were decoded from — each passed
+	// the stream's CRC and the decoder — not a second encoding of them.
+	_, end, err := s.commit(u.ID, len(u.Payloads), recs, payloads)
 	if err != nil && !errors.Is(err, ErrIngestClosed) {
 		return err
 	}
-	if serr := s.j.sync(); serr != nil {
+	if serr := s.j.sync(end); serr != nil {
 		return serr
 	}
 	s.j.replApplies.Add(1)

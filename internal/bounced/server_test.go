@@ -368,6 +368,7 @@ func TestHandlerMountsByCapability(t *testing.T) {
 		if _, err := srv.IngestBatch(records[:10]); err != nil {
 			t.Fatal(err)
 		}
+		waitConsumed(t, srv, 10) // a checkpoint of nothing folded yet writes nothing, and its GET is then a 404
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		for _, e := range journal {

@@ -18,7 +18,12 @@ import "unsafe"
 // the same retention the old per-record allocations had.
 //
 // Arenas are single-owner: each Decoder and each RecordStore embeds its
-// own, serialized by the owner's existing usage contract.
+// own, serialized by the owner's existing usage contract. Ownership may
+// pass on — GetDecoder hands a Decoder some earlier request returned —
+// because the model above never depended on who appends next: the new
+// owner fills the chunk from where the last one stopped, inside no span
+// that was handed out, so records of the earlier request stay as they
+// were for as long as anything holds them.
 
 // Chunk sizing: big enough to amortize the malloc to noise, small
 // enough that an abandoned tail wastes little.

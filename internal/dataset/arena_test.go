@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -112,5 +113,61 @@ func TestRecordStoreAppendCopyNeighbours(t *testing.T) {
 			r.DeliveryLatency[1] != int64(2*i) {
 			t.Fatalf("record %d holds neighbour data: %+v", i, r)
 		}
+	}
+}
+
+// TestPooledDecoderKeepsEarlierRecords is the aliasing regression the
+// decoder pool must never cause: records decoded for one request stay
+// as they were after the Decoder went back to the pool and decoded the
+// next request's — on this goroutine or, under -race, on another. Each
+// "request" takes a Decoder, decodes a few records it keeps, and returns
+// the Decoder; every record kept is checked at the end against a second
+// encoding of what it was decoded from.
+func TestPooledDecoderKeepsEarlierRecords(t *testing.T) {
+	const workers, rounds, perRound = 2, 60, 40
+	src := varied(workers * rounds * perRound)
+	lines := make([][]byte, len(src))
+	for i := range src {
+		lines[i] = src[i].AppendJSON(nil)
+	}
+	kept := make([]Record, len(src))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				d := GetDecoder()
+				base := (w*rounds + round) * perRound
+				for i := base; i < base+perRound; i++ {
+					if err := d.Decode(lines[i], &kept[i]); err != nil {
+						t.Errorf("record %d: %v", i, err)
+					}
+				}
+				PutDecoder(d)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range kept {
+		if !reflect.DeepEqual(kept[i], src[i]) {
+			t.Fatalf("record %d changed after its decoder was reused:\n got %+v\nwant %+v", i, kept[i], src[i])
+		}
+	}
+
+	// The same, with the reuse spelled out rather than left to the pool.
+	d := GetDecoder()
+	var a, b Record
+	if err := d.Decode(lines[1], &a); err != nil {
+		t.Fatal(err)
+	}
+	PutDecoder(d)
+	d = GetDecoder()
+	if err := d.Decode(lines[6], &b); err != nil {
+		t.Fatal(err)
+	}
+	PutDecoder(d)
+	if !reflect.DeepEqual(a, src[1]) || !reflect.DeepEqual(b, src[6]) {
+		t.Fatalf("decode A, put, get, decode B: A = %+v, B = %+v", a, b)
 	}
 }

@@ -135,19 +135,9 @@ type jsonRecord struct {
 	EmailFlag       string   `json:"email_flag"`
 }
 
-// MarshalJSON renders the Figure-3 JSON object.
+// MarshalJSON renders the Figure-3 JSON object (see AppendJSON).
 func (r Record) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonRecord{
-		From:            r.From,
-		To:              r.To,
-		StartTime:       r.StartTime.UTC().Format(TimeLayout),
-		EndTime:         r.EndTime.UTC().Format(TimeLayout),
-		FromIP:          r.FromIP,
-		ToIP:            r.ToIP,
-		DeliveryResult:  r.DeliveryResult,
-		DeliveryLatency: r.DeliveryLatency,
-		EmailFlag:       r.EmailFlag,
-	})
+	return r.AppendJSON(make([]byte, 0, r.jsonSize())), nil
 }
 
 // UnmarshalJSON parses the Figure-3 JSON object.

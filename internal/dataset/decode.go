@@ -3,6 +3,7 @@ package dataset
 import (
 	"encoding/binary"
 	"math/bits"
+	"sync"
 	"time"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -33,6 +34,25 @@ type Decoder struct {
 }
 
 type span struct{ off, end int }
+
+// decoders holds Decoders between requests. A fresh one costs its three
+// arena chunks (160 KiB, zeroed) on first use, which is a corpus's
+// worth of set-up for a body of a few hundred records.
+var decoders = sync.Pool{New: func() any { return new(Decoder) }}
+
+// GetDecoder returns a Decoder for the caller's exclusive use until it
+// hands it back with PutDecoder. Records it decoded for an earlier
+// owner are unaffected by what it decodes next (see arena.go).
+func GetDecoder() *Decoder { return decoders.Get().(*Decoder) }
+
+// PutDecoder gives d up for the next GetDecoder. Records decoded with
+// it stay valid. Scratch a 16 MB line grew is dropped, not pooled.
+func PutDecoder(d *Decoder) {
+	if cap(d.buf) > 4*byteArenaChunk {
+		d.buf = nil
+	}
+	decoders.Put(d)
+}
 
 // Shared empty slices: the fast path returns these for present-but-empty
 // arrays ("from_ip":[]), preserving UnmarshalJSON's nil-vs-empty

@@ -11,21 +11,22 @@ import (
 
 // Writer streams records as JSON Lines.
 type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	n   int
+	bw   *bufio.Writer
+	line []byte
+	n    int
 }
 
 // NewWriter wraps w for JSONL output.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
+	return &Writer{bw: bufio.NewWriterSize(w, 1<<20)}
 }
 
 // Write appends one record line.
 func (w *Writer) Write(r *Record) error {
 	w.n++
-	return w.enc.Encode(r)
+	w.line = append(r.AppendJSON(w.line[:0]), '\n')
+	_, err := w.bw.Write(w.line)
+	return err
 }
 
 // Count returns the number of records written.

@@ -113,9 +113,10 @@ func newParallelReaderSize(r io.Reader, workers, block int) *ParallelReader {
 }
 
 func (p *ParallelReader) worker() {
-	var d Decoder
+	d := GetDecoder()
+	defer PutDecoder(d)
 	for c := range p.jobs {
-		decodeChunk(&d, c)
+		decodeChunk(d, c)
 		close(c.done)
 	}
 }

@@ -439,6 +439,17 @@ func BenchmarkDecoderDecode(b *testing.B) {
 	}
 }
 
+func BenchmarkAppendJSON(b *testing.B) {
+	r := sampleRecord()
+	buf := make([]byte, 0, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = r.AppendJSON(buf[:0])
+	}
+	b.SetBytes(int64(len(buf)))
+}
+
 func benchmarkParallelDecode(b *testing.B, workers int) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

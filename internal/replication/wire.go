@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 const (
@@ -58,10 +59,25 @@ const (
 
 var wireCRC = crc32.MakeTable(crc32.Castagnoli)
 
+// kindSum is the checksum of each one-byte frame kind, which every
+// frame's checksum continues from.
+var kindSum = func() (t [256]uint32) {
+	for k := range t {
+		t[k] = crc32.Update(0, wireCRC, []byte{byte(k)})
+	}
+	return t
+}()
+
 func frameSum(kind byte, payload []byte) uint32 {
-	sum := crc32.Update(0, wireCRC, []byte{kind})
-	return crc32.Update(sum, wireCRC, payload)
+	return crc32.Update(kindSum[kind], wireCRC, payload)
 }
+
+// A response is a few hundred records; its 64 KiB of buffer is held
+// between responses rather than allocated, and zeroed, for each.
+var (
+	tailWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+	tailReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+)
 
 // Unit is one atomic WAL unit on the wire: a committed client batch
 // (ID + one payload per record) or a bare record (ID "").
@@ -78,7 +94,7 @@ type End struct {
 	Epoch  uint64
 }
 
-// TailWriter streams a WAL tail response.
+// TailWriter streams a WAL tail response. It is done with after End.
 type TailWriter struct {
 	w       *bufio.Writer
 	scratch []byte
@@ -86,7 +102,8 @@ type TailWriter struct {
 
 // NewTailWriter writes the stream header for a tail starting at from.
 func NewTailWriter(w io.Writer, from uint64) (*TailWriter, error) {
-	tw := &TailWriter{w: bufio.NewWriterSize(w, 64<<10)}
+	tw := &TailWriter{w: tailWriters.Get().(*bufio.Writer)}
+	tw.w.Reset(w)
 	var hdr [13]byte
 	copy(hdr[:], streamMagic)
 	hdr[4] = streamVersion
@@ -135,7 +152,11 @@ func (tw *TailWriter) End(logEnd, epoch uint64) error {
 	if err := tw.frame(frameEnd, payload[:]); err != nil {
 		return err
 	}
-	return tw.w.Flush()
+	err := tw.w.Flush()
+	tw.w.Reset(nil)
+	tailWriters.Put(tw.w)
+	tw.w = nil
+	return err
 }
 
 // ErrTornStream reports a tail response cut off before its end frame —
@@ -152,7 +173,8 @@ type TailReader struct {
 
 // NewTailReader validates the stream header.
 func NewTailReader(r io.Reader) (*TailReader, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+	br := tailReaders.Get().(*bufio.Reader)
+	br.Reset(r)
 	var hdr [13]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("replication: reading stream header: %w", err)
@@ -208,6 +230,9 @@ func (tr *TailReader) Next() (*Unit, *End, error) {
 			return nil, nil, errors.New("replication: malformed end frame")
 		}
 		tr.done = true
+		tr.br.Reset(nil)
+		tailReaders.Put(tr.br)
+		tr.br = nil
 		return nil, &End{
 			LogEnd: binary.LittleEndian.Uint64(payload[:8]),
 			Epoch:  binary.LittleEndian.Uint64(payload[8:]),

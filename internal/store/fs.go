@@ -112,6 +112,13 @@ type FS struct {
 	segments  int
 	walBytes  int64
 	scratch   []byte
+	enc       []byte // Append's one record encoding buffer, kept
+	// syncErr is the first fsync failure. After one the kernel may have
+	// marked the lost pages clean, so a later fsync can succeed over
+	// them; the engine therefore refuses every append and sync from then
+	// on (fail-stop) rather than ack on the strength of one that did.
+	syncErr error
+	fsync   func(*os.File) error // (*os.File).Sync, but for tests
 	// The active segment's first record index and the offset of its
 	// newest mark (its header while it has none): Append's half of the
 	// offset index.
@@ -127,6 +134,12 @@ type FS struct {
 	// goes through it and drops the marks in step — so the map is nil on
 	// a read-only engine and after Close.
 	marks map[uint64][]tailMark
+	// tip is one more mark, outside the spacing rule: the newest unit
+	// appended to segment tipSeg (off 0: none). A caught-up standby asks
+	// for exactly that unit, and seeks to it instead of walking up to
+	// markEveryBytes of units it already has.
+	tip    tailMark
+	tipSeg uint64
 
 	tailReads   atomic.Uint64
 	tailScanned atomic.Uint64
@@ -163,6 +176,7 @@ func Open(opts FSOptions) (*FS, error) {
 		ckptDir:   filepath.Join(opts.Dir, "checkpoint"),
 		logf:      opts.Logf,
 		fsyncHist: make([]uint64, len(FsyncBounds)+1),
+		fsync:     (*os.File).Sync,
 	}
 	if f.logf == nil {
 		f.logf = log.Printf
@@ -367,9 +381,12 @@ func (f *FS) noteUnit(last *int64, seg uint64, m tailMark) {
 }
 
 // markFor returns the newest mark of segment seg whose unit starts at
-// or below from — the segment header when there is none. Caller holds
-// markMu.
+// or below from — the tip if it qualifies, the segment header when
+// there is none. Caller holds markMu.
 func (f *FS) markFor(seg, from uint64) tailMark {
+	if f.tip.off != 0 && f.tipSeg == seg && f.tip.first <= from {
+		return f.tip
+	}
 	ms := f.marks[seg]
 	i := sort.Search(len(ms), func(i int) bool { return ms[i].first > from })
 	if i == 0 {
@@ -381,6 +398,9 @@ func (f *FS) markFor(seg, from uint64) tailMark {
 func (f *FS) forgetMarks(seg uint64) {
 	f.markMu.Lock()
 	delete(f.marks, seg)
+	if f.tipSeg == seg {
+		f.tip = tailMark{}
+	}
 	f.markMu.Unlock()
 }
 
@@ -423,31 +443,49 @@ func (e *unitError) Unwrap() error { return e.cause }
 // It is the one place frames are validated and groups assembled;
 // recovery (scanSegment) and the replication read path
 // (readSegmentUnits) differ only in what they do with its errors.
+//
+// It reads the file a block at a time and hands out payloads that are
+// slices of the block, so a unit of 256 records costs one allocation
+// and no copy. Bytes once parsed are never written again — a block with
+// no room for the next frame is left to the payloads cut from it and a
+// new one started — so callers keep payloads as long as they like.
 type segReader struct {
 	file   *os.File
-	br     *bufio.Reader
-	off    int64 // offset of the next unread byte
+	block  int    // how much of the file to ask for at a time
+	buf    []byte // buf[next:] is read and not yet parsed
+	next   int
+	off    int64 // file offset of buf[next], the next unparsed byte
 	size   int64 // file size as last observed; a live segment grows
 	frames int   // frames that passed validation
 }
 
+// tailBlock is a tail read's block: a caught-up standby's poll ships
+// less than this and sizes its one block by the bytes left in the file.
+const tailBlock = 128 << 10
+
 // newSegReader reads from off, where file must be positioned.
-func newSegReader(file *os.File, off, size int64, bufSize int) *segReader {
-	return &segReader{file: file, br: bufio.NewReaderSize(file, bufSize), off: off, size: size}
+func newSegReader(file *os.File, off, size int64, block int) *segReader {
+	return &segReader{file: file, block: block, off: off, size: size}
 }
 
-func (r *segReader) ReadByte() (byte, error) {
-	b, err := r.br.ReadByte()
-	if err == nil {
-		r.off++
+// fill reads on until n unparsed bytes are buffered. io.EOF means the
+// file ended first, with fewer than n (possibly none) buffered.
+func (r *segReader) fill(n int) error {
+	for len(r.buf)-r.next < n {
+		if cap(r.buf)-r.next < n {
+			// The bytes left in the file bound what is still to come.
+			rest := r.buf[r.next:]
+			r.buf = make([]byte, len(rest), max(n, int(min(r.size-r.off, int64(r.block)))))
+			copy(r.buf, rest)
+			r.next = 0
+		}
+		m, err := r.file.Read(r.buf[len(r.buf):cap(r.buf)])
+		r.buf = r.buf[:len(r.buf)+m]
+		if err != nil && m == 0 {
+			return err
+		}
 	}
-	return b, err
-}
-
-func (r *segReader) readFull(p []byte) error {
-	n, err := io.ReadFull(r.br, p)
-	r.off += int64(n)
-	return err
+	return nil
 }
 
 // holds reports whether n more bytes lie between the read position and
@@ -465,30 +503,37 @@ func (r *segReader) holds(n int64) bool {
 
 // frame returns the frame at the read position and that position.
 // io.EOF is a clean end on a frame boundary, a tornFrameError a frame
-// the file does not hold in full (decided from the length, before any
-// payload is allocated), errFrameChecksum a complete frame that fails
-// its CRC. The payload is freshly allocated; callers keep it.
+// the file does not hold in full (decided from the length, before the
+// payload is asked for), errFrameChecksum a complete frame that fails
+// its CRC. The payload is the caller's to keep.
 func (r *segReader) frame() (kind byte, payload []byte, off int64, err error) {
 	off = r.off
-	if kind, err = r.ReadByte(); err != nil {
+	// A frame header is its kind, a length of at most ten bytes and the
+	// checksum; near the end of the file there may be less to look at,
+	// and at the end nothing.
+	const maxHeader = 1 + binary.MaxVarintLen64 + 4
+	if err := r.fill(maxHeader); err != nil && (err != io.EOF || len(r.buf) == r.next) {
 		return 0, nil, off, err
 	}
-	plen, err := binary.ReadUvarint(r)
-	if err != nil {
+	head := r.buf[r.next:]
+	kind = head[0]
+	plen, w := binary.Uvarint(head[1:])
+	if w <= 0 {
 		return 0, nil, off, tornFrameError("frame length cut short")
 	}
-	if plen > maxFrameBytes || !r.holds(4+int64(plen)) {
+	n := 1 + w + 4 // up to the payload
+	if plen > maxFrameBytes || !r.holds(int64(n)+int64(plen)) {
 		return 0, nil, off, tornFrameError(fmt.Sprintf("frame length %d exceeds file", plen))
 	}
-	var crcb [4]byte
-	if err := r.readFull(crcb[:]); err != nil {
-		return 0, nil, off, tornFrameError("frame checksum cut short")
+	if err := r.fill(n + int(plen)); err != nil {
+		return 0, nil, off, tornFrameError("frame cut short")
 	}
-	payload = make([]byte, plen)
-	if err := r.readFull(payload); err != nil {
-		return 0, nil, off, tornFrameError("frame payload cut short")
-	}
-	if frameCRC(kind, payload) != binary.LittleEndian.Uint32(crcb[:]) {
+	head = r.buf[r.next:]
+	sum := binary.LittleEndian.Uint32(head[1+w:])
+	payload = head[n : n+int(plen) : n+int(plen)]
+	r.next += n + int(plen)
+	r.off += int64(n) + int64(plen)
+	if frameCRC(kind, payload) != sum {
 		return 0, nil, off, errFrameChecksum
 	}
 	r.frames++
@@ -670,9 +715,17 @@ func (f *FS) tailDamage(name string, last bool, r *segReader, ue *unitError, inf
 	return ue.unitOff, nil
 }
 
+// kindCRC is the checksum of each one-byte frame kind, which every
+// frame's checksum continues from.
+var kindCRC = func() (t [256]uint32) {
+	for k := range t {
+		t[k] = crc32.Update(0, crcTable, []byte{byte(k)})
+	}
+	return t
+}()
+
 func frameCRC(kind byte, payload []byte) uint32 {
-	crc := crc32.Update(0, crcTable, []byte{kind})
-	return crc32.Update(crc, crcTable, payload)
+	return crc32.Update(kindCRC[kind], crcTable, payload)
 }
 
 func appendMarker(b []byte, id string, count int) []byte {
@@ -795,7 +848,7 @@ func (f *FS) walkUnits(file *os.File, s segInfo, m tailMark, from uint64, delive
 	if _, err := file.Seek(m.off, io.SeekStart); err != nil {
 		return m.first, true, 0, nil
 	}
-	r := newSegReader(file, m.off, s.size, markEveryBytes)
+	r := newSegReader(file, m.off, s.size, tailBlock)
 	var shipped uint64
 	defer func() {
 		f.tailScanned.Add(uint64(r.off - m.off))
@@ -849,7 +902,7 @@ func (f *FS) Reset(next uint64) error {
 	// The next segment may reuse a removed one's name, so the files and
 	// their marks go in one step as far as a tail read can tell.
 	f.markMu.Lock()
-	f.marks = map[uint64][]tailMark{}
+	f.marks, f.tip = map[uint64][]tailMark{}, tailMark{}
 	for _, s := range segs {
 		if err := os.Remove(s.path); err != nil {
 			f.markMu.Unlock()
@@ -894,7 +947,7 @@ func (f *FS) writable() error {
 	if !f.recovered {
 		return errors.New("store: Tail must run before Append")
 	}
-	return nil
+	return f.syncErr
 }
 
 // Append writes b to the WAL as one atomic group and flushes it to the
@@ -902,6 +955,9 @@ func (f *FS) writable() error {
 func (f *FS) Append(b Batch) error {
 	if len(b.Records) == 0 {
 		return nil
+	}
+	if err := b.checkPayloads(); err != nil {
+		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -926,9 +982,12 @@ func (f *FS) Append(b Batch) error {
 		}
 	}
 	for i := range b.Records {
-		payload, err := b.Records[i].MarshalJSON()
-		if err != nil {
-			return fmt.Errorf("store: encoding record: %w", err)
+		var payload []byte
+		if b.Payloads != nil {
+			payload = b.Payloads[i]
+		} else {
+			f.enc = b.Records[i].AppendJSON(f.enc[:0])
+			payload = f.enc
 		}
 		if err := f.writeFrame(frameRecord, payload); err != nil {
 			return err
@@ -945,6 +1004,9 @@ func (f *FS) Append(b Batch) error {
 	// Only now can a tail read see the whole unit, so only now may a
 	// mark point at it.
 	f.noteUnit(&f.segMarkOff, f.segFirst, unit)
+	f.markMu.Lock()
+	f.tip, f.tipSeg = unit, f.segFirst
+	f.markMu.Unlock()
 	f.nextIndex += uint64(len(b.Records))
 	f.appendedRecords += uint64(len(b.Records))
 	if b.ID != "" {
@@ -1025,9 +1087,13 @@ func (f *FS) sealLocked() error {
 }
 
 func (f *FS) fsyncLocked() error {
+	if f.syncErr != nil {
+		return f.syncErr
+	}
 	start := time.Now()
-	if err := f.seg.Sync(); err != nil {
-		return fmt.Errorf("store: fsync: %w", err)
+	if err := f.fsync(f.seg); err != nil {
+		f.syncErr = fmt.Errorf("store: fsync failed, log closed to writes: %w", err)
+		return f.syncErr
 	}
 	d := time.Since(start).Nanoseconds()
 	f.fsyncs++
@@ -1042,10 +1108,14 @@ func (f *FS) fsyncLocked() error {
 
 // Sync makes everything appended so far durable (one fsync for any
 // number of preceding appends — group commit). No-op under FsyncOff,
-// and under FsyncAlways, where Append already synced.
+// and under FsyncAlways, where Append already synced. Once an fsync has
+// failed, Sync and Append return that failure for good (see syncErr).
 func (f *FS) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.syncErr != nil {
+		return f.syncErr
+	}
 	if f.seg == nil || f.opts.Mode != FsyncBatch {
 		return nil
 	}
@@ -1176,7 +1246,7 @@ func (f *FS) Close() error {
 	// Whoever opens the directory next may cut or remove files this
 	// engine would never hear about.
 	f.markMu.Lock()
-	f.marks = nil
+	f.marks, f.tip = nil, tailMark{}
 	f.markMu.Unlock()
 	return f.sealLocked()
 }

@@ -47,9 +47,10 @@ func fuzzLog(f *testing.F) ([]byte, []tailMark, uint64) {
 // FuzzReadTailSegment: a segment made of a valid log cut at a
 // fuzzer-chosen byte and continued with fuzzer bytes, read from a
 // fuzzer-chosen replay point by an engine holding a fuzzer-chosen set
-// of marks. The marks are ones the engine could have recorded for the
-// uncut log, so those past the cut are stale: they point beyond the
-// file's end. (Marks into the fuzzer's own bytes are left out: frames
+// of marks and, from sel's upper half, a tip. Both are ones the engine
+// could have recorded for the uncut log, so those past the cut are
+// stale: they point beyond the file's end — a tip recorded, then the
+// segment truncated. (Marks into the fuzzer's own bytes are left out: frames
 // carry no record index, so nothing could tell a unit the fuzzer copied
 // there from the one the mark was recorded for, and an engine drops its
 // marks before it lets such bytes be replaced.) ReadTail must not
@@ -73,6 +74,15 @@ func FuzzReadTailSegment(f *testing.F) {
 	// bytes into it: the half-flushed frame a concurrent writer leaves.
 	f.Add(uint16(bounds[8].off), append(binary.AppendUvarint([]byte{frameRecord}, maxFrameBytes-1), "crc-{\"from"...), uint16(40), all)
 	f.Add(uint16(5), []byte{}, uint16(0), all) // cut inside the header
+	// The tip alone, at each unit: whole log, then cut just before it,
+	// inside it and after it, read from the tip's own index and around.
+	for k, b := range bounds {
+		tipOnly := uint32(k) << 16
+		f.Add(uint16(len(log)), []byte{}, uint16(b.first), tipOnly)
+		f.Add(uint16(b.off-1), []byte{}, uint16(b.first), tipOnly)
+		f.Add(uint16(b.off+7), []byte("\x01"), uint16(b.first+1), tipOnly)
+		f.Add(uint16(b.off), log[bounds[2].off:bounds[3].off], uint16(b.first), tipOnly|1<<uint(k))
+	}
 
 	f.Fuzz(func(t *testing.T, cut uint16, tail []byte, from uint16, sel uint32) {
 		c := int(cut) % (len(log) + 1)
@@ -94,6 +104,12 @@ func FuzzReadTailSegment(f *testing.F) {
 			}
 		}
 		replay := uint64(from) % (records + 3)
+		var tip tailMark
+		if k := int(sel>>16) % (len(bounds) + 1); k < len(bounds) {
+			if b := bounds[k]; b.off <= int64(c) || b.off >= int64(len(seg)) {
+				tip = b
+			}
+		}
 
 		ref := headerWalk(t, dir)
 		defer ref.Close()
@@ -101,15 +117,15 @@ func FuzzReadTailSegment(f *testing.F) {
 
 		eng := openT(t, FSOptions{Dir: dir, Logf: func(string, ...any) {}})
 		defer eng.Close()
-		eng.marks[0] = marks
+		eng.marks[0], eng.tip = marks, tip
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		got := readTailN(t, eng, replay, 0)
 		runtime.ReadMemStats(&after)
 
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cut %d, %d fuzz bytes, from %d, marks %+v:\n got next=%d %d units\nwant next=%d %d units",
-				c, len(tail), replay, marks, got.next, len(got.units), want.next, len(want.units))
+			t.Fatalf("cut %d, %d fuzz bytes, from %d, marks %+v, tip %+v:\n got next=%d %d units\nwant next=%d %d units",
+				c, len(tail), replay, marks, tip, got.next, len(got.units), want.next, len(want.units))
 		}
 		shipped := 0
 		for _, u := range got.units {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -150,15 +151,18 @@ func (m *Mem) Append(b Batch) error {
 	if len(b.Records) == 0 {
 		return nil
 	}
+	if err := b.checkPayloads(); err != nil {
+		return err
+	}
 	payloads := make([][]byte, len(b.Records))
 	var n int64
 	for i := range b.Records {
-		p, err := b.Records[i].MarshalJSON()
-		if err != nil {
-			return fmt.Errorf("store: encoding record: %w", err)
+		if b.Payloads != nil {
+			payloads[i] = bytes.Clone(b.Payloads[i])
+		} else {
+			payloads[i] = b.Records[i].AppendJSON(nil)
 		}
-		payloads[i] = p
-		n += int64(len(p))
+		n += int64(len(payloads[i]))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -40,7 +40,8 @@ var ErrStopTail = errors.New("store: stop tail")
 // batch (ID, one payload per record) or a single bare record (ID "",
 // one payload). Payloads are the NDJSON bytes exactly as appended, so
 // replication ships them without a decode/re-encode round trip. The
-// payload slices are only valid during the ReadTail callback.
+// payload slices stay valid, and unchanged, after the ReadTail callback
+// returns: an engine never writes again to memory it handed out.
 type RawBatch struct {
 	ID       string
 	Payloads [][]byte
@@ -51,9 +52,26 @@ type RawBatch struct {
 // surfaces a batch partially — a crash between its first record and
 // its commit marker discards it, which is exactly right because the
 // ack the client retries on was never sent.
+//
+// Payloads, when set, are the records' NDJSON bytes as another node's
+// log already holds them — one per record, the canonical encoding
+// (dataset.Record.AppendJSON) of the record beside it. The engine then
+// stores those bytes instead of encoding the records again, which is
+// how a standby's log comes to be its primary's byte for byte. The
+// caller keeps the slices; Append copies what it needs.
 type Batch struct {
-	ID      string
-	Records []dataset.Record
+	ID       string
+	Records  []dataset.Record
+	Payloads [][]byte
+}
+
+// checkPayloads is every engine's refusal of a batch whose payloads do
+// not pair up with its records.
+func (b *Batch) checkPayloads() error {
+	if b.Payloads != nil && len(b.Payloads) != len(b.Records) {
+		return fmt.Errorf("store: batch has %d payloads for %d records", len(b.Payloads), len(b.Records))
+	}
+	return nil
 }
 
 // Checkpoint is a point-in-time capture of everything above the WAL,
