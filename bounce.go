@@ -153,6 +153,20 @@ func NewEnvironment(w *world.World) *analysis.Environment {
 	return env
 }
 
+// ReplayEnvironment regenerates the world from cfg and replays its
+// delivery, discarding the records, to restore the stateful external
+// services — blocklist listings accrue during delivery — that a report
+// over records produced elsewhere consults: bounceanalyze -in and
+// -data-dir, and bounced in ingest mode. The engine returned carries
+// the world (NewEnvironment(e.W)) and the policy-chain counters.
+func ReplayEnvironment(ctx context.Context, cfg world.Config, workers int) (*delivery.Engine, error) {
+	e := delivery.New(world.New(cfg))
+	if err := e.ParallelRunCtx(ctx, workers, func(dataset.Record, *world.Submission, delivery.Truth) {}); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 // Analyze classifies records with the default pipeline configuration.
 func Analyze(records []dataset.Record, env *analysis.Environment) *analysis.Analysis {
 	return analysis.New(records, env)

@@ -34,7 +34,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/bounced"
 	"repro/internal/dataset"
-	"repro/internal/delivery"
 	"repro/internal/faultinject"
 	"repro/internal/world"
 )
@@ -119,13 +118,12 @@ func main() {
 		}
 		log.Printf("recovered %d records from %s (checkpoint at %d, %d replayed from the WAL tail)",
 			inc.Len(), *dataDir, uint64(inc.Len())-uint64(info.Replayed), info.Replayed)
-		w := world.New(cfg)
-		e := delivery.New(w)
-		if err := e.ParallelRunCtx(ctx, *workers, func(dataset.Record, *world.Submission, delivery.Truth) {}); err != nil {
+		e, err := bounce.ReplayEnvironment(ctx, cfg, *workers)
+		if err != nil {
 			log.Fatal(err)
 		}
-		a := inc.Finish(bounce.NewEnvironment(w))
-		study = &bounce.Study{World: w, Records: a.Records, Analysis: a}
+		a := inc.Finish(bounce.NewEnvironment(e.W))
+		study = &bounce.Study{World: e.W, Records: a.Records, Analysis: a}
 	} else {
 		// Transparently decodes .jsonl.gz; NDJSON decode fans out across
 		// GOMAXPROCS workers with an input-order merge.
@@ -133,13 +131,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		w := world.New(cfg)
-		// Re-run the delivery to restore stateful external services
-		// (blocklist listings accrue during delivery).
-		e := delivery.New(w)
-		if err := e.ParallelRunCtx(ctx, *workers, func(dataset.Record, *world.Submission, delivery.Truth) {}); err != nil {
+		e, err := bounce.ReplayEnvironment(ctx, cfg, *workers)
+		if err != nil {
 			log.Fatal(err)
 		}
+		w := e.W
 		src := dataset.NewContextSource(ctx, f)
 		env := bounce.NewEnvironment(w)
 		if *shards > 1 {

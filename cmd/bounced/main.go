@@ -249,26 +249,23 @@ func runCoordinator(ctx context.Context, f *serveFlags) {
 	serveUntil(ctx, listen(f.addr), coord.Handler(), "coordinator", fmt.Sprintf("over %d shards", len(urls)))
 }
 
-// newEngine regenerates the world from -seed and -emails and puts a
-// delivery engine over it.
-func newEngine(f *serveFlags) *delivery.Engine {
+// worldConfig is the world -seed and -emails describe.
+func worldConfig(f *serveFlags) world.Config {
 	cfg := world.DefaultConfig()
 	cfg.TotalEmails = f.emails
 	cfg.Seed = f.seed
-	return delivery.New(world.New(cfg))
+	return cfg
 }
 
-// restoreEnv is the ingest-mode environment: regenerate the world from
-// the seed and replay the delivery (discarding records) to restore the
-// stateful external services — blocklist listings accrue during
-// delivery — exactly like bounceanalyze -in does. Nil with -no-env.
+// restoreEnv is the ingest-mode environment (bounce.ReplayEnvironment
+// over -seed and -emails), nil with -no-env.
 func restoreEnv(ctx context.Context, f *serveFlags) (*analysis.Environment, *policy.Metrics) {
 	if f.noEnv {
 		return nil, nil
 	}
 	log.Printf("restoring environment (seed %d, %d emails); -no-env skips this", f.seed, f.emails)
-	e := newEngine(f)
-	if err := e.ParallelRunCtx(ctx, f.workers, func(dataset.Record, *world.Submission, delivery.Truth) {}); err != nil {
+	e, err := bounce.ReplayEnvironment(ctx, worldConfig(f), f.workers)
+	if err != nil {
 		log.Fatal(err)
 	}
 	return bounce.NewEnvironment(e.W), e.Metrics
@@ -307,7 +304,7 @@ func runNode(ctx context.Context, f *serveFlags) {
 	}
 	var engine *delivery.Engine
 	if f.generate {
-		engine = newEngine(f)
+		engine = delivery.New(world.New(worldConfig(f)))
 		sCfg.Env, sCfg.PolicyMetrics = bounce.NewEnvironment(engine.W), engine.Metrics
 	} else {
 		sCfg.Env, sCfg.PolicyMetrics = restoreEnv(ctx, f)

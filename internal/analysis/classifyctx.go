@@ -47,10 +47,7 @@ func (cx *ClassifyCtx) matcher(shard int) *drain.Matcher {
 // verdict's slices are arena-backed: immutable once returned, valid
 // indefinitely, full-capacity (appends copy out).
 func (cx *ClassifyCtx) ClassifyRecord(rec *dataset.Record) (c ClassifiedRecord) {
-	shard := 0
-	if len(cx.sp.Shards) > 1 {
-		shard = StreamOf(rec)
-	}
+	shard := StreamOf(rec)
 	p := cx.sp.Shards[shard]
 	m := cx.matcher(shard)
 

@@ -8,9 +8,8 @@ import (
 )
 
 // Collector consumes one classified record at a time. Table and
-// figure builders are implemented as collectors so they can run either
-// over the Analysis's stored corpus (visit) or over a record stream
-// that is never materialized (CollectStream).
+// figure builders are implemented as collectors so they run over the
+// Analysis's stored corpus (visit) and merge as partial aggregates.
 type Collector interface {
 	Add(rec *dataset.Record, c *ClassifiedRecord)
 }
@@ -40,12 +39,6 @@ func mergeTypeError(name string, got PartialCollector) error {
 	return fmt.Errorf("analysis: merge %s partial with %T", name, got)
 }
 
-// RecordClassifier classifies one record — satisfied by both *Pipeline
-// and *ShardedPipeline.
-type RecordClassifier interface {
-	ClassifyRecord(rec *dataset.Record) ClassifiedRecord
-}
-
 // visit feeds every stored record through the collectors in order.
 func (a *Analysis) visit(cs ...Collector) {
 	for i := 0; i < a.Records.Len(); i++ {
@@ -69,26 +62,6 @@ func (a *Analysis) bouncedFirst(failed, every func(*dataset.Record, *ClassifiedR
 	}
 	for i := range a.Classified {
 		every(a.Records.At(i), &a.Classified[i])
-	}
-}
-
-// CollectStream classifies records from src on the fly and feeds them
-// to the collectors without retaining them — single-pass aggregation
-// for datasets larger than memory. The classifier must already be
-// trained (e.g. by a PipelineBuilder over an earlier pass, or loaded
-// from a prior run). Returns the number of records consumed.
-func CollectStream(src dataset.RecordSource, p RecordClassifier, cs ...Collector) int {
-	n := 0
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			return n
-		}
-		c := p.ClassifyRecord(rec)
-		for _, col := range cs {
-			col.Add(rec, &c)
-		}
-		n++
 	}
 }
 

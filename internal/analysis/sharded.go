@@ -7,20 +7,17 @@ import (
 
 // ShardedPipeline is the classifier stack partitioned across the fixed
 // content-hash substreams: shard s is trained on exactly the records
-// with StreamOf(rec) == s, in their substream arrival order. With one
-// shard it degenerates to the plain pipeline; with NumStreams shards
-// it is the canonical sharded form every constructor builds, whose per-substream training order is invariant
-// under any order-preserving split of the stream — the property that
-// makes multi-node reports byte-identical to a single node's.
+// with StreamOf(rec) == s, in their substream arrival order. Every
+// constructor builds NumStreams shards, whose per-substream training
+// order is invariant under any order-preserving split of the stream —
+// the property that makes multi-node reports byte-identical to a single
+// node's.
 type ShardedPipeline struct {
 	Shards []*Pipeline
 }
 
 // For returns the shard pipeline responsible for rec.
 func (sp *ShardedPipeline) For(rec *dataset.Record) *Pipeline {
-	if len(sp.Shards) == 1 {
-		return sp.Shards[0]
-	}
 	return sp.Shards[StreamOf(rec)]
 }
 
@@ -34,9 +31,6 @@ func (sp *ShardedPipeline) ClassifyRecord(rec *dataset.Record) ClassifiedRecord 
 // falling back to the first shard with a trained EBRC. Deterministic,
 // and exact whenever the line's template was mined anywhere.
 func (sp *ShardedPipeline) ClassifyLine(line string) (typ ndr.Type, ambiguous bool) {
-	if len(sp.Shards) == 1 {
-		return sp.Shards[0].ClassifyLine(line)
-	}
 	for _, p := range sp.Shards {
 		if p.Parser.Match(line) != nil {
 			return p.ClassifyLine(line)

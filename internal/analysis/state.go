@@ -13,8 +13,8 @@ import (
 // popularity counts (rebuilt, not serialized), the per-substream
 // pipeline builders (Drain tree + template samples), and the training
 // watermark. A restored Incremental continues byte-identically: the
-// same records in the same order, the same mined templates with the
-// same fingerprints, so every later Snapshot/Finish — and therefore the
+// same records in the same order, the same mined templates in the same
+// tree, so every later Snapshot/Finish — and therefore the
 // bounced report — matches a process that never died. The storage
 // engine (internal/store) treats this blob as an opaque checkpoint
 // section; only this package knows its layout.

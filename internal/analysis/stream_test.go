@@ -39,28 +39,3 @@ func TestNewFromSourceMatchesNew(t *testing.T) {
 		t.Fatal("overview differs between streaming and slice constructors")
 	}
 }
-
-// TestCollectStreamMatchesVisit: feeding a record stream through
-// collectors with a pre-trained pipeline must reproduce the stored-
-// corpus aggregations without retaining records.
-func TestCollectStreamMatchesVisit(t *testing.T) {
-	records := testCorpus()
-	a := New(records, nil)
-
-	oc := &overviewCollector{}
-	tc := newTypeDistCollector()
-	dc := newDomainCollector()
-	n := CollectStream(dataset.NewSliceSource(records), a.Pipeline, oc, tc, dc)
-	if n != len(records) {
-		t.Fatalf("CollectStream consumed %d records, want %d", n, len(records))
-	}
-	if got, want := oc.result(), a.Overview(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed overview %+v, want %+v", got, want)
-	}
-	if !reflect.DeepEqual(tc.counts, a.TypeDistribution()) {
-		t.Fatal("streamed Table 1 differs from stored-corpus Table 1")
-	}
-	if !reflect.DeepEqual(dc.result(10), a.TopDomains(10)) {
-		t.Fatal("streamed Table 3 differs from stored-corpus Table 3")
-	}
-}

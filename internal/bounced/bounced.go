@@ -39,6 +39,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/replication"
 	"repro/internal/simrng"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -180,7 +181,8 @@ type Server struct {
 	livePipe *analysis.ShardedPipeline
 	obsPool  sync.Pool // of *obsCtx
 
-	hist      *latencyHist
+	histMu    sync.Mutex // guards hist
+	hist      stats.Histogram
 	degrees   [3]atomic.Uint64            // by dataset.Degree
 	typeHits  map[ndr.Type]*atomic.Uint64 // live bounce-type counters
 	ambiguous atomic.Uint64
@@ -225,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		inc:       analysis.NewIncremental(cfg.Pipeline),
 		queue:     dataset.NewPipe(cfg.QueueDepth),
-		hist:      newLatencyHist(),
+		hist:      stats.NewHistogram(latencyBounds),
 		typeHits:  make(map[ndr.Type]*atomic.Uint64, len(ndr.AllTypes)),
 		startedAt: time.Now(),
 		faults:    faultinject.New(cfg.Faults),
@@ -589,7 +591,10 @@ func (s *Server) observeBatch(recs []dataset.Record) {
 func (s *Server) observeClassified(oc *obsCtx, rec *dataset.Record) {
 	start := time.Now()
 	c := oc.cx.ClassifyRecord(rec)
-	s.hist.observe(time.Since(start).Nanoseconds())
+	d := time.Since(start).Nanoseconds()
+	s.histMu.Lock()
+	s.hist.Observe(d)
+	s.histMu.Unlock()
 	if c.Ambiguous {
 		s.ambiguous.Add(1)
 		return

@@ -187,12 +187,12 @@ func TestCommitAcceptedPrefixIsSynced(t *testing.T) {
 
 	body := append(encodeNDJSON(t, records[:2]), "{not json\n"...)
 	body = append(body, encodeNDJSON(t, records[2:3])...)
-	fsyncs := eng.Stats().Fsyncs
+	fsyncs := eng.Stats().Fsync.Count
 	ir := postRecords(t, ts.URL, body)
 	if ir.status != http.StatusBadRequest || ir.Line != 3 || ir.Accepted != 2 {
 		t.Fatalf("status %d line %d accepted %d, want 400 at line 3 with 2 accepted", ir.status, ir.Line, ir.Accepted)
 	}
-	if got := eng.Stats().Fsyncs; got <= fsyncs {
+	if got := eng.Stats().Fsync.Count; got <= fsyncs {
 		t.Errorf("fsyncs still %d after a reply reporting accepted: 2", got)
 	}
 	start := time.Now()

@@ -341,19 +341,19 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	shards := append([]shardInfo(nil), c.lastShards...)
 	c.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP coordinator_shards Configured shard nodes.\n# TYPE coordinator_shards gauge\ncoordinator_shards %d\n", len(c.cfg.ShardURLs))
-	fmt.Fprintf(&b, "# HELP coordinator_records Records covered by the last merged snapshot.\n# TYPE coordinator_records gauge\ncoordinator_records %d\n", records)
-	fmt.Fprintf(&b, "# HELP coordinator_merge_ms Milliseconds the last partial merge took.\n# TYPE coordinator_merge_ms gauge\ncoordinator_merge_ms %g\n", ms)
-	fmt.Fprintf(&b, "# HELP coordinator_fanins_total Successful shard fan-ins.\n# TYPE coordinator_fanins_total counter\ncoordinator_fanins_total %d\n", c.fanins.Load())
-	fmt.Fprintf(&b, "# HELP coordinator_fanin_errors_total Fan-ins failed by an unreachable or invalid shard.\n# TYPE coordinator_fanin_errors_total counter\ncoordinator_fanin_errors_total %d\n", c.faninErrs.Load())
-	fmt.Fprintf(&b, "# HELP coordinator_reprobes_total Second-chance shard re-probes after a failed fetch.\n# TYPE coordinator_reprobes_total counter\ncoordinator_reprobes_total %d\n", c.reprobes.Load())
-	fmt.Fprintf(&b, "# HELP coordinator_reports_total Merged reports rendered.\n# TYPE coordinator_reports_total counter\ncoordinator_reports_total %d\n", c.reports.Load())
+	gauge(&b, "coordinator_shards", "Configured shard nodes.", len(c.cfg.ShardURLs))
+	gauge(&b, "coordinator_records", "Records covered by the last merged snapshot.", records)
+	gauge(&b, "coordinator_merge_ms", "Milliseconds the last partial merge took.", ms)
+	counter(&b, "coordinator_fanins_total", "Successful shard fan-ins.", c.fanins.Load())
+	counter(&b, "coordinator_fanin_errors_total", "Fan-ins failed by an unreachable or invalid shard.", c.faninErrs.Load())
+	counter(&b, "coordinator_reprobes_total", "Second-chance shard re-probes after a failed fetch.", c.reprobes.Load())
+	counter(&b, "coordinator_reports_total", "Merged reports rendered.", c.reports.Load())
 	if len(shards) > 0 {
-		b.WriteString("# HELP coordinator_shard_epoch Replication epoch of the shard's elected primary at the last gather.\n# TYPE coordinator_shard_epoch gauge\n")
+		family(&b, "coordinator_shard_epoch", "Replication epoch of the shard's elected primary at the last gather.", "gauge")
 		for _, s := range shards {
 			fmt.Fprintf(&b, "coordinator_shard_epoch{shard=%q} %d\n", s.URL, s.Epoch)
 		}
-		b.WriteString("# HELP coordinator_shard_lag_records Worst standby lag (records) behind the shard's primary at the last gather.\n# TYPE coordinator_shard_lag_records gauge\n")
+		family(&b, "coordinator_shard_lag_records", "Worst standby lag (records) behind the shard's primary at the last gather.", "gauge")
 		for _, s := range shards {
 			fmt.Fprintf(&b, "coordinator_shard_lag_records{shard=%q} %d\n", s.URL, s.LagRecords)
 		}

@@ -5,12 +5,11 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/ndr"
-	"repro/internal/store"
+	"repro/internal/stats"
 )
 
 // latencyBounds are the classify-latency histogram bucket upper bounds
@@ -20,100 +19,54 @@ var latencyBounds = []int64{
 	128000, 256000, 512000, 1024000, 2048000, 4096000, 8192000,
 }
 
-// latencyHist is a fixed-bucket latency histogram. Buckets are coarse
-// enough for a mutex: observe is a handful of nanoseconds next to the
-// classification it measures.
-type latencyHist struct {
-	mu      sync.Mutex
-	buckets []uint64 // len(latencyBounds)+1, last is +Inf
-	count   uint64
-	sum     int64
+// classifyLatency copies the classify-latency histogram out from under
+// its lock.
+func (s *Server) classifyLatency() stats.Histogram {
+	s.histMu.Lock()
+	defer s.histMu.Unlock()
+	return s.hist.Clone()
 }
 
-func newLatencyHist() *latencyHist {
-	return &latencyHist{buckets: make([]uint64, len(latencyBounds)+1)}
-}
-
-func (h *latencyHist) observe(ns int64) {
-	i := sort.Search(len(latencyBounds), func(i int) bool { return ns <= latencyBounds[i] })
-	h.mu.Lock()
-	h.buckets[i]++
-	h.count++
-	h.sum += ns
-	h.mu.Unlock()
-}
-
-// quantile estimates the q-quantile (0..1) in nanoseconds by linear
-// interpolation within the containing bucket, the same estimate a
-// Prometheus histogram_quantile would produce from /metrics. bounds
-// are the bucket upper bounds; buckets has one extra +Inf bucket.
-func quantile(bounds []int64, buckets []uint64, count uint64, q float64) float64 {
-	if count == 0 {
-		return 0
-	}
-	rank := q * float64(count)
-	var seen float64
-	for i, b := range buckets {
-		if b == 0 {
-			continue
-		}
-		lo := float64(0)
-		if i > 0 {
-			lo = float64(bounds[i-1])
-		}
-		hi := lo * 2
-		if i < len(bounds) {
-			hi = float64(bounds[i])
-		}
-		if seen+float64(b) >= rank {
-			frac := (rank - seen) / float64(b)
-			return lo + frac*(hi-lo)
-		}
-		seen += float64(b)
-	}
-	return float64(bounds[len(bounds)-1])
-}
-
-// snapshot copies the histogram out from under its lock.
-func (h *latencyHist) snapshot() (buckets []uint64, count uint64, sum int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]uint64(nil), h.buckets...), h.count, h.sum
-}
-
-// summarize is a histogram's /v1/stats form. bounds, buckets and sum
-// are in nanoseconds.
-func summarize(bounds []int64, buckets []uint64, count uint64, sum int64) latencyStats {
-	st := latencyStats{Count: count}
-	if count == 0 {
+// summarize is a histogram's /v1/stats form, in nanoseconds.
+func summarize(h stats.Histogram) latencyStats {
+	st := latencyStats{Count: h.Count}
+	if h.Count == 0 {
 		return st
 	}
-	st.P50NS = quantile(bounds, buckets, count, 0.50)
-	st.P90NS = quantile(bounds, buckets, count, 0.90)
-	st.P99NS = quantile(bounds, buckets, count, 0.99)
-	st.MeanNS = float64(sum) / float64(count)
+	st.P50NS = h.Quantile(0.50)
+	st.P90NS = h.Quantile(0.90)
+	st.P99NS = h.Quantile(0.99)
+	st.MeanNS = float64(h.Sum) / float64(h.Count)
 	return st
 }
 
-// writeHistogram is a histogram's /metrics form, in seconds.
-func writeHistogram(b *strings.Builder, name, help string, bounds []int64, buckets []uint64, count uint64, sum int64) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	var cum uint64
-	for i, bound := range bounds {
-		cum += buckets[i]
-		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, float64(bound)/1e9, cum)
-	}
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, count)
-	fmt.Fprintf(b, "%s_sum %g\n", name, float64(sum)/1e9)
-	fmt.Fprintf(b, "%s_count %d\n", name, count)
+// The /metrics writers: family opens a metric family, whose samples the
+// caller writes (one per label set); counter and gauge are families of
+// one unlabelled sample; writeHistogram renders h in seconds.
+func family(b *strings.Builder, name, help, typ string) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
 func gauge(b *strings.Builder, name, help string, v any) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
+	family(b, name, help, "gauge")
+	fmt.Fprintf(b, "%s %v\n", name, v)
 }
 
 func counter(b *strings.Builder, name, help string, v uint64) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	family(b, name, help, "counter")
+	fmt.Fprintf(b, "%s %d\n", name, v)
+}
+
+func writeHistogram(b *strings.Builder, name, help string, h stats.Histogram) {
+	family(b, name, help, "histogram")
+	var cum uint64
+	for i, bound := range h.Bounds {
+		cum += h.Buckets[i]
+		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, float64(bound)/1e9, cum)
+	}
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count)
+	fmt.Fprintf(b, "%s_sum %g\n", name, float64(h.Sum)/1e9)
+	fmt.Fprintf(b, "%s_count %d\n", name, h.Count)
 }
 
 // handleMetrics serves the service counters in the Prometheus text
@@ -135,7 +88,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			kinds = append(kinds, k)
 		}
 		sort.Strings(kinds)
-		fmt.Fprintf(&b, "# HELP bounced_faults_injected_total Faults fired by the fault-injection layer.\n# TYPE bounced_faults_injected_total counter\n")
+		family(&b, "bounced_faults_injected_total", "Faults fired by the fault-injection layer.", "counter")
 		for _, k := range kinds {
 			fmt.Fprintf(&b, "bounced_faults_injected_total{kind=%q} %d\n", k, faults[k])
 		}
@@ -144,19 +97,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge(&b, "bounced_queue_depth", "Records buffered in the ingest queue.", s.queue.Len())
 	gauge(&b, "bounced_queue_capacity", "Ingest queue capacity.", s.queue.Cap())
 
-	fmt.Fprintf(&b, "# HELP bounced_bounce_degree_total Records by bounce degree.\n# TYPE bounced_bounce_degree_total counter\n")
+	family(&b, "bounced_bounce_degree_total", "Records by bounce degree.", "counter")
 	for d := dataset.NonBounced; d <= dataset.HardBounced; d++ {
 		fmt.Fprintf(&b, "bounced_bounce_degree_total{degree=%q} %d\n", d.String(), s.degrees[int(d)].Load())
 	}
 
-	fmt.Fprintf(&b, "# HELP bounced_bounce_type_total Live-classified failed attempts by bounce type.\n# TYPE bounced_bounce_type_total counter\n")
+	family(&b, "bounced_bounce_type_total", "Live-classified failed attempts by bounce type.", "counter")
 	for _, t := range ndr.AllTypes {
 		fmt.Fprintf(&b, "bounced_bounce_type_total{type=%q} %d\n", t.String(), s.typeHits[t].Load())
 	}
 	counter(&b, "bounced_ambiguous_records_total", "Live-classified records with only ambiguous failures.", s.ambiguous.Load())
 
 	if s.cfg.PolicyMetrics != nil {
-		fmt.Fprintf(&b, "# HELP bounced_policy_stage_hits_total Delivery-engine policy-chain rejections by stage.\n# TYPE bounced_policy_stage_hits_total counter\n")
+		family(&b, "bounced_policy_stage_hits_total", "Delivery-engine policy-chain rejections by stage.", "counter")
 		for _, h := range s.cfg.PolicyMetrics.Snapshot() {
 			fmt.Fprintf(&b, "bounced_policy_stage_hits_total{stage=%q,phase=%q,type=%q} %d\n",
 				h.Stage, h.Phase, h.Type, h.Hits)
@@ -167,8 +120,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.j.writeMetrics(&b)
 	}
 
-	buckets, count, sum := s.hist.snapshot()
-	writeHistogram(&b, "bounced_classify_latency_seconds", "Live per-record classification latency.", latencyBounds, buckets, count, sum)
+	writeHistogram(&b, "bounced_classify_latency_seconds", "Live per-record classification latency.", s.classifyLatency())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write([]byte(b.String()))
@@ -194,7 +146,7 @@ func (j *journal) writeMetrics(b *strings.Builder) {
 			fmt.Sprintf("%g", time.Since(time.Unix(est.LastCheckpointUnix, 0)).Seconds()))
 	}
 	gauge(b, "bounced_records_replayed_at_start", "WAL-tail records replayed during boot recovery.", j.recovery.Replayed)
-	writeHistogram(b, "bounced_fsync_latency_seconds", "WAL fsync latency.", store.FsyncBounds, est.FsyncHist, est.Fsyncs, est.FsyncNanos)
+	writeHistogram(b, "bounced_fsync_latency_seconds", "WAL fsync latency.", est.Fsync)
 
 	role := 0
 	if j.s.standby.Load() {

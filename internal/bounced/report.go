@@ -217,14 +217,13 @@ func (j *journal) durability() *durabilityStats {
 	if st.LastCheckpointUnix > 0 {
 		d.LastCheckpointAgeSeconds = time.Since(time.Unix(st.LastCheckpointUnix, 0)).Seconds()
 	}
-	d.Fsync = summarize(store.FsyncBounds, st.FsyncHist, st.Fsyncs, st.FsyncNanos)
+	d.Fsync = summarize(st.Fsync)
 	return d
 }
 
 // handleStats serves the service counters as JSON — the programmatic
 // twin of /metrics, including the policy-chain per-stage hit counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	buckets, count, sum := s.hist.snapshot()
 	resp := statsResponse{
 		Seed:            s.cfg.Seed,
 		UptimeSeconds:   time.Since(s.startedAt).Seconds(),
@@ -244,7 +243,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		AmbiguousLive:   s.ambiguous.Load(),
 		Degrees:         make(map[string]uint64, 3),
 		Types:           make(map[string]uint64),
-		Classify:        summarize(latencyBounds, buckets, count, sum),
+		Classify:        summarize(s.classifyLatency()),
 	}
 	for d := dataset.NonBounced; d <= dataset.HardBounced; d++ {
 		resp.Degrees[d.String()] = s.degrees[int(d)].Load()

@@ -2,8 +2,6 @@ package dataset
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"sort"
@@ -55,24 +53,23 @@ func WriteFile(path string, records []Record) error {
 	return f.Close()
 }
 
-// ReadAll parses every JSONL record from r.
+// ReadAll parses every JSONL record from r — a ParallelReader drained,
+// so its line rules are the only ones.
 func ReadAll(r io.Reader) ([]Record, error) {
+	p := NewParallelReader(r, 0)
+	defer p.Close()
 	var out []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
+	for {
+		recs, ok := p.NextBatch()
+		if !ok {
+			break
 		}
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		out = append(out, rec)
+		out = append(out, recs...)
 	}
-	return out, sc.Err()
+	if err := p.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ReadFile parses a JSONL dataset file, transparently decoding gzip

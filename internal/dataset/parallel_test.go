@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
@@ -166,12 +167,45 @@ func parallelDecodeAll(t *testing.T, data []byte, workers int) ([]Record, error)
 	return out, p.Err()
 }
 
+// serialDecode is the reference ParallelReader is held to: a
+// bufio.Scanner over r (ScanLines, the 16 MiB limit), blank lines
+// numbered and skipped, each line decoded on the caller's goroutine. It
+// returns the records, the number of the last line consumed, and the
+// first failure as a *LineError.
+func serialDecode(r io.Reader) ([]Record, int, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), maxLineBytes)
+	var (
+		dec  Decoder
+		out  []Record
+		line int
+	)
+	for sc.Scan() {
+		line++
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var rec Record
+		if err := dec.Decode(sc.Bytes(), &rec); err != nil {
+			return out, line, &LineError{Line: line, Err: err}
+		}
+		out = append(out, rec)
+	}
+	if err := sc.Err(); err != nil {
+		return out, line, &LineError{Line: line, After: true, Err: err}
+	}
+	return out, line, nil
+}
+
 // TestParallelReaderWorkerInvariance: 1, 4, and 16 workers must yield a
-// record sequence identical to the serial ReaderSource.
+// record sequence identical to the serial reference.
 func TestParallelReaderWorkerInvariance(t *testing.T) {
 	recs := varied(3 * testChunkLines) // several chunks
 	data := encodeJSONL(t, recs)
-	want := Collect(NewReaderSource(bytes.NewReader(data)))
+	want, _, err := serialDecode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4, 16} {
 		got, err := parallelDecodeAll(t, data, workers)
 		if err != nil {
@@ -229,7 +263,7 @@ func TestParallelReaderTruncatedFinalLine(t *testing.T) {
 }
 
 // TestParallelReaderReadError: a truncated gzip stream must behave
-// exactly like the serial ReaderSource over the same bytes — same
+// exactly like the serial reference over the same bytes — same
 // record count, same error line, same torn-line/truncated-tail
 // classification. (The cut usually lands mid-line, which both readers
 // report as a decode error on that line; the parallel reader used to
@@ -247,11 +281,10 @@ func TestParallelReaderReadError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := NewReaderSource(serialRd)
-	want := Collect(serial)
+	want, wantLine, serialErr := serialDecode(serialRd)
 	var wantLE *LineError
-	if !errors.As(serial.Err(), &wantLE) {
-		t.Fatalf("serial error %v is not a LineError", serial.Err())
+	if !errors.As(serialErr, &wantLE) {
+		t.Fatalf("serial error %v is not a LineError", serialErr)
 	}
 
 	for _, workers := range []int{1, 4, 16} {
@@ -260,7 +293,7 @@ func TestParallelReaderReadError(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := newParallelReaderSize(rd, workers, testBlock)
-		got := Collect(p)
+		got := collect(p)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d records, serial got %d", workers, len(got), len(want))
 		}
@@ -272,8 +305,8 @@ func TestParallelReaderReadError(t *testing.T) {
 			t.Fatalf("workers=%d: error at line %d (after=%v), serial at line %d (after=%v)",
 				workers, le.Line, le.After, wantLE.Line, wantLE.After)
 		}
-		if p.Line() != serial.Line() {
-			t.Fatalf("workers=%d: Line()=%d, serial Line()=%d", workers, p.Line(), serial.Line())
+		if p.Line() != wantLine {
+			t.Fatalf("workers=%d: Line()=%d, serial Line()=%d", workers, p.Line(), wantLine)
 		}
 		p.Close()
 	}
@@ -328,7 +361,7 @@ func TestParallelReaderTornMidChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := newParallelReaderSize(&cutReader{r: zr, left: cut}, workers, testBlock)
-		got := Collect(p)
+		got := collect(p)
 		if len(got) != tornLine-1 {
 			t.Fatalf("workers=%d: %d records before torn line, want %d", workers, len(got), tornLine-1)
 		}
@@ -362,7 +395,7 @@ func TestParallelReaderTruncatedTailAtBoundary(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		p := newParallelReaderSize(&cutReader{r: bytes.NewReader(data), left: off}, workers, testBlock)
-		got := Collect(p)
+		got := collect(p)
 		if len(got) != lastLine {
 			t.Fatalf("workers=%d: %d records, want %d", workers, len(got), lastLine)
 		}
@@ -414,7 +447,7 @@ func TestOpenParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Collect(src)
+	got := collect(src)
 	if err := src.Err(); err != nil {
 		t.Fatal(err)
 	}

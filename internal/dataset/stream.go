@@ -10,12 +10,6 @@ import (
 	"sync"
 )
 
-// RecordSink receives records one at a time. Writer satisfies it, so
-// anything that produces records can stream straight to JSONL.
-type RecordSink interface {
-	Write(r *Record) error
-}
-
 // RecordSource yields records one at a time. Next returns false once
 // the source is exhausted. The returned pointer is only valid until
 // the next call to Next; callers that retain records must copy them.
@@ -23,11 +17,8 @@ type RecordSource interface {
 	Next() (*Record, bool)
 }
 
-var _ RecordSink = (*Writer)(nil)
 var _ RecordSource = (*SliceSource)(nil)
-var _ RecordSource = (*ReaderSource)(nil)
 var _ RecordSource = (*ContextSource)(nil)
-var _ RecordSink = (*Pipe)(nil)
 var _ RecordSource = (*Pipe)(nil)
 
 // SliceSource adapts an in-memory slice to RecordSource.
@@ -49,18 +40,6 @@ func (s *SliceSource) Next() (*Record, bool) {
 	r := &s.records[s.i]
 	s.i++
 	return r, true
-}
-
-// Collect drains src into a slice.
-func Collect(src RecordSource) []Record {
-	var out []Record
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, *r)
-	}
 }
 
 // ErrClosedPipe is returned by Pipe.Write after the pipe has been
@@ -248,53 +227,6 @@ func (p *Pipe) NextBatch(dst []Record) (int, bool) {
 	return want, true
 }
 
-// ReaderSource streams JSONL records from r without materializing the
-// dataset. Check Err after Next returns false.
-type ReaderSource struct {
-	sc   *bufio.Scanner
-	dec  Decoder
-	cur  Record
-	line int
-	err  error
-}
-
-// NewReaderSource wraps a JSONL stream.
-func NewReaderSource(r io.Reader) *ReaderSource {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	return &ReaderSource{sc: sc}
-}
-
-func (s *ReaderSource) Next() (*Record, bool) {
-	if s.err != nil {
-		return nil, false
-	}
-	for s.sc.Scan() {
-		s.line++
-		if len(s.sc.Bytes()) == 0 {
-			continue
-		}
-		if err := s.dec.Decode(s.sc.Bytes(), &s.cur); err != nil {
-			s.err = &LineError{Line: s.line, Err: err}
-			return nil, false
-		}
-		return &s.cur, true
-	}
-	if err := s.sc.Err(); err != nil {
-		// Read-layer failures (e.g. a truncated gzip stream) carry the
-		// position too, so operators know how far the stream got.
-		s.err = &LineError{Line: s.line, After: true, Err: err}
-	}
-	return nil, false
-}
-
-// Err reports the first decode or read error encountered.
-func (s *ReaderSource) Err() error { return s.err }
-
-// Line reports the number of the last JSONL line consumed (1-based;
-// 0 before the first line).
-func (s *ReaderSource) Line() int { return s.line }
-
 // gzipMagic is the two-byte gzip member header (RFC 1952).
 var gzipMagic = []byte{0x1f, 0x8b}
 
@@ -318,8 +250,8 @@ func NewDecodingReader(r io.Reader) (io.Reader, error) {
 }
 
 // ContextSource stops yielding records once ctx is cancelled, which
-// propagates Ctrl-C through streaming consumers (NewFromSource,
-// CollectStream) that otherwise only stop at end of input.
+// propagates Ctrl-C through streaming consumers (NewFromSource) that
+// otherwise only stop at end of input.
 type ContextSource struct {
 	ctx context.Context
 	src RecordSource

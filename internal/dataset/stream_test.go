@@ -33,9 +33,21 @@ func sampleRecords(n int) []Record {
 	return out
 }
 
+// collect drains src into a slice.
+func collect(src RecordSource) []Record {
+	var out []Record
+	for {
+		r, ok := src.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, *r)
+	}
+}
+
 func TestSliceSourceCollectRoundTrip(t *testing.T) {
 	recs := sampleRecords(5)
-	got := Collect(NewSliceSource(recs))
+	got := collect(NewSliceSource(recs))
 	if len(got) != len(recs) {
 		t.Fatalf("collected %d records, want %d", len(got), len(recs))
 	}
@@ -55,7 +67,7 @@ func TestPipePreservesOrderAcrossGoroutines(t *testing.T) {
 		}
 		p.Close()
 	}()
-	got := Collect(p)
+	got := collect(p)
 	if len(got) != len(recs) {
 		t.Fatalf("pipe delivered %d records, want %d", len(got), len(recs))
 	}
@@ -63,52 +75,6 @@ func TestPipePreservesOrderAcrossGoroutines(t *testing.T) {
 		if !got[i].StartTime.Equal(recs[i].StartTime) {
 			t.Fatalf("record %d out of order", i)
 		}
-	}
-}
-
-func TestReaderSourceMatchesReadAll(t *testing.T) {
-	recs := sampleRecords(7)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	var sink RecordSink = w // Writer must satisfy the streaming sink
-	for i := range recs {
-		if err := sink.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != len(recs) {
-		t.Errorf("Count = %d, want %d", w.Count(), len(recs))
-	}
-
-	all, err := ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewReaderSource(bytes.NewReader(buf.Bytes()))
-	streamed := Collect(src)
-	if err := src.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(all) {
-		t.Fatalf("streamed %d records, ReadAll %d", len(streamed), len(all))
-	}
-	for i := range streamed {
-		if streamed[i].To != all[i].To || !streamed[i].StartTime.Equal(all[i].StartTime) {
-			t.Fatalf("record %d differs between streaming and slurping", i)
-		}
-	}
-}
-
-func TestReaderSourceReportsDecodeError(t *testing.T) {
-	src := NewReaderSource(strings.NewReader("{not json}\n"))
-	if _, ok := src.Next(); ok {
-		t.Fatal("Next succeeded on malformed input")
-	}
-	if src.Err() == nil {
-		t.Fatal("Err() is nil after malformed input")
 	}
 }
 
@@ -128,27 +94,16 @@ func encodeJSONL(t *testing.T, recs []Record) []byte {
 	return buf.Bytes()
 }
 
-func TestReaderSourceMalformedLineMidStreamIsLineNumbered(t *testing.T) {
+func TestReadAllMalformedLineMidStreamIsLineNumbered(t *testing.T) {
 	lines := encodeJSONL(t, sampleRecords(3))
 	corrupt := bytes.Join([][]byte{
 		bytes.TrimSuffix(lines, []byte("\n")),
 		[]byte("{definitely not json}"),
 		[]byte(""),
 	}, []byte("\n"))
-	src := NewReaderSource(bytes.NewReader(corrupt))
-	n := 0
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("decoded %d records before the corrupt line, want 3", n)
-	}
-	err := src.Err()
-	if err == nil {
-		t.Fatal("Err() is nil after malformed mid-stream line")
+	recs, err := ReadAll(bytes.NewReader(corrupt))
+	if err == nil || recs != nil {
+		t.Fatalf("ReadAll = %d records, %v; want no records and an error", len(recs), err)
 	}
 	if !strings.Contains(err.Error(), "line 4") {
 		t.Fatalf("error %q does not name line 4", err)
@@ -177,7 +132,7 @@ func TestOpenDecodesGzipByMagicBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	got := Collect(src)
+	got := collect(src)
 	if err := src.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +149,7 @@ func TestOpenDecodesGzipByMagicBytes(t *testing.T) {
 	}
 }
 
-func TestReaderSourceTruncatedGzipSurfacesError(t *testing.T) {
+func TestReadAllTruncatedGzipSurfacesError(t *testing.T) {
 	raw := encodeJSONL(t, sampleRecords(50))
 	var gz bytes.Buffer
 	zw := gzip.NewWriter(&gz)
@@ -209,17 +164,8 @@ func TestReaderSourceTruncatedGzipSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewReaderSource(r)
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-	}
-	if src.Err() == nil {
-		t.Fatal("Err() is nil after truncated gzip stream")
-	}
-	if !strings.Contains(src.Err().Error(), "line") {
-		t.Fatalf("truncated-gzip error %q carries no line position", src.Err())
+	if _, err := ReadAll(r); err == nil || !strings.Contains(err.Error(), "line") {
+		t.Fatalf("truncated gzip stream: error %v carries no line position", err)
 	}
 }
 
@@ -265,7 +211,7 @@ func TestPipeWriteAfterCloseErrors(t *testing.T) {
 	if err := p.Write(&recs[1]); !errors.Is(err, ErrClosedPipe) {
 		t.Fatalf("write after Close returned %v, want ErrClosedPipe", err)
 	}
-	got := Collect(p)
+	got := collect(p)
 	if len(got) != 1 || !got[0].StartTime.Equal(recs[0].StartTime) {
 		t.Fatalf("drained %d records after Close, want the 1 accepted", len(got))
 	}
@@ -355,7 +301,7 @@ func TestPipeZeroLossWhenProducerCloses(t *testing.T) {
 		wg.Wait()
 		p.Close()
 	}()
-	got := Collect(p)
+	got := collect(p)
 	if int64(len(got)) != wrote.Load() {
 		t.Fatalf("consumed %d records, wrote %d", len(got), wrote.Load())
 	}

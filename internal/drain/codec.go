@@ -9,11 +9,13 @@ import (
 )
 
 // Binary codec for a Parser: the durable-checkpoint path serializes the
-// whole match structure — tree, groups, founding order, fingerprint —
-// so a restored parser behaves byte-identically to the original, both
-// for Match (same leaf routing, same in-leaf candidate order, so the
-// same tie-breaks) and for further Train calls (same nextID, same
-// wildcard state, same MaxChildren overflow children). The encoding is
+// whole match structure — tree, groups, founding order — so a restored
+// parser behaves byte-identically to the original, both for Match (same
+// leaf routing, same in-leaf candidate order, so the same tie-breaks)
+// and for further Train calls (same nextID, same wildcard state, same
+// MaxChildren overflow children). Eight bytes after nextID are reserved
+// and written as zero, so snapshots from builds that stored a
+// fingerprint there load unchanged, and the other way round. The encoding is
 // the repo's usual boring kind: varints, length-prefixed strings, and
 // map children emitted in sorted key order so equal parsers marshal to
 // equal bytes.
@@ -35,7 +37,7 @@ func (p *Parser) MarshalBinary() ([]byte, error) {
 	e.f64(p.cfg.SimThreshold)
 	e.uv(uint64(p.cfg.MaxChildren))
 	e.uv(uint64(p.nextID))
-	e.u64(p.fp)
+	e.u64(0) // reserved: a structural fingerprint once lived here
 
 	// Groups in founding order (the order p.groups holds them).
 	e.uv(uint64(len(p.groups)))
@@ -63,7 +65,7 @@ func UnmarshalParser(b []byte) (*Parser, error) {
 	p.cfg.SimThreshold = d.f64()
 	p.cfg.MaxChildren = int(d.uv())
 	p.nextID = int(d.uv())
-	p.fp = d.u64()
+	d.u64() // reserved
 
 	n := int(d.uv())
 	if d.err == nil && uint64(n) > uint64(len(d.b)) {

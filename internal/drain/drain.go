@@ -73,7 +73,6 @@ type Parser struct {
 	groups []*Group
 	nextID int
 	frozen bool
-	fp     uint64   // structural fingerprint, see Fingerprint
 	tokBuf []string // tokenization scratch, used under mu only
 }
 
@@ -89,48 +88,11 @@ func New(cfg Config) *Parser {
 	if cfg.MaxChildren <= 0 {
 		cfg.MaxChildren = def.MaxChildren
 	}
-	return &Parser{cfg: cfg, root: &node{children: map[string]*node{}}, fp: fnvOffset64}
-}
-
-// FNV-1a constants for the structural fingerprint.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func (p *Parser) mixByte(b byte) { p.fp = (p.fp ^ uint64(b)) * fnvPrime64 }
-
-func (p *Parser) mixInt(v int) {
-	for i := 0; i < 8; i++ {
-		p.mixByte(byte(v >> (8 * i)))
-	}
-}
-
-func (p *Parser) mixString(s string) {
-	for i := 0; i < len(s); i++ {
-		p.mixByte(s[i])
-	}
-	p.mixByte(0xff) // terminator so "ab","c" ≠ "a","bc"
-}
-
-// Fingerprint identifies the parser's match-relevant structure: it is
-// a chain over every structural mutation — group foundings (with their
-// token sequence) and template positions wildcarded — in order. Count
-// increments do not change it, because Match routes on the tree and
-// templates only: two parsers with equal fingerprints (same lineage)
-// return the same group for every line. Only tests read it; it stays
-// because the tree codec writes it into every checkpoint.
-func (p *Parser) Fingerprint() uint64 {
-	if p.frozen {
-		return p.fp
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fp
+	return &Parser{cfg: cfg, root: &node{children: map[string]*node{}}}
 }
 
 // Freeze marks the parser immutable: Train panics afterwards, and
-// Match, Groups, and Fingerprint stop taking the mutex — the lock-free
+// Match and Groups stop taking the mutex — the lock-free
 // read path parallel classification depends on. Freeze must
 // happen-before any lock-free reader (publish the parser through a
 // channel, mutex, or goroutine start).
@@ -301,8 +263,6 @@ func (p *Parser) Train(line string) *Group {
 		for i := range best.tokens {
 			if best.tokens[i] != tokens[i] && best.tokens[i] != Wildcard {
 				best.tokens[i] = Wildcard
-				p.mixInt(best.ID)
-				p.mixInt(i)
 			}
 		}
 		best.Count++
@@ -312,10 +272,6 @@ func (p *Parser) Train(line string) *Group {
 	p.nextID++
 	leaf.groups = append(leaf.groups, g)
 	p.groups = append(p.groups, g)
-	p.mixInt(g.ID)
-	for _, tok := range tokens {
-		p.mixString(tok)
-	}
 	return g
 }
 
@@ -381,12 +337,11 @@ func (m *Matcher) Match(line string) *Group {
 // frozen for a point-in-time snapshot (the online report path). Group
 // IDs, counts, and template tokens are preserved exactly, which keeps
 // a clone's classifications identical to the original's at clone time.
-// The clone is unfrozen (trainable) regardless of the original's state,
-// and inherits the structural fingerprint.
+// The clone is unfrozen (trainable) regardless of the original's state.
 func (p *Parser) Clone() *Parser {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	q := &Parser{cfg: p.cfg, nextID: p.nextID, fp: p.fp}
+	q := &Parser{cfg: p.cfg, nextID: p.nextID}
 	copies := make(map[*Group]*Group, len(p.groups))
 	q.groups = make([]*Group, len(p.groups))
 	for i, g := range p.groups {

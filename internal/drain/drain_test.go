@@ -3,6 +3,7 @@ package drain
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -243,4 +244,49 @@ func TestCloneIsIndependentAndIdentical(t *testing.T) {
 	if g := p.Match("451 4.3.2 system not accepting network messages"); g != nil {
 		t.Fatalf("original learned the clone's post-clone line: %q", g.Template())
 	}
+}
+
+// TestFrozenMatchConcurrent: after Freeze, Match and Groups run
+// lock-free; hammer them from several goroutines under -race.
+func TestFrozenMatchConcurrent(t *testing.T) {
+	p := New(Config{})
+	lines := make([]string, 40)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("550 user u%d unknown on host h%d", i, i%5)
+		p.Train(lines[i])
+	}
+	want := make([]*Group, len(lines))
+	for i, l := range lines {
+		want[i] = p.Match(l)
+	}
+	p.Freeze()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				for i, l := range lines {
+					if g := p.Match(l); g != want[i] {
+						t.Errorf("frozen Match diverged for %q", l)
+						return
+					}
+				}
+				p.Groups()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestTrainOnFrozenPanics(t *testing.T) {
+	p := New(Config{})
+	p.Train("550 user unknown")
+	p.Freeze()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Train on frozen parser did not panic")
+		}
+	}()
+	p.Train("550 another line")
 }

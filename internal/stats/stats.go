@@ -1,5 +1,6 @@
 // Package stats provides the small numeric helpers the analysis layer
-// uses: means, percentiles, CDFs and fixed-bucket histograms.
+// uses — means, percentiles, ratios — and the fixed-bucket latency
+// histogram the service's metrics share.
 package stats
 
 import (
@@ -60,47 +61,62 @@ func FractionAtLeast(xs []float64, threshold float64) float64 {
 	return float64(n) / float64(len(xs))
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	F float64 // P(value <= X)
+// Histogram is a fixed-bucket histogram of latencies in nanoseconds.
+// Buckets[i] counts observations at or below Bounds[i] — Prometheus's
+// inclusive le — and the last bucket, past every bound, is +Inf. It
+// holds no lock: its owner serializes Observe against reads.
+type Histogram struct {
+	Bounds  []int64
+	Buckets []uint64
+	Count   uint64
+	Sum     int64
 }
 
-// CDF returns the empirical CDF of xs evaluated at the given points.
-func CDF(xs []float64, at []float64) []CDFPoint {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(at))
-	for i, x := range at {
-		idx := sort.SearchFloat64s(s, math.Nextafter(x, math.Inf(1)))
-		f := 0.0
-		if len(s) > 0 {
-			f = float64(idx) / float64(len(s))
-		}
-		out[i] = CDFPoint{X: x, F: f}
-	}
-	return out
+// NewHistogram is an empty histogram over bounds, which ascend.
+func NewHistogram(bounds []int64) Histogram {
+	return Histogram{Bounds: bounds, Buckets: make([]uint64, len(bounds)+1)}
 }
 
-// Histogram counts values into equal-width buckets over [lo, hi);
-// values outside clamp to the edge buckets.
-func Histogram(xs []float64, lo, hi float64, buckets int) []int {
-	if buckets <= 0 || hi <= lo {
-		return nil
+// Observe counts one latency of ns nanoseconds.
+func (h *Histogram) Observe(ns int64) {
+	h.Buckets[sort.Search(len(h.Bounds), func(i int) bool { return ns <= h.Bounds[i] })]++
+	h.Count++
+	h.Sum += ns
+}
+
+// Clone is a copy later observations do not reach.
+func (h Histogram) Clone() Histogram {
+	h.Buckets = append([]uint64(nil), h.Buckets...)
+	return h
+}
+
+// Quantile estimates the q-quantile (0..1) in nanoseconds by linear
+// interpolation within the containing bucket, the same estimate a
+// Prometheus histogram_quantile would produce from the exposition.
+func (h Histogram) Quantile(q float64) float64 {
+	if h.Count == 0 {
+		return 0
 	}
-	counts := make([]int, buckets)
-	w := (hi - lo) / float64(buckets)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
+	rank := q * float64(h.Count)
+	var seen float64
+	for i, b := range h.Buckets {
+		if b == 0 {
+			continue
 		}
-		if i >= buckets {
-			i = buckets - 1
+		lo := float64(0)
+		if i > 0 {
+			lo = float64(h.Bounds[i-1])
 		}
-		counts[i]++
+		hi := lo * 2
+		if i < len(h.Bounds) {
+			hi = float64(h.Bounds[i])
+		}
+		if seen+float64(b) >= rank {
+			return lo + (rank-seen)/float64(b)*(hi-lo)
+		}
+		seen += float64(b)
 	}
-	return counts
+	return float64(h.Bounds[len(h.Bounds)-1])
 }
 
 // Ratio is a safe division returning 0 for a zero denominator.

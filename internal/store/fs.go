@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 // Filesystem engine. On-disk layout under Dir:
@@ -26,8 +27,7 @@ import (
 //	checkpoint/cp-<records hex>.ckpt atomic state snapshots
 //
 // A segment is a 13-byte header (magic "BWAL", version, first record
-// index) followed by frames: [kind u8][payload len uvarint][crc32c u32
-// LE over kind+payload][payload]. Kind 1 is one record (its NDJSON wire
+// index) followed by frames (frame.go). Kind 1 is one record (its NDJSON wire
 // form — the same bytes HTTP ingest carries, decoded on replay by the
 // fast-path decoder); kinds 2/3 bracket a client batch with its
 // idempotency key, making the batch atomic under crash replay. A batch
@@ -51,7 +51,6 @@ const (
 	frameCommit byte = 3
 
 	segHeaderSize = 4 + 1 + 8
-	maxFrameBytes = 1 << 30
 
 	defaultSegmentBytes    = 64 << 20
 	defaultKeepCheckpoints = 2
@@ -73,8 +72,6 @@ type tailMark struct {
 	first uint64
 	off   int64
 }
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // FSOptions configures Open.
 type FSOptions struct {
@@ -147,9 +144,7 @@ type FS struct {
 
 	appendedRecords uint64
 	appendedBatches uint64
-	fsyncs          uint64
-	fsyncNanos      int64
-	fsyncHist       []uint64
+	fsyncHist       stats.Histogram
 	checkpoints     uint64
 	lastCPRecords   uint64
 	lastCPUnix      int64
@@ -175,7 +170,7 @@ func Open(opts FSOptions) (*FS, error) {
 		walDir:    filepath.Join(opts.Dir, "wal"),
 		ckptDir:   filepath.Join(opts.Dir, "checkpoint"),
 		logf:      opts.Logf,
-		fsyncHist: make([]uint64, len(FsyncBounds)+1),
+		fsyncHist: stats.NewHistogram(fsyncBounds),
 		fsync:     (*os.File).Sync,
 	}
 	if f.logf == nil {
@@ -404,19 +399,9 @@ func (f *FS) forgetMarks(seg uint64) {
 	f.markMu.Unlock()
 }
 
-// tornFrameError is a frame cut short, or one whose length claims more
-// bytes than the file holds: what a crash, or a writer still flushing,
-// leaves at the end of a segment.
-type tornFrameError string
-
-func (e tornFrameError) Error() string { return string(e) }
-
-var (
-	errFrameChecksum = errors.New("frame checksum mismatch")
-	// errOpenGroup is a clean end of file inside a batch group: its
-	// commit frame was never written, so the batch was never acked.
-	errOpenGroup = errors.New("batch group without its commit")
-)
+// errOpenGroup is a clean end of file inside a batch group: its commit
+// frame was never written, so the batch was never acked.
+var errOpenGroup = errors.New("batch group without its commit")
 
 // walUnit is one committed unit as it lies in its segment.
 type walUnit struct {
@@ -439,111 +424,17 @@ type unitError struct {
 func (e *unitError) Error() string { return fmt.Sprintf("%v at offset %d", e.cause, e.off) }
 func (e *unitError) Unwrap() error { return e.cause }
 
-// segReader decodes one segment: frames, and the units they make up.
-// It is the one place frames are validated and groups assembled;
-// recovery (scanSegment) and the replication read path
-// (readSegmentUnits) differ only in what they do with its errors.
-//
-// It reads the file a block at a time and hands out payloads that are
-// slices of the block, so a unit of 256 records costs one allocation
-// and no copy. Bytes once parsed are never written again — a block with
-// no room for the next frame is left to the payloads cut from it and a
-// new one started — so callers keep payloads as long as they like.
-type segReader struct {
-	file   *os.File
-	block  int    // how much of the file to ask for at a time
-	buf    []byte // buf[next:] is read and not yet parsed
-	next   int
-	off    int64 // file offset of buf[next], the next unparsed byte
-	size   int64 // file size as last observed; a live segment grows
-	frames int   // frames that passed validation
-}
-
 // tailBlock is a tail read's block: a caught-up standby's poll ships
 // less than this and sizes its one block by the bytes left in the file.
 const tailBlock = 128 << 10
 
-// newSegReader reads from off, where file must be positioned.
-func newSegReader(file *os.File, off, size int64, block int) *segReader {
-	return &segReader{file: file, block: block, off: off, size: size}
-}
-
-// fill reads on until n unparsed bytes are buffered. io.EOF means the
-// file ended first, with fewer than n (possibly none) buffered.
-func (r *segReader) fill(n int) error {
-	for len(r.buf)-r.next < n {
-		if cap(r.buf)-r.next < n {
-			// The bytes left in the file bound what is still to come.
-			rest := r.buf[r.next:]
-			r.buf = make([]byte, len(rest), max(n, int(min(r.size-r.off, int64(r.block)))))
-			copy(r.buf, rest)
-			r.next = 0
-		}
-		m, err := r.file.Read(r.buf[len(r.buf):cap(r.buf)])
-		r.buf = r.buf[:len(r.buf)+m]
-		if err != nil && m == 0 {
-			return err
-		}
-	}
-	return nil
-}
-
-// holds reports whether n more bytes lie between the read position and
-// the end of the file, looking at the file again only when the size it
-// last saw says no.
-func (r *segReader) holds(n int64) bool {
-	if r.off+n <= r.size {
-		return true
-	}
-	if fi, err := r.file.Stat(); err == nil {
-		r.size = fi.Size()
-	}
-	return r.off+n <= r.size
-}
-
-// frame returns the frame at the read position and that position.
-// io.EOF is a clean end on a frame boundary, a tornFrameError a frame
-// the file does not hold in full (decided from the length, before the
-// payload is asked for), errFrameChecksum a complete frame that fails
-// its CRC. The payload is the caller's to keep.
-func (r *segReader) frame() (kind byte, payload []byte, off int64, err error) {
-	off = r.off
-	// A frame header is its kind, a length of at most ten bytes and the
-	// checksum; near the end of the file there may be less to look at,
-	// and at the end nothing.
-	const maxHeader = 1 + binary.MaxVarintLen64 + 4
-	if err := r.fill(maxHeader); err != nil && (err != io.EOF || len(r.buf) == r.next) {
-		return 0, nil, off, err
-	}
-	head := r.buf[r.next:]
-	kind = head[0]
-	plen, w := binary.Uvarint(head[1:])
-	if w <= 0 {
-		return 0, nil, off, tornFrameError("frame length cut short")
-	}
-	n := 1 + w + 4 // up to the payload
-	if plen > maxFrameBytes || !r.holds(int64(n)+int64(plen)) {
-		return 0, nil, off, tornFrameError(fmt.Sprintf("frame length %d exceeds file", plen))
-	}
-	if err := r.fill(n + int(plen)); err != nil {
-		return 0, nil, off, tornFrameError("frame cut short")
-	}
-	head = r.buf[r.next:]
-	sum := binary.LittleEndian.Uint32(head[1+w:])
-	payload = head[n : n+int(plen) : n+int(plen)]
-	r.next += n + int(plen)
-	r.off += int64(n) + int64(plen)
-	if frameCRC(kind, payload) != sum {
-		return 0, nil, off, errFrameChecksum
-	}
-	r.frames++
-	return kind, payload, off, nil
-}
-
 // unit returns the next whole unit: a bare record, or a batch group
 // from its begin frame to a commit frame that matches it. io.EOF is a
 // clean end between units; every other failure is a *unitError.
-func (r *segReader) unit() (walUnit, error) {
+// It is the one place WAL units are assembled; recovery (scanSegment)
+// and the replication read path (readSegmentUnits) differ only in what
+// they do with its errors.
+func (r *FrameReader) unit() (walUnit, error) {
 	var (
 		u     walUnit
 		open  bool
@@ -557,7 +448,7 @@ func (r *segReader) unit() (walUnit, error) {
 		return walUnit{}, e
 	}
 	for {
-		kind, payload, off, err := r.frame()
+		kind, payload, off, err := r.Frame()
 		if err == io.EOF {
 			if !open {
 				return walUnit{}, io.EOF
@@ -688,11 +579,11 @@ func (f *FS) scanSegment(s segInfo, last bool, from uint64, idx *uint64, info *T
 // is read-only — so the next process appends to a clean log. Anywhere
 // else, and for any other fault, it is damage recovery must not paper
 // over.
-func (f *FS) tailDamage(name string, last bool, r *segReader, ue *unitError, info *TailInfo) (int64, error) {
+func (f *FS) tailDamage(name string, last bool, r *FrameReader, ue *unitError, info *TailInfo) (int64, error) {
 	var torn tornFrameError
 	switch {
 	case errors.As(ue.cause, &torn), errors.Is(ue.cause, errOpenGroup):
-	case errors.Is(ue.cause, errFrameChecksum) && r.off == r.size:
+	case errors.Is(ue.cause, ErrFrameChecksum) && r.off == r.size:
 	default:
 		return -1, fmt.Errorf("store: %s: %w", name, ue)
 	}
@@ -713,19 +604,6 @@ func (f *FS) tailDamage(name string, last bool, r *segReader, ue *unitError, inf
 		info.TornTruncated = true
 	}
 	return ue.unitOff, nil
-}
-
-// kindCRC is the checksum of each one-byte frame kind, which every
-// frame's checksum continues from.
-var kindCRC = func() (t [256]uint32) {
-	for k := range t {
-		t[k] = crc32.Update(0, crcTable, []byte{byte(k)})
-	}
-	return t
-}()
-
-func frameCRC(kind byte, payload []byte) uint32 {
-	return crc32.Update(kindCRC[kind], crcTable, payload)
 }
 
 func appendMarker(b []byte, id string, count int) []byte {
@@ -1019,10 +897,7 @@ func (f *FS) Append(b Batch) error {
 }
 
 func (f *FS) writeFrame(kind byte, payload []byte) error {
-	f.scratch = f.scratch[:0]
-	f.scratch = append(f.scratch, kind)
-	f.scratch = binary.AppendUvarint(f.scratch, uint64(len(payload)))
-	f.scratch = binary.LittleEndian.AppendUint32(f.scratch, frameCRC(kind, payload))
+	f.scratch = AppendFrameHeader(f.scratch[:0], kind, payload)
 	if _, err := f.segW.Write(f.scratch); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -1095,14 +970,7 @@ func (f *FS) fsyncLocked() error {
 		f.syncErr = fmt.Errorf("store: fsync failed, log closed to writes: %w", err)
 		return f.syncErr
 	}
-	d := time.Since(start).Nanoseconds()
-	f.fsyncs++
-	f.fsyncNanos += d
-	i := 0
-	for i < len(FsyncBounds) && d > FsyncBounds[i] {
-		i++
-	}
-	f.fsyncHist[i]++
+	f.fsyncHist.Observe(time.Since(start).Nanoseconds())
 	return nil
 }
 
@@ -1213,17 +1081,13 @@ func (f *FS) pruneWAL(below uint64) error {
 func (f *FS) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	hist := make([]uint64, len(f.fsyncHist))
-	copy(hist, f.fsyncHist)
 	return Stats{
 		Segments:              f.segments,
 		WALBytes:              f.walBytes,
 		NextIndex:             f.nextIndex,
 		AppendedRecords:       f.appendedRecords,
 		AppendedBatches:       f.appendedBatches,
-		Fsyncs:                f.fsyncs,
-		FsyncNanos:            f.fsyncNanos,
-		FsyncHist:             hist,
+		Fsync:                 f.fsyncHist.Clone(),
 		Checkpoints:           f.checkpoints,
 		LastCheckpointRecords: f.lastCPRecords,
 		LastCheckpointUnix:    f.lastCPUnix,

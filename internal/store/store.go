@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 // ErrTailTruncated reports that a tail read asked for records older
@@ -187,10 +188,9 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 	return FsyncBatch, fmt.Errorf("store: unknown fsync mode %q (want always, batch, or off)", s)
 }
 
-// FsyncBounds are the fsync latency histogram bucket upper bounds in
-// nanoseconds (2µs doubling to ~16ms, +Inf implied), exported so the
-// metrics endpoint can render the histogram.
-var FsyncBounds = func() []int64 {
+// fsyncBounds are the fsync latency histogram bucket upper bounds in
+// nanoseconds (2µs doubling to ~16ms, +Inf implied).
+var fsyncBounds = func() []int64 {
 	b := make([]int64, 14)
 	for i := range b {
 		b[i] = 2000 << i
@@ -208,10 +208,8 @@ type Stats struct {
 	NextIndex       uint64
 	AppendedRecords uint64
 	AppendedBatches uint64
-	Fsyncs          uint64
-	FsyncNanos      int64
-	// FsyncHist has len(FsyncBounds)+1 buckets; the last is +Inf.
-	FsyncHist             []uint64
+	// Fsync is the WAL fsync latency histogram; its Count the fsyncs.
+	Fsync                 stats.Histogram
 	Checkpoints           uint64
 	LastCheckpointRecords uint64
 	LastCheckpointUnix    int64
