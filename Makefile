@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-typo fuzz-ebrc chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-wire fuzz-typo fuzz-ebrc chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -84,7 +84,7 @@ chaos-shard-failover:
 # cut from shared chunks) and on concurrent reports and partial
 # aggregates over one cached study (fast enough for every commit).
 race-parallel:
-	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|CollectStream|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials' ./...
+	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -152,6 +152,15 @@ fuzz-encode:
 # the segment header does.
 fuzz-wal:
 	$(GO) test -fuzz FuzzReadTailSegment -fuzztime 60s ./internal/store/
+
+# fuzz-wire fuzzes the BRTL tail-stream reader on store's frame codec:
+# a TailWriter stream cut anywhere and continued with arbitrary bytes
+# must return every whole unit before the cut, unchanged, and allocate
+# only what the bytes it was given justify (the committed corpus, a
+# 45-byte stream whose headers claim gigabytes among it, replays in
+# plain go test).
+fuzz-wire:
+	$(GO) test -fuzz FuzzTailReader -fuzztime 60s ./internal/replication/
 
 # fuzz-typo fuzzes typo.Classify and ClassifyLocal, which decide by the
 # edit before they generate, against a plain scan of the generated

@@ -91,8 +91,7 @@ type Analysis struct {
 	Pipeline   *ShardedPipeline
 	Env        *Environment
 
-	rank    []dataset.RankEntry
-	rankPos map[string]int
+	rank []dataset.RankEntry
 }
 
 // New classifies records with freshly built per-substream pipelines and
@@ -165,14 +164,6 @@ func (a *Analysis) InEmailRank() []dataset.RankEntry { return a.rank }
 // PipelineSummary condenses the classifier stack into its mergeable
 // aggregate (same shape a PartialSet carries).
 func (a *Analysis) PipelineSummary() PipelineSummary { return a.Pipeline.Summary() }
-
-// RankOf returns the InEmailRank position of domain (-1 if absent).
-func (a *Analysis) RankOf(domain string) int {
-	if p, ok := a.rankPos[domain]; ok {
-		return p
-	}
-	return -1
-}
 
 // Overview is the Section-4.1 headline statistic.
 type Overview struct {

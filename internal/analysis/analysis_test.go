@@ -370,11 +370,8 @@ func TestEpisodize(t *testing.T) {
 
 func TestHasTypeAndRank(t *testing.T) {
 	a := buildAnalysis(t)
-	if a.RankOf("ok.com") != 0 {
-		t.Errorf("ok.com rank %d", a.RankOf("ok.com"))
-	}
-	if a.RankOf("nope.example") != -1 {
-		t.Error("unknown domain should rank -1")
+	if r := a.InEmailRank(); len(r) == 0 || r[0].Domain != "ok.com" {
+		t.Errorf("rank %v, want ok.com first", r)
 	}
 	c := ClassifiedRecord{Types: []ndr.Type{ndr.T5Blocklisted}}
 	if !c.HasType(ndr.T5Blocklisted) || c.HasType(ndr.T8NoSuchUser) {

@@ -266,16 +266,11 @@ func classifyRange(sp *ShardedPipeline, view dataset.Records, out []ClassifiedRe
 // assemble wires a classified view into an Analysis — the shared tail
 // of every constructor.
 func assemble(view dataset.Records, verdicts []ClassifiedRecord, p *ShardedPipeline, counts map[string]int, env *Environment) *Analysis {
-	a := &Analysis{
+	return &Analysis{
 		Records:    view,
 		Classified: verdicts,
 		Pipeline:   p,
 		Env:        env,
-		rankPos:    make(map[string]int),
+		rank:       dataset.RankFromCounts(counts),
 	}
-	a.rank = dataset.RankFromCounts(counts)
-	for i, e := range a.rank {
-		a.rankPos[e.Domain] = i
-	}
-	return a
 }

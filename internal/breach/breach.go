@@ -30,21 +30,6 @@ func (c *Corpus) Add(addr string) {
 	c.leaks[norm(addr)] = struct{}{}
 }
 
-// Pwned reports whether addr appears in the corpus.
-func (c *Corpus) Pwned(addr string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.leaks[norm(addr)]
-	return ok
-}
-
-// Len returns the corpus size.
-func (c *Corpus) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.leaks)
-}
-
 // PwnedShare returns the fraction of addrs present in the corpus, the
 // statistic the bulk-spammer rule thresholds at 0.80.
 func (c *Corpus) PwnedShare(addrs []string) float64 {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/auth"
@@ -59,9 +58,6 @@ type Engine struct {
 	seedBase    uint64
 	shards      [NumShards]*shard
 	domainShard map[string]int // receiver domain -> shard (built from world ranks)
-
-	histMu        sync.Mutex
-	senderHistory map[string][]string // sender domain -> recipient addrs (for analysis substrates)
 }
 
 // shard holds the delivery state for one receiver-domain partition:
@@ -83,14 +79,13 @@ type shard struct {
 // New creates an engine over w with the default 5-attempt budget.
 func New(w *world.World) *Engine {
 	e := &Engine{
-		W:             w,
-		MaxAttempts:   5,
-		Metrics:       policy.NewMetrics(),
-		env:           policy.NewEnv(w),
-		seedBase:      w.Cfg.Seed ^ 0xde11ef27,
-		chains:        make(map[string]*policy.Chain, len(w.Domains)),
-		domainShard:   make(map[string]int, len(w.Domains)),
-		senderHistory: make(map[string][]string),
+		W:           w,
+		MaxAttempts: 5,
+		Metrics:     policy.NewMetrics(),
+		env:         policy.NewEnv(w),
+		seedBase:    w.Cfg.Seed ^ 0xde11ef27,
+		chains:      make(map[string]*policy.Chain, len(w.Domains)),
+		domainShard: make(map[string]int, len(w.Domains)),
 	}
 	root := simrng.New(e.seedBase)
 	for i := range e.shards {
@@ -243,18 +238,17 @@ func (dc *dctx) ReportSpam(ip string, at time.Time) {
 }
 
 // Deliver executes the full delivery of one submission and returns its
-// dataset record plus ground truth. Spamtrap reports and sender
-// history are applied immediately; batch runs instead defer both to
-// the ordered merge (see DeliverBatch).
+// dataset record plus ground truth. Spamtrap reports are applied
+// immediately; batch runs instead defer them to the ordered merge (see
+// DeliverBatch).
 func (e *Engine) Deliver(sub *world.Submission) (dataset.Record, Truth) {
 	res := e.deliver(sub)
-	e.recordHistory(&res.rec)
 	e.applyReports(res.reports)
 	return res.rec, res.truth
 }
 
 // deliver runs one submission with no cross-shard writes: blocklist
-// reports and sender history are returned for the caller to apply.
+// reports are returned for the caller to apply.
 func (e *Engine) deliver(sub *world.Submission) result {
 	msg := sub.Msg
 	dc := &dctx{
@@ -494,17 +488,6 @@ func (dc *dctx) vendor() string {
 	return fmt.Sprintf("x%08x", uint32(dc.rng.Uint64()))
 }
 
-// recordHistory keeps the per-sender-domain recipient history the
-// bulk-spammer detection rule needs (Section 4.2.1).
-func (e *Engine) recordHistory(rec *dataset.Record) {
-	dom := rec.FromDomain()
-	e.histMu.Lock()
-	if len(e.senderHistory[dom]) < 5000 {
-		e.senderHistory[dom] = append(e.senderHistory[dom], rec.To)
-	}
-	e.histMu.Unlock()
-}
-
 // applyReports feeds buffered spamtrap hits to the shared blocklist.
 // The blocklist draws its delist delay in call order, so callers must
 // apply reports in deterministic sequence order.
@@ -512,14 +495,6 @@ func (e *Engine) applyReports(reports []spamReport) {
 	for _, r := range reports {
 		e.W.Blocklist.ReportSpam(r.ip, r.at)
 	}
-}
-
-// SenderRecipients returns the recorded recipient history of a sender
-// domain.
-func (e *Engine) SenderRecipients(domain string) []string {
-	e.histMu.Lock()
-	defer e.histMu.Unlock()
-	return e.senderHistory[domain]
 }
 
 func minInt(a, b int) int {

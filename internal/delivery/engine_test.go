@@ -424,14 +424,4 @@ func TestRunProducesFullCorpus(t *testing.T) {
 	}
 }
 
-func TestSenderHistoryRecorded(t *testing.T) {
-	w, e := tinyEngine(t)
-	sub := w.EmailsForDay(2)[0]
-	e.Deliver(sub)
-	hist := e.SenderRecipients(sub.Msg.From.Domain)
-	if len(hist) == 0 || hist[0] != sub.Msg.To.String() {
-		t.Errorf("sender history not recorded: %v", hist)
-	}
-}
-
 func simrngForTest() *simrng.RNG { return simrng.New(77) }

@@ -16,8 +16,8 @@ import (
 // Determinism: each worker owns the shards s with s % workers == its
 // index and processes that subset of subs in slice order, so every
 // shard sees its submissions in global sequence order no matter how
-// many workers run. Cross-shard state — sender history and blocklist
-// spam reports — is buffered per delivery and applied in a single
+// many workers run. Cross-shard state — blocklist spam reports — is
+// buffered per delivery and applied in a single
 // ordered merge after the barrier, which also means all deliveries in
 // a batch observe the blocklist as of batch start (spamtrap listings
 // propagate at the next batch, like a real DNSBL's publication delay).
@@ -59,7 +59,6 @@ func (e *Engine) DeliverBatch(subs []*world.Submission, workers int, consume fun
 	// order regardless of which worker produced each record.
 	for i := range results {
 		res := &results[i]
-		e.recordHistory(&res.rec)
 		e.applyReports(res.reports)
 		if consume != nil {
 			consume(res.rec, subs[i], res.truth)

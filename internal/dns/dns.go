@@ -177,15 +177,6 @@ func (a *Authority) AddOutage(o Outage) {
 	a.outages[o.Name] = append(a.outages[o.Name], &o)
 }
 
-// DomainExists reports whether any record was ever registered under the
-// apex domain. The squat scanner uses it to distinguish typo domains
-// (never existed → NXDOMAIN) from broken ones.
-func (a *Authority) DomainExists(domain string) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.domains[apex(strings.ToLower(domain))]
-}
-
 // apex reduces a fqdn to its registrable apex using a simple two-label
 // heuristic with a small multi-label public-suffix set, which is enough
 // for the synthetic namespace.

@@ -85,13 +85,6 @@ func (r *Resolver) Flush() {
 	r.cache = make(map[cacheKey]cacheEntry)
 }
 
-// Stats returns cache hit/miss and injected-transient counts.
-func (r *Resolver) Stats() (hits, misses, transients int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hits, r.misses, r.transients
-}
-
 // ResolveMX returns the MX target hosts for domain in preference order
 // at time t, falling back to the implicit-MX rule (the domain's own A
 // record) when the domain has an address but no MX, per RFC 5321 §5.1.

@@ -147,27 +147,3 @@ func (b *Blocklist) QueryName(ip string) string {
 	}
 	return octets[3] + "." + octets[2] + "." + octets[1] + "." + octets[0] + "." + b.cfg.Zone
 }
-
-// Windows returns the listing windows recorded for ip, for analysis and
-// tests.
-func (b *Blocklist) Windows(ip string) []struct{ From, Until time.Time } {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]struct{ From, Until time.Time }, len(b.listings[ip]))
-	for i, w := range b.listings[ip] {
-		out[i] = struct{ From, Until time.Time }{w.from, w.until}
-	}
-	return out
-}
-
-// ListedCount returns how many of the given IPs are listed at t —
-// Figure 6's black line (number of proxy MTAs blocklisted per day).
-func (b *Blocklist) ListedCount(ips []string, t time.Time) int {
-	n := 0
-	for _, ip := range ips {
-		if b.Listed(ip, t) {
-			n++
-		}
-	}
-	return n
-}

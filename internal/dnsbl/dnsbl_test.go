@@ -54,17 +54,17 @@ func TestDelisting(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.ReportSpam(ip, t0.Add(time.Duration(i)*time.Hour))
 	}
-	ws := b.Windows(ip)
+	ws := b.listings[ip]
 	if len(ws) != 1 {
 		t.Fatalf("want 1 window, got %d", len(ws))
 	}
-	if !b.Listed(ip, ws[0].Until.Add(-time.Minute)) {
+	if !b.Listed(ip, ws[0].until.Add(-time.Minute)) {
 		t.Error("should be listed just before window end")
 	}
-	if b.Listed(ip, ws[0].Until.Add(time.Minute)) {
+	if b.Listed(ip, ws[0].until.Add(time.Minute)) {
 		t.Error("should be delisted after window end")
 	}
-	if d := ws[0].Until.Sub(ws[0].From); d < 2*time.Hour || d > 30*24*time.Hour {
+	if d := ws[0].until.Sub(ws[0].from); d < 2*time.Hour || d > 30*24*time.Hour {
 		t.Errorf("delist delay %v out of plausible range", d)
 	}
 }
@@ -75,12 +75,12 @@ func TestRelisting(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.ReportSpam(ip, t0.Add(time.Duration(i)*time.Minute))
 	}
-	ws := b.Windows(ip)
-	after := ws[0].Until.Add(time.Hour)
+	ws := b.listings[ip]
+	after := ws[0].until.Add(time.Hour)
 	for i := 0; i < 3; i++ {
 		b.ReportSpam(ip, after.Add(time.Duration(i)*time.Minute))
 	}
-	if got := len(b.Windows(ip)); got != 2 {
+	if got := len(b.listings[ip]); got != 2 {
 		t.Fatalf("want 2 windows after relisting, got %d", got)
 	}
 	if !b.Listed(ip, after.Add(5*time.Minute)) {
@@ -98,7 +98,7 @@ func TestReportsWhileListedIgnored(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.ReportSpam(ip, t0.Add(time.Duration(10+i)*time.Minute))
 	}
-	if got := len(b.Windows(ip)); got != 1 {
+	if got := len(b.listings[ip]); got != 1 {
 		t.Errorf("windows while listed: %d want 1", got)
 	}
 }
@@ -112,8 +112,8 @@ func TestDelistDelayMedianRoughlyConfigured(t *testing.T) {
 		for j := 0; j < 3; j++ {
 			b.ReportSpam(ip, start.Add(time.Duration(j)*time.Minute))
 		}
-		ws := b.Windows(ip)
-		durations = append(durations, ws[len(ws)-1].Until.Sub(ws[len(ws)-1].From))
+		ws := b.listings[ip]
+		durations = append(durations, ws[len(ws)-1].until.Sub(ws[len(ws)-1].from))
 	}
 	// Median should be near 30h.
 	below := 0
@@ -135,18 +135,6 @@ func TestQueryName(t *testing.T) {
 	}
 	if got := b.QueryName("weird"); got != "weird.zen.dnsbl.example" {
 		t.Errorf("QueryName fallback = %q", got)
-	}
-}
-
-func TestListedCount(t *testing.T) {
-	b := newTestList()
-	ips := []string{"7.0.0.1", "7.0.0.2", "7.0.0.3"}
-	for i := 0; i < 3; i++ {
-		b.ReportSpam(ips[0], t0.Add(time.Duration(i)*time.Minute))
-		b.ReportSpam(ips[1], t0.Add(time.Duration(i)*time.Minute))
-	}
-	if got := b.ListedCount(ips, t0.Add(5*time.Minute)); got != 2 {
-		t.Errorf("ListedCount = %d want 2", got)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,7 +33,6 @@ const (
 	KindTruncGz = "truncgz"   // gzip member truncated (client-side plans)
 	KindCorrupt = "corrupt"   // one byte flipped (surfaces as decode error)
 	KindLoris   = "slowloris" // body trickled with long pauses
-	KindStall   = "stall"     // consumer stalled per record
 	KindDup     = "dup"       // batch duplicated / replayed
 )
 
@@ -221,21 +219,6 @@ func (in *Injector) Total() uint64 {
 		n += v
 	}
 	return n
-}
-
-// CountsString renders Counts in deterministic key order, for logs.
-func (in *Injector) CountsString() string {
-	m := in.Counts()
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, m[k]))
-	}
-	return strings.Join(parts, " ")
 }
 
 // ConsumerStall returns the per-record consumer delay (zero when the

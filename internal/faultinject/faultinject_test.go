@@ -184,14 +184,13 @@ func TestInactiveInjectorIsTransparent(t *testing.T) {
 	}
 }
 
-func TestCountsString(t *testing.T) {
+func TestCountsByKind(t *testing.T) {
 	in := New(&Spec{Seed: 1, Torn: 1, Corrupt: 1})
 	p := in.NextPlan()
 	p.TornAfter, p.CorruptAt = 1, 0
 	io.ReadAll(p.WrapDecoded(p.WrapRaw(strings.NewReader("xxxx"))))
-	s := in.CountsString()
-	if !strings.Contains(s, "corrupt=1") || !strings.Contains(s, "torn=1") {
-		t.Fatalf("CountsString: %q", s)
+	if m := in.Counts(); m[KindCorrupt] != 1 || m[KindTorn] != 1 {
+		t.Fatalf("Counts: %v", m)
 	}
 	if in.Total() != 2 {
 		t.Fatalf("Total: %d", in.Total())

@@ -3,7 +3,6 @@ package geo
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 
 	"repro/internal/simrng"
@@ -85,10 +84,6 @@ func NewDB() *DB {
 	}
 	return db
 }
-
-// Countries returns the country table in declaration order (descending
-// rough popularity).
-func (db *DB) Countries() []Country { return db.countries }
 
 // Country returns the country with the given ISO code.
 func (db *DB) Country(code string) (Country, bool) {
@@ -269,24 +264,4 @@ func hashJitter(key string, lo, hi float64) float64 {
 	h.Write([]byte(key))
 	u := float64(h.Sum64()%1e6) / 1e6
 	return lo + u*(hi-lo)
-}
-
-// TopCountriesByWeight returns the n highest-MTAWeight country codes,
-// useful for tests and reports.
-func (db *DB) TopCountriesByWeight(n int) []string {
-	idx := make([]int, len(db.countries))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return db.countries[idx[a]].MTAWeight > db.countries[idx[b]].MTAWeight
-	})
-	if n > len(idx) {
-		n = len(idx)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = db.countries[idx[i]].Code
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -25,7 +26,7 @@ func TestProxyRegionsSumTo34(t *testing.T) {
 func TestCountryTableIntegrity(t *testing.T) {
 	db := NewDB()
 	seen := map[string]bool{}
-	for _, c := range db.Countries() {
+	for _, c := range db.countries {
 		if seen[c.Code] {
 			t.Errorf("duplicate country code %s", c.Code)
 		}
@@ -61,9 +62,10 @@ func TestFigure4TopShares(t *testing.T) {
 		t.Errorf("Figure 4 anchor weights drifted: US=%v DE=%v CA=%v",
 			us.MTAWeight, de.MTAWeight, ca.MTAWeight)
 	}
-	top := db.TopCountriesByWeight(3)
-	if top[0] != "US" || top[1] != "DE" || top[2] != "CA" {
-		t.Errorf("top-3 countries %v, want [US DE CA]", top)
+	top := append([]Country(nil), db.countries...)
+	sort.Slice(top, func(a, b int) bool { return top[a].MTAWeight > top[b].MTAWeight })
+	if top[0].Code != "US" || top[1].Code != "DE" || top[2].Code != "CA" {
+		t.Errorf("top-3 countries %v %v %v, want US DE CA", top[0].Code, top[1].Code, top[2].Code)
 	}
 }
 
@@ -76,7 +78,7 @@ func TestSampleCountryDistribution(t *testing.T) {
 		counts[db.SampleCountry(r).Code]++
 	}
 	var total float64
-	for _, c := range db.Countries() {
+	for _, c := range db.countries {
 		total += c.MTAWeight
 	}
 	usWant := 28.53 / total
@@ -162,7 +164,7 @@ func TestTimeoutProbBounded(t *testing.T) {
 	db := NewDB()
 	f := func(pi, ci uint8) bool {
 		proxy := ProxyRegions[int(pi)%len(ProxyRegions)].Code
-		cc := db.Countries()[int(ci)%len(db.Countries())].Code
+		cc := db.countries[int(ci)%len(db.countries)].Code
 		p := db.TimeoutProb(proxy, cc)
 		return p >= 0 && p <= 0.9
 	}

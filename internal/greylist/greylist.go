@@ -136,21 +136,6 @@ func (g *Greylist) Check(ip, from, to string, t time.Time) Verdict {
 	return Accept
 }
 
-// PendingLen and KnownLen expose state sizes for tests and memory
-// accounting.
-func (g *Greylist) PendingLen() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.pending)
-}
-
-// KnownLen returns the number of whitelisted tuples.
-func (g *Greylist) KnownLen() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.known)
-}
-
 // String names the verdict.
 func (v Verdict) String() string {
 	switch v {

@@ -108,12 +108,12 @@ func TestStateSizes(t *testing.T) {
 	g := New(300*time.Second, 0)
 	g.Check("1.1.1.1", "a@a.com", "b@b.com", t0)
 	g.Check("2.2.2.2", "a@a.com", "b@b.com", t0)
-	if g.PendingLen() != 2 || g.KnownLen() != 0 {
-		t.Errorf("pending=%d known=%d", g.PendingLen(), g.KnownLen())
+	if len(g.pending) != 2 || len(g.known) != 0 {
+		t.Errorf("pending=%d known=%d", len(g.pending), len(g.known))
 	}
 	g.Check("1.1.1.1", "a@a.com", "b@b.com", t0.Add(6*time.Minute))
-	if g.PendingLen() != 1 || g.KnownLen() != 1 {
-		t.Errorf("after accept: pending=%d known=%d", g.PendingLen(), g.KnownLen())
+	if len(g.pending) != 1 || len(g.known) != 1 {
+		t.Errorf("after accept: pending=%d known=%d", len(g.pending), len(g.known))
 	}
 }
 

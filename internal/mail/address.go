@@ -34,16 +34,6 @@ func ParseAddress(addr string) (Address, error) {
 	return Address{Local: local, Domain: strings.ToLower(domain)}, nil
 }
 
-// MustParseAddress is ParseAddress that panics on error. For tests and
-// literals in generators.
-func MustParseAddress(addr string) Address {
-	a, err := ParseAddress(addr)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // String renders the address as local@domain.
 func (a Address) String() string { return a.Local + "@" + a.Domain }
 

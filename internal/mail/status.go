@@ -15,16 +15,10 @@ const (
 	CodeClosing        ReplyCode = 221
 	CodeOK             ReplyCode = 250
 	CodeStartData      ReplyCode = 354
-	CodeUnavailable    ReplyCode = 421
-	CodeMailboxBusy    ReplyCode = 450
-	CodeLocalError     ReplyCode = 451
-	CodeInsufficient   ReplyCode = 452
 	CodeSyntaxError    ReplyCode = 500
 	CodeParamError     ReplyCode = 501
 	CodeNotImplemented ReplyCode = 502
 	CodeBadSequence    ReplyCode = 503
-	CodeMailboxUnavail ReplyCode = 550
-	CodeUserNotLocal   ReplyCode = 551
 	CodeExceededQuota  ReplyCode = 552
 	CodeNameNotAllowed ReplyCode = 553
 	CodeTransactFailed ReplyCode = 554
@@ -33,10 +27,6 @@ const (
 // Temporary reports whether the reply code signals a transient (4xx)
 // failure that the sender should retry.
 func (c ReplyCode) Temporary() bool { return c >= 400 && c < 500 }
-
-// Permanent reports whether the reply code signals a permanent (5xx)
-// failure.
-func (c ReplyCode) Permanent() bool { return c >= 500 && c < 600 }
 
 // Success reports whether the reply code signals success (2xx).
 func (c ReplyCode) Success() bool { return c >= 200 && c < 300 }
@@ -52,24 +42,13 @@ type EnhancedCode struct {
 // Enhanced status codes the NDR templates reference. Names follow the
 // RFC 3463 subject/detail registry.
 var (
-	EnhOK              = EnhancedCode{2, 0, 0}
-	EnhBadMailbox      = EnhancedCode{5, 1, 1} // bad destination mailbox address
-	EnhBadDomain       = EnhancedCode{5, 1, 2} // bad destination system address
-	EnhMailboxFull     = EnhancedCode{4, 2, 2} // mailbox full
-	EnhMailboxDisabled = EnhancedCode{5, 2, 1} // mailbox disabled
-	EnhMsgTooBig       = EnhancedCode{5, 3, 4} // message too big for system
-	EnhNetworkError    = EnhancedCode{4, 4, 1} // no answer from host
-	EnhBadConnection   = EnhancedCode{4, 4, 2} // bad connection
-	EnhRoutingError    = EnhancedCode{5, 4, 4} // unable to route
-	EnhCongestion      = EnhancedCode{4, 4, 5} // mail system congestion
-	EnhProtocolError   = EnhancedCode{5, 5, 0} // protocol error
-	EnhTooManyRcpts    = EnhancedCode{5, 5, 3} // too many recipients
-	EnhSecurityPolicy  = EnhancedCode{5, 7, 1} // delivery not authorized
-	EnhTLSRequired     = EnhancedCode{5, 7, 10}
-	EnhAuthFailure     = EnhancedCode{5, 7, 26} // multiple auth checks failed
-	EnhAuthTempFail    = EnhancedCode{4, 7, 0}
-	EnhGreylisted      = EnhancedCode{4, 7, 1}
-	EnhRateLimited     = EnhancedCode{4, 5, 2}
+	EnhOK             = EnhancedCode{2, 0, 0}
+	EnhBadMailbox     = EnhancedCode{5, 1, 1} // bad destination mailbox address
+	EnhMailboxFull    = EnhancedCode{4, 2, 2} // mailbox full
+	EnhMsgTooBig      = EnhancedCode{5, 3, 4} // message too big for system
+	EnhNetworkError   = EnhancedCode{4, 4, 1} // no answer from host
+	EnhSecurityPolicy = EnhancedCode{5, 7, 1} // delivery not authorized
+	EnhTLSRequired    = EnhancedCode{5, 7, 10}
 )
 
 // IsZero reports whether e is unset. The paper finds 28.79% of NDR

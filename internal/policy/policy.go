@@ -370,9 +370,6 @@ func NewChain(env *Env, d *world.ReceiverDomain, opts ChainOptions) *Chain {
 	return c
 }
 
-// Domain returns the receiver domain the chain enforces.
-func (c *Chain) Domain() *world.ReceiverDomain { return c.domain }
-
 // Disable turns the named stages off. Unknown names error.
 func (c *Chain) Disable(names ...string) error {
 	return c.set(names, func(s *chainStage) { s.disabled = true })

@@ -146,12 +146,6 @@ func (u *UsernameRegistry) State(local string) UserState {
 	return u.users[strings.ToLower(local)]
 }
 
-// Exists reports whether the username currently accepts mail (what an
-// SMTP RCPT probe or NDR reveals).
-func (u *UsernameRegistry) Exists(local string) bool {
-	return u.State(local) == UserActive
-}
-
 // Registrable reports what the web registration UI would say: the
 // paper's key distinction is that "no such user" NDRs do NOT imply
 // registrable — frozen and reserved names are refused by the UI.

@@ -82,8 +82,8 @@ func TestUsernameStates(t *testing.T) {
 	u.SetState("admin", UserReserved)
 	u.SetState("carol", UserRecycled)
 
-	if !u.Exists("alice") || u.Exists("bob") || u.Exists("ghost") {
-		t.Error("Exists mismatch")
+	if u.State("alice") != UserActive || u.State("bob") == UserActive || u.State("ghost") == UserActive {
+		t.Error("active-state mismatch")
 	}
 	// The paper's distinction: non-existent ≠ registrable.
 	cases := map[string]bool{
@@ -111,7 +111,7 @@ func TestYahooStyleRecycling(t *testing.T) {
 func TestUsernameCaseInsensitive(t *testing.T) {
 	u := NewUsernameRegistry("p", false)
 	u.SetState("Alice", UserActive)
-	if !u.Exists("alice") || !u.Exists("ALICE") {
+	if u.State("alice") != UserActive || u.State("ALICE") != UserActive {
 		t.Error("username lookup should be case-insensitive")
 	}
 }

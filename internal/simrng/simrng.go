@@ -37,9 +37,6 @@ func (r *RNG) Float64() float64 { return r.src.Float64() }
 // IntN returns a uniform int in [0,n). It panics if n <= 0.
 func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 
-// Int64N returns a uniform int64 in [0,n). It panics if n <= 0.
-func (r *RNG) Int64N(n int64) int64 { return r.src.Int64N(n) }
-
 // Uint64 returns a uniform 64-bit value.
 func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -65,16 +64,6 @@ func (c *Client) Hello(hostname string) (*Reply, error) {
 func (c *Client) Extension(ext string) (bool, string) {
 	arg, ok := c.ext[strings.ToUpper(ext)]
 	return ok, arg
-}
-
-// MaxSize returns the server's advertised SIZE limit (0 = none).
-func (c *Client) MaxSize() int {
-	if ok, arg := c.Extension("SIZE"); ok {
-		if n, err := strconv.Atoi(arg); err == nil {
-			return n
-		}
-	}
-	return 0
 }
 
 // TLSActive reports whether STARTTLS has completed.
@@ -266,14 +255,4 @@ rcpt:
 	}
 	c.Quit()
 	return rep, nil
-}
-
-// ExtensionNames lists advertised extensions sorted, for tests.
-func (c *Client) ExtensionNames() []string {
-	names := make([]string, 0, len(c.ext))
-	for n := range c.ext {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -65,11 +65,11 @@ func TestEhloExtensions(t *testing.T) {
 	}
 	for _, ext := range []string{"STARTTLS", "SIZE", "PIPELINING"} {
 		if ok, _ := c.Extension(ext); !ok {
-			t.Errorf("extension %s not advertised (have %v)", ext, c.ExtensionNames())
+			t.Errorf("extension %s not advertised (have %v)", ext, c.ext)
 		}
 	}
-	if c.MaxSize() != 1<<20 {
-		t.Errorf("MaxSize = %d", c.MaxSize())
+	if _, arg := c.Extension("SIZE"); arg != "1048576" {
+		t.Errorf("SIZE = %q", arg)
 	}
 }
 

@@ -121,9 +121,6 @@ func (f *Filter) Classify(tokens []string) bool {
 	return f.Score(tokens) > f.threshold
 }
 
-// Threshold returns the filter's decision threshold.
-func (f *Filter) Threshold() float64 { return f.threshold }
-
 // String identifies the filter.
 func (f *Filter) String() string {
 	return fmt.Sprintf("spamfilter(%s, thr=%.2f)", f.Name, f.threshold)

@@ -113,7 +113,7 @@ func TestStringContainsName(t *testing.T) {
 	if s := f.String(); !strings.Contains(s, "gmail-like") {
 		t.Errorf("String() = %q", s)
 	}
-	if f.Threshold() != 0.15 {
-		t.Errorf("canonical threshold %g", f.Threshold())
+	if f.threshold != 0.15 {
+		t.Errorf("canonical threshold %g", f.threshold)
 	}
 }

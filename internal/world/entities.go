@@ -27,17 +27,6 @@ func (w Window) Contains(t time.Time) bool {
 	return w.Until.IsZero() || t.Before(w.Until)
 }
 
-// Bounded reports whether the window closes inside the study.
-func (w Window) Bounded() bool { return !w.Until.IsZero() }
-
-// Duration returns the window length (0 for unbounded windows).
-func (w Window) Duration() time.Duration {
-	if w.Until.IsZero() {
-		return 0
-	}
-	return w.Until.Sub(w.From)
-}
-
 // ProxyMTA is one of Coremail's 34 outgoing proxy servers.
 type ProxyMTA struct {
 	ID       int
@@ -213,20 +202,6 @@ type SenderDomain struct {
 
 	// DNSOutages are windows where the domain's own DNS is down (T1).
 	DNSOutages []Window
-}
-
-// AuthBrokenAt reports whether the domain's DKIM/SPF records are broken
-// at t.
-func (s *SenderDomain) AuthBrokenAt(t time.Time) bool {
-	if s.AlwaysBrokenAuth {
-		return true
-	}
-	for _, w := range s.AuthBreakWindows {
-		if w.Contains(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // Contact is one recipient in a sender's address book.

@@ -116,7 +116,7 @@ func TestMXOutageVisibleInDNS(t *testing.T) {
 	for _, d := range w.Domains {
 		for _, win := range d.MXOutages {
 			found = true
-			mid := win.From.Add(win.Duration() / 2)
+			mid := win.From.Add(win.Until.Sub(win.From) / 2)
 			// Query the authority directly: the resolver layer may also
 			// inject transient SERVFAILs, which are not what this test
 			// verifies.
@@ -179,10 +179,10 @@ func TestEpisodicAuthBreakWindows(t *testing.T) {
 			continue
 		}
 		win := sd.AuthBreakWindows[0]
-		if !win.Bounded() || win.From.Before(clock.StudyStart) {
+		if win.Until.IsZero() || win.From.Before(clock.StudyStart) {
 			continue
 		}
-		mid := win.From.Add(win.Duration() / 2)
+		mid := win.From.Add(win.Until.Sub(win.From) / 2)
 		w.Resolver.Flush()
 		during := spf.Evaluate(proxyIP, sd.Name, mid)
 		w.Resolver.Flush()
