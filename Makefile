@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-wire fuzz-typo fuzz-ebrc chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-wire fuzz-typo fuzz-ebrc fuzz-partial chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -82,9 +82,10 @@ chaos-shard-failover:
 # ordering lock from all three of its sources, on what the ingest path
 # pools (a Decoder handed from one request to the next, tail payloads
 # cut from shared chunks) and on concurrent reports and partial
-# aggregates over one cached study (fast enough for every commit).
+# aggregates over one cached study, and on records that land between
+# a coordinator's two fan-in rounds (fast enough for every commit).
 race-parallel:
-	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials' ./...
+	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials|BetweenRounds' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -173,3 +174,13 @@ fuzz-typo:
 # order, same vocabulary ids, for arbitrary bytes.
 fuzz-ebrc:
 	$(GO) test -fuzz FuzzTokensMatchTokenize -fuzztime 60s ./internal/ebrc/
+
+# fuzz-partial fuzzes the two codecs a coordinator and its shards read
+# from one another, the PartialSet envelope and the round-2 scope: no
+# panic, decoding allocates at most a fixed multiple of its input, a
+# decoded set re-encodes to a fixed point, merges, and renders. Each
+# new input is minimized for at most 20 runs: a whole report per run
+# makes the default minute-long minimization starve the search. The
+# committed corpus replays in plain go test.
+fuzz-partial:
+	$(GO) test -fuzz FuzzUnmarshalPartialSet -fuzztime 60s -fuzzminimizetime 20x .

@@ -371,6 +371,84 @@ func BenchmarkReportCold(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterReport is what a two-shard cluster does for the first
+// report after an ingest, without the processes: over the process
+// benchmark's 80k emails split by substream owner, each shard takes a
+// cold snapshot, then the coordinator gathers, merges and renders every
+// partial section, with no environment (-no-env). two-rounds is the
+// fan-in a coordinator runs (analysis.GatherPartials); whole-partials
+// ships every shard's Partials() reference instead.
+func BenchmarkClusterReport(b *testing.B) {
+	const shards = 2
+	cfg := world.DefaultConfig()
+	cfg.TotalEmails = 80_000
+	_, records := bounce.GenerateParallel(cfg, 2)
+	parts := make([][]dataset.Record, shards)
+	for i := range records {
+		own := analysis.OwnerOf(&records[i], shards)
+		parts[own] = append(parts[own], records[i])
+	}
+	states := make([][]byte, shards)
+	for i, part := range parts {
+		inc := analysis.NewIncremental(analysis.DefaultPipelineConfig())
+		inc.AddBatch(part)
+		var err error
+		if states[i], err = inc.CaptureState().MarshalBinary(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	gathers := []struct {
+		name   string
+		gather func([]*analysis.Analysis) (*analysis.PartialSet, error)
+	}{
+		{"two-rounds", func(as []*analysis.Analysis) (*analysis.PartialSet, error) {
+			return analysis.GatherPartials(as, nil)
+		}},
+		{"whole-partials", func(as []*analysis.Analysis) (*analysis.PartialSet, error) {
+			var merged *analysis.PartialSet
+			for _, a := range as {
+				ps, err := analysis.UnmarshalPartialSet(a.Partials().Marshal(), nil)
+				if err != nil {
+					return nil, err
+				}
+				if merged == nil {
+					merged = ps
+				} else if err := merged.Merge(ps); err != nil {
+					return nil, err
+				}
+			}
+			return merged, nil
+		}},
+	}
+	for _, g := range gathers {
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			as := make([]*analysis.Analysis, shards)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				incs := make([]*analysis.Incremental, shards)
+				for s := range incs {
+					var err error
+					if incs[s], err = analysis.RestoreIncremental(states[s]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				for s, inc := range incs {
+					as[s] = inc.Snapshot(nil)
+				}
+				merged, err := g.gather(as)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := bounce.NewPartialStudy(merged).WriteReport(io.Discard, bounce.PartialSections); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ---- EBRC (Section 3.2 evaluation) ----
 
 func ebrcCorpus(n int, seed uint64) []ebrc.Sample {

@@ -140,8 +140,8 @@ func main() {
 		env := bounce.NewEnvironment(w)
 		if *shards > 1 {
 			// Sharded batch mode: partition by substream ownership, analyze
-			// each shard independently, round-trip every partial through the
-			// wire codec, merge, and render — the offline twin of the
+			// each shard independently, gather the two rounds through the
+			// wire codecs, merge, and render — the offline twin of the
 			// shard/coordinator topology. Bytes match the unsharded run.
 			runSharded(src, f, env, *shards, *section)
 			return
@@ -171,10 +171,11 @@ func main() {
 // runSharded is the offline twin of the shard/coordinator topology
 // (satellite of DESIGN.md §10): records are partitioned by substream
 // ownership exactly as a cluster router would, each shard is analyzed
-// independently, and the shard partials — round-tripped through the
-// wire codec a shard node serves on /v1/partial — are merged in shard
-// order. The merged report bytes equal the unsharded run's for every
-// partial-renderable section.
+// independently, and the shard partials are gathered in the two rounds
+// a coordinator runs — every set and the scope round-tripped through
+// the wire codecs a shard node serves on /v1/partial — and merged in
+// shard order. The merged report bytes equal the unsharded run's for
+// every partial-renderable section.
 func runSharded(src *dataset.ContextSource, f recordSource, env *analysis.Environment, shards int, section string) {
 	parts := make([][]dataset.Record, shards)
 	for {
@@ -192,20 +193,13 @@ func runSharded(src *dataset.ContextSource, f recordSource, env *analysis.Enviro
 		log.Fatal(err)
 	}
 
-	var merged *analysis.PartialSet
+	analyses := make([]*analysis.Analysis, shards)
 	for i, recs := range parts {
-		ps := analysis.New(recs, env).Partials()
-		rt, err := analysis.UnmarshalPartialSet(ps.Marshal(), env)
-		if err != nil {
-			log.Fatalf("shard %d: %v", i, err)
-		}
-		if merged == nil {
-			merged = rt
-			continue
-		}
-		if err := merged.Merge(rt); err != nil {
-			log.Fatalf("shard %d: %v", i, err)
-		}
+		analyses[i] = analysis.New(recs, env)
+	}
+	merged, err := analysis.GatherPartials(analyses, env)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if section == "all" {

@@ -93,8 +93,8 @@ type durationsCollector struct {
 	fullBad  map[string][]int64         // recipient -> T9 bounce starts
 	okByAddr map[string][]int64         // recipient -> non-T9 success ends
 
-	// scoped: fed a whole corpus bounced first (Analysis.Durations), as
-	// detectCollector.scoped. A partial is never scoped.
+	// scoped: fed a whole corpus bounced first (Analysis.Durations, a
+	// shard's round 2), as detectCollector.scoped.
 	scoped bool
 }
 
@@ -157,6 +157,13 @@ func (uc *durationsCollector) addRecord(rec *dataset.Record, c *ClassifiedRecord
 	if !c.HasType(ndr.T9MailboxFull) && (!uc.scoped || uc.fullBad[rec.To] != nil) {
 		uc.okByAddr[rec.To] = append(uc.okByAddr[rec.To], end)
 	}
+}
+
+// dropFailed empties what addFailed files, leaving a round-2 collector
+// with only the good events addRecord added.
+func (uc *durationsCollector) dropFailed() {
+	uc.authBad, uc.authRcvr = map[string][]int64{}, map[string]map[string]bool{}
+	uc.mxBad, uc.fullBad = map[string][]int64{}, map[string][]int64{}
 }
 
 func mergeTimes(dst, src map[string][]int64) {

@@ -86,11 +86,38 @@ type namedPartial struct {
 	c    PartialCollector
 }
 
-// PartialSet is one shard's complete partial aggregate: every
-// collector's mergeable state plus the popularity counts and pipeline
-// summary the result methods need. Merging K sets (any order, any
-// grouping) and calling the result methods reproduces the single-pass
-// Analysis results byte-for-byte.
+// part says which fold a set holds. It travels in the envelope, and
+// Merge joins only sets of one part: a round-1 set merged into a whole
+// one, or rendered on its own, would answer wrongly without a sound.
+type part uint8
+
+const (
+	partWhole    part = iota // Analysis.Partials: every record through every rule
+	partBounced              // round 1: Analysis.BouncedPartials
+	partScoped               // round 2: Analysis.ScopedPartials
+	partComplete             // merged round 1 after Complete: renders, merges no further
+)
+
+func (p part) String() string {
+	switch p {
+	case partWhole:
+		return "whole"
+	case partBounced:
+		return "round-1"
+	case partScoped:
+		return "round-2"
+	case partComplete:
+		return "completed"
+	}
+	return fmt.Sprintf("part %d", uint8(p))
+}
+
+// PartialSet is one shard's partial aggregate: every collector's
+// mergeable state plus the popularity counts and pipeline summary the
+// result methods need. Merging K whole sets (any order, any grouping) —
+// or K round-1 sets completed by their K round-2 sets — and calling the
+// result methods reproduces the single-pass Analysis results
+// byte-for-byte.
 type PartialSet struct {
 	// Total is the number of records folded in.
 	Total int
@@ -121,8 +148,10 @@ type PartialSet struct {
 	detect    *detectCollector
 	cause     *causeCollector
 
-	cols []namedPartial
-	rank []dataset.RankEntry
+	part  part
+	cols  []namedPartial
+	cheap []PartialCollector // cols but detect and durations: what round 1 folds whole
+	rank  []dataset.RankEntry
 }
 
 // NewPartialSet returns an empty partial aggregate bound to env (which
@@ -171,23 +200,39 @@ func NewPartialSet(env *Environment) *PartialSet {
 		{"detect", ps.detect},
 		{"cause", ps.cause},
 	}
+	for _, np := range ps.cols {
+		if np.name != "detect" && np.name != "durations" {
+			ps.cheap = append(ps.cheap, np.c)
+		}
+	}
 	return ps
 }
 
 // Add folds one classified record in. PartialSet implements Collector,
 // so it plugs into visit directly.
 func (ps *PartialSet) Add(rec *dataset.Record, c *ClassifiedRecord) {
+	ps.addCheap(rec, c)
+	ps.detect.Add(rec, c)
+	ps.durations.Add(rec, c)
+}
+
+// addCheap folds a record into everything but detect and durations,
+// whose rules a bounce on another shard can change.
+func (ps *PartialSet) addCheap(rec *dataset.Record, c *ClassifiedRecord) {
 	ps.Total++
 	ps.Counts[c.ToDomain]++
 	ps.rank = nil
-	for _, np := range ps.cols {
-		np.c.Add(rec, c)
+	for _, col := range ps.cheap {
+		col.Add(rec, c)
 	}
 }
 
-// Merge folds another shard's aggregate into the receiver. Commutative
-// and associative over set states.
+// Merge folds another shard's aggregate of the same part into the
+// receiver. Commutative and associative over set states.
 func (ps *PartialSet) Merge(o *PartialSet) error {
+	if ps.part != o.part || ps.part == partComplete {
+		return fmt.Errorf("analysis: merge a %s partial set with a %s one", o.part, ps.part)
+	}
 	ps.Total += o.Total
 	for dom, n := range o.Counts {
 		ps.Counts[dom] += n
@@ -202,13 +247,15 @@ func (ps *PartialSet) Merge(o *PartialSet) error {
 	return nil
 }
 
-// Wire envelope: magic, one-byte format version, then the named,
-// individually versioned and length-prefixed collector blobs. The
-// format version covers the envelope and the collector roster; each
-// collector additionally versions its own blob.
+// Wire envelope: magic, one-byte format version, the part, then the
+// named, individually versioned and length-prefixed collector blobs.
+// The format version covers the envelope and the collector roster;
+// each collector additionally versions its own blob. Version 2 added
+// the part: a version-1 reader taking a round-1 set for a whole one
+// would merge it into a wrong report, so each refuses the other.
 const (
 	partialMagic         = "BNCP"
-	partialFormatVersion = 1
+	partialFormatVersion = 2
 )
 
 // Marshal encodes the set with the stable codec: equal states encode
@@ -217,6 +264,7 @@ func (ps *PartialSet) Marshal() []byte {
 	var e enc
 	e.buf = append(e.buf, partialMagic...)
 	e.version(partialFormatVersion)
+	e.version(byte(ps.part))
 	e.intv(ps.Total)
 	e.strIntMap(ps.Counts)
 	e.pipeSummary(ps.Pipe)
@@ -238,6 +286,10 @@ func UnmarshalPartialSet(b []byte, env *Environment) (*PartialSet, error) {
 	d := dec{b: b[len(partialMagic):]}
 	d.checkVersion("partialset", partialFormatVersion)
 	ps := NewPartialSet(env)
+	ps.part = part(d.u8())
+	if d.err == nil && ps.part > partComplete {
+		return nil, fmt.Errorf("analysis: partial snapshot holds unknown %v", ps.part)
+	}
 	ps.Total = d.intv()
 	ps.Counts = d.strIntMap()
 	ps.Pipe = d.pipeSummary()
@@ -264,12 +316,178 @@ func UnmarshalPartialSet(b []byte, env *Environment) (*PartialSet, error) {
 	return ps, d.err
 }
 
-// Partials condenses the classified corpus into its partial aggregate.
+// Partials condenses the classified corpus into its whole partial
+// aggregate: every record through every rule, the unscoped detect and
+// Figure-7 folds among them. It is the reference the two rounds below
+// are held to; a cluster gathers those.
 func (a *Analysis) Partials() *PartialSet {
 	ps := NewPartialSet(a.Env)
 	a.visit(ps)
 	ps.Pipe = a.Pipeline.Summary()
 	return ps
+}
+
+// BouncedPartials is a shard's round 1 of the two-round fan-in, the
+// cluster's bouncedFirst: every collector but detect and durations
+// folds every record, and those two file only what the bounced records
+// name (addFailed). Merged across shards, their state is the scope.
+func (a *Analysis) BouncedPartials() *PartialSet {
+	ps := NewPartialSet(a.Env)
+	ps.part = partBounced
+	for i := range a.Classified {
+		rec, c := a.Records.At(i), &a.Classified[i]
+		ps.addCheap(rec, c)
+		if c.failed() {
+			ps.detect.addFailed(rec, c)
+			ps.durations.addFailed(rec, c)
+		}
+	}
+	ps.Pipe = a.Pipeline.Summary()
+	return ps
+}
+
+// Scope wire format: magic, version, whether the recipient sets and
+// bulk counts are read, then the merged round-1 detect and durations
+// blobs in their own collector codecs.
+const (
+	scopeMagic   = "BNCS"
+	scopeVersion = 1
+)
+
+// MarshalScope encodes what round 2 reads: the merged round-1 state of
+// detect and durations — what the bounced records of every shard name —
+// and whether the receiver's environment has a leak corpus, the one
+// case result reads recipient sets and bulk counts. Only a round-1 set
+// has a scope.
+func (ps *PartialSet) MarshalScope() ([]byte, error) {
+	if ps.part != partBounced {
+		return nil, fmt.Errorf("analysis: a %s partial set has no scope", ps.part)
+	}
+	var e enc
+	e.buf = append(e.buf, scopeMagic...)
+	e.version(scopeVersion)
+	e.boolv(ps.Env != nil && ps.Env.Breach != nil)
+	e.bytes(ps.detect.MarshalPartial())
+	e.bytes(ps.durations.MarshalPartial())
+	return e.buf, nil
+}
+
+// ScopedPartials is a shard's round 2: detect and durations' scoped
+// addRecord — the rules Detect and Durations run after their bounced
+// pass — over every record, against the scope MarshalScope encoded.
+// The set holds only what these records add; the scope stays with the
+// coordinator, which sent it.
+func (a *Analysis) ScopedPartials(scope []byte) (*PartialSet, error) {
+	if len(scope) < len(scopeMagic) || string(scope[:len(scopeMagic)]) != scopeMagic {
+		return nil, fmt.Errorf("analysis: not a partial scope")
+	}
+	d := dec{b: scope[len(scopeMagic):]}
+	d.checkVersion("scope", scopeVersion)
+	breach := d.boolv()
+	detect, durations := d.bytes(), d.bytes()
+	if d.err == nil && len(d.b) > 0 {
+		d.err = fmt.Errorf("analysis: %d bytes after the partial scope", len(d.b))
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	ps := NewPartialSet(a.Env)
+	ps.part = partScoped
+	dc, uc := ps.detect, ps.durations
+	if err := dc.UnmarshalPartial(detect); err != nil {
+		return nil, err
+	}
+	if err := uc.UnmarshalPartial(durations); err != nil {
+		return nil, err
+	}
+	dc.scoped, dc.breach, uc.scoped = true, breach, true
+	for i := range a.Classified {
+		rec, c := a.Records.At(i), &a.Classified[i]
+		dc.addRecord(rec, c)
+		uc.addRecord(rec, c)
+	}
+	dc.dropFailed()
+	uc.dropFailed()
+	return ps, nil
+}
+
+// Complete folds the merged round-2 sets of every shard into the
+// receiver, their merged round 1. It then answers what the whole sets'
+// merge would, and merges no further: its detect and durations hold
+// only what result reads of every shard's records.
+func (ps *PartialSet) Complete(scoped *PartialSet) error {
+	if ps.part != partBounced || scoped.part != partScoped {
+		return fmt.Errorf("analysis: complete a %s partial set with a %s one", ps.part, scoped.part)
+	}
+	if err := ps.detect.Merge(scoped.detect); err != nil {
+		return err
+	}
+	if err := ps.durations.Merge(scoped.durations); err != nil {
+		return err
+	}
+	ps.part = partComplete
+	return nil
+}
+
+// Renderable reports why the set cannot answer for a report — a round
+// of the fan-in still to be completed — or nil.
+func (ps *PartialSet) Renderable() error {
+	if ps.part == partBounced || ps.part == partScoped {
+		return fmt.Errorf("analysis: a %s partial set is half a fan-in: complete it before rendering", ps.part)
+	}
+	return nil
+}
+
+// GatherPartials runs both rounds of the fan-in over in-process shard
+// analyses, every set and the scope through the wire codecs a shard
+// node serves, and returns the completed merge bound to env.
+func GatherPartials(shards []*Analysis, env *Environment) (*PartialSet, error) {
+	blobs := make([][]byte, len(shards))
+	for i, a := range shards {
+		blobs[i] = a.BouncedPartials().Marshal()
+	}
+	merged, err := mergeBlobSets(blobs, env)
+	if err != nil {
+		return nil, err
+	}
+	scope, err := merged.MarshalScope()
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range shards {
+		ps, err := a.ScopedPartials(scope)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		blobs[i] = ps.Marshal()
+	}
+	scoped, err := mergeBlobSets(blobs, env)
+	if err != nil {
+		return nil, err
+	}
+	return merged, merged.Complete(scoped)
+}
+
+// mergeBlobSets decodes each shard's set, binds it to env and merges
+// them in order; an error names the shard by its index.
+func mergeBlobSets(blobs [][]byte, env *Environment) (*PartialSet, error) {
+	if len(blobs) == 0 {
+		return nil, fmt.Errorf("analysis: no partial sets to merge")
+	}
+	var merged *PartialSet
+	for i, b := range blobs {
+		ps, err := UnmarshalPartialSet(b, env)
+		if err == nil && merged != nil {
+			err = merged.Merge(ps)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		if merged == nil {
+			merged = ps
+		}
+	}
+	return merged, nil
 }
 
 // --- Result methods mirroring the Analysis API. Each runs the same
@@ -317,8 +535,12 @@ func (ps *PartialSet) Timeline() Timeline { return ps.timeline.result() }
 // BlocklistFigure computes Figure 6 (requires Env.Blocklist).
 func (ps *PartialSet) BlocklistFigure() BlocklistFigure { return ps.blocked.result(ps.Env) }
 
-// InfraMatrix computes Figure 8.
+// InfraMatrix computes Figure 8 (requires Env.Geo, as
+// Analysis.InfraMatrix does).
 func (ps *PartialSet) InfraMatrix(minEmails, n int) InfraMatrix {
+	if ps.Env == nil || ps.Env.Geo == nil {
+		return InfraMatrix{ReceiverTimeoutPct: map[string]float64{}}
+	}
 	return ps.infra.result(minEmails, n)
 }
 

@@ -120,18 +120,20 @@ func (d *dec) str() string {
 	return s
 }
 
-func (d *dec) boolv() bool {
+func (d *dec) u8() byte {
 	if d.err != nil {
-		return false
+		return 0
 	}
 	if len(d.b) < 1 {
 		d.fail()
-		return false
+		return 0
 	}
-	v := d.b[0] != 0
+	v := d.b[0]
 	d.b = d.b[1:]
 	return v
 }
+
+func (d *dec) boolv() bool { return d.u8() != 0 }
 
 func (d *dec) bytes() []byte {
 	n := d.u64()

@@ -147,11 +147,13 @@ type detectCollector struct {
 	inactive map[string]bool
 	full     map[string]bool
 
-	// scoped says the collector is fed a whole corpus bounced first
-	// (Analysis.Detect): addFailed has seen every failed attempt before
-	// addRecord sees its first record, so addRecord leaves out what
-	// result then provably never reads. A partial is never scoped — the
-	// bounce that makes a delivery matter may be on another shard.
+	// scoped says the collector is fed a whole corpus bounced first:
+	// addFailed has seen every failed attempt before addRecord sees its
+	// first record, so addRecord leaves out what result then provably
+	// never reads. Analysis.Detect is scoped, and so is a shard's round 2
+	// (ScopedPartials), whose addFailed state is every shard's, merged.
+	// A whole partial is not: the bounce that makes a delivery matter
+	// may be on another shard.
 	scoped bool
 	breach bool // scoped: result has a leak corpus to ask, so recipient sets and bulk counts are read
 }
@@ -284,6 +286,31 @@ func (dc *detectCollector) addRecord(rec *dataset.Record, c *ClassifiedRecord) {
 			dc.resolved[c.ToDomain] = 2
 		}
 	}
+}
+
+// dropFailed empties what addFailed files, leaving a round-2 collector
+// with only what addRecord added to the scope it was seeded with.
+func (dc *detectCollector) dropFailed() {
+	for dom, s := range dc.senders {
+		if s.total == 0 { // named by the scope, sent nothing here
+			delete(dc.senders, dom)
+			continue
+		}
+		s.t8PerRcvr = map[string]int{}
+	}
+	for from, io := range dc.perFrom {
+		if len(io.okBy) == 0 {
+			delete(dc.perFrom, from)
+			continue
+		}
+		io.failed = map[string]bool{}
+	}
+	for dom, st := range dc.resolved {
+		if st != 2 {
+			delete(dc.resolved, dom)
+		}
+	}
+	dc.inactive, dc.full = map[string]bool{}, map[string]bool{}
 }
 
 func (dc *detectCollector) Merge(other PartialCollector) error {

@@ -195,8 +195,9 @@ type Server struct {
 	snapAt    uint64 // consumed count the cached snapshot covers
 	snapMs    float64
 
-	// partial snapshot cache: the marshaled partial aggregate for the
-	// cached study (rebuilt only when the study advances).
+	// partial snapshot cache: the marshaled round-1 partial aggregate
+	// for the cached study (rebuilt only when the study advances), which
+	// is also the study round 2 is answered from.
 	partialMu    sync.Mutex
 	partialFor   *bounce.Study
 	partialBytes []byte
@@ -261,6 +262,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/records", s.handleRecords)
 	mux.HandleFunc("GET /v1/report", s.handleReport)
 	mux.HandleFunc("GET /v1/partial", s.handlePartial)
+	mux.HandleFunc("POST /v1/partial", s.handleScopedPartial)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/metrics", s.handleMetrics)

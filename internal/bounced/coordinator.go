@@ -1,11 +1,14 @@
 package bounced
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,10 +37,12 @@ type CoordinatorConfig struct {
 
 // Coordinator is the thin fan-in tier of a sharded bounced deployment:
 // it holds no records and no classifier state. Every report request
-// fetches each shard's /v1/partial snapshot, merges the partial
-// aggregates, and renders through the same section dispatcher a single
-// node uses — so the report bytes are identical to one node having
-// ingested the full stream (for the partial-renderable sections).
+// gathers each shard's partial aggregate in two rounds on /v1/partial
+// (what the bounced records name, then what every record adds to it),
+// merges them, and renders through the same section dispatcher a
+// single node uses — so the report bytes are identical to one node
+// having ingested the full stream (for the partial-renderable
+// sections).
 //
 // When a shard URL fronts a replica set (a -role=router instance), the
 // coordinator follows the router's elected highest-epoch primary for
@@ -168,97 +173,187 @@ func (c *Coordinator) getJSON(ctx context.Context, url string, out any) (bool, e
 	return true, json.NewDecoder(resp.Body).Decode(out)
 }
 
-// fetchPartial grabs one node's partial snapshot.
-func (c *Coordinator) fetchPartial(ctx context.Context, target string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(target, "/")+"/v1/partial", nil)
+// errSnapshotMoved is a round-2 409: a later round 1 replaced the
+// study the shard pinned for this gather's round 2.
+var errSnapshotMoved = errors.New("round-1 snapshot no longer pinned")
+
+// shardFetch is one shard's side of a gather: where its rounds go, the
+// record count round 1 pinned, and the latest round's bytes.
+type shardFetch struct {
+	target  string
+	info    shardInfo
+	records int
+	blob    []byte
+	bytes   int // both rounds
+}
+
+// fetchPartial runs one round against f.target: round 1 (scope nil)
+// GETs the node's partial, round 2 POSTs the scope and names the record
+// count round 1 answered.
+func (c *Coordinator) fetchPartial(ctx context.Context, f *shardFetch, scope []byte) error {
+	method, body := http.MethodGet, io.Reader(nil)
+	if scope != nil {
+		method, body = http.MethodPost, bytes.NewReader(scope)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(f.target, "/")+"/v1/partial", body)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if scope != nil {
+		req.Header.Set(headerPartialRecords, strconv.Itoa(f.records))
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
+	if resp.StatusCode == http.StatusConflict {
+		io.Copy(io.Discard, resp.Body)
+		return errSnapshotMoved
 	}
-	return io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %s", resp.Status)
+	}
+	if scope == nil {
+		if f.records, err = strconv.Atoi(resp.Header.Get(headerPartialRecords)); err != nil {
+			return fmt.Errorf("round 1 without a valid %s: %v", headerPartialRecords, err)
+		}
+	}
+	if f.blob, err = io.ReadAll(resp.Body); err != nil {
+		return err
+	}
+	f.bytes += len(f.blob)
+	return nil
 }
 
-// fetchShard resolves one shard and fetches its partial. On any
-// failure it re-probes once: a primary that died between the probe and
-// the fetch has usually been replaced by the router's next sweep, so a
-// single second look rides through the election instead of failing the
-// whole gather.
-func (c *Coordinator) fetchShard(ctx context.Context, base string) ([]byte, shardInfo, error) {
-	target, info, err := c.resolveShard(ctx, base)
+// fetchShard runs one round against one shard. Round 1 resolves the
+// shard first; round 2 goes to the node round 1 was answered by. On
+// any failure but a moved snapshot it re-probes once: a primary that
+// died between the probe and the fetch has usually been replaced by
+// the router's next sweep, so a single second look rides through the
+// election instead of failing the whole gather. (The new primary pins
+// nothing, so a round 2 it is asked is a 409, and gather runs again.)
+func (c *Coordinator) fetchShard(ctx context.Context, base string, f *shardFetch, scope []byte) error {
+	var err error
+	if scope == nil {
+		f.target, f.info, err = c.resolveShard(ctx, base)
+	}
 	if err == nil {
-		var blob []byte
-		if blob, err = c.fetchPartial(ctx, target); err == nil {
-			return blob, info, nil
+		if err = c.fetchPartial(ctx, f, scope); err == nil || errors.Is(err, errSnapshotMoved) {
+			return err
 		}
-		err = fmt.Errorf("partial from %s: %v", target, err)
+		err = fmt.Errorf("partial from %s: %v", f.target, err)
 	}
 	if ctx.Err() != nil {
-		return nil, info, err
+		return err
 	}
 	c.reprobes.Add(1)
-	target, info, err2 := c.resolveShard(ctx, base)
-	if err2 != nil {
-		return nil, info, fmt.Errorf("%v (re-probe: %v)", err, err2)
+	var err2 error
+	if f.target, f.info, err2 = c.resolveShard(ctx, base); err2 != nil {
+		return fmt.Errorf("%v (re-probe: %v)", err, err2)
 	}
-	blob, err2 := c.fetchPartial(ctx, target)
-	if err2 != nil {
-		return nil, info, fmt.Errorf("%v (re-probe partial from %s: %v)", err, target, err2)
+	if err2 = c.fetchPartial(ctx, f, scope); errors.Is(err2, errSnapshotMoved) {
+		return err2
+	} else if err2 != nil {
+		return fmt.Errorf("%v (re-probe partial from %s: %v)", err, f.target, err2)
 	}
-	return blob, info, nil
+	return nil
 }
 
-// gather fans in every shard's partial snapshot (concurrently) and
-// merges them in ShardURLs order. Any unreachable or undecodable shard
-// fails the whole fan-in: a silently partial report would be worse
-// than no report. ctx is the inbound request's context, so a client
-// that disconnects cancels the fan-in instead of leaving it running
-// against the shard tier.
-func (c *Coordinator) gather(ctx context.Context) (*analysis.PartialSet, []shardInfo, error) {
-	blobs := make([][]byte, len(c.cfg.ShardURLs))
-	infos := make([]shardInfo, len(c.cfg.ShardURLs))
-	errs := make([]error, len(c.cfg.ShardURLs))
+// round runs one round against every shard concurrently.
+func (c *Coordinator) round(ctx context.Context, fs []shardFetch, scope []byte) error {
+	errs := make([]error, len(fs))
 	var wg sync.WaitGroup
 	for i, base := range c.cfg.ShardURLs {
 		wg.Add(1)
 		go func(i int, base string) {
 			defer wg.Done()
-			blobs[i], infos[i], errs[i] = c.fetchShard(ctx, base)
+			errs[i] = c.fetchShard(ctx, base, &fs[i], scope)
 		}(i, base)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			c.faninErrs.Add(1)
-			return nil, nil, fmt.Errorf("shard %d (%s): %v", i, c.cfg.ShardURLs[i], err)
+			return fmt.Errorf("shard %d (%s): %w", i, c.cfg.ShardURLs[i], err)
 		}
 	}
+	return nil
+}
 
-	t0 := time.Now()
+// merge decodes one round's sets and merges them in ShardURLs order.
+func (c *Coordinator) merge(fs []shardFetch) (*analysis.PartialSet, error) {
 	var merged *analysis.PartialSet
-	for i, b := range blobs {
-		ps, err := analysis.UnmarshalPartialSet(b, c.cfg.Env)
-		if err != nil {
-			c.faninErrs.Add(1)
-			return nil, nil, fmt.Errorf("shard %d (%s): %v", i, c.cfg.ShardURLs[i], err)
+	for i := range fs {
+		ps, err := analysis.UnmarshalPartialSet(fs[i].blob, c.cfg.Env)
+		if err == nil && merged != nil {
+			err = merged.Merge(ps)
 		}
-		infos[i].Records, infos[i].Bytes = ps.Total, len(b)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d (%s): %v", i, c.cfg.ShardURLs[i], err)
+		}
 		if merged == nil {
 			merged = ps
-			continue
-		}
-		if err := merged.Merge(ps); err != nil {
-			c.faninErrs.Add(1)
-			return nil, nil, fmt.Errorf("shard %d (%s): %v", i, c.cfg.ShardURLs[i], err)
 		}
 	}
-	ms := float64(time.Since(t0).Nanoseconds()) / 1e6
+	return merged, nil
+}
+
+// gatherOnce is the two-round fan-in. Round 1 fetches every shard's
+// cheap collectors and what its bounced records name; their merge is
+// the scope. Round 2 sends it back, and each shard answers with only
+// what its records add to it, from the study its round 1 pinned. The
+// returned milliseconds are the decoding and merging of both rounds.
+func (c *Coordinator) gatherOnce(ctx context.Context) (*analysis.PartialSet, []shardInfo, float64, error) {
+	fs := make([]shardFetch, len(c.cfg.ShardURLs))
+	if err := c.round(ctx, fs, nil); err != nil {
+		return nil, nil, 0, err
+	}
+	t0 := time.Now()
+	merged, err := c.merge(fs)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	scope, err := merged.MarshalScope()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	elapsed := time.Since(t0)
+	if err := c.round(ctx, fs, scope); err != nil {
+		return nil, nil, 0, err
+	}
+	t1 := time.Now()
+	scoped, err := c.merge(fs)
+	if err == nil {
+		err = merged.Complete(scoped)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	elapsed += time.Since(t1)
+	infos := make([]shardInfo, len(fs))
+	for i := range fs {
+		infos[i] = fs[i].info
+		infos[i].Records, infos[i].Bytes = fs[i].records, fs[i].bytes
+	}
+	return merged, infos, float64(elapsed.Nanoseconds()) / 1e6, nil
+}
+
+// gather fans in every shard (concurrently, in two rounds) and merges
+// in ShardURLs order. Any unreachable or undecodable shard fails the
+// whole fan-in: a silently partial report would be worse than no
+// report. A shard whose pin moved between the rounds costs one more
+// gather, and then the 503. ctx is the inbound request's context, so a
+// client that disconnects cancels the fan-in instead of leaving it
+// running against the shard tier.
+func (c *Coordinator) gather(ctx context.Context) (*analysis.PartialSet, []shardInfo, error) {
+	merged, infos, ms, err := c.gatherOnce(ctx)
+	if errors.Is(err, errSnapshotMoved) && ctx.Err() == nil {
+		merged, infos, ms, err = c.gatherOnce(ctx)
+	}
+	if err != nil {
+		c.faninErrs.Add(1)
+		return nil, nil, err
+	}
 	c.mu.Lock()
 	c.lastMergeMs = ms
 	c.lastRecords = merged.Total

@@ -11,7 +11,7 @@ import (
 )
 
 // TestPartialSkipsDetect: the entity detections are computed by the
-// first request that renders them and by no other. A shard's
+// first request that renders them and by no other. A shard's round-1
 // /v1/partial and a ?section=overview,fig5 report — run concurrently
 // over one cached study — leave them unresolved; table2 resolves them;
 // and every answer is byte-identical to batch.
@@ -51,8 +51,8 @@ func TestPartialSkipsDetect(t *testing.T) {
 	if st.Detections != nil {
 		t.Fatal("a partial and an overview,fig5 report resolved the detections")
 	}
-	if !bytes.Equal(partial, batch.Partials().Marshal()) {
-		t.Fatal("/v1/partial diverges from the batch study's partial aggregate")
+	if !bytes.Equal(partial, batch.Analysis.BouncedPartials().Marshal()) {
+		t.Fatal("/v1/partial diverges from the batch study's round-1 partial aggregate")
 	}
 	if !bytes.Equal(light, report(bounce.SecOverview, bounce.SecFig5)) {
 		t.Fatal("overview,fig5 diverges from batch")

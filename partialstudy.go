@@ -30,7 +30,8 @@ type PartialStudy struct {
 	det *analysis.Detections
 }
 
-// NewPartialStudy wraps a merged partial set.
+// NewPartialStudy wraps a merged partial set: whole sets merged, or
+// round-1 sets completed by their round 2 (analysis.GatherPartials).
 func NewPartialStudy(p *analysis.PartialSet) *PartialStudy {
 	return &PartialStudy{P: p}
 }
@@ -49,6 +50,9 @@ func (s *PartialStudy) durations() analysis.DurationsFigure { return s.P.Duratio
 func (s *PartialStudy) WriteReport(w io.Writer, sections []Section) error {
 	if len(sections) == 0 {
 		sections = PartialSections
+	}
+	if err := s.P.Renderable(); err != nil {
+		return err
 	}
 	for _, sec := range sections {
 		if err := renderSection(w, s.P, s.Detections, s.durations, s.P.Total, sec); err != nil {

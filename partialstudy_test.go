@@ -90,6 +90,62 @@ func TestShardedPartialReportMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestShardedPartialTwoRoundsReportMatchesBatch: the report rendered
+// from the two-round gather — with and without an environment, over 1,
+// 2, 3 and 16 substream shards — is byte-identical to the unsharded
+// batch report and to the one rendered from the shards' whole partials.
+func TestShardedPartialTwoRoundsReportMatchesBatch(t *testing.T) {
+	st := tinyStudy(t)
+	records := st.Records.Flatten()
+	render := func(ps *analysis.PartialSet) []byte {
+		var buf bytes.Buffer
+		if err := bounce.NewPartialStudy(ps).WriteReport(&buf, nil); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, env := range []*analysis.Environment{nil, bounce.NewEnvironment(st.World)} {
+		a := analysis.NewFromSource(dataset.NewSliceSource(records), analysis.DefaultPipelineConfig(), env)
+		ref := &bounce.Study{Records: a.Records, Analysis: a, Detections: a.Detect()}
+		var want bytes.Buffer
+		if err := ref.WriteReport(&want, bounce.PartialSections); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 3, 16} {
+			shards := make([]*analysis.Analysis, n)
+			parts := make([][]dataset.Record, n)
+			for i := range records {
+				own := analysis.OwnerOf(&records[i], n)
+				parts[own] = append(parts[own], records[i])
+			}
+			var whole *analysis.PartialSet
+			for i, part := range parts {
+				shards[i] = analysis.New(part, env)
+				ps, err := analysis.UnmarshalPartialSet(shards[i].Partials().Marshal(), env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if whole == nil {
+					whole = ps
+				} else if err := whole.Merge(ps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			merged, err := analysis.GatherPartials(shards, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := render(merged)
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("env=%v shards=%d: two-round report diverges from batch (%d vs %d bytes)", env != nil, n, len(got), want.Len())
+			}
+			if ref := render(whole); !bytes.Equal(got, ref) {
+				t.Errorf("env=%v shards=%d: two-round report diverges from the whole partials' (%d vs %d bytes)", env != nil, n, len(got), len(ref))
+			}
+		}
+	}
+}
+
 // TestPartialStudyRejectsCorpusSections: squat and advice need the
 // raw corpus no partial set carries; asking for them is an error, not
 // silently absent output.
