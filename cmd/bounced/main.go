@@ -64,8 +64,8 @@
 // ownership is checked.
 //
 // Endpoints: POST /v1/records (NDJSON, gzip-aware), GET /v1/report
-// ?section=table1,fig8, GET /v1/stats, POST /v1/snapshot, GET
-// /v1/partial (shard snapshot for coordinators), GET /v1/repl/status,
+// ?section=table1,fig8, GET /v1/stats, POST /v1/snapshot, GET and POST
+// /v1/partial (a coordinator's two fan-in rounds), GET /v1/repl/status,
 // GET /metrics (Prometheus text), GET /healthz; a node with -data-dir
 // also mounts POST /v1/checkpoint, GET /v1/repl/wal, GET
 // /v1/repl/checkpoint and POST /v1/promote.
