@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-wire fuzz-typo fuzz-ebrc fuzz-partial chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-wire fuzz-typo fuzz-ebrc fuzz-partial fuzz-state fuzz-smoke chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -82,10 +82,11 @@ chaos-shard-failover:
 # ordering lock from all three of its sources, on what the ingest path
 # pools (a Decoder handed from one request to the next, tail payloads
 # cut from shared chunks) and on concurrent reports and partial
-# aggregates over one cached study, and on records that land between
-# a coordinator's two fan-in rounds (fast enough for every commit).
+# aggregates over one cached study, on one partial set rendered by
+# concurrent readers, and on records that land between a coordinator's
+# two fan-in rounds (fast enough for every commit).
 race-parallel:
-	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials|BetweenRounds' ./...
+	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials|SharedPartialSet|BetweenRounds' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -184,3 +185,25 @@ fuzz-ebrc:
 # committed corpus replays in plain go test.
 fuzz-partial:
 	$(GO) test -fuzz FuzzUnmarshalPartialSet -fuzztime 60s -fuzzminimizetime 20x .
+
+# fuzz-state fuzzes the Incremental state codec a checkpoint and a
+# standby's full resync carry, drain.UnmarshalParser within it: no
+# panic, restoring allocates at most a fixed multiple of its input, a
+# marshalled state round-trips to equal bytes, and whatever restores
+# snapshots. Minimizing is capped as fuzz-partial caps it: uncapped,
+# the search stalls at 0 execs/s for most of the minute. The committed
+# corpus replays in plain go test.
+fuzz-state:
+	$(GO) test -fuzz FuzzRestoreIncremental -fuzztime 60s -fuzzminimizetime 20x ./internal/analysis/
+
+# fuzz-smoke runs every fuzz target in the tree for 10 s each, found by
+# name, so a new fuzzer joins without an edit here. The committed seeds
+# already replay in plain go test; this also searches. Minimizing is
+# capped as fuzz-partial caps it.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' .); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "== $$t ($$(dirname $$f))"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s -fuzzminimizetime 20x $$(dirname $$f); \
+		done; \
+	done

@@ -78,7 +78,9 @@ func ConfigForScale(s Scale) world.Config {
 }
 
 // Study is a completed simulation + analysis. Handle it by pointer: it
-// carries the sync.Onces that guard Detections, Figure 7 and Partials.
+// carries the sync.Onces that guard Detections, Figure 7 and its two
+// partial sets. A zero value with Records and Analysis set is ready to
+// report.
 type Study struct {
 	World      *world.World
 	Engine     *delivery.Engine
@@ -92,6 +94,8 @@ type Study struct {
 	dur          analysis.DurationsFigure
 	partialsOnce sync.Once
 	partials     *analysis.PartialSet
+	bouncedOnce  sync.Once
+	bounced      *analysis.PartialSet
 }
 
 // detections resolves the entity detections the first time a section

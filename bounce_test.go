@@ -27,7 +27,7 @@ func TestRunProducesConsistentStudy(t *testing.T) {
 	if s.Analysis == nil || s.Detections == nil {
 		t.Fatal("analysis not built")
 	}
-	o := s.Analysis.Overview()
+	o := s.BouncedPartials().Overview()
 	if o.Total != s.Records.Len() {
 		t.Errorf("overview total %d vs %d records", o.Total, s.Records.Len())
 	}
@@ -158,7 +158,7 @@ func TestDatasetRoundTripThroughJSONL(t *testing.T) {
 	}
 	// Re-analysis of the round-tripped dataset gives identical degrees.
 	a2 := bounce.Analyze(back, bounce.NewEnvironment(s.World))
-	o1, o2 := s.Analysis.Overview(), a2.Overview()
+	o1, o2 := s.BouncedPartials().Overview(), a2.BouncedPartials().Overview()
 	if o1.SoftBounced != o2.SoftBounced || o1.HardBounced != o2.HardBounced {
 		t.Errorf("degrees changed across serialization: %+v vs %+v", o1, o2)
 	}

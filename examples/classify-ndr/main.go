@@ -49,7 +49,7 @@ func main() {
 
 	// Show the mined ambiguous templates, Table-6 style.
 	fmt.Println("\nmined ambiguous templates:")
-	for i, t := range study.Analysis.AmbiguousTemplates() {
+	for i, t := range study.Analysis.Pipeline.AmbiguousTemplates() {
 		if i >= 5 {
 			break
 		}

@@ -110,18 +110,19 @@ func DefaultConfig() Config {
 	}
 }
 
-// Run evaluates every rule over the corpus. fig is Figure 7 as
-// a.Durations(det) infers it — the caller's, so a report that also
-// prints the figure walks the corpus for it once. sq may be nil (the
-// squatting rules are skipped).
-func Run(a *analysis.Analysis, det *analysis.Detections, fig analysis.DurationsFigure, sq *squat.Result, cfg Config) []Advisory {
+// Run evaluates every rule over a corpus's results: ps answers the
+// tables and figures (a study's round-1 set), det the entity
+// detections, and fig is Figure 7 as inferred from det — the caller's,
+// so a report that also prints the figure walks the corpus for it
+// once. sq may be nil (the squatting rules are skipped).
+func Run(ps *analysis.PartialSet, det *analysis.Detections, fig analysis.DurationsFigure, sq *squat.Result, cfg Config) []Advisory {
 	if cfg.MaxPerRule <= 0 {
 		cfg = DefaultConfig()
 	}
 	var out []Advisory
-	out = append(out, communityRules(a)...)
-	out = append(out, senderESPRules(a, cfg)...)
-	out = append(out, receiverESPRules(a, cfg)...)
+	out = append(out, communityRules(ps)...)
+	out = append(out, senderESPRules(ps, cfg)...)
+	out = append(out, receiverESPRules(ps, cfg)...)
 	out = append(out, domainManagerRules(fig, cfg)...)
 	out = append(out, userRules(det, fig, cfg)...)
 	if sq != nil {
@@ -137,9 +138,9 @@ func Run(a *analysis.Analysis, det *analysis.Detections, fig analysis.DurationsF
 }
 
 // communityRules: standardize NDR reporting (the paper's headline call).
-func communityRules(a *analysis.Analysis) []Advisory {
+func communityRules(ps *analysis.PartialSet) []Advisory {
 	var out []Advisory
-	noCode := a.NoEnhancedCodeShare()
+	noCode := ps.NoEnhancedCodeShare()
 	if noCode > 0.15 {
 		out = append(out, Advisory{
 			Audience: Community, Severity: Warning,
@@ -148,7 +149,7 @@ func communityRules(a *analysis.Analysis) []Advisory {
 			Evidence: fmt.Sprintf("%.1f%% of NDR lines carry no RFC 3463 enhanced status code", noCode*100),
 		})
 	}
-	o := a.Overview()
+	o := ps.Overview()
 	if o.AmbiguousBounced > 0 {
 		out = append(out, Advisory{
 			Audience: Community, Severity: Warning,
@@ -163,13 +164,13 @@ func communityRules(a *analysis.Analysis) []Advisory {
 
 // senderESPRules: reputation monitoring, greylist compliance, retry
 // budget.
-func senderESPRules(a *analysis.Analysis, cfg Config) []Advisory {
+func senderESPRules(ps *analysis.PartialSet, cfg Config) []Advisory {
 	var out []Advisory
-	if a.Env != nil && a.Env.Blocklist != nil {
-		for i, ip := range a.Env.ProxyIPs {
+	if ps.Env != nil && ps.Env.Blocklist != nil {
+		for i, ip := range ps.Env.ProxyIPs {
 			days := 0
 			for d := 0; d < clock.StudyDays; d++ {
-				if a.Env.Blocklist.Listed(ip, clock.DayStart(d).Add(12*time.Hour)) {
+				if ps.Env.Blocklist.Listed(ip, clock.DayStart(d).Add(12*time.Hour)) {
 					days++
 				}
 			}
@@ -184,8 +185,8 @@ func senderESPRules(a *analysis.Analysis, cfg Config) []Advisory {
 			}
 		}
 	}
-	dist := a.TypeDistribution()
-	o := a.Overview()
+	dist := ps.TypeDistribution()
+	o := ps.Overview()
 	bounced := o.Bounced() - o.AmbiguousBounced
 	if t6 := dist[ndr.T6Greylisted]; t6 > 0 && stats.Pct(t6, bounced) > 1 {
 		out = append(out, Advisory{
@@ -208,9 +209,9 @@ func senderESPRules(a *analysis.Analysis, cfg Config) []Advisory {
 }
 
 // receiverESPRules: blocklist collateral.
-func receiverESPRules(a *analysis.Analysis, cfg Config) []Advisory {
+func receiverESPRules(ps *analysis.PartialSet, cfg Config) []Advisory {
 	var out []Advisory
-	f := a.BlocklistFigure()
+	f := ps.BlocklistFigure()
 	if f.NormalShare > cfg.BlocklistCollateralWarn {
 		out = append(out, Advisory{
 			Audience: ReceiverESP, Severity: Critical,

@@ -85,7 +85,7 @@ func env() *analysis.Environment {
 // inferred from it, as a report does.
 func run(a *analysis.Analysis, sq *squat.Result) []Advisory {
 	det := a.Detect()
-	return Run(a, det, a.Durations(det), sq, DefaultConfig())
+	return Run(a.BouncedPartials(), det, a.Durations(det), sq, DefaultConfig())
 }
 
 func TestRulesFire(t *testing.T) {

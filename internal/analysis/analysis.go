@@ -161,10 +161,6 @@ func (p *Pipeline) ClassifyRecord(rec *dataset.Record) (c ClassifiedRecord) {
 // InEmailRank returns the receiver-domain popularity list.
 func (a *Analysis) InEmailRank() []dataset.RankEntry { return a.rank }
 
-// PipelineSummary condenses the classifier stack into its mergeable
-// aggregate (same shape a PartialSet carries).
-func (a *Analysis) PipelineSummary() PipelineSummary { return a.Pipeline.Summary() }
-
 // Overview is the Section-4.1 headline statistic.
 type Overview struct {
 	Total       int
@@ -179,40 +175,11 @@ type Overview struct {
 	AmbiguousBounced int
 }
 
-// Overview computes the bounce-degree distribution.
-func (a *Analysis) Overview() Overview {
-	var oc overviewCollector
-	a.visit(&oc)
-	return oc.result()
-}
-
 // Bounced reports the number of emails that bounced at least once.
 func (o Overview) Bounced() int { return o.SoftBounced + o.HardBounced }
-
-// TypeDistribution is Table 1: per-type email counts among bounced,
-// non-ambiguous emails (an email may carry several types).
-func (a *Analysis) TypeDistribution() map[ndr.Type]int {
-	tc := newTypeDistCollector()
-	a.visit(tc)
-	return tc.counts
-}
-
-// NoEnhancedCodeShare returns the share of NDR lines lacking an RFC 3463
-// enhanced status code (paper: 28.79%).
-func (a *Analysis) NoEnhancedCodeShare() float64 {
-	var ec enhancedCollector
-	a.visit(&ec)
-	return ec.result()
-}
 
 // AmbiguousTemplate is one Table-6 row.
 type AmbiguousTemplate struct {
 	Template string
 	Count    int
-}
-
-// AmbiguousTemplates returns the mined templates flagged ambiguous with
-// their message counts, normalized count-descending (Table 6).
-func (a *Analysis) AmbiguousTemplates() []AmbiguousTemplate {
-	return a.Pipeline.AmbiguousTemplates()
 }

@@ -119,7 +119,7 @@ func buildAnalysis(t *testing.T) *Analysis {
 
 func TestOverview(t *testing.T) {
 	a := buildAnalysis(t)
-	o := a.Overview()
+	o := a.BouncedPartials().Overview()
 	if o.Total != a.Records.Len() {
 		t.Errorf("total %d", o.Total)
 	}
@@ -140,7 +140,7 @@ func TestOverview(t *testing.T) {
 
 func TestClassificationTypes(t *testing.T) {
 	a := buildAnalysis(t)
-	dist := a.TypeDistribution()
+	dist := a.BouncedPartials().TypeDistribution()
 	if dist[ndr.T6Greylisted] != 60 {
 		t.Errorf("T6 = %d want 60", dist[ndr.T6Greylisted])
 	}
@@ -169,7 +169,7 @@ func TestAmbiguousExcludedFromTypes(t *testing.T) {
 			t.Fatalf("ambiguous record carries types %v", c.Types)
 		}
 	}
-	amb := a.AmbiguousTemplates()
+	amb := a.BouncedPartials().AmbiguousTemplates()
 	if len(amb) == 0 {
 		t.Fatal("no ambiguous templates mined")
 	}
@@ -221,7 +221,7 @@ func TestDetectTypos(t *testing.T) {
 
 func TestRootCauses(t *testing.T) {
 	a := buildAnalysis(t)
-	tbl := a.RootCauses(a.Detect())
+	tbl := a.BouncedPartials().RootCauses(a.Detect())
 	get := func(reason string) int {
 		for _, r := range tbl.Rows {
 			if r.Reason == reason {
@@ -257,7 +257,7 @@ func TestRootCauses(t *testing.T) {
 
 func TestTopDomains(t *testing.T) {
 	a := buildAnalysis(t)
-	rows := a.TopDomains(3)
+	rows := a.BouncedPartials().TopDomains(3)
 	if rows[0].Domain != "ok.com" {
 		t.Errorf("top domain %q", rows[0].Domain)
 	}
@@ -271,7 +271,7 @@ func TestTopDomains(t *testing.T) {
 
 func TestTimeline(t *testing.T) {
 	a := buildAnalysis(t)
-	tl := a.Timeline()
+	tl := a.BouncedPartials().Timeline()
 	totalDays := 0
 	for d := 0; d < clock.StudyDays; d++ {
 		totalDays += tl.Days[d].Non + tl.Days[d].Soft + tl.Days[d].Hard
@@ -322,7 +322,7 @@ func TestSTARTTLSStats(t *testing.T) {
 			renderT(ndr.T4STARTTLS, "u@ok.com"), "250 OK"))
 	}
 	a := New(records, nil)
-	s := a.STARTTLS()
+	s := a.BouncedPartials().STARTTLS()
 	if s.MandatingDomains != 1 || s.SoftBounced != 10 {
 		t.Errorf("STARTTLS stats: %+v", s)
 	}
@@ -337,7 +337,7 @@ func TestNoEnhancedCodeShare(t *testing.T) {
 		rec("a@s.com", "b@x.com", t0, "550 no status code here"),
 	}
 	a := New(records, nil)
-	if got := a.NoEnhancedCodeShare(); got != 0.5 {
+	if got := a.BouncedPartials().NoEnhancedCodeShare(); got != 0.5 {
 		t.Errorf("no-enhanced-code share %g want 0.5", got)
 	}
 }
@@ -437,7 +437,7 @@ func TestFilterDisagreement(t *testing.T) {
 		records = append(records, mkFlag("Normal", "u3@x.com", t13, t13))
 	}
 	a := New(records, nil)
-	f := a.FilterDisagreement()
+	f := a.BouncedPartials().FilterDisagreement()
 	if f.SenderSpamTotal != 20 {
 		t.Fatalf("sender spam total %d", f.SenderSpamTotal)
 	}
@@ -472,7 +472,7 @@ func TestBlocklistRecovery(t *testing.T) {
 		records = append(records, rec("a@s.com", "u@x.com", t0, t5, t5, t5))
 	}
 	a := New(records, nil)
-	r := a.BlocklistRecovery()
+	r := a.BouncedPartials().BlocklistRecovery()
 	if r.Affected != 10 || r.Recovered != 8 {
 		t.Fatalf("recovery: %+v", r)
 	}

@@ -302,7 +302,7 @@ func TestBouncedFirstEdges(t *testing.T) {
 	if odd != 2 {
 		t.Errorf("%d non-bounced records with a failed attempt, want the 2 built", odd)
 	}
-	if got, want := a.NoEnhancedCodeShare(), 1-float64(with)/float64(lines); got != want {
+	if got, want := a.BouncedPartials().NoEnhancedCodeShare(), 1-float64(with)/float64(lines); got != want {
 		t.Errorf("NoEnhancedCodeShare = %v, want %v over all %d NDR lines", got, want, lines)
 	}
 }

@@ -100,13 +100,6 @@ func (tc *timelineCollector) result() Timeline {
 	return tl
 }
 
-// Timeline computes Figure 5.
-func (a *Analysis) Timeline() Timeline {
-	tc := newTimelineCollector()
-	a.visit(tc)
-	return tc.result()
-}
-
 // BlocklistFigure is Figure 6's data.
 type BlocklistFigure struct {
 	// ListedPerDay is how many proxy MTAs are blocklisted each day.
@@ -222,16 +215,6 @@ func (bc *blockedCollector) result(env *Environment) BlocklistFigure {
 		f.NormalShare = float64(bc.normal) / float64(bc.normal+bc.spam)
 	}
 	return f
-}
-
-// BlocklistFigure computes Figure 6. Requires Env.Blocklist and
-// Env.ProxyIPs.
-func (a *Analysis) BlocklistFigure() BlocklistFigure {
-	var bc blockedCollector
-	if a.Env != nil && a.Env.Blocklist != nil {
-		a.visit(&bc)
-	}
-	return bc.result(a.Env)
 }
 
 // InfraMatrix is Figure 8: timeout ratio per (sender proxy country,
@@ -418,18 +401,6 @@ func (ic *infraCollector) result(minEmails, n int) InfraMatrix {
 	return out
 }
 
-// InfraMatrix computes Figure 8 over receiver countries with at least
-// minEmails deliveries, reporting the worst n receiver countries.
-// Requires Env.Geo and Env.ProxyRegion.
-func (a *Analysis) InfraMatrix(minEmails, n int) InfraMatrix {
-	if a.Env == nil || a.Env.Geo == nil {
-		return InfraMatrix{ReceiverTimeoutPct: map[string]float64{}}
-	}
-	ic := newInfraCollector(a.Env.Geo, a.Env.ProxyRegion)
-	a.visit(ic)
-	return ic.result(minEmails, n)
-}
-
 // receiverCCIn geolocates a record's receiver by any attempt with an
 // IP.
 func receiverCCIn(db *geo.DB, rec *dataset.Record) string {
@@ -569,17 +540,6 @@ func (lc *latencyCollector) result(env *Environment, minEmails int) LatencyStats
 	return out
 }
 
-// LatencyByCountry computes Figure 10 over successful deliveries,
-// excluding countries below minEmails. Requires Env.Geo.
-func (a *Analysis) LatencyByCountry(minEmails int) LatencyStats {
-	if a.Env == nil || a.Env.Geo == nil {
-		return LatencyStats{}
-	}
-	lc := newLatencyCollector(a.Env.Geo)
-	a.visit(lc)
-	return lc.result(a.Env, minEmails)
-}
-
 // STARTTLSStats is the Section-4.3.1 TLS-mandate measurement, derived
 // from observed T4 NDRs (behavior, not configuration).
 type STARTTLSStats struct {
@@ -660,13 +620,6 @@ func (sc *starttlsCollector) result(rank []dataset.RankEntry) STARTTLSStats {
 		out.AllShare = float64(all) / float64(len(rank))
 	}
 	return out
-}
-
-// STARTTLS computes the TLS-mandate stats.
-func (a *Analysis) STARTTLS() STARTTLSStats {
-	sc := newSTARTTLSCollector()
-	a.visit(sc)
-	return sc.result(a.rank)
 }
 
 // FilterDisagreement is the Section-4.2.2 cross-ESP spam-filter
@@ -769,13 +722,6 @@ func (fc *filterCollector) UnmarshalPartial(b []byte) error {
 	return d.err
 }
 
-// FilterDisagreement computes the cross-filter comparison.
-func (a *Analysis) FilterDisagreement() FilterDisagreement {
-	var fc filterCollector
-	a.visit(&fc)
-	return fc.f
-}
-
 // BlocklistRecovery quantifies the Section-4.2.2 finding that most
 // blocklist bounces recover by switching proxy MTAs (paper: 80.71%
 // redelivered, at an average of three attempts).
@@ -845,11 +791,4 @@ func (rc *recoveryCollector) result() BlocklistRecovery {
 		out.AvgAttempts = float64(rc.attempts) / float64(out.Recovered)
 	}
 	return out
-}
-
-// BlocklistRecovery computes the T5 recovery statistic.
-func (a *Analysis) BlocklistRecovery() BlocklistRecovery {
-	var rc recoveryCollector
-	a.visit(&rc)
-	return rc.result()
 }

@@ -99,15 +99,3 @@ func (mc *mtaCollector) result() []MTACountry {
 		func(m MTACountry) string { return m.Country })
 	return out
 }
-
-// MTACountryDistribution computes Figure 4: the geographic distribution
-// of receiver MTAs (distinct to_ip values), via the Env.Geo lookup the
-// paper performed with ip-api.
-func (a *Analysis) MTACountryDistribution() []MTACountry {
-	if a.Env == nil || a.Env.Geo == nil {
-		return nil
-	}
-	mc := newMTACollector(a.Env.Geo)
-	a.visit(mc)
-	return mc.result()
-}

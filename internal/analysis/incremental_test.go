@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -36,11 +37,8 @@ func TestIncrementalSnapshotMatchesBatchPrefix(t *testing.T) {
 		if !reflect.DeepEqual(snap.InEmailRank(), batch.InEmailRank()) {
 			t.Fatalf("popularity rank diverges from batch at prefix %d", n)
 		}
-		if !reflect.DeepEqual(snap.TypeDistribution(), batch.TypeDistribution()) {
-			t.Fatalf("Table 1 diverges from batch at prefix %d", n)
-		}
-		if !reflect.DeepEqual(snap.Overview(), batch.Overview()) {
-			t.Fatalf("overview diverges from batch at prefix %d", n)
+		if !sameResults(snap, batch) {
+			t.Fatalf("tables and figures diverge from batch at prefix %d", n)
 		}
 		if got, want := snap.Pipeline.NumTemplates(), batch.Pipeline.NumTemplates(); got != want {
 			t.Fatalf("snapshot mined %d templates at prefix %d, batch %d", got, n, want)
@@ -59,7 +57,7 @@ func TestIncrementalSnapshotDoesNotFreezeBuilder(t *testing.T) {
 		inc.Add(&records[i])
 	}
 	early := inc.Snapshot(nil)
-	earlyOverview := early.Overview()
+	earlyResults := early.Partials().Marshal()
 	for i := half; i < len(records); i++ {
 		inc.Add(&records[i])
 	}
@@ -70,7 +68,7 @@ func TestIncrementalSnapshotDoesNotFreezeBuilder(t *testing.T) {
 	if late.Records.Len() != len(records) {
 		t.Fatalf("late snapshot holds %d records, want %d", late.Records.Len(), len(records))
 	}
-	if !reflect.DeepEqual(early.Overview(), earlyOverview) {
+	if !bytes.Equal(early.Partials().Marshal(), earlyResults) {
 		t.Fatal("early snapshot mutated by later ingestion")
 	}
 	if early.Records.Len() != half {
@@ -162,11 +160,8 @@ func TestIncrementalRepeatedSuffixMatchesBatch(t *testing.T) {
 	if !reflect.DeepEqual(snap.Classified, batch.Classified) {
 		t.Fatal("repeated-suffix snapshot classifications diverge from batch")
 	}
-	if !reflect.DeepEqual(snap.Overview(), batch.Overview()) {
-		t.Fatal("repeated-suffix snapshot overview diverges from batch")
-	}
-	if !reflect.DeepEqual(snap.TypeDistribution(), batch.TypeDistribution()) {
-		t.Fatal("repeated-suffix snapshot Table 1 diverges from batch")
+	if !sameResults(snap, batch) {
+		t.Fatal("repeated-suffix snapshot tables and figures diverge from batch")
 	}
 	if !reflect.DeepEqual(snap.InEmailRank(), batch.InEmailRank()) {
 		t.Fatal("repeated-suffix snapshot rank diverges from batch")
@@ -192,8 +187,8 @@ func TestIncrementalNovelTemplateMatchesBatch(t *testing.T) {
 	if !reflect.DeepEqual(snap.Classified, batch.Classified) {
 		t.Fatal("snapshot after a novel template diverges from batch")
 	}
-	if !reflect.DeepEqual(snap.TypeDistribution(), batch.TypeDistribution()) {
-		t.Fatal("Table 1 after a novel template diverges from batch")
+	if !sameResults(snap, batch) {
+		t.Fatal("tables and figures after a novel template diverge from batch")
 	}
 }
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/geo"
@@ -112,12 +113,13 @@ func (p part) String() string {
 	return fmt.Sprintf("part %d", uint8(p))
 }
 
-// PartialSet is one shard's partial aggregate: every collector's
-// mergeable state plus the popularity counts and pipeline summary the
-// result methods need. Merging K whole sets (any order, any grouping) —
-// or K round-1 sets completed by their K round-2 sets — and calling the
-// result methods reproduces the single-pass Analysis results
-// byte-for-byte.
+// PartialSet is the one result API: every collector's mergeable state
+// plus the popularity counts and pipeline summary the result methods
+// need. A node reads its tables and figures from its own round-1 set
+// (BouncedPartials); a coordinator reads them from the merge. Merging K
+// whole sets (any order, any grouping) — or K round-1 sets completed by
+// their K round-2 sets — answers byte for byte what one node's set
+// over the whole corpus answers.
 type PartialSet struct {
 	// Total is the number of records folded in.
 	Total int
@@ -148,10 +150,11 @@ type PartialSet struct {
 	detect    *detectCollector
 	cause     *causeCollector
 
-	part  part
-	cols  []namedPartial
-	cheap []PartialCollector // cols but detect and durations: what round 1 folds whole
-	rank  []dataset.RankEntry
+	part     part
+	cols     []namedPartial
+	cheap    []PartialCollector // cols but detect and durations: what round 1 folds whole
+	rankOnce sync.Once
+	rank     []dataset.RankEntry
 }
 
 // NewPartialSet returns an empty partial aggregate bound to env (which
@@ -209,7 +212,8 @@ func NewPartialSet(env *Environment) *PartialSet {
 }
 
 // Add folds one classified record in. PartialSet implements Collector,
-// so it plugs into visit directly.
+// so it plugs into visit directly. A set is folded before it is read:
+// InEmailRank does not see records added after its first call.
 func (ps *PartialSet) Add(rec *dataset.Record, c *ClassifiedRecord) {
 	ps.addCheap(rec, c)
 	ps.detect.Add(rec, c)
@@ -221,7 +225,6 @@ func (ps *PartialSet) Add(rec *dataset.Record, c *ClassifiedRecord) {
 func (ps *PartialSet) addCheap(rec *dataset.Record, c *ClassifiedRecord) {
 	ps.Total++
 	ps.Counts[c.ToDomain]++
-	ps.rank = nil
 	for _, col := range ps.cheap {
 		col.Add(rec, c)
 	}
@@ -243,7 +246,7 @@ func (ps *PartialSet) Merge(o *PartialSet) error {
 			return err
 		}
 	}
-	ps.rank = nil
+	ps.rankOnce, ps.rank = sync.Once{}, nil
 	return nil
 }
 
@@ -490,53 +493,67 @@ func mergeBlobSets(blobs [][]byte, env *Environment) (*PartialSet, error) {
 	return merged, nil
 }
 
-// --- Result methods mirroring the Analysis API. Each runs the same
-// result() normalization the Analysis methods run, so a merged set
-// reproduces the single-pass values exactly.
+// --- Result methods: the one API every table and figure is read
+// through, on a node (its own round-1 or whole set) and on a
+// coordinator (the merge) alike. Each only reads the set, so one set
+// renders from any number of goroutines, and each section's
+// precondition on the environment lives here or in its collector.
 
-// InEmailRank returns the receiver-domain popularity list.
+// InEmailRank returns the receiver-domain popularity list, sorted once
+// per set state: the first reader fills it, Merge empties it.
 func (ps *PartialSet) InEmailRank() []dataset.RankEntry {
-	if ps.rank == nil && len(ps.Counts) > 0 {
-		ps.rank = dataset.RankFromCounts(ps.Counts)
-	}
+	ps.rankOnce.Do(func() {
+		if len(ps.Counts) > 0 {
+			ps.rank = dataset.RankFromCounts(ps.Counts)
+		}
+	})
 	return ps.rank
 }
 
-// Overview computes the bounce-degree distribution.
+// Overview is the Section-4.1 bounce-degree distribution.
 func (ps *PartialSet) Overview() Overview { return ps.overview.result() }
 
-// TypeDistribution is Table 1.
+// TypeDistribution is Table 1: per-type email counts among bounced,
+// non-ambiguous emails (an email may carry several types).
 func (ps *PartialSet) TypeDistribution() map[ndr.Type]int { return ps.typedist.counts }
 
 // NoEnhancedCodeShare returns the share of NDR lines lacking an
-// RFC 3463 enhanced status code.
+// RFC 3463 enhanced status code (paper: 28.79%).
 func (ps *PartialSet) NoEnhancedCodeShare() float64 { return ps.enhanced.result() }
 
-// AmbiguousTemplates returns Table 6 from the pipeline summary.
+// AmbiguousTemplates is Table 6: the mined templates flagged ambiguous
+// with their message counts, count-descending.
 func (ps *PartialSet) AmbiguousTemplates() []AmbiguousTemplate { return ps.Pipe.Ambiguous }
 
 // PipelineSummary returns the carried classifier summary.
 func (ps *PartialSet) PipelineSummary() PipelineSummary { return ps.Pipe }
 
-// TopDomains is Table 4.
+// TopDomains is Table 3: the n most popular receiver domains with
+// their bounce ratios.
 func (ps *PartialSet) TopDomains(n int) []DomainStats { return ps.domain.result(n) }
 
-// TopASes is Table 5.
+// TopASes is Table 4: ASes of receiver MTAs by email volume. It needs
+// Env.Geo (without it the collector folds nothing); attempts with no
+// receiver IP are skipped.
 func (ps *PartialSet) TopASes(n int) []ASStats { return ps.as.result(n) }
 
-// CountryBounces is Figure 9's per-country bounce rates.
+// CountryBounces is Table 5: per receiver-MTA country, excluding
+// countries below minEmails (the paper's 1,000-email
+// representativeness threshold, scaled by the caller). It needs
+// Env.Geo, as TopASes does.
 func (ps *PartialSet) CountryBounces(minEmails int) []CountryStats {
 	return ps.country.result(minEmails)
 }
 
-// Timeline computes Figure 5.
+// Timeline is Figure 5.
 func (ps *PartialSet) Timeline() Timeline { return ps.timeline.result() }
 
-// BlocklistFigure computes Figure 6 (requires Env.Blocklist).
+// BlocklistFigure is Figure 6. It needs Env.Blocklist and Env.ProxyIPs.
 func (ps *PartialSet) BlocklistFigure() BlocklistFigure { return ps.blocked.result(ps.Env) }
 
-// InfraMatrix computes Figure 8 (requires Env.Geo, as
-// Analysis.InfraMatrix does).
+// InfraMatrix is Figure 8 over receiver countries with at least
+// minEmails deliveries, reporting the worst n receiver countries. It
+// needs Env.Geo and Env.ProxyRegion.
 func (ps *PartialSet) InfraMatrix(minEmails, n int) InfraMatrix {
 	if ps.Env == nil || ps.Env.Geo == nil {
 		return InfraMatrix{ReceiverTimeoutPct: map[string]float64{}}
@@ -544,21 +561,24 @@ func (ps *PartialSet) InfraMatrix(minEmails, n int) InfraMatrix {
 	return ps.infra.result(minEmails, n)
 }
 
-// LatencyByCountry computes the delivery-latency distribution.
+// LatencyByCountry is Figure 10 over successful deliveries, excluding
+// countries below minEmails. It needs Env.Geo.
 func (ps *PartialSet) LatencyByCountry(minEmails int) LatencyStats {
 	return ps.latency.result(ps.Env, minEmails)
 }
 
-// STARTTLS computes the TLS-mandate stats.
+// STARTTLS is the Section-4.3.1 TLS-mandate measurement.
 func (ps *PartialSet) STARTTLS() STARTTLSStats { return ps.starttls.result(ps.InEmailRank()) }
 
-// FilterDisagreement computes the cross-filter comparison.
+// FilterDisagreement is the Section-4.2.2 cross-filter comparison.
 func (ps *PartialSet) FilterDisagreement() FilterDisagreement { return ps.filter.f }
 
-// BlocklistRecovery computes the T5 recovery statistic.
+// BlocklistRecovery is the Section-4.2.2 T5 recovery statistic.
 func (ps *PartialSet) BlocklistRecovery() BlocklistRecovery { return ps.recovery.result() }
 
-// MTACountryDistribution computes Figure 4 (requires Env.Geo).
+// MTACountryDistribution is Figure 4: the geographic distribution of
+// receiver MTAs (distinct to_ip values), via the Env.Geo lookup the
+// paper performed with ip-api. It needs Env.Geo.
 func (ps *PartialSet) MTACountryDistribution() []MTACountry {
 	if ps.Env == nil || ps.Env.Geo == nil {
 		return nil
@@ -571,7 +591,7 @@ func (ps *PartialSet) Detect() *Detections {
 	return ps.detect.result(ps.Env, ps.InEmailRank())
 }
 
-// RootCauses builds Table 2 using the detections.
+// RootCauses is Table 2, built on the detections.
 func (ps *PartialSet) RootCauses(d *Detections) RootCauseTable {
 	return buildRootCauseTable(ps.cause.resolve(d), ps.cause.total)
 }

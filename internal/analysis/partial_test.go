@@ -8,6 +8,13 @@ import (
 	"repro/internal/dataset"
 )
 
+// sameResults reports whether two analyses answer every table and
+// figure alike, the detections and Figure 7 among them: their whole
+// partial sets encode to equal bytes.
+func sameResults(a, b *Analysis) bool {
+	return bytes.Equal(a.Partials().Marshal(), b.Partials().Marshal())
+}
+
 // partitionCorpus splits records by substream ownership — the same
 // routing a cluster router, bounceanalyze -shards, and a shard node's
 // admission check all use.

@@ -768,10 +768,3 @@ func buildRootCauseTable(counts map[string]int, total int) RootCauseTable {
 	}
 	return RootCauseTable{Rows: rows, TotalBounced: total}
 }
-
-// RootCauses builds Table 2 using the detections.
-func (a *Analysis) RootCauses(d *Detections) RootCauseTable {
-	cc := newCauseCollector()
-	a.visit(cc)
-	return buildRootCauseTable(cc.resolve(d), cc.total)
-}

@@ -107,14 +107,6 @@ func (dc *domainCollector) result(n int) []DomainStats {
 	return out
 }
 
-// TopDomains returns Table 3: the n most popular receiver domains with
-// their bounce ratios.
-func (a *Analysis) TopDomains(n int) []DomainStats {
-	dc := newDomainCollector()
-	a.visit(dc)
-	return dc.result(n)
-}
-
 // ASStats is one Table-4 row.
 type ASStats struct {
 	ASN    int
@@ -230,17 +222,6 @@ func (ac *asCollector) result(n int) []ASStats {
 		out = out[:n]
 	}
 	return out
-}
-
-// TopASes returns Table 4: ASes of receiver MTAs by email volume.
-// Requires Env.Geo; attempts with no receiver IP are skipped.
-func (a *Analysis) TopASes(n int) []ASStats {
-	if a.Env == nil || a.Env.Geo == nil {
-		return nil
-	}
-	ac := newASCollector(a.Env.Geo)
-	a.visit(ac)
-	return ac.result(n)
 }
 
 // CountryStats is one Table-5 row.
@@ -384,27 +365,16 @@ func (cc *countryCollector) result(minEmails int) []CountryStats {
 				best, bestN = t, s.types[t]
 			}
 		}
-		s.MajorTyp = best
-		s.MajorCat = best.Category()
+		row := s.CountryStats
+		row.MajorTyp = best
+		row.MajorCat = best.Category()
 		if b := s.Hard + s.Soft; b > 0 {
-			s.MajorTypShare = float64(bestN) / float64(b)
+			row.MajorTypShare = float64(bestN) / float64(b)
 		}
-		out = append(out, s.CountryStats)
+		out = append(out, row)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Country < out[j].Country })
 	return out
-}
-
-// CountryBounces aggregates per receiver-MTA country, excluding
-// countries below minEmails (the paper's 1,000-email representativeness
-// threshold, scaled by the caller). Requires Env.Geo.
-func (a *Analysis) CountryBounces(minEmails int) []CountryStats {
-	if a.Env == nil || a.Env.Geo == nil {
-		return nil
-	}
-	cc := newCountryCollector(a.Env.Geo)
-	a.visit(cc)
-	return cc.result(minEmails)
 }
 
 // TopByHard / TopBySoft sort country stats for the two halves of

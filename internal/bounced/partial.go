@@ -13,17 +13,18 @@ import (
 const headerPartialRecords = "X-Partial-Records"
 
 // handlePartial serves round 1 of the coordinator's fan-in: the node's
-// versioned partial aggregate (analysis.BouncedPartials, PartialSet wire
-// format) over everything consumed so far. The same drain barrier
-// /v1/report uses applies: the snapshot covers every record whose ingest
-// request already returned. The study it used is pinned for round 2,
-// and its bytes are cached, so repeated coordinator polls while no new
-// record arrived are free.
+// versioned partial aggregate (the study's BouncedPartials, PartialSet
+// wire format) over everything consumed so far — the set the node's own
+// reports render from, so a snapshot that serves both folds once. The
+// same drain barrier /v1/report uses applies: the snapshot covers every
+// record whose ingest request already returned. The study it used is
+// pinned for round 2, and its bytes are cached, so repeated coordinator
+// polls while no new record arrived are free.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	st := s.study()
 	s.partialMu.Lock()
 	if s.partialFor != st {
-		s.partialBytes = st.Analysis.BouncedPartials().Marshal()
+		s.partialBytes = st.BouncedPartials().Marshal()
 		s.partialFor = st
 	}
 	b := s.partialBytes

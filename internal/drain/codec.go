@@ -67,19 +67,12 @@ func UnmarshalParser(b []byte) (*Parser, error) {
 	p.nextID = int(d.uv())
 	d.u64() // reserved
 
-	n := int(d.uv())
-	if d.err == nil && uint64(n) > uint64(len(d.b)) {
-		d.err = errCodec
-	}
+	n := d.count()
 	byID := make(map[int]*Group, n)
 	p.groups = make([]*Group, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		g := &Group{ID: int(d.uv()), Count: int(d.uv())}
-		nt := int(d.uv())
-		if d.err == nil && uint64(nt) > uint64(len(d.b)) {
-			d.err = errCodec
-			break
-		}
+		nt := d.count()
 		g.tokens = make([]string, 0, nt)
 		for j := 0; j < nt; j++ {
 			g.tokens = append(g.tokens, d.str())
@@ -117,11 +110,10 @@ func (e *penc) node(n *node) {
 }
 
 func (d *pdec) node(byID map[int]*Group) *node {
-	nc := int(d.uv())
-	if d.err == nil && uint64(nc) > uint64(len(d.b)) {
-		d.err = errCodec
-	}
-	out := &node{children: make(map[string]*node, nc)}
+	// Not presized by nc: a chain of nodes each claiming every byte left
+	// would size a map per level, quadratic in the input.
+	nc := d.count()
+	out := &node{children: map[string]*node{}}
 	for i := 0; i < nc && d.err == nil; i++ {
 		k := d.str()
 		out.children[k] = d.node(byID)
@@ -183,6 +175,20 @@ func (d *pdec) uv() uint64 {
 	}
 	d.b = d.b[n:]
 	return v
+}
+
+// count reads an element count, which cannot exceed the bytes left
+// (every element takes at least one): a larger claim is corrupt and
+// reads as zero, so it sizes no allocation.
+func (d *pdec) count() int {
+	n := d.uv()
+	if d.err == nil && n > uint64(len(d.b)) {
+		d.fail()
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 func (d *pdec) u64() uint64 {

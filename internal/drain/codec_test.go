@@ -3,6 +3,7 @@ package drain
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -171,6 +172,47 @@ func TestCodecReservedBytes(t *testing.T) {
 	for _, line := range []string{"550 5.1.1 user zz9 not found", "never seen anything like this"} {
 		if a, b := p.Match(line), q.Match(line); (a == nil) != (b == nil) || a != nil && a.ID != b.ID {
 			t.Fatalf("match differs for %q", line)
+		}
+	}
+}
+
+// TestCodecCountsDoNotSizeAllocations: a count a snapshot cannot back
+// with bytes sizes nothing, and no count sizes memory per tree level.
+// A 23-byte snapshot whose group count claims 797,849 groups, and a
+// chain of 2,000 nodes each claiming as many children as bytes are
+// left, must both fail within a fixed multiple of their size.
+func TestCodecCountsDoNotSizeAllocations(t *testing.T) {
+	header := func() *penc {
+		e := &penc{}
+		e.u8(codecVersion)
+		e.uv(4)
+		e.f64(0.4)
+		e.uv(100)
+		e.uv(0)
+		e.u64(0)
+		return e
+	}
+	groups := header()
+	groups.uv(797_849)
+
+	chain := header()
+	chain.uv(0) // no groups
+	const depth = 2000
+	for i := 0; i < depth; i++ {
+		chain.uv(uint64(depth - i)) // no more than the bytes left: each level takes two or three
+		chain.str("")
+	}
+
+	for name, blob := range map[string][]byte{"group count": groups.buf, "node chain": chain.buf} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalParser(blob)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: corrupt snapshot accepted", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1024*uint64(len(blob))+64<<10 {
+			t.Errorf("%s: decoding %d bytes allocated %d", name, len(blob), n)
 		}
 	}
 }

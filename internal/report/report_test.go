@@ -78,9 +78,8 @@ func TestHbar(t *testing.T) {
 }
 
 func TestOverviewRendering(t *testing.T) {
-	a := newAnalysis()
 	var buf bytes.Buffer
-	Overview(&buf, a.Overview())
+	Overview(&buf, newAnalysis().BouncedPartials().Overview())
 	out := buf.String()
 	for _, want := range []string{"non-bounced", "soft-bounced", "hard-bounced", "87.07%"} {
 		if !strings.Contains(out, want) {
@@ -90,10 +89,10 @@ func TestOverviewRendering(t *testing.T) {
 }
 
 func TestTable1Rendering(t *testing.T) {
-	a := newAnalysis()
+	ps := newAnalysis().BouncedPartials()
 	var buf bytes.Buffer
-	o := a.Overview()
-	Table1(&buf, a.TypeDistribution(), o.Bounced())
+	o := ps.Overview()
+	Table1(&buf, ps.TypeDistribution(), o.Bounced())
 	out := buf.String()
 	for _, tt := range ndr.AllTypes {
 		if !strings.Contains(out, tt.String()+" ") {
@@ -108,7 +107,7 @@ func TestTable1Rendering(t *testing.T) {
 func TestTable2Rendering(t *testing.T) {
 	a := newAnalysis()
 	var buf bytes.Buffer
-	Table2(&buf, a.RootCauses(a.Detect()))
+	Table2(&buf, a.BouncedPartials().RootCauses(a.Detect()))
 	out := buf.String()
 	for _, cause := range []string{"Malicious Email Behavior", "Spam Blocking Policy",
 		"Server Manager Misconfiguration", "Improper User Operation", "Poor Email Infrastructure"} {
@@ -120,23 +119,24 @@ func TestTable2Rendering(t *testing.T) {
 
 func TestTablesAndFiguresDoNotPanic(t *testing.T) {
 	a := newAnalysis()
+	ps := a.BouncedPartials()
 	var buf bytes.Buffer
-	Table3(&buf, a.TopDomains(10))
-	Table4(&buf, a.TopASes(10)) // nil Env -> empty, must not panic
-	Table5(&buf, a.CountryBounces(1), 10)
-	o := a.Overview()
-	Table6(&buf, a.AmbiguousTemplates(), o.AmbiguousBounced)
-	Fig4(&buf, a.MTACountryDistribution(), 10)
-	Fig5(&buf, a.Timeline())
-	Fig6(&buf, a.BlocklistFigure())
+	Table3(&buf, ps.TopDomains(10))
+	Table4(&buf, ps.TopASes(10)) // nil Env -> empty, must not panic
+	Table5(&buf, ps.CountryBounces(1), 10)
+	o := ps.Overview()
+	Table6(&buf, ps.AmbiguousTemplates(), o.AmbiguousBounced)
+	Fig4(&buf, ps.MTACountryDistribution(), 10)
+	Fig5(&buf, ps.Timeline())
+	Fig6(&buf, ps.BlocklistFigure())
 	Fig7(&buf, a.Durations(a.Detect()))
-	Fig8(&buf, a.InfraMatrix(1, 5))
-	Fig10(&buf, a.LatencyByCountry(1), 5)
-	STARTTLS(&buf, a.STARTTLS())
+	Fig8(&buf, ps.InfraMatrix(1, 5))
+	Fig10(&buf, ps.LatencyByCountry(1), 5)
+	STARTTLS(&buf, ps.STARTTLS())
 	det := a.Detect()
 	Attackers(&buf, det)
 	Typos(&buf, det)
-	EnhancedCodeStat(&buf, a.NoEnhancedCodeShare())
+	EnhancedCodeStat(&buf, ps.NoEnhancedCodeShare())
 	labeled, cov := a.Pipeline.ManualLabelStats()
 	PipelineStats(&buf, a.Pipeline.NumTemplates(), labeled, cov)
 	Squat(&buf, squat.Scan(a, det, squat.DefaultConfig()))

@@ -33,11 +33,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 			h.Write(b)
 		}
 		table1 := map[string]int{}
-		for typ, n := range s.Analysis.TypeDistribution() {
+		for typ, n := range s.BouncedPartials().TypeDistribution() {
 			table1[typ.String()] = n
 		}
 		var table2 []string
-		for _, row := range s.Analysis.RootCauses(s.Detections).Rows {
+		for _, row := range s.BouncedPartials().RootCauses(s.Detections).Rows {
 			table2 = append(table2, fmt.Sprintf("%s|%s|%d", row.Type, row.Reason, row.Emails))
 		}
 		return outcome{hash: h.Sum64(), n: s.Records.Len(), table1: table1, table2: table2}

@@ -55,7 +55,7 @@ func (s *PartialStudy) WriteReport(w io.Writer, sections []Section) error {
 		return err
 	}
 	for _, sec := range sections {
-		if err := renderSection(w, s.P, s.Detections, s.durations, s.P.Total, sec); err != nil {
+		if err := renderSection(w, s.P, s.Detections, s.durations, sec); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
@@ -63,10 +63,20 @@ func (s *PartialStudy) WriteReport(w io.Writer, sections []Section) error {
 	return nil
 }
 
-// Partials condenses the study's classified corpus into its partial
-// aggregate, once per study — a Study is immutable once built — and is
-// safe for concurrent callers, like detections and durations.
+// Partials condenses the study's classified corpus into its whole
+// partial aggregate, once per study — a Study is immutable once built —
+// and is safe for concurrent callers, like detections and durations.
 func (s *Study) Partials() *analysis.PartialSet {
 	s.partialsOnce.Do(func() { s.partials = s.Analysis.Partials() })
 	return s.partials
+}
+
+// BouncedPartials is the study's round-1 set (Analysis.BouncedPartials),
+// folded once per study and safe for concurrent callers. Every table
+// and figure the study reports, its Summary and its advice read this
+// set, and a node serves it as round 1 of a coordinator's fan-in: a
+// shard answering both folds once.
+func (s *Study) BouncedPartials() *analysis.PartialSet {
+	s.bouncedOnce.Do(func() { s.bounced = s.Analysis.BouncedPartials() })
+	return s.bounced
 }

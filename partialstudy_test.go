@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro"
@@ -161,5 +162,44 @@ func TestPartialStudyRejectsCorpusSections(t *testing.T) {
 		if sec == bounce.SecSquat || sec == bounce.SecAdvice {
 			t.Fatalf("PartialSections contains %q", sec)
 		}
+	}
+}
+
+// TestSharedPartialSetRendersRaceFree: eight goroutines render one
+// shared PartialSet at once, the way a node's cached study answers
+// concurrent reports and a coordinator renders its merged set. Result
+// methods only read the set, so under -race a result method that
+// writes into it (a per-country row, a lazily sorted rank) fails here.
+// Every report equals the one a lone render gives, and the set encodes
+// to the same bytes after every section was rendered from it as before.
+func TestSharedPartialSetRendersRaceFree(t *testing.T) {
+	st := tinyStudy(t)
+	ps := st.Partials()
+	before := ps.Marshal()
+	render := func() []byte {
+		var buf bytes.Buffer
+		if err := bounce.NewPartialStudy(ps).WriteReport(&buf, nil); err != nil {
+			t.Error(err)
+		}
+		return buf.Bytes()
+	}
+	got := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = render()
+		}()
+	}
+	wg.Wait()
+	want := render()
+	for i, b := range got {
+		if !bytes.Equal(b, want) {
+			t.Errorf("concurrent render %d differs from a lone one (%d vs %d bytes)", i, len(b), len(want))
+		}
+	}
+	if !bytes.Equal(ps.Marshal(), before) {
+		t.Error("rendering every section changed the set's bytes")
 	}
 }

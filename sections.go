@@ -7,83 +7,60 @@ import (
 
 	"repro/internal/advise"
 	"repro/internal/analysis"
-	"repro/internal/ndr"
 	"repro/internal/report"
 	"repro/internal/squat"
 )
 
-// sectionSource is the data a report section draws on — satisfied by
-// both *analysis.Analysis (single-pass corpus) and *analysis.PartialSet
-// (merged shard aggregates). Every section except squat and advice
-// renders identically from either.
-type sectionSource interface {
-	Overview() analysis.Overview
-	NoEnhancedCodeShare() float64
-	PipelineSummary() analysis.PipelineSummary
-	TypeDistribution() map[ndr.Type]int
-	RootCauses(*analysis.Detections) analysis.RootCauseTable
-	TopDomains(int) []analysis.DomainStats
-	TopASes(int) []analysis.ASStats
-	CountryBounces(int) []analysis.CountryStats
-	AmbiguousTemplates() []analysis.AmbiguousTemplate
-	MTACountryDistribution() []analysis.MTACountry
-	Timeline() analysis.Timeline
-	BlocklistFigure() analysis.BlocklistFigure
-	InfraMatrix(int, int) analysis.InfraMatrix
-	LatencyByCountry(int) analysis.LatencyStats
-	STARTTLS() analysis.STARTTLSStats
-	FilterDisagreement() analysis.FilterDisagreement
-	BlocklistRecovery() analysis.BlocklistRecovery
-}
-
-// renderSection writes one section from any source. total is the
-// record count (scales the representativeness threshold); det resolves
-// the entity detections and dur Figure 7 on top of them, and only the
-// sections that print them call them.
-func renderSection(w io.Writer, src sectionSource, det func() *analysis.Detections, dur func() analysis.DurationsFigure, total int, sec Section) error {
-	threshold := countryThreshold(total)
+// renderSection writes one section from a partial set: a node's own
+// round-1 set (Study) or a coordinator's merge (PartialStudy), read
+// through the one result API. det resolves the entity detections and
+// dur Figure 7 on top of them, and only the sections that print them
+// call them. The set's record count scales the representativeness
+// threshold.
+func renderSection(w io.Writer, ps *analysis.PartialSet, det func() *analysis.Detections, dur func() analysis.DurationsFigure, sec Section) error {
+	threshold := countryThreshold(ps.Total)
 	switch sec {
 	case SecOverview:
-		o := src.Overview()
+		o := ps.Overview()
 		report.Overview(w, o)
-		report.EnhancedCodeStat(w, src.NoEnhancedCodeShare())
+		report.EnhancedCodeStat(w, ps.NoEnhancedCodeShare())
 	case SecPipeline:
-		pipe := src.PipelineSummary()
+		pipe := ps.PipelineSummary()
 		report.PipelineStats(w, pipe.Templates, pipe.Labeled, pipe.Coverage())
 	case SecTable1:
-		o := src.Overview()
-		report.Table1(w, src.TypeDistribution(), o.Bounced()-o.AmbiguousBounced)
+		o := ps.Overview()
+		report.Table1(w, ps.TypeDistribution(), o.Bounced()-o.AmbiguousBounced)
 	case SecTable2:
-		report.Table2(w, src.RootCauses(det()))
+		report.Table2(w, ps.RootCauses(det()))
 	case SecTable3:
-		report.Table3(w, src.TopDomains(10))
+		report.Table3(w, ps.TopDomains(10))
 	case SecTable4:
-		report.Table4(w, src.TopASes(10))
+		report.Table4(w, ps.TopASes(10))
 	case SecTable5:
-		report.Table5(w, src.CountryBounces(threshold), 10)
+		report.Table5(w, ps.CountryBounces(threshold), 10)
 	case SecTable6:
-		o := src.Overview()
-		report.Table6(w, src.AmbiguousTemplates(), o.AmbiguousBounced)
+		o := ps.Overview()
+		report.Table6(w, ps.AmbiguousTemplates(), o.AmbiguousBounced)
 	case SecFig4:
-		report.Fig4(w, src.MTACountryDistribution(), 15)
+		report.Fig4(w, ps.MTACountryDistribution(), 15)
 	case SecFig5:
-		report.Fig5(w, src.Timeline())
+		report.Fig5(w, ps.Timeline())
 	case SecFig6:
-		report.Fig6(w, src.BlocklistFigure())
+		report.Fig6(w, ps.BlocklistFigure())
 	case SecFig7:
 		report.Fig7(w, dur())
 	case SecFig8:
-		report.Fig8(w, src.InfraMatrix(threshold, 20))
+		report.Fig8(w, ps.InfraMatrix(threshold, 20))
 	case SecFig10:
-		report.Fig10(w, src.LatencyByCountry(threshold), 10)
+		report.Fig10(w, ps.LatencyByCountry(threshold), 10)
 	case SecSTARTTLS:
-		report.STARTTLS(w, src.STARTTLS())
+		report.STARTTLS(w, ps.STARTTLS())
 	case SecAttacker:
 		report.Attackers(w, det())
 	case SecTypos:
 		report.Typos(w, det())
 	case SecFilters:
-		report.Filters(w, src.FilterDisagreement(), src.BlocklistRecovery())
+		report.Filters(w, ps.FilterDisagreement(), ps.BlocklistRecovery())
 	default:
 		return refuse(sec)
 	}
@@ -112,18 +89,19 @@ func CheckSections(sections, allowed []Section) error {
 	return nil
 }
 
-// writeSection dispatches one report section. The squat scan and the
-// advisory engine walk the raw corpus, so they stay Study-only; every
-// other section renders through the shared partial-aggregate path.
+// writeSection dispatches one report section. The squat scan walks the
+// raw corpus, so squat and advice stay Study-only; every other section
+// renders from the study's round-1 set, as a coordinator's renders from
+// its merge.
 func (s *Study) writeSection(w io.Writer, sec Section) error {
 	switch sec {
 	case SecSquat:
 		report.Squat(w, s.Squat(squat.DefaultConfig()))
 	case SecAdvice:
 		sq := s.Squat(squat.DefaultConfig())
-		report.Advisories(w, advise.Run(s.Analysis, s.detections(), s.durations(), sq, advise.DefaultConfig()))
+		report.Advisories(w, advise.Run(s.BouncedPartials(), s.detections(), s.durations(), sq, advise.DefaultConfig()))
 	default:
-		return renderSection(w, s.Analysis, s.detections, s.durations, s.Records.Len(), sec)
+		return renderSection(w, s.BouncedPartials(), s.detections, s.durations, sec)
 	}
 	return nil
 }

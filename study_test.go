@@ -221,7 +221,7 @@ func TestStudyDurationsOnce(t *testing.T) {
 		t.Errorf("fig7 from the study:\n%s\nfrom a.Durations(a.Detect()):\n%s", b, direct.Bytes())
 	}
 	direct.Reset()
-	report.Advisories(&direct, advise.Run(a, det, fig, squat.Scan(a, det, squat.DefaultConfig()), advise.DefaultConfig()))
+	report.Advisories(&direct, advise.Run(a.BouncedPartials(), det, fig, squat.Scan(a, det, squat.DefaultConfig()), advise.DefaultConfig()))
 	direct.WriteByte('\n')
 	if b := render(shared, bounce.SecAdvice); !bytes.Equal(b, direct.Bytes()) {
 		t.Errorf("advice from the study:\n%s\nover a.Durations(a.Detect()):\n%s", b, direct.Bytes())

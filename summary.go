@@ -74,10 +74,11 @@ type ASSummary struct {
 	SoftPct float64 `json:"soft_pct"`
 }
 
-// Summary computes the digest (running the squat scan as part of it).
+// Summary computes the digest from the study's round-1 set, its
+// detections and Figure 7 (running the squat scan as part of it).
 func (s *Study) Summary() Summary {
-	a := s.Analysis
-	o := a.Overview()
+	ps := s.BouncedPartials()
+	o := ps.Overview()
 	out := Summary{
 		Emails:        o.Total,
 		NonBouncedPct: stats.Pct(o.NonBounced, o.Total),
@@ -85,44 +86,44 @@ func (s *Study) Summary() Summary {
 		HardPct:       stats.Pct(o.HardBounced, o.Total),
 		SoftAttempts:  o.SoftAvgAttempts,
 		AmbiguousPct:  stats.Pct(o.AmbiguousBounced, o.Bounced()),
-		NoEnhCodePct:  a.NoEnhancedCodeShare() * 100,
+		NoEnhCodePct:  ps.NoEnhancedCodeShare() * 100,
 		TypeSharePct:  map[string]float64{},
 	}
-	out.DrainTemplates = a.Pipeline.NumTemplates()
-	labeled, cov := a.Pipeline.ManualLabelStats()
-	out.LabeledTop = labeled
-	out.LabelCoverage = cov * 100
+	pipe := ps.PipelineSummary()
+	out.DrainTemplates = pipe.Templates
+	out.LabeledTop = pipe.Labeled
+	out.LabelCoverage = pipe.Coverage() * 100
 
 	bounced := o.Bounced() - o.AmbiguousBounced
-	for typ, n := range a.TypeDistribution() {
+	for typ, n := range ps.TypeDistribution() {
 		out.TypeSharePct[typ.String()] = stats.Pct(n, bounced)
 	}
-	for _, d := range a.TopDomains(10) {
+	for _, d := range ps.TopDomains(10) {
 		out.TopDomains = append(out.TopDomains, DomainSummary{
 			Domain: d.Domain, Emails: d.Emails, HardPct: d.HardPct(), SoftPct: d.SoftPct(),
 		})
 	}
-	for _, as := range a.TopASes(10) {
+	for _, as := range ps.TopASes(10) {
 		out.TopASes = append(out.TopASes, ASSummary{
 			ASN: as.ASN, Org: as.Org, Emails: as.Emails, HardPct: as.HardPct(), SoftPct: as.SoftPct(),
 		})
 	}
 
-	bl := a.BlocklistFigure()
+	bl := ps.BlocklistFigure()
 	out.BlocklistAvgListed = bl.AvgListed
 	out.BlocklistNormalPct = bl.NormalShare * 100
-	out.BlocklistRecoveryPct = a.BlocklistRecovery().RecoveryShare() * 100
+	out.BlocklistRecoveryPct = ps.BlocklistRecovery().RecoveryShare() * 100
 
 	dur := s.durations()
 	out.AuthFixMeanDays = dur.AuthDKIMSPF.MeanDays()
 	out.MXFixMedianDays = dur.MXRecords.MedianDays()
 	out.FullFixMedianDays = dur.MailboxFull.MedianDays()
 
-	lat := a.LatencyByCountry(1)
+	lat := ps.LatencyByCountry(1)
 	out.GlobalMedianLatS = lat.GlobalMedianMS / 1000
-	out.STARTTLSTop100Pct = a.STARTTLS().Top100Share * 100
+	out.STARTTLSTop100Pct = ps.STARTTLS().Top100Share * 100
 
-	fd := a.FilterDisagreement()
+	fd := ps.FilterDisagreement()
 	out.FilterSenderDisPct = fd.SenderDisagreeShare() * 100
 	out.FilterRcvrDisPct = fd.ReceiverDisagreeShare() * 100
 

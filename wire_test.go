@@ -92,8 +92,8 @@ func TestWireEndToEnd(t *testing.T) {
 	}
 
 	// The analysis pipeline must classify wire-produced NDRs.
-	a := bounce.Analyze(records, bounce.NewEnvironment(w))
-	o := a.Overview()
+	ps := bounce.Analyze(records, bounce.NewEnvironment(w)).BouncedPartials()
+	o := ps.Overview()
 	if o.Total != len(records) {
 		t.Fatalf("analysis lost records")
 	}
@@ -103,7 +103,7 @@ func TestWireEndToEnd(t *testing.T) {
 	if o.HardBounced == 0 {
 		t.Error("no wire deliveries bounced (ghost/spam injections should)")
 	}
-	dist := a.TypeDistribution()
+	dist := ps.TypeDistribution()
 	if dist[ndr.T8NoSuchUser] == 0 && o.AmbiguousBounced == 0 {
 		t.Errorf("ghost recipients produced no T8/ambiguous classifications: %v", dist)
 	}
