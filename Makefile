@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test loc race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-wire fuzz-typo fuzz-ebrc fuzz-partial fuzz-state fuzz-smoke chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test loc bench-allocs race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-wire fuzz-typo fuzz-similarity fuzz-ebrc fuzz-partial fuzz-state fuzz-smoke chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -34,6 +34,12 @@ loc:
 	@count() { cat "$$@" | grep -cvE '^[[:space:]]*(//.*)?$$'; }; \
 	echo "code lines, total:   $$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'))"; \
 	echo "code lines, bounced: $$(count $$(ls internal/bounced/*.go | grep -v _test.go) cmd/bounced/main.go)"
+
+# bench-allocs prints what one cold report allocates in process — a
+# snapshot of the benchmark's 80k emails, Detect, every section, no
+# environment — as B/op and allocs/op. Reported, never asserted.
+bench-allocs:
+	$(GO) test -run '^$$' -bench 'ReportCold/no-env' -benchtime 1x -benchmem .
 
 # race runs the whole suite under the race detector.
 race:
@@ -169,6 +175,12 @@ fuzz-wire:
 # candidates: same membership, same kind, for any pair of names.
 fuzz-typo:
 	$(GO) test -fuzz FuzzClassifyMatchesGeneration -fuzztime 60s ./internal/typo/
+
+# fuzz-similarity fuzzes typo.Similarity, whose distance rows live on
+# the stack for short names, against a plain three-row table kept in
+# the test: the same similarity for any pair of names.
+fuzz-similarity:
+	$(GO) test -fuzz FuzzSimilarityMatchesTable -fuzztime 60s ./internal/typo/
 
 # fuzz-ebrc fuzzes the in-place token walk ebrc.Train and Predict run
 # against ebrc.Tokenize, which stays the definition: same tokens, same

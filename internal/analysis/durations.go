@@ -253,56 +253,54 @@ func (uc *durationsCollector) UnmarshalPartial(b []byte) error {
 	return d.err
 }
 
-func badGoodEvents(bads, goods []int64) []event {
-	evs := make([]event, 0, len(bads)+len(goods))
-	for _, at := range bads {
-		evs = append(evs, event{at, true})
-	}
-	for _, at := range goods {
-		evs = append(evs, event{at, false})
+// appendEvents appends one event per timestamp, all bad or all good.
+func appendEvents(evs []event, ats []int64, bad bool) []event {
+	for _, at := range ats {
+		evs = append(evs, event{at, bad})
 	}
 	return evs
 }
 
 // resolve assembles the per-entity event sequences and summarizes them.
 // Misconfiguration periods are bounded by observed bounces of the
-// relevant type and the next observed success for the same entity.
+// relevant type and the next observed success for the same entity. One
+// event buffer serves every entity in turn: episodize sorts it to a
+// total order, so the order it is filled in does not matter.
 func (uc *durationsCollector) resolve(det *Detections) DurationsFigure {
 	var fig DurationsFigure
+	var evs []event
 
 	// --- DKIM/SPF (T3) per sender domain. A "good" event is a success
 	// from the sender at a receiver that T3-bounced it.
-	authEvents := map[string][]event{}
 	for from, bads := range uc.authBad {
-		evs := badGoodEvents(bads, nil)
+		evs = appendEvents(evs[:0], bads, true)
 		for to := range uc.authRcvr[from] {
-			for _, at := range uc.authOk[from+"\x00"+to] {
-				evs = append(evs, event{at, false})
-			}
+			evs = appendEvents(evs, uc.authOk[from+"\x00"+to], false)
 		}
-		authEvents[from] = evs
+		fig.AuthDKIMSPF.add(evs)
 	}
-	fig.AuthDKIMSPF = summarize(authEvents)
 
 	// --- MX errors (T2, excluding typo domains) per receiver domain.
-	mxEvents := map[string][]event{}
 	for to, bads := range uc.mxBad {
 		if _, isTypo := det.DomainTypos[to]; isTypo {
 			continue
 		}
-		mxEvents[to] = badGoodEvents(bads, uc.okByDom[to])
+		evs = appendEvents(appendEvents(evs[:0], bads, true), uc.okByDom[to], false)
+		fig.MXRecords.add(evs)
 	}
-	fig.MXRecords = summarize(mxEvents)
 
 	// --- Mailbox full (T9) per recipient address.
-	fullEvents := map[string][]event{}
 	for addr, bads := range uc.fullBad {
 		if !det.FullMailboxes[addr] {
 			continue
 		}
-		fullEvents[addr] = badGoodEvents(bads, uc.okByAddr[addr])
+		evs = appendEvents(appendEvents(evs[:0], bads, true), uc.okByAddr[addr], false)
+		fig.MailboxFull.add(evs)
 	}
-	fig.MailboxFull = summarize(fullEvents)
+
+	for _, s := range []*EpisodeStats{&fig.AuthDKIMSPF, &fig.MXRecords, &fig.MailboxFull} {
+		sort.Float64s(s.Durations)
+	}
 	return fig
 }
 
@@ -315,22 +313,19 @@ func (a *Analysis) Durations(det *Detections) DurationsFigure {
 	return uc.resolve(det)
 }
 
-func summarize(events map[string][]event) EpisodeStats {
-	var s EpisodeStats
-	for _, evs := range events {
-		durations, episodes, completed := episodize(evs)
-		if episodes == 0 {
-			continue
-		}
-		s.Entities++
-		s.Durations = append(s.Durations, durations...)
-		if !completed && len(durations) == 0 {
-			s.AlwaysBroken++
-		}
-		if episodes >= 2 {
-			s.Recurrent++
-		}
+// add folds one entity's events into the stats; the caller sorts
+// Durations once every entity is in.
+func (s *EpisodeStats) add(evs []event) {
+	durations, episodes, completed := episodize(evs)
+	if episodes == 0 {
+		return
 	}
-	sort.Float64s(s.Durations)
-	return s
+	s.Entities++
+	s.Durations = append(s.Durations, durations...)
+	if !completed && len(durations) == 0 {
+		s.AlwaysBroken++
+	}
+	if episodes >= 2 {
+		s.Recurrent++
+	}
 }

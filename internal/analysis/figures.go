@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/clock"
@@ -27,11 +29,46 @@ type MonthVolume struct {
 // timelineCollector accumulates Figure 5 in one pass.
 type timelineCollector struct {
 	tl      Timeline
-	monthly map[string]int
+	monthly map[yearMonth]int
+}
+
+// yearMonth keys Figure 5's monthly line inside the collector. Its
+// name, clock.MonthKey's YYYY-MM, is made only where the partial codec
+// and the figure read it.
+type yearMonth struct {
+	year  int
+	month time.Month
+}
+
+func monthOf(t time.Time) yearMonth {
+	y, m, _ := t.Date()
+	return yearMonth{y, m}
+}
+
+func (ym yearMonth) String() string {
+	return clock.MonthKey(time.Date(ym.year, ym.month, 1, 0, 0, 0, 0, time.UTC))
+}
+
+// parseYearMonth reads back a name String made; ok is false for any
+// other string.
+func parseYearMonth(s string) (yearMonth, bool) {
+	if len(s) < 4 || s[len(s)-3] != '-' {
+		return yearMonth{}, false
+	}
+	y, err := strconv.Atoi(s[:len(s)-3])
+	if err != nil {
+		return yearMonth{}, false
+	}
+	m, err := strconv.Atoi(s[len(s)-2:])
+	if err != nil || m < 1 || m > 12 {
+		return yearMonth{}, false
+	}
+	ym := yearMonth{y, time.Month(m)}
+	return ym, ym.String() == s
 }
 
 func newTimelineCollector() *timelineCollector {
-	return &timelineCollector{monthly: map[string]int{}}
+	return &timelineCollector{monthly: map[yearMonth]int{}}
 }
 
 func (tc *timelineCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
@@ -44,7 +81,7 @@ func (tc *timelineCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
 	default:
 		tc.tl.Days[day].Hard++
 	}
-	tc.monthly[clock.MonthKey(rec.StartTime)]++
+	tc.monthly[monthOf(rec.StartTime)]++
 }
 
 func (tc *timelineCollector) Merge(other PartialCollector) error {
@@ -72,7 +109,11 @@ func (tc *timelineCollector) MarshalPartial() []byte {
 		e.intv(tc.tl.Days[d].Soft)
 		e.intv(tc.tl.Days[d].Hard)
 	}
-	e.strIntMap(tc.monthly)
+	named := make(map[string]int, len(tc.monthly))
+	for m, n := range tc.monthly {
+		named[m.String()] = n
+	}
+	e.strIntMap(named)
 	return e.buf
 }
 
@@ -87,14 +128,23 @@ func (tc *timelineCollector) UnmarshalPartial(b []byte) error {
 		tc.tl.Days[i].Soft = d.intv()
 		tc.tl.Days[i].Hard = d.intv()
 	}
-	tc.monthly = d.strIntMap()
+	n := d.count()
+	tc.monthly = make(map[yearMonth]int, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		name := d.str()
+		ym, ok := parseYearMonth(name)
+		if !ok && d.err == nil {
+			d.err = fmt.Errorf("analysis: timeline partial names no month: %q", name)
+		}
+		tc.monthly[ym] = d.intv()
+	}
 	return d.err
 }
 
 func (tc *timelineCollector) result() Timeline {
 	tl := tc.tl
 	for m, n := range tc.monthly {
-		tl.Months = append(tl.Months, MonthVolume{Month: m, Emails: n})
+		tl.Months = append(tl.Months, MonthVolume{Month: m.String(), Emails: n})
 	}
 	sort.Slice(tl.Months, func(i, j int) bool { return tl.Months[i].Month < tl.Months[j].Month })
 	return tl

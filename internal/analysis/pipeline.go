@@ -11,8 +11,10 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/drain"
@@ -199,19 +201,10 @@ func finishPipeline(p *Pipeline, total int, prev *Pipeline) *Pipeline {
 	p.coveredLines = covered
 	p.manualCoverage = float64(covered) / float64(total)
 
-	// 3. Build the training set: per type, raw lines matched by its
-	// labeled non-ambiguous templates, balanced across templates.
-	samples := p.trainingSamples()
-	p.trainHash = hashSamples(samples)
-	if len(samples) == 0 {
+	// 3. Train the EBRC on raw lines of the labeled templates.
+	p.Classifier = p.train(prev)
+	if p.Classifier == nil {
 		return p
-	}
-	if prev != nil && prev.Classifier != nil && prev.trainHash == p.trainHash {
-		// ebrc.Train is deterministic and the classifier immutable, so
-		// an identical training set means an identical model.
-		p.Classifier = prev.Classifier
-	} else {
-		p.Classifier = ebrc.Train(samples)
 	}
 
 	// 4. Predict the remaining templates by majority vote over their
@@ -264,39 +257,77 @@ func (p *Pipeline) sampleLine(groupID int, line string) {
 	}
 }
 
-func (p *Pipeline) trainingSamples() []ebrc.Sample {
-	byType := map[ndr.Type][][]string{}
+// trainScratch is what training a pipeline works in and drops: the
+// labeled group IDs in order and the training set built from them,
+// which ebrc.Train copies nothing of. finishPipeline takes one from
+// trainPool, so a node finishing its substreams on every snapshot
+// reuses one set of buffers.
+type trainScratch struct {
+	ids     []int
+	samples []ebrc.Sample
+}
+
+var trainPool = sync.Pool{New: func() any { return new(trainScratch) }}
+
+// train builds the training set and records its hash, then reuses
+// prev's classifier if prev trained on the same set, or trains a new
+// one. It returns nil when no labeled template has a sampled line.
+func (p *Pipeline) train(prev *Pipeline) *ebrc.Classifier {
+	sc := trainPool.Get().(*trainScratch)
+	defer func() {
+		clear(sc.samples) // the pool must not pin the lines
+		sc.samples = sc.samples[:0]
+		trainPool.Put(sc)
+	}()
+	samples := p.trainingSamples(sc)
+	p.trainHash = hashSamples(samples)
+	switch {
+	case len(samples) == 0:
+		return nil
+	case prev != nil && prev.Classifier != nil && prev.trainHash == p.trainHash:
+		// ebrc.Train is deterministic and the classifier immutable, so
+		// an identical training set means an identical model.
+		return prev.Classifier
+	}
+	return ebrc.Train(samples)
+}
+
+// trainingSamples builds the EBRC training set in sc: per type, raw
+// lines matched by its labeled non-ambiguous templates, balanced across
+// templates. Types come in type order and a type's templates in group
+// ID order, so equal pipelines give equal sets — what FinishWarm's
+// hash comparison needs to ever find one.
+func (p *Pipeline) trainingSamples(sc *trainScratch) []ebrc.Sample {
+	sc.ids = sc.ids[:0]
+	var templates [ndr.NumTypes + 1]int // per type
 	for gid, typ := range p.groupType {
-		if p.groupAmbiguous[gid] {
+		if typ < 1 || typ > ndr.NumTypes || p.groupAmbiguous[gid] || len(p.groupSamples[gid]) == 0 {
 			continue
 		}
-		if lines := p.groupSamples[gid]; len(lines) > 0 {
-			byType[typ] = append(byType[typ], lines)
-		}
+		sc.ids = append(sc.ids, gid)
+		templates[typ]++
 	}
-	var out []ebrc.Sample
+	slices.Sort(sc.ids)
+	out := sc.samples[:0]
 	for _, typ := range ndr.AllTypes {
-		tmplLines := byType[typ]
-		if len(tmplLines) == 0 {
+		if templates[typ] == 0 {
 			continue
 		}
 		// Balance across the type's templates, like the paper's "for
 		// each type, we try to match a similar number of raw NDR
 		// messages for each selected template".
-		per := p.cfg.SamplesPerType / len(tmplLines)
-		if per < 1 {
-			per = 1
-		}
-		for _, lines := range tmplLines {
-			n := per
-			if n > len(lines) {
-				n = len(lines)
+		per := max(p.cfg.SamplesPerType/templates[typ], 1)
+		for _, gid := range sc.ids {
+			if p.groupType[gid] != typ {
+				continue
 			}
-			for i := 0; i < n; i++ {
-				out = append(out, ebrc.Sample{Text: lines[i], Type: typ})
+			lines := p.groupSamples[gid]
+			for _, line := range lines[:min(per, len(lines))] {
+				out = append(out, ebrc.Sample{Text: line, Type: typ})
 			}
 		}
 	}
+	sc.samples = out
 	return out
 }
 

@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"repro/internal/ndr"
@@ -180,82 +181,120 @@ func lowerASCII(buf []byte, line string) (low []byte, ok bool) {
 // concurrent use — the property the online classify path relies on.
 type Classifier struct {
 	classes  []ndr.Type
-	classIdx map[ndr.Type]int
 	vocab    map[string]int
 	logPrior []float64
 	logLik   [][]float64 // class × (vocab + 1 unk slot)
 }
 
+// trainScratch is what one Train call works in and the classifier does
+// not keep: the vocabulary as it grows, every sample's token ids back
+// to back, and where each sample's ids end. Train takes one from
+// trainPool and returns it emptied, so a node that retrains its
+// substreams on every snapshot reuses one set of buffers instead of
+// growing new ones each time.
+type trainScratch struct {
+	vocab map[string]int
+	ids   []int32
+	ends  []int
+}
+
+var trainPool = sync.Pool{New: func() any {
+	return &trainScratch{vocab: make(map[string]int)}
+}}
+
 // Train fits the classifier on the labeled samples with Laplace
-// smoothing. It panics on an empty sample set.
+// smoothing. It panics on an empty sample set. What it allocates is
+// what the classifier keeps: the vocabulary, the priors and the
+// likelihood tables, whose cells hold the token counts until they are
+// turned into log-likelihoods in place.
 func Train(samples []Sample) *Classifier {
 	if len(samples) == 0 {
 		panic("ebrc: no training samples")
 	}
-	c := &Classifier{
-		classIdx: make(map[ndr.Type]int),
-		vocab:    make(map[string]int),
-	}
-	// Stable class order: by type value.
-	seen := map[ndr.Type]bool{}
+	sc := trainPool.Get().(*trainScratch)
+	defer func() {
+		clear(sc.vocab)
+		sc.ids, sc.ends = sc.ids[:0], sc.ends[:0]
+		trainPool.Put(sc)
+	}()
+
+	// Stable class order: by type value. A type outside T1..T16 has no
+	// class of its own and counts toward class 0.
+	var seen [ndr.NumTypes + 1]bool
 	for _, s := range samples {
-		seen[s.Type] = true
+		if s.Type >= 1 && s.Type <= ndr.NumTypes {
+			seen[s.Type] = true
+		}
 	}
+	nc := 0
+	for _, ok := range seen {
+		if ok {
+			nc++
+		}
+	}
+	c := &Classifier{classes: make([]ndr.Type, 0, nc)}
+	var classIdx [ndr.NumTypes + 1]int
 	for _, t := range ndr.AllTypes {
 		if seen[t] {
-			c.classIdx[t] = len(c.classes)
+			classIdx[t] = len(c.classes)
 			c.classes = append(c.classes, t)
 		}
 	}
-	// Every sample's token ids, back to back; ends[i] closes sample i.
-	var ids []int32
-	ends := make([]int, len(samples))
-	for i, s := range samples {
-		ids = c.tokenIDs(ids, s.Text, true)
-		ends[i] = len(ids)
+
+	for _, s := range samples {
+		sc.ids = tokenIDs(sc.vocab, sc.ids, s.Text, true)
+		sc.ends = append(sc.ends, len(sc.ids))
 	}
-	nc, nv := len(c.classes), len(c.vocab)
-	counts := make([][]float64, nc)
-	totals := make([]float64, nc)
-	classN := make([]float64, nc)
-	for i := range counts {
-		counts[i] = make([]float64, nv)
+	nv := len(sc.vocab)
+	c.vocab = make(map[string]int, nv)
+	for tok, vi := range sc.vocab {
+		c.vocab[tok] = vi
+	}
+
+	// Count into the likelihood rows, then turn each row into logs.
+	c.logPrior = make([]float64, nc)
+	c.logLik = make([][]float64, nc)
+	cells := make([]float64, nc*(nv+1))
+	for ci := range c.logLik {
+		c.logLik[ci] = cells[ci*(nv+1) : (ci+1)*(nv+1) : (ci+1)*(nv+1)]
 	}
 	start := 0
 	for i, s := range samples {
-		ci := c.classIdx[s.Type]
-		classN[ci]++
-		for _, vi := range ids[start:ends[i]] {
-			counts[ci][vi]++
-			totals[ci]++
+		ci := 0
+		if s.Type >= 1 && s.Type <= ndr.NumTypes {
+			ci = classIdx[s.Type]
 		}
-		start = ends[i]
+		c.logPrior[ci]++
+		row := c.logLik[ci]
+		for _, vi := range sc.ids[start:sc.ends[i]] {
+			row[vi]++
+		}
+		row[nv] += float64(sc.ends[i] - start) // the class's token total, until the logs
+		start = sc.ends[i]
 	}
-	c.logPrior = make([]float64, nc)
-	c.logLik = make([][]float64, nc)
-	for ci := 0; ci < nc; ci++ {
-		c.logPrior[ci] = math.Log(classN[ci] / float64(len(samples)))
-		c.logLik[ci] = make([]float64, nv+1)
-		denom := totals[ci] + float64(nv+1) // +1 for the unknown slot
+	for ci, row := range c.logLik {
+		c.logPrior[ci] = math.Log(c.logPrior[ci] / float64(len(samples)))
+		denom := row[nv] + float64(nv+1) // +1 for the unknown slot
 		for vi := 0; vi < nv; vi++ {
-			c.logLik[ci][vi] = math.Log((counts[ci][vi] + 1) / denom)
+			row[vi] = math.Log((row[vi] + 1) / denom)
 		}
-		c.logLik[ci][nv] = math.Log(1 / denom) // unseen token
+		row[nv] = math.Log(1 / denom) // unseen token
 	}
 	return c
 }
 
 // tokenIDs appends the vocabulary id of every token of Tokenize(line),
-// in order. A token outside the vocabulary gets the unknown slot's id,
-// or — with grow, while training — the next free one. An ASCII line of
-// ordinary length allocates nothing but the vocabulary's own new keys.
-func (c *Classifier) tokenIDs(ids []int32, line string, grow bool) []int32 {
+// in order. A token outside vocab gets the unknown slot's id,
+// len(vocab), or — with grow, while training — the next free one. An
+// ASCII line of ordinary length allocates nothing but the vocabulary's
+// own new keys.
+func tokenIDs(vocab map[string]int, ids []int32, line string, grow bool) []int32 {
 	id := func(tok []byte) int32 {
-		vi, ok := c.vocab[string(tok)] // no copy: the compiler sees a lookup
+		vi, ok := vocab[string(tok)] // no copy: the compiler sees a lookup
 		if !ok {
-			vi = len(c.vocab)
+			vi = len(vocab)
 			if grow {
-				c.vocab[string(tok)] = vi
+				vocab[string(tok)] = vi
 			}
 		}
 		return int32(vi)
@@ -284,7 +323,7 @@ func (c *Classifier) Classes() []ndr.Type {
 // margin between the best and second-best class (a confidence proxy).
 func (c *Classifier) Predict(line string) (ndr.Type, float64) {
 	var buf [64]int32
-	ids := c.tokenIDs(buf[:0], line, false)
+	ids := tokenIDs(c.vocab, buf[:0], line, false)
 	best, second := math.Inf(-1), math.Inf(-1)
 	bestIdx := 0
 	for ci := range c.classes {

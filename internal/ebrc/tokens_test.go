@@ -75,7 +75,7 @@ func FuzzTokensMatchTokenize(f *testing.F) {
 		} else if !reflect.DeepEqual(got, want) {
 			t.Fatalf("walk(%q) = %q, Tokenize = %q", line, got, want)
 		}
-		if got, want := cls.tokenIDs(nil, line, false), referenceIDs(cls, line); !reflect.DeepEqual(got, want) {
+		if got, want := tokenIDs(cls.vocab, nil, line, false), referenceIDs(cls, line); !reflect.DeepEqual(got, want) {
 			t.Fatalf("tokenIDs(%q) = %v, by Tokenize %v", line, got, want)
 		}
 	})
@@ -84,17 +84,15 @@ func FuzzTokensMatchTokenize(f *testing.F) {
 // referenceTrain is Train as it was written over Tokenize's string
 // slices: the model the in-place trainer must reproduce bit for bit.
 func referenceTrain(samples []Sample) *Classifier {
-	c := &Classifier{
-		classIdx: make(map[ndr.Type]int),
-		vocab:    make(map[string]int),
-	}
+	c := &Classifier{vocab: make(map[string]int)}
+	classIdx := make(map[ndr.Type]int)
 	seen := map[ndr.Type]bool{}
 	for _, s := range samples {
 		seen[s.Type] = true
 	}
 	for _, t := range ndr.AllTypes {
 		if seen[t] {
-			c.classIdx[t] = len(c.classes)
+			classIdx[t] = len(c.classes)
 			c.classes = append(c.classes, t)
 		}
 	}
@@ -115,7 +113,7 @@ func referenceTrain(samples []Sample) *Classifier {
 		counts[i] = make([]float64, nv)
 	}
 	for i, s := range samples {
-		ci := c.classIdx[s.Type]
+		ci := classIdx[s.Type]
 		classN[ci]++
 		for _, tok := range tokenized[i] {
 			counts[ci][c.vocab[tok]]++
@@ -201,3 +199,43 @@ func TestPredictAllocatesNothing(t *testing.T) {
 		t.Errorf("Predict allocates %v times per ASCII line, want 0", n)
 	}
 }
+
+// TestTrainAllocatesOnlyTheModel: once a Train has run, training again
+// on the same samples allocates no more than building the classifier's
+// own parts does — the struct, its class list, the vocabulary's map and
+// keys, the priors and the likelihood table. The token ids, the sample
+// ends, the growing vocabulary and the counts are scratch it reuses.
+// A sync.Pool may drop what it holds (a collection empties it; under
+// the race detector it drops some puts on purpose), so the count is the
+// fewest of several single runs.
+func TestTrainAllocatesOnlyTheModel(t *testing.T) {
+	samples := benchSamples(20)
+	cls := Train(samples)
+	rebuild := func() {
+		nc, nv := len(cls.classes), len(cls.vocab)
+		c := &Classifier{
+			classes:  append(make([]ndr.Type, 0, nc), cls.classes...),
+			vocab:    make(map[string]int, nv),
+			logPrior: make([]float64, nc),
+			logLik:   make([][]float64, nc),
+		}
+		for tok, vi := range cls.vocab {
+			c.vocab[strings.Clone(tok)] = vi
+		}
+		cells := make([]float64, nc*(nv+1))
+		for ci := range c.logLik {
+			c.logLik[ci] = cells[ci*(nv+1) : (ci+1)*(nv+1)]
+		}
+		sink = c
+	}
+	model := testing.AllocsPerRun(5, rebuild)
+	got := math.Inf(1)
+	for i := 0; i < 10; i++ {
+		got = min(got, testing.AllocsPerRun(1, func() { sink = Train(samples) }))
+	}
+	if got > model {
+		t.Errorf("Train allocates %v times, the classifier's own parts %v", got, model)
+	}
+}
+
+var sink *Classifier

@@ -2,7 +2,6 @@ package mail
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -62,21 +61,45 @@ func (e EnhancedCode) String() string {
 
 // ParseEnhancedCode parses "c.s.d". It returns ok=false for strings that
 // are not an enhanced status code (the common case for 28.79% of NDRs).
+// Each part reads as strconv.Atoi reads it, bounded to 0..999; the
+// parse is in place and allocates nothing.
 func ParseEnhancedCode(s string) (EnhancedCode, bool) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 3 {
-		return EnhancedCode{}, false
-	}
 	var vals [3]int
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n > 999 {
+	for i := range vals {
+		part, rest, dot := strings.Cut(s, ".")
+		if dot != (i < 2) {
+			return EnhancedCode{}, false // not three parts
+		}
+		n, ok := codePart(part)
+		if !ok {
 			return EnhancedCode{}, false
 		}
-		vals[i] = n
+		vals[i], s = n, rest
 	}
 	if vals[0] != 2 && vals[0] != 4 && vals[0] != 5 {
 		return EnhancedCode{}, false
 	}
 	return EnhancedCode{vals[0], vals[1], vals[2]}, true
+}
+
+// codePart is strconv.Atoi(p) for a result in 0..999: an optional
+// sign, then decimal digits.
+func codePart(p string) (int, bool) {
+	neg := false
+	if p != "" && (p[0] == '+' || p[0] == '-') {
+		neg, p = p[0] == '-', p[1:]
+	}
+	if p == "" {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(p); i++ {
+		if p[i] < '0' || p[i] > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(p[i]-'0'); n > 999 {
+			return 0, false
+		}
+	}
+	return n, !neg || n == 0
 }

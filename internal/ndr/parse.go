@@ -1,7 +1,6 @@
 package ndr
 
 import (
-	"strconv"
 	"strings"
 
 	"repro/internal/mail"
@@ -27,9 +26,9 @@ func (p Parsed) Temporary() bool { return p.Code.Temporary() }
 func Parse(line string) Parsed {
 	var p Parsed
 	s := strings.TrimSpace(line)
-	if len(s) >= 3 {
-		if n, err := strconv.Atoi(s[:3]); err == nil && n >= 200 && n < 600 {
-			p.Code = mail.ReplyCode(n)
+	if len(s) >= 3 { // a leading reply code, 200–599
+		if c0, c1, c2 := s[0], s[1], s[2]; c0 >= '2' && c0 <= '5' && isDigit(c1) && isDigit(c2) {
+			p.Code = mail.ReplyCode(int(c0-'0')*100 + int(c1-'0')*10 + int(c2-'0'))
 			s = s[3:]
 			// "550-5.1.1 ..." or "550 5.1.1 ..." or "550 ...".
 			if len(s) > 0 && (s[0] == '-' || s[0] == ' ') {
@@ -51,6 +50,8 @@ func Parse(line string) Parsed {
 	p.Text = strings.TrimSpace(rest)
 	return p
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // HasEnhancedCode reports whether the raw line carries an enhanced
 // status code, used to reproduce the paper's 28.79% statistic.

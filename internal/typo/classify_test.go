@@ -153,3 +153,38 @@ func TestClassifyMissAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestClassifyHitAllocatesNothing: a lower-case pair one edit apart is
+// matched by walking the original's candidates in place, so a hit — a
+// TLD repetition and a miss that is one edit apart among them — touches
+// the heap no more than a far miss does.
+func TestClassifyHitAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		observed, original string
+		hit                bool
+	}{
+		{"lotmail.com", "hotmail.com", true},
+		{"hotmail.comm", "hotmail.com", true},
+		{"yaho.com.cn", "yahoo.com.cn", true},
+		{"hotmaiz.com", "hotmail.com", false}, // one edit, of no kind
+		{"alice.smth", "alice.smith", true},   // a local part's typo, no domain's
+		{"alicr", "alice", true},
+	} {
+		wk, wok := classifyByGeneration(c.observed, c.original, false)
+		lk, lok := classifyByGeneration(c.observed, c.original, true)
+		if hit := wok || lok; hit != c.hit {
+			t.Fatalf("%q as a typo of %q: generation says %v", c.observed, c.original, hit)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if k, ok := Classify(c.observed, c.original); k != wk || ok != wok {
+				t.Fatalf("Classify(%q, %q) = %v %v", c.observed, c.original, k, ok)
+			}
+			if k, ok := ClassifyLocal(c.observed, c.original); k != lk || ok != lok {
+				t.Fatalf("ClassifyLocal(%q, %q) = %v %v", c.observed, c.original, k, ok)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Classify(%q, %q): %v allocations, want 0", c.observed, c.original, allocs)
+		}
+	}
+}
