@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build build-cmds test loc bench-allocs race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-wire fuzz-typo fuzz-similarity fuzz-ebrc fuzz-partial fuzz-state fuzz-smoke chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
+.PHONY: check fmt vet build build-cmds test loc bench-allocs race race-parallel bench bench-parallel serve bench-cluster bench-durable bench-report fuzz-decode fuzz-encode fuzz-wal fuzz-wire fuzz-typo fuzz-similarity fuzz-ebrc fuzz-partial fuzz-state fuzz-checkpoint fuzz-smoke chaos chaos-kill chaos-failover chaos-shard-failover cluster-diff
 
 # check is the tier-1 gate plus static analysis and formatting.
 check: fmt vet build build-cmds test
@@ -37,9 +37,11 @@ loc:
 
 # bench-allocs prints what one cold report allocates in process — a
 # snapshot of the benchmark's 80k emails, Detect, every section, no
-# environment — as B/op and allocs/op. Reported, never asserted.
+# environment — and beside it one delta report, after 1,000 more
+# records on a warm accumulator, as ns/op, B/op and allocs/op.
+# Reported, never asserted.
 bench-allocs:
-	$(GO) test -run '^$$' -bench 'ReportCold/no-env' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'ReportCold/no-env|ReportDelta/no-env' -benchtime 1x -benchmem .
 
 # race runs the whole suite under the race detector.
 race:
@@ -89,10 +91,12 @@ chaos-shard-failover:
 # pools (a Decoder handed from one request to the next, tail payloads
 # cut from shared chunks) and on concurrent reports and partial
 # aggregates over one cached study, on one partial set rendered by
-# concurrent readers, and on records that land between a coordinator's
-# two fan-in rounds (fast enough for every commit).
+# concurrent readers, on a study rendered while the next snapshots copy
+# its verdicts and extend its fold of clean records, on the squat scan
+# shared by concurrent reports, and on records that land between a
+# coordinator's two fan-in rounds (fast enough for every commit).
 race-parallel:
-	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials|SharedPartialSet|BetweenRounds' ./...
+	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials|StudySquats|SharedPartialSet|BetweenRounds' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -207,6 +211,15 @@ fuzz-partial:
 # corpus replays in plain go test.
 fuzz-state:
 	$(GO) test -fuzz FuzzRestoreIncremental -fuzztime 60s -fuzzminimizetime 20x ./internal/analysis/
+
+# fuzz-checkpoint fuzzes what recovery and a standby's full resync read
+# first, store.DecodeCheckpoint with the dedup section's restore and the
+# repl section's epoch: no panic, allocation bounded by the input, a
+# decoded checkpoint re-encodes to the same bytes (each section once,
+# names in order) and a restored dedup window round-trips. Its committed corpus replays in
+# plain go test ./internal/bounced/.
+fuzz-checkpoint:
+	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime 60s ./internal/bounced/
 
 # fuzz-smoke runs every fuzz target in the tree for 10 s each, found by
 # name, so a new fuzzer joins without an edit here. The committed seeds

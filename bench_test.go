@@ -280,6 +280,47 @@ func BenchmarkReportCold(b *testing.B) {
 	}
 }
 
+// BenchmarkReportDelta is what a node does for a report after 1,000 new
+// records, the benchmark's delta report without the process harness:
+// over the process benchmark's 80k emails less their last 1,000, a
+// restored accumulator takes a cold snapshot and report, then the
+// 1,000 records land and the clock times a warm snapshot, Detect and
+// every section, with no environment (-no-env).
+func BenchmarkReportDelta(b *testing.B) {
+	const delta = 1000
+	cfg := world.DefaultConfig()
+	cfg.TotalEmails = 80_000
+	_, records := bounce.GenerateParallel(cfg, 2)
+	base, tail := records[:len(records)-delta], records[len(records)-delta:]
+	inc := analysis.NewIncremental(analysis.DefaultPipelineConfig())
+	inc.AddBatch(base)
+	state, err := inc.CaptureState().MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	report := func(inc *analysis.Incremental) {
+		a := inc.Snapshot(nil)
+		st := &bounce.Study{Records: a.Records, Analysis: a, Detections: a.Detect()}
+		if err := st.WriteReport(io.Discard, bounce.AllSections); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("no-env", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			inc, err := analysis.RestoreIncremental(state)
+			if err != nil {
+				b.Fatal(err)
+			}
+			report(inc)
+			inc.AddBatch(tail)
+			b.StartTimer()
+			report(inc)
+		}
+	})
+}
+
 // BenchmarkClusterReport is what a two-shard cluster does for the first
 // report after an ingest, without the processes: over the process
 // benchmark's 80k emails split by substream owner, each shard takes a

@@ -78,9 +78,9 @@ func ConfigForScale(s Scale) world.Config {
 }
 
 // Study is a completed simulation + analysis. Handle it by pointer: it
-// carries the sync.Onces that guard Detections, Figure 7 and its two
-// partial sets. A zero value with Records and Analysis set is ready to
-// report.
+// carries the sync.Onces that guard Detections, Figure 7, the squat
+// scan and its two partial sets. A zero value with Records and Analysis
+// set is ready to report.
 type Study struct {
 	World      *world.World
 	Engine     *delivery.Engine
@@ -96,6 +96,8 @@ type Study struct {
 	partials     *analysis.PartialSet
 	bouncedOnce  sync.Once
 	bounced      *analysis.PartialSet
+	squatOnce    sync.Once
+	squat        *squat.Result
 }
 
 // detections resolves the entity detections the first time a section
@@ -226,9 +228,19 @@ func RunCtx(ctx context.Context, opts Options) (*Study, error) {
 	return s, <-errc
 }
 
-// Squat runs the Section-5 squatting scan over the study.
+// squatScan is squat.Scan; a test counts the scans through it.
+var squatScan = squat.Scan
+
+// Squat runs the Section-5 squatting scan over the study. The scan with
+// the default configuration — what the squat and advice sections and
+// Summary read — runs once per study, like Detections, and is safe for
+// concurrent callers; another configuration scans on every call.
 func (s *Study) Squat(cfg squat.Config) *squat.Result {
-	return squat.Scan(s.Analysis, s.detections(), cfg)
+	if cfg != squat.DefaultConfig() {
+		return squatScan(s.Analysis, s.detections(), cfg)
+	}
+	s.squatOnce.Do(func() { s.squat = squatScan(s.Analysis, s.detections(), cfg) })
+	return s.squat
 }
 
 // ProxyRegions re-exports the fleet layout for callers that do not

@@ -91,7 +91,14 @@ type Analysis struct {
 	Pipeline   *ShardedPipeline
 	Env        *Environment
 
-	rank []dataset.RankEntry
+	counts map[string]int // receiver-domain popularity: every set's Counts
+	rank   []dataset.RankEntry
+	// carried is the round-1 fold of what no pipeline can change, which
+	// the Incremental carries across snapshots (carried.fold), and dirty
+	// lists the records that are not clean; a batch Analysis has
+	// neither, and BouncedPartials folds every record.
+	carried *PartialSet
+	dirty   []int32
 }
 
 // New classifies records with freshly built per-substream pipelines and
@@ -101,7 +108,7 @@ func New(records []dataset.Record, env *Environment) *Analysis {
 	view := dataset.SliceRecords(records)
 	sp := buildShardedPipeline(view, DefaultPipelineConfig())
 	verdicts := make([]ClassifiedRecord, len(records))
-	classifyRange(sp, view, verdicts)
+	classifyRange(sp, view, verdicts, nil, 0)
 	counts := make(map[string]int, 64)
 	for i := range verdicts {
 		counts[verdicts[i].ToDomain]++

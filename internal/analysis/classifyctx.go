@@ -13,6 +13,12 @@ import (
 // capacity so caller appends copy out.
 var emptyTypes = make([]ndr.Type, 0)
 
+// noneTypes backs AttemptTypes for clean records, every line a 2xx and
+// so every type TNone, the zero Type. It is shared and never written,
+// so a clean verdict points into no ctx's arena: a snapshot that
+// carries it does not keep the arena of the snapshot that made it.
+var noneTypes = make([]ndr.Type, 64)
+
 // ClassifyCtx is a per-goroutine classification context over finished
 // (frozen) pipelines: it owns drain Matchers — reusable token buffers
 // over the lock-free trees — and arenas backing the verdict slices, so
@@ -44,8 +50,9 @@ func (cx *ClassifyCtx) matcher(shard int) *drain.Matcher {
 
 // ClassifyRecord routes the record to its substream's pipeline and
 // classifies it through the ctx's reusable buffers. The returned
-// verdict's slices are arena-backed: immutable once returned, valid
-// indefinitely, full-capacity (appends copy out).
+// verdict's slices are arena-backed, or shared by every clean record:
+// immutable once returned, valid indefinitely, full-capacity (appends
+// copy out).
 func (cx *ClassifyCtx) ClassifyRecord(rec *dataset.Record) (c ClassifiedRecord) {
 	shard := StreamOf(rec)
 	p := cx.sp.Shards[shard]
@@ -55,6 +62,10 @@ func (cx *ClassifyCtx) ClassifyRecord(rec *dataset.Record) (c ClassifiedRecord) 
 	n := len(rec.DeliveryResult)
 	if n == 0 {
 		c.AttemptTypes = emptyTypes
+		return c
+	}
+	if n <= len(noneTypes) && clean(rec) {
+		c.AttemptTypes = noneTypes[:n:n]
 		return c
 	}
 	c.AttemptTypes = cx.types.Alloc(n)

@@ -64,3 +64,30 @@ func BenchmarkClassifyRecord(b *testing.B) {
 		sp.ClassifyRecord(&records[i%len(records)])
 	}
 }
+
+// TestClassifyCtxCleanVerdictsShareNoArena: a record whose every line
+// is a 2xx gets its TNones from the one shared slice, not from the
+// ctx's arena, so a snapshot that carries its verdict keeps nothing of
+// the snapshot that made it; it is full-capacity like an arena span.
+func TestClassifyCtxCleanVerdictsShareNoArena(t *testing.T) {
+	records := testCorpus()
+	sp := buildShardedPipeline(dataset.SliceRecords(records), DefaultPipelineConfig())
+	cx := sp.NewClassifyCtx()
+	seen := 0
+	for i := range records {
+		c := cx.ClassifyRecord(&records[i])
+		if !clean(&records[i]) {
+			continue
+		}
+		seen++
+		if &c.AttemptTypes[0] != &noneTypes[0] || cap(c.AttemptTypes) != len(c.AttemptTypes) {
+			t.Fatalf("record %d is clean, but its attempt types are not the shared TNones", i)
+		}
+		if !reflect.DeepEqual(c, sp.ClassifyRecord(&records[i])) {
+			t.Fatalf("record %d: the ctx verdict differs from Pipeline.ClassifyRecord's", i)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("degenerate corpus: no clean record")
+	}
+}

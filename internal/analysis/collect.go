@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/ndr"
@@ -195,16 +196,16 @@ type enhancedCollector struct {
 	with, total int
 }
 
-func (ec *enhancedCollector) Add(rec *dataset.Record, c *ClassifiedRecord) {
-	if !c.failed() {
-		return // no NDR line, and no need to look
-	}
-	for j, t := range c.AttemptTypes {
-		if t == ndr.TNone {
+// Add counts the record's NDR lines — its non-2xx lines, the ones a
+// pipeline types as anything but TNone — by the record alone, so a
+// record's count is the same under every pipeline.
+func (ec *enhancedCollector) Add(rec *dataset.Record, _ *ClassifiedRecord) {
+	for _, line := range rec.DeliveryResult {
+		if strings.HasPrefix(line, "2") {
 			continue
 		}
 		ec.total++
-		if ndr.HasEnhancedCode(rec.DeliveryResult[j]) {
+		if ndr.HasEnhancedCode(line) {
 			ec.with++
 		}
 	}

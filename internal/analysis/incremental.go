@@ -3,6 +3,8 @@ package analysis
 import (
 	"maps"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/dataset"
@@ -25,9 +27,10 @@ import (
 //   - trainMu guards the pipeline builder and the training watermark
 //     (how many stored records Drain has absorbed). Lock order is
 //     trainMu before storeMu, never the reverse.
-//   - snapMu serializes snapshots and guards lastPipes, the previous
-//     snapshot's finished pipelines, which FinishWarm reuses the EBRC
-//     and the template votes from.
+//   - snapMu serializes snapshots and guards what one hands the next:
+//     lastPipes, the previous snapshot's finished pipelines, which
+//     FinishWarm reuses the EBRC counts and the template votes from,
+//     and last, its verdicts and the round-1 fold of its clean records.
 //
 // Add, Snapshot, and Len are safe for concurrent use.
 type Incremental struct {
@@ -41,9 +44,41 @@ type Incremental struct {
 	trainMu sync.Mutex
 	b       [NumStreams]*PipelineBuilder // per-substream builders
 	trained int                          // records [0,trained) are mined into b
+	// dirty lists, ascending, the trained records that are not clean
+	// (see clean). Append-only: a snapshot keeps the prefix it read.
+	dirty []int32
 
 	snapMu    sync.Mutex
 	lastPipes [NumStreams]*Pipeline
+	last      *carried
+}
+
+// carried is what a snapshot hands the next one of what no pipeline
+// can change. A clean record's verdict is setFacts and a TNone per
+// line: no tree, no classifier, no other record goes into it, so
+// neither it nor its fold into the cheap collectors can change as the
+// corpus grows. Nor can any record's fold into the fact collectors
+// (PartialSet.addFacts), which read only what setFacts derives.
+// verdicts is the snapshot's own slice, and fold the round-1 fold of
+// every record's facts and of the clean records' labels; both are
+// frozen: the snapshot's study may still be reading them while the next
+// snapshot copies them.
+type carried struct {
+	verdicts []ClassifiedRecord
+	fold     *PartialSet
+	env      *Environment // fold's collectors read it
+}
+
+// clean reports whether every delivery line of rec is a 2xx — at least
+// one, since a record with no attempt failed. Only such a record's
+// verdict and fold are carried across snapshots.
+func clean(rec *dataset.Record) bool {
+	for _, line := range rec.DeliveryResult {
+		if !strings.HasPrefix(line, "2") {
+			return false
+		}
+	}
+	return len(rec.DeliveryResult) > 0
 }
 
 // NewIncremental starts an empty accumulator (zero cfg.TopTemplates
@@ -158,6 +193,9 @@ func (inc *Incremental) trainTo(view dataset.Records, n int) {
 	for i := inc.trained; i < n; i++ {
 		rec := view.At(i)
 		inc.b[StreamOf(rec)].Add(rec)
+		if !clean(rec) {
+			inc.dirty = append(inc.dirty, int32(i))
+		}
 	}
 	if n > inc.trained {
 		inc.trained = n
@@ -167,8 +205,12 @@ func (inc *Incremental) trainTo(view dataset.Records, n int) {
 // Snapshot builds an Analysis over the records added so far without
 // stopping ingestion. The builder is caught up to the store, cloned,
 // and finished outside the ingest lock against the previous snapshot's
-// pipelines; then every record is classified, fanned out across
-// GOMAXPROCS workers with a deterministic indexed merge.
+// pipelines. Then what the new records can change is redone: the
+// records that are not clean and the new ones are classified, fanned
+// out across GOMAXPROCS workers with a deterministic indexed merge, the
+// previous snapshot's clean verdicts are copied, and its carried fold
+// is extended by the new records. The Analysis equals a batch one over
+// the same records; only the cost differs.
 func (inc *Incremental) Snapshot(env *Environment) *Analysis {
 	inc.snapMu.Lock()
 	defer inc.snapMu.Unlock()
@@ -183,6 +225,7 @@ func (inc *Incremental) Snapshot(env *Environment) *Analysis {
 	counts := maps.Clone(inc.counts)
 	inc.storeMu.Unlock()
 	inc.trainTo(view, n)
+	dirty := inc.dirty
 	var bcs [NumStreams]*PipelineBuilder
 	for s := range inc.b {
 		bcs[s] = inc.b[s].Clone()
@@ -198,8 +241,58 @@ func (inc *Incremental) Snapshot(env *Environment) *Analysis {
 	copy(inc.lastPipes[:], sp.Shards)
 
 	verdicts := make([]ClassifiedRecord, n)
-	classifyRange(sp, view, verdicts)
-	return assemble(view, verdicts, sp, counts, env)
+	m, fold := 0, (*PartialSet)(nil)
+	if last := inc.last; last != nil && last.env == env {
+		m, fold = len(last.verdicts), last.fold
+		copy(verdicts, last.verdicts)
+	}
+	// dirty[:k] are the records before m the previous snapshot did not
+	// carry.
+	k, _ := slices.BinarySearch(dirty, int32(m))
+	classifyRange(sp, view, verdicts, dirty[:k], m)
+	fold = extendFold(fold, env, view, verdicts, dirty[k:], m)
+	inc.last = &carried{verdicts: verdicts, fold: fold, env: env}
+
+	a := assemble(view, verdicts, sp, counts, env)
+	a.carried, a.dirty = fold, dirty
+	return a
+}
+
+// extendFold returns the carried fold of the records below
+// len(verdicts) — every record's facts, the clean records' labels too —
+// given fold, that of the records below m (nil for none), and dirty,
+// the records from m on that are not clean. fold itself is never
+// written: a snapshot's study may be reading it. A new set starts from
+// a copy of it, unless no record was added.
+func extendFold(fold *PartialSet, env *Environment, view dataset.Records, verdicts []ClassifiedRecord, dirty []int32, m int) *PartialSet {
+	n := len(verdicts)
+	if fold != nil && n == m {
+		return fold
+	}
+	next := NewPartialSet(env)
+	next.part = partBounced
+	if fold != nil {
+		next.Merge(fold) // the same part: cannot fail
+	}
+	for i := m; i < n; i++ {
+		rec, c := view.At(i), &verdicts[i]
+		next.addFacts(rec, c)
+		if len(dirty) > 0 && int(dirty[0]) == i {
+			dirty = dirty[1:]
+			continue
+		}
+		next.addLabels(rec, c)
+	}
+	return next
+}
+
+// DropCarried forgets what the last snapshot handed the next — its
+// pipelines' EBRC counts, its clean verdicts and their fold — so the
+// next snapshot runs cold, as the first one after a restore does.
+func (inc *Incremental) DropCarried() {
+	inc.snapMu.Lock()
+	inc.lastPipes, inc.last = [NumStreams]*Pipeline{}, nil
+	inc.snapMu.Unlock()
 }
 
 // Finish consumes the accumulator into its final Analysis — the batch
@@ -220,26 +313,33 @@ func (inc *Incremental) Finish(env *Environment) *Analysis {
 	inc.trainMu.Unlock()
 
 	verdicts := make([]ClassifiedRecord, n)
-	classifyRange(sp, view, verdicts)
+	classifyRange(sp, view, verdicts, nil, 0)
 	return assemble(view, verdicts, sp, counts, env)
 }
 
-// classifyRange fills out[i] = classify(view.At(i)) for every i, fanning
-// out across GOMAXPROCS workers when there are enough records to
-// amortize them. Each worker classifies its contiguous block through
-// its own ClassifyCtx (reused token buffers and verdict arenas — the
-// zero-alloc batch path). Each slot depends only on its own record, so
-// the output is identical for any worker count, and identical to
-// per-record sp.ClassifyRecord.
-func classifyRange(sp *ShardedPipeline, view dataset.Records, out []ClassifiedRecord) {
-	n := len(out)
+// classifyRange fills out[i] = classify(view.At(i)) for every i in idx
+// and every i from `from` on, fanning out across GOMAXPROCS workers when
+// there are enough records to amortize them. Each worker classifies its
+// contiguous block of that work through its own ClassifyCtx (reused
+// token buffers and verdict arenas — the zero-alloc batch path). Each
+// slot depends only on its own record, so the output is identical for
+// any worker count, and identical to per-record sp.ClassifyRecord.
+func classifyRange(sp *ShardedPipeline, view dataset.Records, out []ClassifiedRecord, idx []int32, from int) {
+	n := len(idx) + len(out) - from
+	at := func(j int) int { // the j-th slot of the work
+		if j < len(idx) {
+			return int(idx[j])
+		}
+		return from + j - len(idx)
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if w := n / 2048; workers > w {
 		workers = w
 	}
 	if workers <= 1 {
 		cx := sp.NewClassifyCtx()
-		for i := range out {
+		for j := 0; j < n; j++ {
+			i := at(j)
 			out[i] = cx.ClassifyRecord(view.At(i))
 		}
 		return
@@ -255,7 +355,8 @@ func classifyRange(sp *ShardedPipeline, view dataset.Records, out []ClassifiedRe
 		go func(lo, hi int) {
 			defer wg.Done()
 			cx := sp.NewClassifyCtx()
-			for i := lo; i < hi; i++ {
+			for j := lo; j < hi; j++ {
+				i := at(j)
 				out[i] = cx.ClassifyRecord(view.At(i))
 			}
 		}(lo, hi)
@@ -264,13 +365,15 @@ func classifyRange(sp *ShardedPipeline, view dataset.Records, out []ClassifiedRe
 }
 
 // assemble wires a classified view into an Analysis — the shared tail
-// of every constructor.
+// of every constructor. counts is the view's receiver-domain popularity
+// histogram, which the Analysis keeps.
 func assemble(view dataset.Records, verdicts []ClassifiedRecord, p *ShardedPipeline, counts map[string]int, env *Environment) *Analysis {
 	return &Analysis{
 		Records:    view,
 		Classified: verdicts,
 		Pipeline:   p,
 		Env:        env,
+		counts:     counts,
 		rank:       dataset.RankFromCounts(counts),
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/dataset"
@@ -150,11 +151,15 @@ type PartialSet struct {
 	detect    *detectCollector
 	cause     *causeCollector
 
-	part     part
-	cols     []namedPartial
-	cheap    []PartialCollector // cols but detect and durations: what round 1 folds whole
-	rankOnce sync.Once
-	rank     []dataset.RankEntry
+	part part
+	cols []namedPartial
+	// facts and labels are what round 1 folds whole: every collector but
+	// detect and durations, whose rules a bounce on another shard can
+	// change. facts read only the record and what setFacts derives from
+	// it, which is the same under every pipeline; labels read its types.
+	facts, labels []PartialCollector
+	rankOnce      sync.Once
+	rank          []dataset.RankEntry
 }
 
 // NewPartialSet returns an empty partial aggregate bound to env (which
@@ -204,16 +209,22 @@ func NewPartialSet(env *Environment) *PartialSet {
 		{"cause", ps.cause},
 	}
 	for _, np := range ps.cols {
-		if np.name != "detect" && np.name != "durations" {
-			ps.cheap = append(ps.cheap, np.c)
+		switch np.name {
+		case "detect", "durations":
+		case "domain", "as", "timeline", "enhanced", "mta", "latency":
+			ps.facts = append(ps.facts, np.c)
+		default:
+			ps.labels = append(ps.labels, np.c)
 		}
 	}
 	return ps
 }
 
 // Add folds one classified record in. PartialSet implements Collector,
-// so it plugs into visit directly. A set is folded before it is read:
-// InEmailRank does not see records added after its first call.
+// so it plugs into visit directly. Counts is not counted here: the
+// constructors seed it from the Analysis, which has it already. A set
+// is folded before it is read: InEmailRank does not see records added
+// after its first call.
 func (ps *PartialSet) Add(rec *dataset.Record, c *ClassifiedRecord) {
 	ps.addCheap(rec, c)
 	ps.detect.Add(rec, c)
@@ -223,9 +234,23 @@ func (ps *PartialSet) Add(rec *dataset.Record, c *ClassifiedRecord) {
 // addCheap folds a record into everything but detect and durations,
 // whose rules a bounce on another shard can change.
 func (ps *PartialSet) addCheap(rec *dataset.Record, c *ClassifiedRecord) {
+	ps.addFacts(rec, c)
+	ps.addLabels(rec, c)
+}
+
+// addFacts counts the record and folds it into the collectors that read
+// nothing a pipeline decides.
+func (ps *PartialSet) addFacts(rec *dataset.Record, c *ClassifiedRecord) {
 	ps.Total++
-	ps.Counts[c.ToDomain]++
-	for _, col := range ps.cheap {
+	for _, col := range ps.facts {
+		col.Add(rec, c)
+	}
+}
+
+// addLabels folds the record into the cheap collectors that read its
+// types.
+func (ps *PartialSet) addLabels(rec *dataset.Record, c *ClassifiedRecord) {
+	for _, col := range ps.labels {
 		col.Add(rec, c)
 	}
 }
@@ -325,6 +350,7 @@ func UnmarshalPartialSet(b []byte, env *Environment) (*PartialSet, error) {
 // are held to; a cluster gathers those.
 func (a *Analysis) Partials() *PartialSet {
 	ps := NewPartialSet(a.Env)
+	ps.Counts = maps.Clone(a.counts)
 	a.visit(ps)
 	ps.Pipe = a.Pipeline.Summary()
 	return ps
@@ -334,16 +360,31 @@ func (a *Analysis) Partials() *PartialSet {
 // cluster's bouncedFirst: every collector but detect and durations
 // folds every record, and those two file only what the bounced records
 // name (addFailed). Merged across shards, their state is the scope.
+// A snapshot's Analysis folds only the records that are not clean, and
+// only through what reads their types, and merges in the fold its
+// Incremental carried of the rest, which it only reads: sets are
+// order-free, so the bytes are the same.
 func (a *Analysis) BouncedPartials() *PartialSet {
 	ps := NewPartialSet(a.Env)
 	ps.part = partBounced
-	for i := range a.Classified {
+	ps.Counts = maps.Clone(a.counts)
+	fold := func(i int, add func(*dataset.Record, *ClassifiedRecord)) {
 		rec, c := a.Records.At(i), &a.Classified[i]
-		ps.addCheap(rec, c)
+		add(rec, c)
 		if c.failed() {
 			ps.detect.addFailed(rec, c)
 			ps.durations.addFailed(rec, c)
 		}
+	}
+	if a.carried == nil {
+		for i := range a.Classified {
+			fold(i, ps.addCheap)
+		}
+	} else {
+		for _, i := range a.dirty {
+			fold(int(i), ps.addLabels)
+		}
+		ps.Merge(a.carried) // the same part: cannot fail
 	}
 	ps.Pipe = a.Pipeline.Summary()
 	return ps

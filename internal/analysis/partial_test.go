@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/ndr"
 )
 
 // sameResults reports whether two analyses answer every table and
@@ -148,5 +149,99 @@ func TestUnmarshalPartialHostile(t *testing.T) {
 		// Flips that land in value bytes may decode; the property under
 		// test is "no panic, no hang" on arbitrary corruption.
 		UnmarshalPartialSet(c, nil)
+	}
+}
+
+// TestPartialFoldMergesAnySplit: round-1 folds of any two halves of a
+// corpus merge, in either order, into the bytes of the fold of the
+// whole — for random splits that are not substream-aligned, which
+// the coordinator never makes but a snapshot's carried fold of clean
+// records does (BouncedPartials merges it into the fold of the rest).
+// The environment is on, so the geo collectors fold too.
+func TestPartialFoldMergesAnySplit(t *testing.T) {
+	records, env := generated(7, 3000)
+	a := New(records, env)
+	fold := func(idx []int) *PartialSet {
+		ps := NewPartialSet(env)
+		ps.part = partBounced
+		for _, i := range idx {
+			rec, c := a.Records.At(i), &a.Classified[i]
+			ps.Counts[c.ToDomain]++
+			ps.addCheap(rec, c)
+			if c.failed() {
+				ps.detect.addFailed(rec, c)
+				ps.durations.addFailed(rec, c)
+			}
+		}
+		return ps
+	}
+	all := make([]int, len(records))
+	for i := range all {
+		all[i] = i
+	}
+	want := fold(all).Marshal()
+	rng := rand.New(rand.NewSource(35))
+	for trial := range 20 {
+		var left, right []int
+		p := rng.Float64()
+		for i := range records {
+			if rng.Float64() < p {
+				left = append(left, i)
+			} else {
+				right = append(right, i)
+			}
+		}
+		for _, order := range [][2][]int{{left, right}, {right, left}} {
+			ps := fold(order[0])
+			if err := ps.Merge(fold(order[1])); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ps.Marshal(), want) {
+				t.Fatalf("trial %d: folds of %d and %d records merge into other bytes than the fold of all %d", trial, len(order[0]), len(order[1]), len(records))
+			}
+		}
+	}
+}
+
+// TestFactCollectorsReadNoLabel: the collectors a snapshot carries for
+// every record (PartialSet.addFacts) fold the same bytes whatever a
+// pipeline made of the record's NDR lines. Every verdict's types,
+// attempt types and ambiguity are scrambled — each NDR line to another
+// type in T1..T16 — and the facts fold of the scrambled corpus must
+// equal the true one's, with an environment so the geo collectors
+// fold too.
+func TestFactCollectorsReadNoLabel(t *testing.T) {
+	records, env := generated(7, 3000)
+	a := New(records, env)
+	rng := rand.New(rand.NewSource(35))
+	scrambled := make([]ClassifiedRecord, len(a.Classified))
+	moved := 0
+	for i, c := range a.Classified {
+		s := c
+		s.AttemptTypes = append([]ndr.Type(nil), c.AttemptTypes...)
+		for j, typ := range s.AttemptTypes {
+			if typ != ndr.TNone {
+				s.AttemptTypes[j] = ndr.AllTypes[rng.Intn(len(ndr.AllTypes))]
+				moved++
+			}
+		}
+		if len(c.Types) > 0 || c.Ambiguous {
+			s.Types = []ndr.Type{ndr.AllTypes[rng.Intn(len(ndr.AllTypes))]}
+			s.Ambiguous = rng.Intn(2) == 0
+		}
+		scrambled[i] = s
+	}
+	if moved == 0 {
+		t.Fatal("degenerate corpus: no NDR line to scramble")
+	}
+	facts := func(verdicts []ClassifiedRecord) []byte {
+		ps := NewPartialSet(env)
+		for i := range verdicts {
+			ps.addFacts(a.Records.At(i), &verdicts[i])
+		}
+		return ps.Marshal()
+	}
+	if !bytes.Equal(facts(scrambled), facts(a.Classified)) {
+		t.Fatal("a fact collector folds differently under other types")
 	}
 }

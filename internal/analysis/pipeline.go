@@ -14,7 +14,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/drain"
@@ -56,7 +55,10 @@ type Pipeline struct {
 	manualCoverage float64 // share of NDRs covered by the labeled top templates
 	coveredLines   int     // NDR lines covered by the labeled top templates
 	totalLines     int     // NDR lines the builder absorbed
-	trainHash      uint64  // hash of the EBRC training set, for warm reuse
+	trainSegs      []trainSeg
+	// carry is the lineage's EBRC training state, which the next
+	// FinishWarm takes over; nil once taken, and in a batch pipeline.
+	carry *trainCarry
 }
 
 // PipelineBuilder accumulates NDR lines one record at a time, so the
@@ -133,12 +135,18 @@ func (b *PipelineBuilder) Finish() *Pipeline {
 }
 
 // FinishWarm is Finish, reusing work from prev — a finished pipeline
-// from an EARLIER point of the same builder lineage — where provably
-// equivalent: the EBRC is retrained only when the training set hash
-// moved, and majority-vote template predictions carry over when the
-// classifier and the group's sample set are unchanged. The result is
-// identical to Finish's; only the cost differs.
+// from an EARLIER point of the same builder lineage, or nil — where
+// provably equivalent: the EBRC is kept when the training set did not
+// move and otherwise rebuilt from prev's token counts, changed by only
+// the samples that came or went, and majority-vote template
+// predictions carry over when the classifier and the group's sample
+// set are unchanged. The counts pass from prev to the result, so prev
+// must not be finished against twice. The result is identical to
+// Finish's; only the cost differs.
 func (b *PipelineBuilder) FinishWarm(prev *Pipeline) *Pipeline {
+	if prev == nil {
+		prev = &Pipeline{} // nothing to reuse, but a lineage to start
+	}
 	return finishPipeline(b.p, b.total, prev)
 }
 
@@ -202,7 +210,7 @@ func finishPipeline(p *Pipeline, total int, prev *Pipeline) *Pipeline {
 	p.manualCoverage = float64(covered) / float64(total)
 
 	// 3. Train the EBRC on raw lines of the labeled templates.
-	p.Classifier = p.train(prev)
+	p.train(prev)
 	if p.Classifier == nil {
 		return p
 	}
@@ -233,21 +241,6 @@ func finishPipeline(p *Pipeline, total int, prev *Pipeline) *Pipeline {
 	return p
 }
 
-// hashSamples fingerprints an EBRC training set (FNV-1a over type and
-// text of every sample, in order).
-func hashSamples(samples []ebrc.Sample) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(b byte) { h = (h ^ uint64(b)) * 1099511628211 }
-	for _, s := range samples {
-		mix(byte(s.Type))
-		for i := 0; i < len(s.Text); i++ {
-			mix(s.Text[i])
-		}
-		mix(0xff)
-	}
-	return h
-}
-
 // sampleLine keeps up to PredictSample raw lines per group (reservoir
 // not needed: templates are homogeneous, the first N suffice and keep
 // the pipeline deterministic).
@@ -257,58 +250,112 @@ func (p *Pipeline) sampleLine(groupID int, line string) {
 	}
 }
 
-// trainScratch is what training a pipeline works in and drops: the
-// labeled group IDs in order and the training set built from them,
-// which ebrc.Train copies nothing of. finishPipeline takes one from
-// trainPool, so a node finishing its substreams on every snapshot
-// reuses one set of buffers.
-type trainScratch struct {
-	ids     []int
-	samples []ebrc.Sample
+// trainSeg is one labeled group's share of the EBRC training set: the
+// first n of its sampled lines, as samples of type typ. Samples are
+// append-only within a builder lineage, so two pipelines of one
+// lineage with equal segments train on equal sets.
+type trainSeg struct {
+	gid int
+	typ ndr.Type
+	n   int
 }
 
-var trainPool = sync.Pool{New: func() any { return new(trainScratch) }}
+// trainCarry is what a lineage of warm-finished pipelines carries of
+// its EBRC training: the training set of the last classifier, as token
+// counts. Only one pipeline of a lineage holds it at a time, and only
+// while it is being finished does anything write it.
+type trainCarry struct {
+	counts *ebrc.Counts
+	segs   []trainSeg // the set counts holds
+	ids    []int32    // add's token buffer
+}
 
-// train builds the training set and records its hash, then reuses
-// prev's classifier if prev trained on the same set, or trains a new
-// one. It returns nil when no labeled template has a sampled line.
-func (p *Pipeline) train(prev *Pipeline) *ebrc.Classifier {
-	sc := trainPool.Get().(*trainScratch)
-	defer func() {
-		clear(sc.samples) // the pool must not pin the lines
-		sc.samples = sc.samples[:0]
-		trainPool.Put(sc)
-	}()
-	samples := p.trainingSamples(sc)
-	p.trainHash = hashSamples(samples)
-	switch {
-	case len(samples) == 0:
-		return nil
-	case prev != nil && prev.Classifier != nil && prev.trainHash == p.trainHash:
-		// ebrc.Train is deterministic and the classifier immutable, so
-		// an identical training set means an identical model.
-		return prev.Classifier
+// add puts sampled lines [lo,hi) of group gid into the counts as
+// samples of type typ (k = 1), or takes them out (k = −1). A line's
+// tokens get the ids they got when it went in, so only the few lines
+// that come or go are tokenised.
+func (tc *trainCarry) add(p *Pipeline, gid int, typ ndr.Type, lo, hi, k int) {
+	for _, line := range p.groupSamples[gid][lo:hi] {
+		tc.ids = tc.counts.TokenIDs(tc.ids[:0], line)
+		tc.counts.Add(typ, tc.ids, k)
 	}
-	return ebrc.Train(samples)
 }
 
-// trainingSamples builds the EBRC training set in sc: per type, raw
-// lines matched by its labeled non-ambiguous templates, balanced across
+// moveTo changes the counts from the set tc.segs describes to the one
+// segs does: per group, the lines that came or went — all of them where
+// the group's type changed.
+func (tc *trainCarry) moveTo(p *Pipeline, segs []trainSeg) {
+	old := make(map[int]trainSeg, len(tc.segs))
+	for _, sg := range tc.segs {
+		old[sg.gid] = sg
+	}
+	for _, sg := range segs {
+		o, ok := old[sg.gid]
+		switch {
+		case !ok:
+			tc.add(p, sg.gid, sg.typ, 0, sg.n, 1)
+		case o.typ != sg.typ:
+			tc.add(p, o.gid, o.typ, 0, o.n, -1)
+			tc.add(p, sg.gid, sg.typ, 0, sg.n, 1)
+		case sg.n > o.n:
+			tc.add(p, sg.gid, sg.typ, o.n, sg.n, 1)
+		case sg.n < o.n:
+			tc.add(p, sg.gid, sg.typ, sg.n, o.n, -1)
+		}
+		delete(old, sg.gid)
+	}
+	for _, o := range old {
+		tc.add(p, o.gid, o.typ, 0, o.n, -1)
+	}
+	tc.segs = segs
+}
+
+// train builds the EBRC from the training set's segments. A batch
+// pipeline (prev nil) fits it with ebrc.Train, the reference. A warm
+// one keeps prev's classifier when the segments did not move, and
+// otherwise takes over prev's counts — or starts them, if prev has
+// none to give — and builds it from them. The classifier is nil when no
+// labeled template has a sampled line.
+func (p *Pipeline) train(prev *Pipeline) {
+	p.trainSegs = p.trainingSegments()
+	if prev == nil {
+		if samples := p.trainingSamples(); len(samples) > 0 {
+			p.Classifier = ebrc.Train(samples)
+		}
+		return
+	}
+	tc := prev.carry
+	prev.carry = nil
+	if tc != nil && slices.Equal(tc.segs, p.trainSegs) {
+		// Counts, and so the model, are prev's: the classifier is
+		// immutable and can be shared.
+		p.Classifier, p.carry = prev.Classifier, tc
+		return
+	}
+	if tc == nil {
+		tc = &trainCarry{counts: ebrc.NewCounts()}
+	}
+	tc.moveTo(p, p.trainSegs)
+	p.Classifier, p.carry = tc.counts.Classifier(), tc
+}
+
+// trainingSegments lays out the EBRC training set: per type, raw lines
+// matched by its labeled non-ambiguous templates, balanced across
 // templates. Types come in type order and a type's templates in group
-// ID order, so equal pipelines give equal sets — what FinishWarm's
-// hash comparison needs to ever find one.
-func (p *Pipeline) trainingSamples(sc *trainScratch) []ebrc.Sample {
-	sc.ids = sc.ids[:0]
+// ID order, so equal pipelines give equal segments — what FinishWarm
+// compares to keep a classifier.
+func (p *Pipeline) trainingSegments() []trainSeg {
+	var ids []int
 	var templates [ndr.NumTypes + 1]int // per type
 	for gid, typ := range p.groupType {
 		if typ < 1 || typ > ndr.NumTypes || p.groupAmbiguous[gid] || len(p.groupSamples[gid]) == 0 {
 			continue
 		}
-		sc.ids = append(sc.ids, gid)
+		ids = append(ids, gid)
 		templates[typ]++
 	}
-	slices.Sort(sc.ids)
-	out := sc.samples[:0]
+	slices.Sort(ids)
+	segs := make([]trainSeg, 0, len(ids))
 	for _, typ := range ndr.AllTypes {
 		if templates[typ] == 0 {
 			continue
@@ -317,17 +364,27 @@ func (p *Pipeline) trainingSamples(sc *trainScratch) []ebrc.Sample {
 		// each type, we try to match a similar number of raw NDR
 		// messages for each selected template".
 		per := max(p.cfg.SamplesPerType/templates[typ], 1)
-		for _, gid := range sc.ids {
-			if p.groupType[gid] != typ {
-				continue
-			}
-			lines := p.groupSamples[gid]
-			for _, line := range lines[:min(per, len(lines))] {
-				out = append(out, ebrc.Sample{Text: line, Type: typ})
+		for _, gid := range ids {
+			if p.groupType[gid] == typ {
+				segs = append(segs, trainSeg{gid, typ, min(per, len(p.groupSamples[gid]))})
 			}
 		}
 	}
-	sc.samples = out
+	return segs
+}
+
+// trainingSamples is the training set trainSegs lays out, for ebrc.Train.
+func (p *Pipeline) trainingSamples() []ebrc.Sample {
+	n := 0
+	for _, sg := range p.trainSegs {
+		n += sg.n
+	}
+	out := make([]ebrc.Sample, 0, n)
+	for _, sg := range p.trainSegs {
+		for _, line := range p.groupSamples[sg.gid][:sg.n] {
+			out = append(out, ebrc.Sample{Text: line, Type: sg.typ})
+		}
+	}
 	return out
 }
 

@@ -86,10 +86,11 @@ func (st *IncrementalState) MarshalBinary() ([]byte, error) {
 }
 
 // RestoreIncremental rebuilds an Incremental from a MarshalBinary blob.
-// The popularity counts are recomputed from the records (cheaper than
-// storing them, and provably consistent); the verdict cache starts
-// empty, so the first post-restore snapshot runs cold and later ones
-// warm — results are byte-identical either way.
+// The popularity counts and the list of records that are not clean are
+// recomputed from the records (cheaper than storing them, and provably
+// consistent); nothing is carried, so the first post-restore snapshot
+// runs cold and later ones warm — results are byte-identical either
+// way.
 func RestoreIncremental(b []byte) (*Incremental, error) {
 	d := &dec{b: b}
 	d.checkVersion("incremental state", incStateVersion)
@@ -108,6 +109,9 @@ func RestoreIncremental(b []byte) (*Incremental, error) {
 		rec := d.record()
 		inc.store.Append(rec)
 		inc.counts[rec.ToDomain()]++
+		if !clean(&rec) {
+			inc.dirty = append(inc.dirty, int32(i))
+		}
 	}
 	for s := range inc.b {
 		total := d.intv()

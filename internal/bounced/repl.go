@@ -347,6 +347,9 @@ func (s *Server) Promote(epoch uint64, reason string) bool {
 		s.epoch.Store(epoch)
 	}
 	s.j.promotions.Add(1)
+	// A new primary's first report runs cold, as a restored or resynced
+	// node's does: it starts from no carried snapshot state.
+	s.incState().DropCarried()
 	log.Printf("bounced: promoted to primary at epoch %d: %s", s.epoch.Load(), reason)
 	go func() {
 		if err := s.j.checkpoint(); err != nil {

@@ -314,6 +314,118 @@ func tokenIDs(vocab map[string]int, ids []int32, line string, grow bool) []int32
 	return ids
 }
 
+// Counts holds a training multiset as what Train reads of it: samples
+// per type, and per type how often each token occurs. Samples come and
+// go one at a time (Add with k = +1 or −1) as the token ids TokenIDs
+// gives their text, the same ids every time, so a set that changes by
+// a few samples between two trainings tokenises only those;
+// Classifier then rebuilds the model from the counts. The result
+// equals Train over the same multiset, which depends on nothing else:
+// not the sample order, not the order tokens were first seen in. A
+// Counts is not safe for concurrent use; the classifiers it builds are
+// immutable.
+type Counts struct {
+	vocab   map[string]int            // every token ever seen, by first-seen id
+	samples int                       // samples in the multiset
+	perType [ndr.NumTypes + 1]int     // samples per type
+	tokens  [ndr.NumTypes + 1]int     // token occurrences per type
+	cnt     [ndr.NumTypes + 1][]int32 // per type, occurrences per token id; a short row ends in zeroes
+	total   []int32                   // per token id, occurrences over every type
+}
+
+// NewCounts returns an empty multiset.
+func NewCounts() *Counts { return &Counts{vocab: make(map[string]int)} }
+
+// TokenIDs appends the ids of Tokenize(line)'s tokens to dst, giving a
+// token seen for the first time the next free id. A token keeps its id
+// for the life of c.
+func (c *Counts) TokenIDs(dst []int32, line string) []int32 {
+	dst = tokenIDs(c.vocab, dst, line, true)
+	for len(c.total) < len(c.vocab) {
+		c.total = append(c.total, 0)
+	}
+	return dst
+}
+
+// Add puts k copies of a sample into the multiset (k < 0 takes −k
+// out): its type and the ids TokenIDs gave its text. typ must be one of
+// T1..T16, the types Train gives a class, and a sample is only taken
+// out after it was put in.
+func (c *Counts) Add(typ ndr.Type, ids []int32, k int) {
+	if typ < 1 || typ > ndr.NumTypes {
+		panic("ebrc: a counted sample needs a type in T1..T16")
+	}
+	c.samples += k
+	c.perType[typ] += k
+	c.tokens[typ] += k * len(ids)
+	row := c.cnt[typ]
+	if len(row) < len(c.total) {
+		row = append(row, make([]int32, len(c.total)-len(row))...)
+		c.cnt[typ] = row
+	}
+	for _, vi := range ids {
+		row[vi] += int32(k)
+		c.total[vi] += int32(k)
+	}
+}
+
+// Classifier builds the model Train would fit on the multiset, or nil
+// for an empty one. The vocabulary is the tokens the multiset holds now,
+// however many more it held before.
+func (c *Counts) Classifier() *Classifier {
+	if c.samples == 0 {
+		return nil
+	}
+	// Dense ids for the tokens present, in first-seen order; a token
+	// no sample holds any more has none, as Train would never have seen
+	// it.
+	dense := make([]int32, len(c.total))
+	nv := 0
+	for g, n := range c.total {
+		dense[g] = -1
+		if n > 0 {
+			dense[g] = int32(nv)
+			nv++
+		}
+	}
+	cl := &Classifier{vocab: make(map[string]int, nv)}
+	for tok, g := range c.vocab {
+		if dense[g] >= 0 {
+			cl.vocab[tok] = int(dense[g])
+		}
+	}
+	for _, t := range ndr.AllTypes {
+		if c.perType[t] > 0 {
+			cl.classes = append(cl.classes, t)
+		}
+	}
+	nc := len(cl.classes)
+	cl.logPrior = make([]float64, nc)
+	cl.logLik = make([][]float64, nc)
+	cells := make([]float64, nc*(nv+1))
+	for ci, t := range cl.classes {
+		row := cells[ci*(nv+1) : (ci+1)*(nv+1) : (ci+1)*(nv+1)]
+		cl.logLik[ci] = row
+		cl.logPrior[ci] = math.Log(float64(c.perType[t]) / float64(c.samples))
+		// Train's arithmetic, on the same integers: the counts are
+		// exact in a float64, so every cell is bit-identical.
+		denom := float64(c.tokens[t]) + float64(nv+1)
+		unseen := math.Log(1 / denom)
+		cnt := c.cnt[t]
+		for g, d := range dense {
+			switch {
+			case d < 0:
+			case g < len(cnt) && cnt[g] > 0:
+				row[d] = math.Log((float64(cnt[g]) + 1) / denom)
+			default:
+				row[d] = unseen // log((0+1)/denom)
+			}
+		}
+		row[nv] = unseen
+	}
+	return cl
+}
+
 // Classes returns the types the classifier can predict.
 func (c *Classifier) Classes() []ndr.Type {
 	return append([]ndr.Type(nil), c.classes...)

@@ -1166,6 +1166,7 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, errors.New("truncated checkpoint")
 	}
 	rest = rest[w:]
+	var prev string
 	for i := uint64(0); i < n; i++ {
 		nameLen, w := binary.Uvarint(rest)
 		if w <= 0 || uint64(len(rest)-w) < nameLen {
@@ -1173,6 +1174,12 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 		}
 		name := string(rest[w : w+int(nameLen)])
 		rest = rest[w+int(nameLen):]
+		if i > 0 && name <= prev {
+			// encodeCheckpoint writes each section once, names in
+			// order: a repeat would silently replace what came first.
+			return nil, fmt.Errorf("checkpoint section %q after %q: names repeat or are out of order", name, prev)
+		}
+		prev = name
 		secLen, w2 := binary.Uvarint(rest)
 		if w2 <= 0 || uint64(len(rest)-w2) < secLen {
 			return nil, errors.New("truncated checkpoint")

@@ -1,13 +1,17 @@
 package bounce_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro"
+	"repro/internal/analysis"
+	"repro/internal/world"
 )
 
 // TestWorkerCountInvariance runs the full study at several worker
@@ -60,6 +64,62 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.table2, base.table2) {
 			t.Errorf("workers=%d: Table 2 differs:\n%v\nvs\n%v", workers, got.table2, base.table2)
+		}
+	}
+}
+
+// TestIncrementalStudyRendersWhileNextSnapshots: a node's study of
+// snapshot k renders — every section, its round-1 set marshalled for a
+// coordinator — while snapshots k+1 and k+2 copy the verdicts and
+// extend the fold of clean records that study k reads. Under -race
+// (make race-parallel) nothing may race, and study k's report must be
+// the batch report over its own records, unmoved by what came after.
+func TestIncrementalStudyRendersWhileNextSnapshots(t *testing.T) {
+	w, records := bounce.GenerateParallel(world.TinyConfig(), 2)
+	env := bounce.NewEnvironment(w)
+	n := len(records) / 2
+	inc := analysis.NewIncremental(analysis.DefaultPipelineConfig())
+	inc.AddBatch(records[:n])
+	a := inc.Snapshot(env)
+	st := &bounce.Study{Records: a.Records, Analysis: a}
+
+	var want bytes.Buffer
+	ref := analysis.New(records[:n], env)
+	if err := (&bounce.Study{Records: ref.Records, Analysis: ref}).WriteReport(&want, bounce.AllSections); err != nil {
+		t.Fatal(err)
+	}
+	wantPartial := ref.BouncedPartials().Marshal()
+
+	got := make([][]byte, 3)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf bytes.Buffer
+			if err := st.WriteReport(&buf, bounce.AllSections); err != nil {
+				t.Error(err)
+			}
+			got[i] = buf.Bytes()
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if !bytes.Equal(a.BouncedPartials().Marshal(), wantPartial) {
+			t.Error("the round-1 set of snapshot k differs from the batch one")
+		}
+	}()
+	step := (len(records) - n) / 2
+	for _, end := range []int{n + step, len(records)} {
+		inc.AddBatch(records[n:end])
+		n = end
+		inc.Snapshot(env)
+	}
+	wg.Wait()
+	for i, b := range got {
+		if !bytes.Equal(b, want.Bytes()) {
+			t.Errorf("report %d of snapshot k differs from the batch report over its records (%d vs %d bytes)", i, len(b), want.Len())
 		}
 	}
 }

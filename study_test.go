@@ -2,6 +2,7 @@ package bounce_test
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"sort"
 	"strings"
@@ -276,5 +277,40 @@ func TestStudyPartialsOnce(t *testing.T) {
 	}
 	if want := base.Analysis.Partials().Marshal(); !bytes.Equal(got[0].Marshal(), want) {
 		t.Error("the shared aggregate differs from a.Partials()")
+	}
+}
+
+// TestStudySquatsOnce: the squat and advice sections and Summary all
+// read the default-config squat scan, which runs once per study however
+// many of them, and however many concurrent reports, ask; a scan with
+// another configuration is not the cached one.
+func TestStudySquatsOnce(t *testing.T) {
+	base := tinyStudy(t)
+	scans := 0
+	defer bounce.CountSquatScans(&scans)()
+	st := &bounce.Study{World: base.World, Records: base.Records, Analysis: base.Analysis}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := st.WriteReport(io.Discard, bounce.AllSections); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	st.Summary()
+	if scans != 1 {
+		t.Fatalf("four full reports and a Summary scanned %d times, want 1", scans)
+	}
+	if st.Squat(squat.DefaultConfig()) != st.Squat(squat.DefaultConfig()) {
+		t.Fatal("the default-config scan is not the cached one")
+	}
+	cfg := squat.DefaultConfig()
+	cfg.MaxUsernameProbes++
+	st.Squat(cfg)
+	if scans != 2 {
+		t.Fatalf("a scan with another configuration ran %d scans in all, want 2", scans)
 	}
 }
