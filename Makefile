@@ -93,10 +93,12 @@ chaos-shard-failover:
 # aggregates over one cached study, on one partial set rendered by
 # concurrent readers, on a study rendered while the next snapshots copy
 # its verdicts and extend its fold of clean records, on the squat scan
-# shared by concurrent reports, and on records that land between a
-# coordinator's two fan-in rounds (fast enough for every commit).
+# shared by concurrent reports, on records that land between a
+# coordinator's two fan-in rounds, and on /metrics and /v1/stats scraped
+# while a durable node applies, checkpoints, promotes and ingests (fast
+# enough for every commit).
 race-parallel:
-	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials|StudySquats|SharedPartialSet|BetweenRounds' ./...
+	$(GO) test -race -run 'Parallel|WorkerCount|DeliverBatch|Pipe|FromSource|Incremental|Frozen|Decoder|ReadTailPayloads|Commit|ApplyBatch|SourceEquivalence|StudyDurations|StudyPartials|StudySquats|SharedPartialSet|BetweenRounds|ScrapeWhileServing' ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

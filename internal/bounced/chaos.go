@@ -392,7 +392,12 @@ func ChaosVerify(url string, res *ChaosResult) error {
 		return err
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st struct {
+		Accepted        uint64 `json:"accepted"`
+		RecordsShed     uint64 `json:"records_shed"`
+		RecordsRejected uint64 `json:"records_rejected"`
+		RecordsDeduped  uint64 `json:"records_deduped"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}

@@ -391,68 +391,43 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(buf.String()))
 }
 
-// coordinatorStats is the coordinator's /v1/stats schema.
-type coordinatorStats struct {
-	UptimeSeconds float64     `json:"uptime_seconds"`
-	Shards        []shardInfo `json:"shards"`
-	Records       int         `json:"records"`
-	MergeMs       float64     `json:"merge_ms"`
-	Fanins        uint64      `json:"fanins"`
-	FaninErrors   uint64      `json:"fanin_errors"`
-	Reprobes      uint64      `json:"reprobes"`
-	Reports       uint64      `json:"reports"`
-}
-
-// handleStats fans in fresh shard snapshots and reports the topology,
-// including each shard's replication epoch and worst standby lag.
+// handleStats fans in fresh shard snapshots, then serves the scrape as
+// JSON: the topology, with each shard's replication epoch and worst
+// standby lag, as that gather saw it.
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	merged, infos, err := c.gather(r.Context())
-	if err != nil {
+	if _, _, err := c.gather(r.Context()); err != nil {
 		httpError(w, http.StatusServiceUnavailable, 0, 0, err.Error())
 		return
 	}
-	c.mu.Lock()
-	ms := c.lastMergeMs
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, coordinatorStats{
-		UptimeSeconds: time.Since(c.startedAt).Seconds(),
-		Shards:        infos,
-		Records:       merged.Total,
-		MergeMs:       ms,
-		Fanins:        c.fanins.Load(),
-		FaninErrors:   c.faninErrs.Load(),
-		Reprobes:      c.reprobes.Load(),
-		Reports:       c.reports.Load(),
-	})
+	serveScrape(w, false, c.scrape)
 }
 
-// handleMetrics serves the coordinator counters in Prometheus text
-// format. It does not fan in: metrics reflect the last gather, so a
-// scrape never hammers the shard tier.
+// handleMetrics serves the scrape as Prometheus text. It does not fan
+// in: metrics reflect the last gather, so a scrape never hammers the
+// shard tier.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	serveScrape(w, true, c.scrape)
+}
+
+// scrape walks everything a coordinator exports, once, as of the last
+// gather.
+func (c *Coordinator) scrape(w *scrape) {
 	c.mu.Lock()
-	ms := c.lastMergeMs
-	records := c.lastRecords
-	shards := append([]shardInfo(nil), c.lastShards...)
+	ms, records, shards := c.lastMergeMs, c.lastRecords, c.lastShards
 	c.mu.Unlock()
-	var b strings.Builder
-	gauge(&b, "coordinator_shards", "Configured shard nodes.", len(c.cfg.ShardURLs))
-	gauge(&b, "coordinator_records", "Records covered by the last merged snapshot.", records)
-	gauge(&b, "coordinator_merge_ms", "Milliseconds the last partial merge took.", ms)
-	counter(&b, "coordinator_fanins_total", "Successful shard fan-ins.", c.fanins.Load())
-	counter(&b, "coordinator_fanin_errors_total", "Fan-ins failed by an unreachable or invalid shard.", c.faninErrs.Load())
-	counter(&b, "coordinator_reprobes_total", "Second-chance shard re-probes after a failed fetch.", c.reprobes.Load())
-	counter(&b, "coordinator_reports_total", "Merged reports rendered.", c.reports.Load())
-	if len(shards) > 0 {
-		family(&b, "coordinator_shard_epoch", "Replication epoch of the shard's elected primary at the last gather.", "gauge")
-		for _, s := range shards {
-			fmt.Fprintf(&b, "coordinator_shard_epoch{shard=%q} %d\n", s.URL, s.Epoch)
-		}
-		family(&b, "coordinator_shard_lag_records", "Worst standby lag (records) behind the shard's primary at the last gather.", "gauge")
-		for _, s := range shards {
-			fmt.Fprintf(&b, "coordinator_shard_lag_records{shard=%q} %d\n", s.URL, s.LagRecords)
-		}
+	w.value("uptime_seconds", time.Since(c.startedAt).Seconds())
+	w.gauge("coordinator_shards", "Configured shard nodes.", "", len(c.cfg.ShardURLs))
+	w.value("shards", shards)
+	w.gauge("coordinator_records", "Records covered by the last merged snapshot.", "records", records)
+	w.gauge("coordinator_merge_ms", "Milliseconds the last partial merge took.", "merge_ms", ms)
+	w.counter("coordinator_fanins_total", "Successful shard fan-ins.", "fanins", c.fanins.Load())
+	w.counter("coordinator_fanin_errors_total", "Fan-ins failed by an unreachable or invalid shard.", "fanin_errors", c.faninErrs.Load())
+	w.counter("coordinator_reprobes_total", "Second-chance shard re-probes after a failed fetch.", "reprobes", c.reprobes.Load())
+	w.counter("coordinator_reports_total", "Merged reports rendered.", "reports", c.reports.Load())
+	epochs, lags := make([]labelled, len(shards)), make([]labelled, len(shards))
+	for i, s := range shards {
+		epochs[i], lags[i] = labelled{s.URL, s.Epoch}, labelled{s.URL, s.LagRecords}
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write([]byte(b.String()))
+	w.labelledFamily("coordinator_shard_epoch", "Replication epoch of the shard's elected primary at the last gather.", "gauge", "", "shard", false, epochs)
+	w.labelledFamily("coordinator_shard_lag_records", "Worst standby lag (records) behind the shard's primary at the last gather.", "gauge", "", "shard", false, lags)
 }

@@ -305,6 +305,51 @@ func TestServerFaultInjectionSurfacesDecodeError(t *testing.T) {
 	}
 }
 
+// TestFaultsInjectedIsSumOfKinds: after a faulted ingest, /v1/stats'
+// faults_injected is exactly the sum of its faults_by_kind, and of the
+// /metrics samples — all three come from one read of the counters.
+func TestFaultsInjectedIsSumOfKinds(t *testing.T) {
+	records, env := fixture(t)
+	srv := newServer(t, bounced.Config{
+		Env:    env,
+		Faults: &faultinject.Spec{Seed: 5, Torn: 0.5, Corrupt: 0.5},
+	})
+	defer srv.Abort()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Both cuts land in the first 32 KiB, so a larger body trips every
+	// fault its plan draws.
+	body := encodeNDJSON(t, records[:50])
+	for len(body) <= 33<<10 {
+		body = append(body, body...)
+	}
+	for range 8 {
+		postRecords(t, ts.URL, body)
+	}
+	st := serverStats(t, ts.URL)
+	byKind, _ := st["faults_by_kind"].(map[string]any)
+	var sum float64
+	for _, n := range byKind {
+		sum += n.(float64)
+	}
+	if len(byKind) < 2 || st["faults_injected"] != sum {
+		t.Fatalf("faults_injected = %v, faults_by_kind = %v: want two kinds summing to the total", st["faults_injected"], byKind)
+	}
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	var promSum float64
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if strings.HasPrefix(line, "bounced_faults_injected_total{") {
+			var n float64
+			fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n)
+			promSum += n
+		}
+	}
+	if promSum != sum {
+		t.Fatalf("/metrics faults sum to %v, /v1/stats to %v", promSum, sum)
+	}
+}
+
 // TestReadDeadlineCutsSlowLoris: a client that trickles its body
 // slower than the read deadline must be cut off with 408 instead of
 // holding the ingest goroutine hostage, keeping the complete prefix.

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -263,4 +267,212 @@ func TestCoordinatorStatsGolden(t *testing.T) {
 	body := bytes.ReplaceAll(get(t, c.Handler(), "/v1/stats"), []byte(ts.URL), []byte("http://shard:1"))
 	body = regexp.MustCompile(`"merge_ms": [^,\n]+`).ReplaceAll(body, []byte(`"merge_ms": 0`))
 	checkGolden(t, "coordinator_stats.golden", pinStats(t, body))
+}
+
+// promSample matches one /metrics sample line: a name, an optional
+// label set, a value.
+var promSample = regexp.MustCompile(`^([a-z_]+)(\{[^}]*\})? (\S+)$`)
+
+// promCounters parses a /metrics body, failing on any line that is
+// neither a HELP/TYPE comment nor a sample, and returns the samples of
+// the counter and histogram families by name and label set.
+func promCounters(body []byte) (map[string]float64, error) {
+	out := map[string]float64{}
+	typ := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			typ[f[2]] = f[3]
+			continue
+		}
+		if strings.HasPrefix(line, "# HELP ") {
+			continue
+		}
+		m := promSample.FindStringSubmatch(line)
+		if m == nil {
+			return nil, fmt.Errorf("unparsable line %q", line)
+		}
+		v, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			return nil, fmt.Errorf("line %q: %v", line, err)
+		}
+		fam := m[1]
+		if typ[fam] == "" {
+			for _, suf := range []string{"_bucket", "_sum", "_count"} {
+				fam = strings.TrimSuffix(fam, suf)
+			}
+		}
+		switch typ[fam] {
+		case "counter", "histogram":
+			out[m[1]+m[2]] = v
+		case "gauge":
+		default:
+			return nil, fmt.Errorf("sample %q of no declared family", line)
+		}
+	}
+	return out, nil
+}
+
+// statsCounters are the /v1/stats members that only grow while a node
+// ingests, applies, checkpoints and promotes.
+var statsCounters = [][]string{
+	{"accepted"}, {"consumed"}, {"batches"}, {"snapshots"}, {"faults_injected"},
+	{"classify_latency", "count"},
+	{"durability", "appended_records"}, {"durability", "checkpoints"},
+	{"durability", "next_index"}, {"durability", "fsync_latency", "count"},
+	{"replication", "epoch"}, {"replication", "next_index"}, {"replication", "promotions"},
+	{"replication", "applies"}, {"replication", "applied_records"},
+}
+
+// jsonCounters decodes a /v1/stats body and returns statsCounters'
+// values by path.
+func jsonCounters(body []byte) (map[string]float64, error) {
+	var m map[string]any
+	if err := json.Unmarshal(body, &m); err != nil {
+		return nil, err
+	}
+	out := map[string]float64{}
+	for _, path := range statsCounters {
+		var v any = m
+		for _, k := range path {
+			obj, ok := v.(map[string]any)
+			if !ok {
+				return nil, fmt.Errorf("%v: not an object on the way", path)
+			}
+			v = obj[k]
+		}
+		n, ok := v.(float64)
+		if !ok {
+			return nil, fmt.Errorf("%v = %v, not a number", path, v)
+		}
+		out[strings.Join(path, ".")] = n
+	}
+	return out, nil
+}
+
+// TestScrapeWhileServing scrapes /metrics and /v1/stats concurrently
+// on a durable node while it applies a primary's log as a standby,
+// checkpoints, snapshots, is promoted and then ingests on its own.
+// Every body must parse, and no counter may fall between one scrape
+// and the next of the same endpoint.
+func TestScrapeWhileServing(t *testing.T) {
+	peng := store.NewMem()
+	primary, err := New(Config{QueueDepth: 64, Store: peng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Abort()
+	for i := 0; i < 200; i += 20 {
+		if _, err := primary.IngestBatch(syncTestRecords(i, i+20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var units []*replication.Unit
+	if _, err := peng.ReadTail(0, func(start uint64, b store.RawBatch) error {
+		u := &replication.Unit{Start: start, ID: b.ID}
+		for _, p := range b.Payloads {
+			u.Payloads = append(u.Payloads, append([]byte(nil), p...))
+		}
+		units = append(units, u)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{QueueDepth: 64, Standby: true, Store: store.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	sl, err := replication.NewStandby(replication.StandbyConfig{PrimaryURL: "http://primary:1", ID: "http://standby:2"}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetSync(sl)
+	h := s.Handler()
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	// A scraper reports its first failure and then only keeps counting,
+	// so step never waits on it in vain.
+	var scrapes atomic.Int64
+	scraper := func(path string, parse func([]byte) (map[string]float64, error)) {
+		defer wg.Done()
+		var prev map[string]float64
+		failed := false
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			cur, err := parse(rec.Body.Bytes())
+			if !failed && (rec.Code != http.StatusOK || err != nil) {
+				t.Errorf("%s: status %d: %v\n%s", path, rec.Code, err, rec.Body)
+				failed = true
+			}
+			for k, v := range cur {
+				if p, ok := prev[k]; ok && v < p && !failed {
+					t.Errorf("%s: %s fell from %v to %v", path, k, p, v)
+					failed = true
+				}
+			}
+			prev = cur
+			scrapes.Add(1)
+		}
+	}
+	// step lets the two endpoints be scraped twice more, together,
+	// between two steps of the serving sequence.
+	step := func() {
+		for n := scrapes.Load(); scrapes.Load() < n+2; {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	wg.Add(3)
+	go scraper("/metrics", promCounters)
+	go scraper("/v1/stats", jsonCounters)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := s.CheckpointNow(); err != nil {
+				t.Errorf("checkpoint: %v", err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
+	for i, u := range units {
+		if err := s.ApplyBatch(u); err != nil {
+			t.Fatal(err)
+		}
+		step()
+		if i == len(units)/2 {
+			s.study()
+		}
+	}
+	if !s.Promote(2, "test") {
+		t.Fatal("Promote returned false on a standby")
+	}
+	step()
+	for i := 200; i < 400; i += 20 {
+		if _, err := s.IngestBatch(syncTestRecords(i, i+20)); err != nil {
+			t.Fatal(err)
+		}
+		step()
+		if i == 300 {
+			s.study()
+		}
+	}
+	s.waitConsumed(400)
 }

@@ -212,15 +212,6 @@ func (in *Injector) Counts() map[string]uint64 {
 	return out
 }
 
-// Total returns the total number of faults fired so far.
-func (in *Injector) Total() uint64 {
-	var n uint64
-	for _, v := range in.Counts() {
-		n += v
-	}
-	return n
-}
-
 // ConsumerStall returns the per-record consumer delay (zero when the
 // stall fault is disabled).
 func (in *Injector) ConsumerStall() time.Duration { return in.spec.Stall }
