@@ -58,6 +58,8 @@ func (w *scrape) series(name, help, typ, key string, v any) {
 		w.b = fmt.Appendf(w.b, "%s %v\n", name, v)
 	} else if !w.prom && key != "" {
 		w.key(key)
+		// Only a NaN or infinite float fails to marshal; the member is
+		// then empty, and writeJSON sends the invalid body as nothing.
 		j, _ := json.Marshal(v)
 		w.b = append(w.b, j...)
 	}
@@ -210,9 +212,9 @@ func (s *Server) scrape(w *scrape) {
 		degrees = append(degrees, labelled{d.String(), s.degrees[int(d)].Load()})
 	}
 	w.labelledFamily("bounced_bounce_degree_total", "Records by bounce degree.", "counter", "degrees", "degree", false, degrees)
-	types := make([]labelled, len(ndr.AllTypes))
-	for i, t := range ndr.AllTypes {
-		types[i] = labelled{t.String(), s.typeHits[t].Load()}
+	var types []labelled
+	for _, t := range ndr.AllTypes {
+		types = append(types, labelled{t.String(), s.typeHits[t].Load()})
 	}
 	w.labelledFamily("bounced_bounce_type_total", "Live-classified failed attempts by bounce type.", "counter", "types", "type", true, types)
 	w.counter("bounced_ambiguous_records_total", "Live-classified records with only ambiguous failures.", "ambiguous_live", s.ambiguous.Load())
