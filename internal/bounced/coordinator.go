@@ -392,29 +392,37 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats fans in fresh shard snapshots, then serves the scrape as
-// JSON: the topology, with each shard's replication epoch and worst
-// standby lag, as that gather saw it.
+// JSON: the records and topology, with each shard's replication epoch
+// and worst standby lag, as this request's gather saw them. merge_ms is
+// the latest completed gather's.
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	if _, _, err := c.gather(r.Context()); err != nil {
+	merged, infos, err := c.gather(r.Context())
+	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, 0, 0, err.Error())
 		return
 	}
-	serveScrape(w, false, c.scrape)
+	ms, _, _ := c.last()
+	serveScrape(w, false, func(s *scrape) { c.scrape(s, ms, merged.Total, infos) })
 }
 
 // handleMetrics serves the scrape as Prometheus text. It does not fan
 // in: metrics reflect the last gather, so a scrape never hammers the
 // shard tier.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	serveScrape(w, true, c.scrape)
+	ms, records, shards := c.last()
+	serveScrape(w, true, func(s *scrape) { c.scrape(s, ms, records, shards) })
 }
 
-// scrape walks everything a coordinator exports, once, as of the last
-// gather.
-func (c *Coordinator) scrape(w *scrape) {
+// last returns what the latest completed gather saw.
+func (c *Coordinator) last() (mergeMs float64, records int, shards []shardInfo) {
 	c.mu.Lock()
-	ms, records, shards := c.lastMergeMs, c.lastRecords, c.lastShards
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	return c.lastMergeMs, c.lastRecords, c.lastShards
+}
+
+// scrape walks everything a coordinator exports, once, given one
+// gather's merge time, record count and topology.
+func (c *Coordinator) scrape(w *scrape, ms float64, records int, shards []shardInfo) {
 	w.value("uptime_seconds", time.Since(c.startedAt).Seconds())
 	w.gauge("coordinator_shards", "Configured shard nodes.", "", len(c.cfg.ShardURLs))
 	w.value("shards", shards)

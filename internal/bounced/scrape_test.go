@@ -3,7 +3,6 @@ package bounced
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -24,8 +23,6 @@ import (
 	"repro/internal/replication"
 	"repro/internal/store"
 )
-
-var updateGoldens = flag.Bool("update", false, "rewrite the scrape goldens under testdata/")
 
 // get serves one GET on h and returns the body.
 func get(t *testing.T, h http.Handler, path string) []byte {
@@ -91,17 +88,10 @@ func pinStats(t *testing.T, body []byte) []byte {
 	return out.Bytes()
 }
 
-// checkGolden compares got with testdata/name, or rewrites the file
-// under -update.
+// checkGolden compares got with testdata/name.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if *updateGoldens {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
