@@ -38,10 +38,11 @@ loc:
 # bench-allocs prints what one cold report allocates in process — a
 # snapshot of the benchmark's 80k emails, Detect, every section, no
 # environment — and beside it one delta report, after 1,000 more
-# records on a warm accumulator, as ns/op, B/op and allocs/op.
-# Reported, never asserted.
+# records on a warm accumulator, a snapshot's Detect and Figure 7 alone,
+# cold and warm, and a two-shard cluster's delta report, as ns/op, B/op
+# and allocs/op. Reported, never asserted.
 bench-allocs:
-	$(GO) test -run '^$$' -bench 'ReportCold/no-env|ReportDelta/no-env' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'ReportCold/no-env|ReportDelta/no-env|DetectFig7|ClusterReport/two-rounds-delta' -benchtime 1x -benchmem .
 
 # race runs the whole suite under the race detector.
 race:
@@ -92,8 +93,9 @@ chaos-shard-failover:
 # cut from shared chunks) and on concurrent reports and partial
 # aggregates over one cached study, on one partial set rendered by
 # concurrent readers, on a study rendered while the next snapshots copy
-# its verdicts and extend its fold of clean records, on the squat scan
-# shared by concurrent reports, on records that land between a
+# its verdicts and extend its fold and index of clean records, on one
+# snapshot's scoped detect pass shared by concurrent callers, on the
+# squat scan shared by concurrent reports, on records that land between a
 # coordinator's two fan-in rounds, and on /metrics and /v1/stats scraped
 # while a durable node applies, checkpoints, promotes and ingests (fast
 # enough for every commit).

@@ -196,6 +196,8 @@ func BenchmarkStudyFold(b *testing.B) {
 
 // ---- Figure 7 ----
 
+// BenchmarkFig7Durations resolves Figure 7 from the study's scoped
+// pass, which Detect made (BenchmarkDetectFig7 times both).
 func BenchmarkFig7Durations(b *testing.B) {
 	s := study(b)
 	var f analysis.DurationsFigure
@@ -223,18 +225,28 @@ func BenchmarkSquatFunnel(b *testing.B) {
 	cfg := squat.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = squat.Scan(s.Analysis, s.Analysis.Detect(), cfg) // includes fresh detections
+		_ = squat.Scan(s.Analysis, s.Detections, cfg)
 	}
 }
 
 // ---- Section 4.2.1 ----
 
+// BenchmarkAttackerAnalysis times the detections of a fresh batch
+// Analysis of the study's records: an Analysis makes them once.
 func BenchmarkAttackerAnalysis(b *testing.B) {
 	s := study(b)
+	records := make([]dataset.Record, s.Records.Len())
+	for i := range records {
+		records[i] = *s.Records.At(i)
+	}
+	env := bounce.NewEnvironment(benchWorld)
 	var d *analysis.Detections
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d = s.Analysis.Detect()
+		b.StopTimer()
+		a := analysis.New(records, env)
+		b.StartTimer()
+		d = a.Detect()
 	}
 	b.ReportMetric(float64(len(d.BulkSpamSenders)), "bulk-senders")
 }
@@ -321,39 +333,117 @@ func BenchmarkReportDelta(b *testing.B) {
 	})
 }
 
+// BenchmarkDetectFig7 times a snapshot's Detect and Figure 7 alone —
+// the scoped pass both resolve and the two resolutions — over the
+// process benchmark's 80k emails with no environment (-no-env). cold
+// is the first snapshot of a restored accumulator, which builds its
+// clean index; warm is the next one after 1,000 more records, which
+// extends it.
+func BenchmarkDetectFig7(b *testing.B) {
+	const delta = 1000
+	cfg := world.DefaultConfig()
+	cfg.TotalEmails = 80_000
+	_, records := bounce.GenerateParallel(cfg, 2)
+	base, tail := records[:len(records)-delta], records[len(records)-delta:]
+	inc := analysis.NewIncremental(analysis.DefaultPipelineConfig())
+	inc.AddBatch(base)
+	state, err := inc.CaptureState().MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				inc, err := analysis.RestoreIncremental(state)
+				if err != nil {
+					b.Fatal(err)
+				}
+				a := inc.Snapshot(nil)
+				if warm {
+					inc.AddBatch(tail)
+					a = inc.Snapshot(nil)
+				}
+				b.StartTimer()
+				a.Durations(a.Detect())
+			}
+		})
+	}
+}
+
 // BenchmarkClusterReport is what a two-shard cluster does for the first
 // report after an ingest, without the processes: over the process
 // benchmark's 80k emails split by substream owner, each shard takes a
 // cold snapshot, then the coordinator gathers, merges and renders every
 // partial section, with no environment (-no-env). two-rounds is the
 // fan-in a coordinator runs (analysis.GatherPartials); whole-partials
-// ships every shard's Partials() reference instead.
+// ships every shard's Partials() reference instead. two-rounds-delta is
+// the report after the next 1,000 records: the shards hold all but the
+// last 1,000 records and have answered one report, the records land on
+// their owners, and the clock times the warm snapshots and the fan-in.
 func BenchmarkClusterReport(b *testing.B) {
-	const shards = 2
+	const shards, delta = 2, 1000
 	cfg := world.DefaultConfig()
 	cfg.TotalEmails = 80_000
 	_, records := bounce.GenerateParallel(cfg, 2)
-	parts := make([][]dataset.Record, shards)
-	for i := range records {
-		own := analysis.OwnerOf(&records[i], shards)
-		parts[own] = append(parts[own], records[i])
+	split := func(records []dataset.Record) [][]dataset.Record {
+		parts := make([][]dataset.Record, shards)
+		for i := range records {
+			own := analysis.OwnerOf(&records[i], shards)
+			parts[own] = append(parts[own], records[i])
+		}
+		return parts
 	}
-	states := make([][]byte, shards)
-	for i, part := range parts {
-		inc := analysis.NewIncremental(analysis.DefaultPipelineConfig())
-		inc.AddBatch(part)
-		var err error
-		if states[i], err = inc.CaptureState().MarshalBinary(); err != nil {
+	capture := func(parts [][]dataset.Record) [][]byte {
+		states := make([][]byte, shards)
+		for i, part := range parts {
+			inc := analysis.NewIncremental(analysis.DefaultPipelineConfig())
+			inc.AddBatch(part)
+			var err error
+			if states[i], err = inc.CaptureState().MarshalBinary(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return states
+	}
+	states := capture(split(records))
+	baseStates, tails := capture(split(records[:len(records)-delta])), split(records[len(records)-delta:])
+	restore := func(states [][]byte) []*analysis.Incremental {
+		incs := make([]*analysis.Incremental, shards)
+		for s := range incs {
+			var err error
+			if incs[s], err = analysis.RestoreIncremental(states[s]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return incs
+	}
+	report := func(incs []*analysis.Incremental, gather func([]*analysis.Analysis) (*analysis.PartialSet, error)) {
+		as := make([]*analysis.Analysis, shards)
+		for s, inc := range incs {
+			as[s] = inc.Snapshot(nil)
+		}
+		merged, err := gather(as)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if err := bounce.NewPartialStudy(merged).WriteReport(io.Discard, bounce.PartialSections); err != nil {
+			b.Fatal(err)
+		}
+	}
+	twoRounds := func(as []*analysis.Analysis) (*analysis.PartialSet, error) {
+		return analysis.GatherPartials(as, nil)
 	}
 	gathers := []struct {
 		name   string
 		gather func([]*analysis.Analysis) (*analysis.PartialSet, error)
 	}{
-		{"two-rounds", func(as []*analysis.Analysis) (*analysis.PartialSet, error) {
-			return analysis.GatherPartials(as, nil)
-		}},
+		{"two-rounds", twoRounds},
 		{"whole-partials", func(as []*analysis.Analysis) (*analysis.PartialSet, error) {
 			var merged *analysis.PartialSet
 			for _, a := range as {
@@ -373,30 +463,27 @@ func BenchmarkClusterReport(b *testing.B) {
 	for _, g := range gathers {
 		b.Run(g.name, func(b *testing.B) {
 			b.ReportAllocs()
-			as := make([]*analysis.Analysis, shards)
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				incs := make([]*analysis.Incremental, shards)
-				for s := range incs {
-					var err error
-					if incs[s], err = analysis.RestoreIncremental(states[s]); err != nil {
-						b.Fatal(err)
-					}
-				}
+				incs := restore(states)
 				b.StartTimer()
-				for s, inc := range incs {
-					as[s] = inc.Snapshot(nil)
-				}
-				merged, err := g.gather(as)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := bounce.NewPartialStudy(merged).WriteReport(io.Discard, bounce.PartialSections); err != nil {
-					b.Fatal(err)
-				}
+				report(incs, g.gather)
 			}
 		})
 	}
+	b.Run("two-rounds-delta", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			incs := restore(baseStates)
+			report(incs, twoRounds)
+			for s, inc := range incs {
+				inc.AddBatch(tails[s])
+			}
+			b.StartTimer()
+			report(incs, twoRounds)
+		}
+	})
 }
 
 // ---- EBRC (Section 3.2 evaluation) ----

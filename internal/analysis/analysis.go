@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"strings"
+	"sync"
 
 	"repro/internal/breach"
 	"repro/internal/dataset"
@@ -94,11 +95,24 @@ type Analysis struct {
 	counts map[string]int // receiver-domain popularity: every set's Counts
 	rank   []dataset.RankEntry
 	// carried is the round-1 fold of what no pipeline can change, which
-	// the Incremental carries across snapshots (carried.fold), and dirty
-	// lists the records that are not clean; a batch Analysis has
-	// neither, and BouncedPartials folds every record.
-	carried *PartialSet
-	dirty   []int32
+	// the Incremental carries across snapshots (carried.fold), dirty
+	// lists the records that are not clean, and index files the rest by
+	// entity (carried.index). A batch Analysis has no fold, so
+	// BouncedPartials folds every record, and makes dirty and index on
+	// first use (cleanSplit).
+	carried   *PartialSet
+	dirty     []int32
+	index     *cleanIndex
+	indexOnce sync.Once
+	// failedDetect and failedDurations are what the failed records name
+	// (failedFold), det what Detect returns and durations the scoped fold
+	// Durations resolves (scoped); each pair is made once.
+	failedDetect    *detectCollector
+	failedDurations *durationsCollector
+	failedOnce      sync.Once
+	det             *Detections
+	durations       *durationsCollector
+	scopedOnce      sync.Once
 }
 
 // New classifies records with freshly built per-substream pipelines and

@@ -3,7 +3,9 @@ package analysis
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -304,5 +306,175 @@ func TestBouncedFirstEdges(t *testing.T) {
 	}
 	if got, want := a.BouncedPartials().NoEnhancedCodeShare(), 1-float64(with)/float64(lines); got != want {
 		t.Errorf("NoEnhancedCodeShare = %v, want %v over all %d NDR lines", got, want, lines)
+	}
+}
+
+// bouncedFirst is the full walk, the reference the indexed pass is held
+// to: failed over the records with a failed attempt, then every over
+// all of them, in record order both times.
+func bouncedFirst(a *Analysis, failed, every func(*dataset.Record, *ClassifiedRecord)) {
+	for i := range a.Classified {
+		if c := &a.Classified[i]; c.failed() {
+			failed(a.Records.At(i), c)
+		}
+	}
+	for i := range a.Classified {
+		every(a.Records.At(i), &a.Classified[i])
+	}
+}
+
+// walkedDetect is Detect and Durations by the full walk.
+func walkedDetect(a *Analysis) (*Detections, DurationsFigure) {
+	dc, uc := newDetectCollector(), newDurationsCollector()
+	dc.scoped, dc.breach, uc.scoped = true, a.Env != nil && a.Env.Breach != nil, true
+	bouncedFirst(a, func(rec *dataset.Record, c *ClassifiedRecord) {
+		dc.addFailed(rec, c)
+		uc.addFailed(rec, c)
+	}, func(rec *dataset.Record, c *ClassifiedRecord) {
+		dc.addRecord(rec, c)
+		uc.addRecord(rec, c)
+	})
+	det := dc.result(a.Env, a.rank)
+	return det, uc.resolve(det)
+}
+
+// walkedScopedPartials is ScopedPartials by the full walk: the scoped
+// addRecord over every record, against the scope.
+func walkedScopedPartials(t *testing.T, a *Analysis, scope []byte) []byte {
+	t.Helper()
+	d := dec{b: scope[len(scopeMagic):]}
+	d.checkVersion("scope", scopeVersion)
+	breach := d.boolv()
+	detect, durations := d.bytes(), d.bytes()
+	ps := NewPartialSet(a.Env)
+	ps.part = partScoped
+	dc, uc := ps.detect, ps.durations
+	if err := dc.UnmarshalPartial(detect); err != nil {
+		t.Fatal(err)
+	}
+	if err := uc.UnmarshalPartial(durations); err != nil {
+		t.Fatal(err)
+	}
+	dc.scoped, dc.breach, uc.scoped = true, breach, true
+	for i := range a.Classified {
+		dc.addRecord(a.Records.At(i), &a.Classified[i])
+		uc.addRecord(a.Records.At(i), &a.Classified[i])
+	}
+	dc.dropFailed()
+	uc.dropFailed()
+	return ps.Marshal()
+}
+
+// indexEdges are records a clean index could file wrongly: a 2xx first
+// line with an NDR after it (refused last, or in the middle), which
+// must come through the records that are not clean, and recipients
+// whose domain differs only in case from a T9-bounced or T8-failed
+// one, whose success is filed under the same receiver domain but not
+// the same recipient.
+func indexEdges() []dataset.Record {
+	ok := "250 2.0.0 OK"
+	var out []dataset.Record
+	add := func(from, to string, day int, results ...string) {
+		out = append(out, rec(from, to, t0.AddDate(0, 0, day), results...))
+	}
+	add("odd@s.com", "david.brown@ok.com", 5, ok)
+	add("odd@s.com", "david.brwn@ok.com", 6, ok, renderT(ndr.T8NoSuchUser, "david.brwn@ok.com"))
+	add("odd@s.com", "midfull@ok.com", 7, ok, renderT(ndr.T9MailboxFull, "midfull@ok.com"), ok)
+	add("a@s.com", "casefull@ok.com", 8, renderT(ndr.T9MailboxFull, "casefull@ok.com"))
+	add("a@s.com", "casefull@OK.com", 9, ok)
+	add("a@s.com", "casefull@ok.com", 10, ok)
+	add("Case@S.com", "carol.jnes@Ok.Com", 11, renderT(ndr.T8NoSuchUser, "carol.jnes@Ok.Com"))
+	add("Case@S.com", "carol.jones@OK.com", 12, ok)
+	add("Case@S.com", "nodomain", 13, ok)
+	return out
+}
+
+// checkIndexedScope holds a's Detect, Durations and ScopedPartials to
+// the full walk over the same records, under each of scopes.
+func checkIndexedScope(t *testing.T, when string, a *Analysis, scopes [][]byte) {
+	t.Helper()
+	det := a.Detect()
+	fig := a.Durations(det)
+	wdet, wfig := walkedDetect(a)
+	if !reflect.DeepEqual(det, wdet) {
+		t.Fatalf("%s: Detect() differs from the full walk's:\n got %+v\nwant %+v", when, det, wdet)
+	}
+	if !reflect.DeepEqual(fig, wfig) {
+		t.Fatalf("%s: Durations() differs from the full walk's:\n got %+v\nwant %+v", when, fig, wfig)
+	}
+	for k, scope := range scopes {
+		ps, err := a.ScopedPartials(scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ps.Marshal(), walkedScopedPartials(t, a, scope)) {
+			t.Fatalf("%s: ScopedPartials under scope %d differs from the full walk's", when, k)
+		}
+	}
+}
+
+// TestIndexedScopeMatchesFullWalk: over seeded corpora with the index
+// edges scattered through them, with and without an environment (so
+// the recipient sets and bulk counts a leak corpus reads are folded
+// too), snapshots at random cut points and random delta sizes — each
+// extending the index the last one carried — and a batch Analysis of
+// the same records answer Detect, Durations and ScopedPartials exactly
+// as the full walk does. The scopes are the snapshot's own and the
+// whole corpus's, with and without a leak corpus, so a scope names
+// entities the records do not have yet.
+func TestIndexedScopeMatchesFullWalk(t *testing.T) {
+	for _, corpus := range []struct {
+		seed   uint64
+		emails int
+	}{{11, 6000}, {23, 12000}} { // 23 at 12,000 has a bulk sender
+		seed := corpus.seed
+		records, env := generated(seed, corpus.emails)
+		rng := rand.New(rand.NewPCG(seed, 37))
+		for _, r := range indexEdges() {
+			at := rng.IntN(len(records) + 1)
+			records = slices.Insert(records, at, r)
+		}
+		var scopes [][]byte
+		for _, e := range []*Environment{nil, env} {
+			scope, err := New(records, e).BouncedPartials().MarshalScope()
+			if err != nil {
+				t.Fatal(err)
+			}
+			scopes = append(scopes, scope)
+		}
+		for _, e := range []*Environment{nil, env} {
+			inc := NewIncremental(DefaultPipelineConfig())
+			added := 0
+			for added < len(records) {
+				step := 1 + rng.IntN(len(records)/3)
+				if rng.IntN(3) == 0 {
+					step = 1 + rng.IntN(20)
+				}
+				step = min(step, len(records)-added)
+				inc.AddBatch(records[added : added+step])
+				added += step
+				a := inc.Snapshot(e)
+				own, err := a.BouncedPartials().MarshalScope()
+				if err != nil {
+					t.Fatal(err)
+				}
+				when := fmt.Sprintf("seed %d, env %v, %d records", seed, e != nil, added)
+				checkIndexedScope(t, when, a, append([][]byte{own}, scopes...))
+				dirty, _ := a.cleanSplit()
+				for i := range added {
+					if _, found := slices.BinarySearch(dirty, int32(i)); found != !clean(&records[i]) {
+						t.Fatalf("%s: record %d (clean: %v) is in the dirty walk: %v", when, i, clean(&records[i]), found)
+					}
+				}
+			}
+			batch := New(records, e)
+			checkIndexedScope(t, fmt.Sprintf("seed %d, env %v, batch", seed, e != nil), batch, scopes)
+			det, fig := batch.Detect(), batch.Durations(batch.Detect())
+			if len(det.GuessingSenders) == 0 || det.GuessTargets == 0 || len(det.UsernameTypos) == 0 ||
+				len(det.FullMailboxes) == 0 || fig.MXRecords.Entities == 0 || fig.MailboxFull.Entities == 0 ||
+				e != nil && seed == 23 && det.BulkEmails == 0 {
+				t.Errorf("seed %d, env %v: degenerate corpus: %+v %+v", seed, e != nil, det, fig)
+			}
+		}
 	}
 }

@@ -50,22 +50,6 @@ func (a *Analysis) visit(cs ...Collector) {
 	}
 }
 
-// bouncedFirst is how Detect and Durations walk a whole corpus: failed
-// over the records with a failed attempt — the sixth that names every
-// entity the detections reason about — and only then every over all of
-// them, in record order both times, so every can tell which of a
-// delivered record's contributions a bounce made worth keeping.
-func (a *Analysis) bouncedFirst(failed, every func(*dataset.Record, *ClassifiedRecord)) {
-	for i := range a.Classified {
-		if c := &a.Classified[i]; c.failed() {
-			failed(a.Records.At(i), c)
-		}
-	}
-	for i := range a.Classified {
-		every(a.Records.At(i), &a.Classified[i])
-	}
-}
-
 // overviewCollector accumulates the Section-4.1 headline statistic.
 type overviewCollector struct {
 	o            Overview

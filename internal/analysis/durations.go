@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -51,11 +53,17 @@ type event struct {
 // episode. The sort is a total order — time ascending, bad before good
 // at equal times — so shard splits cannot reorder tied events.
 func episodize(events []event) (durations []float64, episodes int, completedAll bool) {
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
+	slices.SortFunc(events, func(x, y event) int {
+		if c := cmp.Compare(x.at, y.at); c != 0 {
+			return c
 		}
-		return events[i].bad && !events[j].bad
+		switch {
+		case x.bad == y.bad:
+			return 0
+		case x.bad:
+			return -1
+		}
+		return 1
 	})
 	var start int64
 	inEpisode := false
@@ -307,9 +315,7 @@ func (uc *durationsCollector) resolve(det *Detections) DurationsFigure {
 // Durations infers Figure 7 from the dataset alone: the bad events
 // first, then the good events of the entities that had one.
 func (a *Analysis) Durations(det *Detections) DurationsFigure {
-	uc := newDurationsCollector()
-	uc.scoped = true
-	a.bouncedFirst(uc.addFailed, uc.addRecord)
+	_, uc := a.scoped()
 	return uc.resolve(det)
 }
 

@@ -59,13 +59,15 @@ type Incremental struct {
 // neither it nor its fold into the cheap collectors can change as the
 // corpus grows. Nor can any record's fold into the fact collectors
 // (PartialSet.addFacts), which read only what setFacts derives.
-// verdicts is the snapshot's own slice, and fold the round-1 fold of
-// every record's facts and of the clean records' labels; both are
-// frozen: the snapshot's study may still be reading them while the next
-// snapshot copies them.
+// verdicts is the snapshot's own slice, fold the round-1 fold of every
+// record's facts and of the clean records' labels, and index what the
+// clean records add to the scoped detect and Figure-7 folds; all three
+// are frozen: the snapshot's study may still be reading them while the
+// next snapshot copies or extends them.
 type carried struct {
 	verdicts []ClassifiedRecord
 	fold     *PartialSet
+	index    *cleanIndex
 	env      *Environment // fold's collectors read it
 }
 
@@ -209,8 +211,8 @@ func (inc *Incremental) trainTo(view dataset.Records, n int) {
 // records that are not clean and the new ones are classified, fanned
 // out across GOMAXPROCS workers with a deterministic indexed merge, the
 // previous snapshot's clean verdicts are copied, and its carried fold
-// is extended by the new records. The Analysis equals a batch one over
-// the same records; only the cost differs.
+// and clean index are extended by the new records. The Analysis equals
+// a batch one over the same records; only the cost differs.
 func (inc *Incremental) Snapshot(env *Environment) *Analysis {
 	inc.snapMu.Lock()
 	defer inc.snapMu.Unlock()
@@ -241,35 +243,36 @@ func (inc *Incremental) Snapshot(env *Environment) *Analysis {
 	copy(inc.lastPipes[:], sp.Shards)
 
 	verdicts := make([]ClassifiedRecord, n)
-	m, fold := 0, (*PartialSet)(nil)
+	m, fold, index := 0, (*PartialSet)(nil), (*cleanIndex)(nil)
 	if last := inc.last; last != nil && last.env == env {
-		m, fold = len(last.verdicts), last.fold
+		m, fold, index = len(last.verdicts), last.fold, last.index
 		copy(verdicts, last.verdicts)
 	}
 	// dirty[:k] are the records before m the previous snapshot did not
 	// carry.
 	k, _ := slices.BinarySearch(dirty, int32(m))
 	classifyRange(sp, view, verdicts, dirty[:k], m)
-	fold = extendFold(fold, env, view, verdicts, dirty[k:], m)
-	inc.last = &carried{verdicts: verdicts, fold: fold, env: env}
+	fold, index = extendFold(fold, index, env, view, verdicts, dirty[k:], m)
+	inc.last = &carried{verdicts: verdicts, fold: fold, index: index, env: env}
 
 	a := assemble(view, verdicts, sp, counts, env)
-	a.carried, a.dirty = fold, dirty
+	a.carried, a.dirty, a.index = fold, dirty, index
 	return a
 }
 
 // extendFold returns the carried fold of the records below
 // len(verdicts) — every record's facts, the clean records' labels too —
-// given fold, that of the records below m (nil for none), and dirty,
-// the records from m on that are not clean. fold itself is never
-// written: a snapshot's study may be reading it. A new set starts from
-// a copy of it, unless no record was added.
-func extendFold(fold *PartialSet, env *Environment, view dataset.Records, verdicts []ClassifiedRecord, dirty []int32, m int) *PartialSet {
+// and the index of the clean ones, given fold and index, those of the
+// records below m (nil for none), and dirty, the records from m on that
+// are not clean. Neither fold nor index is ever written: a snapshot's
+// study may be reading them. New ones start from copies of them, unless
+// no record was added.
+func extendFold(fold *PartialSet, index *cleanIndex, env *Environment, view dataset.Records, verdicts []ClassifiedRecord, dirty []int32, m int) (*PartialSet, *cleanIndex) {
 	n := len(verdicts)
 	if fold != nil && n == m {
-		return fold
+		return fold, index
 	}
-	next := NewPartialSet(env)
+	next, build := NewPartialSet(env), index.builder(n-m-len(dirty))
 	next.part = partBounced
 	if fold != nil {
 		next.Merge(fold) // the same part: cannot fail
@@ -282,13 +285,15 @@ func extendFold(fold *PartialSet, env *Environment, view dataset.Records, verdic
 			continue
 		}
 		next.addLabels(rec, c)
+		build.add(i, rec, c)
 	}
-	return next
+	return next, build.finish()
 }
 
 // DropCarried forgets what the last snapshot handed the next — its
-// pipelines' EBRC counts, its clean verdicts and their fold — so the
-// next snapshot runs cold, as the first one after a restore does.
+// pipelines' EBRC counts, its clean verdicts, their fold and their
+// index — so the next snapshot runs cold, as the first one after a
+// restore does.
 func (inc *Incremental) DropCarried() {
 	inc.snapMu.Lock()
 	inc.lastPipes, inc.last = [NumStreams]*Pipeline{}, nil

@@ -356,10 +356,10 @@ func (a *Analysis) Partials() *PartialSet {
 	return ps
 }
 
-// BouncedPartials is a shard's round 1 of the two-round fan-in, the
-// cluster's bouncedFirst: every collector but detect and durations
-// folds every record, and those two file only what the bounced records
-// name (addFailed). Merged across shards, their state is the scope.
+// BouncedPartials is a shard's round 1 of the two-round fan-in: every
+// collector but detect and durations folds every record, and those two
+// hold only what the bounced records name (the Analysis's failedFold).
+// Merged across shards, their state is the scope.
 // A snapshot's Analysis folds only the records that are not clean, and
 // only through what reads their types, and merges in the fold its
 // Incremental carried of the rest, which it only reads: sets are
@@ -368,24 +368,19 @@ func (a *Analysis) BouncedPartials() *PartialSet {
 	ps := NewPartialSet(a.Env)
 	ps.part = partBounced
 	ps.Counts = maps.Clone(a.counts)
-	fold := func(i int, add func(*dataset.Record, *ClassifiedRecord)) {
-		rec, c := a.Records.At(i), &a.Classified[i]
-		add(rec, c)
-		if c.failed() {
-			ps.detect.addFailed(rec, c)
-			ps.durations.addFailed(rec, c)
-		}
-	}
 	if a.carried == nil {
 		for i := range a.Classified {
-			fold(i, ps.addCheap)
+			ps.addCheap(a.Records.At(i), &a.Classified[i])
 		}
 	} else {
 		for _, i := range a.dirty {
-			fold(int(i), ps.addLabels)
+			ps.addLabels(a.Records.At(int(i)), &a.Classified[i])
 		}
 		ps.Merge(a.carried) // the same part: cannot fail
 	}
+	dc, uc := a.failedFold()
+	ps.detect.Merge(dc) // the same types: cannot fail
+	ps.durations.Merge(uc)
 	ps.Pipe = a.Pipeline.Summary()
 	return ps
 }
@@ -417,10 +412,10 @@ func (ps *PartialSet) MarshalScope() ([]byte, error) {
 }
 
 // ScopedPartials is a shard's round 2: detect and durations' scoped
-// addRecord — the rules Detect and Durations run after their bounced
-// pass — over every record, against the scope MarshalScope encoded.
-// The set holds only what these records add; the scope stays with the
-// coordinator, which sent it.
+// addRecord over every record — the pass Detect and Durations run after
+// their bounced one (scopedFold) — against the scope MarshalScope
+// encoded. The set holds only what these records add; the scope stays
+// with the coordinator, which sent it.
 func (a *Analysis) ScopedPartials(scope []byte) (*PartialSet, error) {
 	if len(scope) < len(scopeMagic) || string(scope[:len(scopeMagic)]) != scopeMagic {
 		return nil, fmt.Errorf("analysis: not a partial scope")
@@ -445,11 +440,7 @@ func (a *Analysis) ScopedPartials(scope []byte) (*PartialSet, error) {
 		return nil, err
 	}
 	dc.scoped, dc.breach, uc.scoped = true, breach, true
-	for i := range a.Classified {
-		rec, c := a.Records.At(i), &a.Classified[i]
-		dc.addRecord(rec, c)
-		uc.addRecord(rec, c)
-	}
+	a.scopedFold(dc, uc)
 	dc.dropFailed()
 	uc.dropFailed()
 	return ps, nil

@@ -72,9 +72,11 @@ func TestWarmSnapshotReusesUntouchedClassifiers(t *testing.T) {
 // for byte, a cold snapshot of a fresh accumulator over the same records
 // and the batch Analysis (New), which carries nothing: verdicts,
 // round-1 set and whole set, with an environment so the geo collectors
-// fold too. The history runs +1, +5, +20 and +1,000 records, then
-// restores the accumulator from a checkpoint of it mid-history and goes
-// on warm from there.
+// fold too, and what the carried clean index answers — detections,
+// Figure 7 and the round-2 set under the warm snapshot's scope. The
+// history runs +1, +5, +20 and +1,000 records, then restores the
+// accumulator from a checkpoint of it mid-history and goes on warm from
+// there.
 func TestWarmSnapshotMatchesCold(t *testing.T) {
 	records, env := generated(11, 6000)
 	cfg := DefaultPipelineConfig()
@@ -107,6 +109,16 @@ func TestWarmSnapshotMatchesCold(t *testing.T) {
 		}
 		fresh := NewIncremental(cfg)
 		fresh.AddBatch(records[:added])
+		scope, err := warm.BouncedPartials().MarshalScope()
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := warm.Detect()
+		fig := warm.Durations(det)
+		scoped, err := warm.ScopedPartials(scope)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for name, ref := range map[string]*Analysis{"cold snapshot": fresh.Snapshot(env), "batch": New(records[:added], env)} {
 			if !reflect.DeepEqual(warm.Classified, ref.Classified) {
 				t.Fatalf("%s: warm verdicts differ from the %s's", when, name)
@@ -116,6 +128,15 @@ func TestWarmSnapshotMatchesCold(t *testing.T) {
 			}
 			if !bytes.Equal(warm.Partials().Marshal(), ref.Partials().Marshal()) {
 				t.Fatalf("%s: warm partial set differs from the %s's", when, name)
+			}
+			if want := ref.Detect(); !reflect.DeepEqual(det, want) {
+				t.Fatalf("%s: warm detections differ from the %s's", when, name)
+			}
+			if want := ref.Durations(ref.Detect()); !reflect.DeepEqual(fig, want) {
+				t.Fatalf("%s: warm Figure 7 differs from the %s's", when, name)
+			}
+			if want, err := ref.ScopedPartials(scope); err != nil || !bytes.Equal(scoped.Marshal(), want.Marshal()) {
+				t.Fatalf("%s: warm round-2 set differs from the %s's (%v)", when, name, err)
 			}
 		}
 	}
@@ -143,8 +164,9 @@ func TestWarmSnapshotMatchesCold(t *testing.T) {
 // 2xx — a mark put on one in the previous snapshot's slice shows
 // through, where a verdict made again would not carry it — and hands
 // its Analysis a carried fold, of every record's facts and the clean
-// records' labels, that the next snapshot leaves as it was. A snapshot
-// of another environment, or after DropCarried, starts over.
+// records' labels, and a clean index, that the next snapshot leaves as
+// they were, even while it extends them. A snapshot of another
+// environment, or after DropCarried, starts over.
 func TestWarmSnapshotCarriesCleanRecords(t *testing.T) {
 	records, env := generated(11, 6000)
 	n := len(records) - 50
@@ -165,8 +187,50 @@ func TestWarmSnapshotCarriesCleanRecords(t *testing.T) {
 	if carried == 0 || dirty == 0 {
 		t.Fatalf("degenerate corpus: %d clean records, %d others", carried, dirty)
 	}
+	// While the next snapshot extends the clean index, the previous
+	// snapshot's study answers from it — Detect and Durations of an
+	// Analysis over before's records and carried state, made afresh,
+	// and its round-2 set — what it answered before.
+	det := before.Detect()
+	fig := before.Durations(det)
+	scope, err := before.BouncedPartials().MarshalScope()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scoped, err := before.ScopedPartials(scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := func() *Analysis {
+		a := assemble(before.Records, before.Classified, before.Pipeline, before.counts, before.Env)
+		a.carried, a.dirty, a.index = before.carried, before.dirty, before.index
+		return a
+	}
+	done := make(chan error)
+	go func() {
+		a := again()
+		if d := a.Detect(); !reflect.DeepEqual(d, det) || !reflect.DeepEqual(a.Durations(d), fig) {
+			done <- fmt.Errorf("detections or Figure 7 moved while the next snapshot was taken")
+			return
+		}
+		ps, err := before.ScopedPartials(scope)
+		if err == nil && !bytes.Equal(ps.Marshal(), scoped.Marshal()) {
+			err = fmt.Errorf("the round-2 set moved while the next snapshot was taken")
+		}
+		done <- err
+	}()
 	inc.AddBatch(records[n:])
 	after := inc.Snapshot(env)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	a := again()
+	if d := a.Detect(); !reflect.DeepEqual(d, det) || !reflect.DeepEqual(a.Durations(d), fig) {
+		t.Fatal("the next snapshot changed the detections or Figure 7 a study was handed")
+	}
+	if ps, err := before.ScopedPartials(scope); err != nil || !bytes.Equal(ps.Marshal(), scoped.Marshal()) {
+		t.Fatalf("the next snapshot changed the round-2 set a study was handed (%v)", err)
+	}
 	for i := range n {
 		if got := after.Classified[i].Degree == mark; got != clean(&records[i]) {
 			t.Fatalf("record %d (clean: %v): carried %v", i, clean(&records[i]), got)
@@ -177,6 +241,9 @@ func TestWarmSnapshotCarriesCleanRecords(t *testing.T) {
 	}
 	if before.carried.Total != n || after.carried == before.carried || after.carried.Total != len(records) {
 		t.Fatalf("the carried folds hold %d, then %d records, want %d, then %d", before.carried.Total, after.carried.Total, n, len(records))
+	}
+	if after.index == before.index {
+		t.Fatal("the next snapshot did not extend the clean index")
 	}
 	first := slices.IndexFunc(records, func(r dataset.Record) bool { return clean(&r) })
 	other := inc.Snapshot(nil)
@@ -238,6 +305,58 @@ func TestTrainCarryFollowsAnySegments(t *testing.T) {
 					t.Fatalf("step %d: carried counts predict %v %v for %q, ebrc.Train's %v %v", step, gt, gm, line, wt, wm)
 				}
 			}
+		}
+	}
+}
+
+// TestIncrementalScopedPassSharedByReaders: one snapshot's scoped pass
+// and addFailed fold are made once and read by every caller, so Detect,
+// Durations, BouncedPartials and ScopedPartials called from several
+// goroutines at once, before either exists, answer what one caller
+// alone gets (run under make race-parallel).
+func TestIncrementalScopedPassSharedByReaders(t *testing.T) {
+	records, env := generated(11, 6000)
+	inc := NewIncremental(DefaultPipelineConfig())
+	inc.AddBatch(records)
+	ref := inc.Snapshot(env)
+	det := ref.Detect()
+	fig := ref.Durations(det)
+	round1 := ref.BouncedPartials().Marshal()
+	scope, err := ref.BouncedPartials().MarshalScope()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scoped, err := ref.ScopedPartials(scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc.DropCarried()
+	a := inc.Snapshot(env)
+	errs := make(chan error, 4)
+	for g := range 4 {
+		go func() {
+			var err error
+			switch g {
+			case 0, 1:
+				if d := a.Detect(); !reflect.DeepEqual(d, det) || !reflect.DeepEqual(a.Durations(d), fig) {
+					err = fmt.Errorf("reader %d: detections or Figure 7 differ", g)
+				}
+			case 2:
+				if !bytes.Equal(a.BouncedPartials().Marshal(), round1) {
+					err = fmt.Errorf("reader %d: round-1 set differs", g)
+				}
+			case 3:
+				ps, e := a.ScopedPartials(scope)
+				if err = e; err == nil && !bytes.Equal(ps.Marshal(), scoped.Marshal()) {
+					err = fmt.Errorf("reader %d: round-2 set differs", g)
+				}
+			}
+			errs <- err
+		}()
+	}
+	for range 4 {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }
