@@ -37,12 +37,13 @@ loc:
 
 # bench-allocs prints what one cold report allocates in process — a
 # snapshot of the benchmark's 80k emails, Detect, every section, no
-# environment — and beside it one delta report, after 1,000 more
-# records on a warm accumulator, a snapshot's Detect and Figure 7 alone,
-# cold and warm, and a two-shard cluster's delta report, as ns/op, B/op
-# and allocs/op. Reported, never asserted.
+# environment — the same report over analysis.New of a plain slice, and
+# beside them one delta report, after 1,000 more records on a warm
+# accumulator, a snapshot's Detect and Figure 7 alone, cold and warm,
+# and a two-shard cluster's delta report, as ns/op, B/op and allocs/op.
+# Reported, never asserted.
 bench-allocs:
-	$(GO) test -run '^$$' -bench 'ReportCold/no-env|ReportDelta/no-env|DetectFig7|ClusterReport/two-rounds-delta' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'ReportCold/no-env|Analyze/no-env|ReportDelta/no-env|DetectFig7|ClusterReport/two-rounds-delta' -benchtime 1x -benchmem .
 
 # race runs the whole suite under the race detector.
 race:

@@ -96,23 +96,33 @@ func BenchmarkDeliveryEngineParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineBuild trains one pipeline over the shared corpus's
+// NDR lines and finishes it cold: labeling, EBRC, votes.
 func BenchmarkPipelineBuild(b *testing.B) {
-	s := study(b)
+	records := study(b).Records.Flatten()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.BuildPipeline(s.Records.Flatten(), analysis.DefaultPipelineConfig())
+		pb := analysis.NewPipelineBuilder(analysis.DefaultPipelineConfig())
+		for j := range records {
+			pb.Add(&records[j])
+		}
+		_ = pb.FinishWarm(nil)
 	}
 }
 
-// BenchmarkPipelineBuildStream trains the pipeline through the
-// streaming builder — same work as BenchmarkPipelineBuild but via the
-// RecordSource path bounce.Run uses.
+// BenchmarkPipelineBuildStream is BenchmarkPipelineBuild fed through a
+// RecordSource, the path bounce.Run streams records by.
 func BenchmarkPipelineBuildStream(b *testing.B) {
-	s := study(b)
+	records := study(b).Records.Flatten()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.BuildPipelineFrom(dataset.NewSliceSource(s.Records.Flatten()), analysis.DefaultPipelineConfig())
+		pb := analysis.NewPipelineBuilder(analysis.DefaultPipelineConfig())
+		src := dataset.NewSliceSource(records)
+		for rec, ok := src.Next(); ok; rec, ok = src.Next() {
+			pb.Add(rec)
+		}
+		_ = pb.FinishWarm(nil)
 	}
 }
 
@@ -290,6 +300,26 @@ func BenchmarkReportCold(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkAnalyze is the batch constructor's report — analysis.New
+// over the process benchmark's 80k emails, Detect, every section — with
+// no environment: what bounce.Analyze and each shard of bounceanalyze
+// -shards build.
+func BenchmarkAnalyze(b *testing.B) {
+	cfg := world.DefaultConfig()
+	cfg.TotalEmails = 80_000
+	_, records := bounce.GenerateParallel(cfg, 2)
+	b.Run("no-env", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a := analysis.New(records, nil)
+			st := &bounce.Study{Records: a.Records, Analysis: a, Detections: a.Detect()}
+			if err := st.WriteReport(io.Discard, bounce.AllSections); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkReportDelta is what a node does for a report after 1,000 new

@@ -122,7 +122,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a := inc.Finish(bounce.NewEnvironment(e.W))
+		a := inc.Snapshot(bounce.NewEnvironment(e.W))
 		study = &bounce.Study{World: e.W, Records: a.Records, Analysis: a}
 	} else {
 		// Transparently decodes .jsonl.gz; NDJSON decode fans out across

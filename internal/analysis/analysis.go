@@ -97,13 +97,11 @@ type Analysis struct {
 	// carried is the round-1 fold of what no pipeline can change, which
 	// the Incremental carries across snapshots (carried.fold), dirty
 	// lists the records that are not clean, and index files the rest by
-	// entity (carried.index). A batch Analysis has no fold, so
-	// BouncedPartials folds every record, and makes dirty and index on
-	// first use (cleanSplit).
-	carried   *PartialSet
-	dirty     []int32
-	index     *cleanIndex
-	indexOnce sync.Once
+	// entity (carried.index). Every Analysis has all three from
+	// construction (Incremental.build).
+	carried *PartialSet
+	dirty   []int32
+	index   *cleanIndex
 	// failedDetect and failedDurations are what the failed records name
 	// (failedFold), det what Detect returns and durations the scoped fold
 	// Durations resolves (scoped); each pair is made once.
@@ -116,30 +114,28 @@ type Analysis struct {
 }
 
 // New classifies records with freshly built per-substream pipelines and
-// prepares the derived indexes. env may be nil for dataset-only
-// analyses.
+// prepares the derived indexes: a cold snapshot over the slice, which
+// it reads in place — the Analysis's Records are the caller's. env may
+// be nil for dataset-only analyses.
 func New(records []dataset.Record, env *Environment) *Analysis {
+	inc := NewIncremental(DefaultPipelineConfig())
 	view := dataset.SliceRecords(records)
-	sp := buildShardedPipeline(view, DefaultPipelineConfig())
-	verdicts := make([]ClassifiedRecord, len(records))
-	classifyRange(sp, view, verdicts, nil, 0)
-	counts := make(map[string]int, 64)
-	for i := range verdicts {
-		counts[verdicts[i].ToDomain]++
+	inc.trainTo(view, len(records))
+	for i := range records {
+		inc.counts[records[i].ToDomain()]++
 	}
-	return assemble(view, verdicts, sp, counts, env)
+	return inc.build(view, inc.b, inc.dirty, inc.counts, env)
 }
 
 // NewFromSource consumes a record stream in a single pass: while
 // records arrive it trains the classification pipeline and accumulates
-// the popularity counts, then labels templates, trains the EBRC, and
-// classifies the retained records. Because pipeline training order
-// equals stream order, an Analysis built from a source is identical to
-// one built from the collected slice.
+// the popularity counts, then snapshots what it took in. Because
+// pipeline training order equals stream order, an Analysis built from a
+// source is identical to one built from the collected slice.
 func NewFromSource(src dataset.RecordSource, cfg PipelineConfig, env *Environment) *Analysis {
 	inc := NewIncremental(cfg)
 	// Train on the dedicated goroutine so template mining overlaps the
-	// source's own decode work (Finish stops it and catches up).
+	// source's own decode work.
 	inc.StartTrainer()
 	for {
 		rec, ok := src.Next()
@@ -148,7 +144,8 @@ func NewFromSource(src dataset.RecordSource, cfg PipelineConfig, env *Environmen
 		}
 		inc.Add(rec)
 	}
-	return inc.Finish(env)
+	inc.StopTrainer()
+	return inc.Snapshot(env)
 }
 
 // ClassifyRecord runs one record's attempt replies through the trained

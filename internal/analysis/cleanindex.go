@@ -207,26 +207,9 @@ func (idx *cleanIndex) fold(view dataset.Records, dc *detectCollector, uc *durat
 }
 
 // cleanSplit returns the records that are not clean and the index of
-// the rest: a snapshot's, which its Incremental carried, or, for a
-// batch Analysis, built on first use. A record is clean exactly when it
-// has no failed attempt (ClassifiedRecord.failed).
-func (a *Analysis) cleanSplit() ([]int32, *cleanIndex) {
-	a.indexOnce.Do(func() {
-		if a.index != nil {
-			return
-		}
-		b := (*cleanIndex)(nil).builder(len(a.Classified))
-		for i := range a.Classified {
-			if c := &a.Classified[i]; c.failed() {
-				a.dirty = append(a.dirty, int32(i))
-			} else {
-				b.add(i, a.Records.At(i), c)
-			}
-		}
-		a.index = b.finish()
-	})
-	return a.dirty, a.index
-}
+// the rest, which the Analysis was made with. A record is clean exactly
+// when it has no failed attempt (ClassifiedRecord.failed).
+func (a *Analysis) cleanSplit() ([]int32, *cleanIndex) { return a.dirty, a.index }
 
 // failedFold returns what the records with a failed attempt name to
 // detect and Figure 7 (addFailed), made on first use and only read

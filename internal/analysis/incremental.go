@@ -10,14 +10,15 @@ import (
 	"repro/internal/dataset"
 )
 
-// Incremental accumulates delivery records online — the always-on
-// counterpart of the batch constructors. Records land in a slab store
-// as they arrive; Drain training rides a dedicated trainer goroutine
-// (StartTrainer) or is caught up lazily by Snapshot/Finish, and
+// Incremental accumulates delivery records online. Records land in a
+// slab store as they arrive; Drain training rides a dedicated trainer
+// goroutine (StartTrainer) or is caught up lazily by Snapshot, and
 // Snapshot produces, at any instant, an Analysis identical to a batch
 // run over exactly the records added so far (the batch/online
 // equivalence invariant the bounced service's differential test
-// enforces).
+// enforces). Its body, build, is the only code that makes an Analysis:
+// New runs it over a plain slice, NewFromSource and bounceanalyze
+// -data-dir through Snapshot.
 //
 // Locking is split three ways so the hot paths never contend:
 //
@@ -84,7 +85,7 @@ func clean(rec *dataset.Record) bool {
 }
 
 // NewIncremental starts an empty accumulator (zero cfg.TopTemplates
-// selects the defaults, as in the batch constructors).
+// selects the defaults, as in NewPipelineBuilder).
 func NewIncremental(cfg PipelineConfig) *Incremental {
 	inc := &Incremental{
 		counts: make(map[string]int),
@@ -205,14 +206,10 @@ func (inc *Incremental) trainTo(view dataset.Records, n int) {
 }
 
 // Snapshot builds an Analysis over the records added so far without
-// stopping ingestion. The builder is caught up to the store, cloned,
-// and finished outside the ingest lock against the previous snapshot's
-// pipelines. Then what the new records can change is redone: the
-// records that are not clean and the new ones are classified, fanned
-// out across GOMAXPROCS workers with a deterministic indexed merge, the
-// previous snapshot's clean verdicts are copied, and its carried fold
-// and clean index are extended by the new records. The Analysis equals
-// a batch one over the same records; only the cost differs.
+// stopping ingestion. Under the training lock, the builders are caught
+// up to the store and cloned; build then finishes the clones and
+// classifies outside every lock but snapMu. The Analysis equals a batch
+// one over the same records; only the cost differs.
 func (inc *Incremental) Snapshot(env *Environment) *Analysis {
 	inc.snapMu.Lock()
 	defer inc.snapMu.Unlock()
@@ -233,16 +230,28 @@ func (inc *Incremental) Snapshot(env *Environment) *Analysis {
 		bcs[s] = inc.b[s].Clone()
 	}
 	inc.trainMu.Unlock()
+	return inc.build(view, bcs, dirty, counts, env)
+}
 
-	// Finish each substream warm against its own predecessor — per-shard
-	// EBRC and vote reuse even when a sibling shard changed.
+// build is the body every Analysis is made by, over view, given bs,
+// builders trained on its records in order, dirty, the records of view
+// that are not clean, ascending, and counts, their receiver-domain
+// popularity. Each substream's pipeline is finished warm against its
+// own predecessor — per-shard EBRC and vote reuse even when a sibling
+// shard changed. Then what the new records can change is redone: the
+// records that are not clean and the new ones are classified, fanned
+// out across GOMAXPROCS workers with a deterministic indexed merge, the
+// previous snapshot's clean verdicts are copied, and its carried fold
+// and clean index are extended by the new records. With nothing carried
+// every record is new. The caller holds snapMu, or inc is its own.
+func (inc *Incremental) build(view dataset.Records, bs [NumStreams]*PipelineBuilder, dirty []int32, counts map[string]int, env *Environment) *Analysis {
 	sp := &ShardedPipeline{Shards: make([]*Pipeline, NumStreams)}
-	for s := range bcs {
-		sp.Shards[s] = bcs[s].FinishWarm(inc.lastPipes[s])
+	for s := range bs {
+		sp.Shards[s] = bs[s].FinishWarm(inc.lastPipes[s])
 	}
 	copy(inc.lastPipes[:], sp.Shards)
 
-	verdicts := make([]ClassifiedRecord, n)
+	verdicts := make([]ClassifiedRecord, view.Len())
 	m, fold, index := 0, (*PartialSet)(nil), (*cleanIndex)(nil)
 	if last := inc.last; last != nil && last.env == env {
 		m, fold, index = len(last.verdicts), last.fold, last.index
@@ -300,28 +309,6 @@ func (inc *Incremental) DropCarried() {
 	inc.snapMu.Unlock()
 }
 
-// Finish consumes the accumulator into its final Analysis — the batch
-// path. The Incremental must not be used afterwards.
-func (inc *Incremental) Finish(env *Environment) *Analysis {
-	inc.StopTrainer()
-	inc.trainMu.Lock()
-	inc.storeMu.Lock()
-	n := inc.store.Len()
-	view := inc.store.View()
-	counts := maps.Clone(inc.counts)
-	inc.storeMu.Unlock()
-	inc.trainTo(view, n)
-	sp := &ShardedPipeline{Shards: make([]*Pipeline, NumStreams)}
-	for s := range inc.b {
-		sp.Shards[s] = inc.b[s].Finish()
-	}
-	inc.trainMu.Unlock()
-
-	verdicts := make([]ClassifiedRecord, n)
-	classifyRange(sp, view, verdicts, nil, 0)
-	return assemble(view, verdicts, sp, counts, env)
-}
-
 // classifyRange fills out[i] = classify(view.At(i)) for every i in idx
 // and every i from `from` on, fanning out across GOMAXPROCS workers when
 // there are enough records to amortize them. Each worker classifies its
@@ -369,9 +356,9 @@ func classifyRange(sp *ShardedPipeline, view dataset.Records, out []ClassifiedRe
 	wg.Wait()
 }
 
-// assemble wires a classified view into an Analysis — the shared tail
-// of every constructor. counts is the view's receiver-domain popularity
-// histogram, which the Analysis keeps.
+// assemble wires a classified view into an Analysis — build's tail.
+// counts is the view's receiver-domain popularity histogram, which the
+// Analysis keeps.
 func assemble(view dataset.Records, verdicts []ClassifiedRecord, p *ShardedPipeline, counts map[string]int, env *Environment) *Analysis {
 	return &Analysis{
 		Records:    view,

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -12,9 +13,9 @@ import (
 )
 
 // TestIncrementalSnapshotMatchesBatchPrefix: a snapshot taken after N
-// records must equal a batch analysis over exactly those N records —
-// same classifications, rank, Table 1, overview. This is the
-// batch/online equivalence invariant the bounced service serves
+// records must equal the batch reference over exactly those N records —
+// same classifications, rank, tables and figures, detections. This is
+// the batch/online equivalence invariant the bounced service serves
 // reports under.
 func TestIncrementalSnapshotMatchesBatchPrefix(t *testing.T) {
 	records := testCorpus()
@@ -27,20 +28,11 @@ func TestIncrementalSnapshotMatchesBatchPrefix(t *testing.T) {
 			continue
 		}
 		snap := inc.Snapshot(nil)
-		batch := NewFromSource(dataset.NewSliceSource(records[:n]), DefaultPipelineConfig(), nil)
 		if snap.Records.Len() != n {
 			t.Fatalf("snapshot after %d records holds %d", n, snap.Records.Len())
 		}
-		if !reflect.DeepEqual(snap.Classified, batch.Classified) {
-			t.Fatalf("classifications diverge from batch at prefix %d", n)
-		}
-		if !reflect.DeepEqual(snap.InEmailRank(), batch.InEmailRank()) {
-			t.Fatalf("popularity rank diverges from batch at prefix %d", n)
-		}
-		if !sameResults(snap, batch) {
-			t.Fatalf("tables and figures diverge from batch at prefix %d", n)
-		}
-		if got, want := snap.Pipeline.NumTemplates(), batch.Pipeline.NumTemplates(); got != want {
+		matchBatch(t, fmt.Sprintf("prefix %d", n), snap, records[:n], nil)
+		if got, want := snap.Pipeline.NumTemplates(), batchAnalysis(records[:n], nil).Pipeline.NumTemplates(); got != want {
 			t.Fatalf("snapshot mined %d templates at prefix %d, batch %d", got, n, want)
 		}
 	}
@@ -130,7 +122,7 @@ func TestIncrementalAddCopiesRecord(t *testing.T) {
 			t.Fatalf("record %d aliased the caller's buffer: got %+v want %+v", i, got, want)
 		}
 	}
-	batch := NewFromSource(dataset.NewSliceSource(ref), DefaultPipelineConfig(), nil)
+	batch := batchAnalysis(ref, nil)
 	if !reflect.DeepEqual(snap.Classified, batch.Classified) {
 		t.Fatal("classifications diverge after caller-side mutation")
 	}
@@ -140,7 +132,7 @@ func TestIncrementalAddCopiesRecord(t *testing.T) {
 // NDR lines the template miner has already absorbed leaves the pipeline
 // structure unchanged — the case FinishWarm reuses the EBRC and every
 // vote in — and the second snapshot must still be byte-identical to a
-// batch run over all records.
+// batch reference over all records.
 func TestIncrementalRepeatedSuffixMatchesBatch(t *testing.T) {
 	records := testCorpus()
 	inc := NewIncremental(DefaultPipelineConfig())
@@ -155,22 +147,12 @@ func TestIncrementalRepeatedSuffixMatchesBatch(t *testing.T) {
 	for i := range records {
 		inc.Add(&records[i])
 	}
-	snap := inc.Snapshot(nil)
-	batch := NewFromSource(dataset.NewSliceSource(all), DefaultPipelineConfig(), nil)
-	if !reflect.DeepEqual(snap.Classified, batch.Classified) {
-		t.Fatal("repeated-suffix snapshot classifications diverge from batch")
-	}
-	if !sameResults(snap, batch) {
-		t.Fatal("repeated-suffix snapshot tables and figures diverge from batch")
-	}
-	if !reflect.DeepEqual(snap.InEmailRank(), batch.InEmailRank()) {
-		t.Fatal("repeated-suffix snapshot rank diverges from batch")
-	}
+	matchBatch(t, "repeated suffix", inc.Snapshot(nil), all, nil)
 }
 
 // TestIncrementalNovelTemplateMatchesBatch: a structurally novel NDR
 // line founds a new Drain group between two snapshots, and the second
-// must still equal the batch run.
+// must still equal the batch reference.
 func TestIncrementalNovelTemplateMatchesBatch(t *testing.T) {
 	records := testCorpus()
 	inc := NewIncremental(DefaultPipelineConfig())
@@ -182,14 +164,7 @@ func TestIncrementalNovelTemplateMatchesBatch(t *testing.T) {
 		"584 frobnication reactor deadline wobbled at node seven")
 	inc.Add(&novel)
 	all := append(append([]dataset.Record(nil), records...), novel)
-	snap := inc.Snapshot(nil)
-	batch := NewFromSource(dataset.NewSliceSource(all), DefaultPipelineConfig(), nil)
-	if !reflect.DeepEqual(snap.Classified, batch.Classified) {
-		t.Fatal("snapshot after a novel template diverges from batch")
-	}
-	if !sameResults(snap, batch) {
-		t.Fatal("tables and figures after a novel template diverge from batch")
-	}
+	matchBatch(t, "novel template", inc.Snapshot(nil), all, nil)
 }
 
 // TestIncrementalIdleSnapshotsShareNothing: two snapshots with nothing
@@ -213,7 +188,7 @@ func TestIncrementalIdleSnapshotsShareNothing(t *testing.T) {
 // TestIncrementalTrainerConcurrent runs the dedicated trainer
 // goroutine against concurrent adders and snapshotters (the bounced
 // topology) under the race detector, then checks the final snapshot
-// still equals the batch run.
+// still equals the batch reference.
 func TestIncrementalTrainerConcurrent(t *testing.T) {
 	records := testCorpus()
 	inc := NewIncremental(DefaultPipelineConfig())
@@ -233,9 +208,6 @@ func TestIncrementalTrainerConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	final := inc.Finish(nil) // Finish stops the trainer
-	batch := NewFromSource(dataset.NewSliceSource(records), DefaultPipelineConfig(), nil)
-	if !reflect.DeepEqual(final.Classified, batch.Classified) {
-		t.Fatal("trainer-fed analysis diverges from batch")
-	}
+	inc.StopTrainer()
+	matchBatch(t, "trainer-fed", inc.Snapshot(nil), records, nil)
 }

@@ -360,24 +360,18 @@ func (a *Analysis) Partials() *PartialSet {
 // collector but detect and durations folds every record, and those two
 // hold only what the bounced records name (the Analysis's failedFold).
 // Merged across shards, their state is the scope.
-// A snapshot's Analysis folds only the records that are not clean, and
-// only through what reads their types, and merges in the fold its
-// Incremental carried of the rest, which it only reads: sets are
-// order-free, so the bytes are the same.
+// It folds only the records that are not clean, and only through what
+// reads their types, and merges in the fold its Incremental carried of
+// the rest, which it only reads: sets are order-free, so the bytes are
+// those of every record's fold.
 func (a *Analysis) BouncedPartials() *PartialSet {
 	ps := NewPartialSet(a.Env)
 	ps.part = partBounced
 	ps.Counts = maps.Clone(a.counts)
-	if a.carried == nil {
-		for i := range a.Classified {
-			ps.addCheap(a.Records.At(i), &a.Classified[i])
-		}
-	} else {
-		for _, i := range a.dirty {
-			ps.addLabels(a.Records.At(int(i)), &a.Classified[i])
-		}
-		ps.Merge(a.carried) // the same part: cannot fail
+	for _, i := range a.dirty {
+		ps.addLabels(a.Records.At(int(i)), &a.Classified[i])
 	}
+	ps.Merge(a.carried) // the same part: cannot fail
 	dc, uc := a.failedFold()
 	ps.detect.Merge(dc) // the same types: cannot fail
 	ps.durations.Merge(uc)

@@ -57,14 +57,14 @@ type Pipeline struct {
 	totalLines     int     // NDR lines the builder absorbed
 	trainSegs      []trainSeg
 	// carry is the lineage's EBRC training state, which the next
-	// FinishWarm takes over; nil once taken, and in a batch pipeline.
+	// FinishWarm takes over; nil once taken.
 	carry *trainCarry
 }
 
 // PipelineBuilder accumulates NDR lines one record at a time, so the
 // pipeline can train while records stream past instead of requiring a
 // materialized slice. Feed every record to Add (order matters: Drain
-// template mining is deterministic in line order), then call Finish
+// template mining is deterministic in line order), then call FinishWarm
 // exactly once.
 type PipelineBuilder struct {
 	p     *Pipeline
@@ -104,81 +104,26 @@ func (b *PipelineBuilder) AddLine(line string) {
 	b.p.sampleLine(g.ID, line)
 }
 
-// BuildPipelineFrom drains src through a PipelineBuilder — the
-// streaming equivalent of BuildPipeline.
-func BuildPipelineFrom(src dataset.RecordSource, cfg PipelineConfig) *Pipeline {
-	b := NewPipelineBuilder(cfg)
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		b.Add(rec)
-	}
-	return b.Finish()
-}
-
-// BuildPipeline mines Drain templates from every NDR line in records,
-// labels the top templates against the community template catalog (the
-// reproduction's stand-in for the paper's manual labeling session with
-// Coremail's professionals), trains the EBRC on template-matched raw
-// messages, and labels the remaining templates by majority vote.
-func BuildPipeline(records []dataset.Record, cfg PipelineConfig) *Pipeline {
-	return BuildPipelineFrom(dataset.NewSliceSource(records), cfg)
-}
-
-// Finish labels the mined templates, trains the EBRC, and returns the
-// ready pipeline. The builder must not be reused afterwards (the
-// parser is frozen; further Train calls panic).
-func (b *PipelineBuilder) Finish() *Pipeline {
-	return finishPipeline(b.p, b.total, nil)
-}
-
-// FinishWarm is Finish, reusing work from prev — a finished pipeline
-// from an EARLIER point of the same builder lineage, or nil — where
+// FinishWarm labels the mined templates, trains the EBRC, and returns
+// the ready pipeline — the paper's manual labeling of the top
+// templates, here against the community template catalog, the EBRC
+// trained on their raw lines, and the remaining templates labeled by
+// majority vote. It reuses work from prev — a finished pipeline from an
+// EARLIER point of the same builder lineage, or nil for none — where
 // provably equivalent: the EBRC is kept when the training set did not
 // move and otherwise rebuilt from prev's token counts, changed by only
-// the samples that came or went, and majority-vote template
-// predictions carry over when the classifier and the group's sample
-// set are unchanged. The counts pass from prev to the result, so prev
-// must not be finished against twice. The result is identical to
-// Finish's; only the cost differs.
+// the samples that came or went (from empty counts, without a prev),
+// and majority-vote template predictions carry over when the classifier
+// and the group's sample set are unchanged. The counts pass from prev
+// to the result, so prev must not be finished against twice. The
+// result does not depend on prev; only the cost does. The builder must
+// not be reused afterwards (the parser is frozen; further Train calls
+// panic).
 func (b *PipelineBuilder) FinishWarm(prev *Pipeline) *Pipeline {
 	if prev == nil {
 		prev = &Pipeline{} // nothing to reuse, but a lineage to start
 	}
-	return finishPipeline(b.p, b.total, prev)
-}
-
-// Clone deep-copies the builder (Drain tree, samples, labels), so the
-// original keeps absorbing new records while the clone is finished for
-// a point-in-time snapshot.
-func (b *PipelineBuilder) Clone() *PipelineBuilder {
-	src := b.p
-	p := &Pipeline{
-		Parser:         src.Parser.Clone(),
-		cfg:            src.cfg,
-		groupType:      make(map[int]ndr.Type, len(src.groupType)),
-		groupAmbiguous: make(map[int]bool, len(src.groupAmbiguous)),
-		groupSamples:   make(map[int][]string, len(src.groupSamples)),
-	}
-	for id, typ := range src.groupType {
-		p.groupType[id] = typ
-	}
-	for id, amb := range src.groupAmbiguous {
-		p.groupAmbiguous[id] = amb
-	}
-	for id, lines := range src.groupSamples {
-		p.groupSamples[id] = append([]string(nil), lines...)
-	}
-	return &PipelineBuilder{p: p, total: b.total}
-}
-
-// finishPipeline runs the post-mining steps (template labeling, EBRC
-// training, majority-vote prediction) over an already-mined pipeline.
-// prev, when non-nil, donates provably-identical work (see FinishWarm).
-func finishPipeline(p *Pipeline, total int, prev *Pipeline) *Pipeline {
-	cfg := p.cfg
+	p, total, cfg := b.p, b.total, b.p.cfg
 	// The pipeline is immutable from here on; freezing the parser makes
 	// Match lock-free, which the parallel classification pass needs to
 	// scale.
@@ -217,7 +162,7 @@ func finishPipeline(p *Pipeline, total int, prev *Pipeline) *Pipeline {
 
 	// 4. Predict the remaining templates by majority vote over their
 	// sampled raw messages.
-	reuse := prev != nil && p.Classifier == prev.Classifier
+	reuse := p.Classifier == prev.Classifier
 	for _, g := range groups {
 		if _, done := p.groupType[g.ID]; done {
 			continue
@@ -239,6 +184,30 @@ func finishPipeline(p *Pipeline, total int, prev *Pipeline) *Pipeline {
 		p.groupType[g.ID] = p.Classifier.PredictTemplate(lines)
 	}
 	return p
+}
+
+// Clone deep-copies the builder (Drain tree, samples, labels), so the
+// original keeps absorbing new records while the clone is finished for
+// a point-in-time snapshot.
+func (b *PipelineBuilder) Clone() *PipelineBuilder {
+	src := b.p
+	p := &Pipeline{
+		Parser:         src.Parser.Clone(),
+		cfg:            src.cfg,
+		groupType:      make(map[int]ndr.Type, len(src.groupType)),
+		groupAmbiguous: make(map[int]bool, len(src.groupAmbiguous)),
+		groupSamples:   make(map[int][]string, len(src.groupSamples)),
+	}
+	for id, typ := range src.groupType {
+		p.groupType[id] = typ
+	}
+	for id, amb := range src.groupAmbiguous {
+		p.groupAmbiguous[id] = amb
+	}
+	for id, lines := range src.groupSamples {
+		p.groupSamples[id] = append([]string(nil), lines...)
+	}
+	return &PipelineBuilder{p: p, total: b.total}
 }
 
 // sampleLine keeps up to PredictSample raw lines per group (reservoir
@@ -310,20 +279,14 @@ func (tc *trainCarry) moveTo(p *Pipeline, segs []trainSeg) {
 	tc.segs = segs
 }
 
-// train builds the EBRC from the training set's segments. A batch
-// pipeline (prev nil) fits it with ebrc.Train, the reference. A warm
-// one keeps prev's classifier when the segments did not move, and
-// otherwise takes over prev's counts — or starts them, if prev has
-// none to give — and builds it from them. The classifier is nil when no
-// labeled template has a sampled line.
+// train builds the EBRC from the training set's segments: it keeps
+// prev's classifier when the segments did not move, and otherwise takes
+// over prev's counts — or starts them, if prev has none to give — and
+// builds it from them. The model equals what ebrc.Train, the reference,
+// fits on the same set. The classifier is nil when no labeled template
+// has a sampled line.
 func (p *Pipeline) train(prev *Pipeline) {
 	p.trainSegs = p.trainingSegments()
-	if prev == nil {
-		if samples := p.trainingSamples(); len(samples) > 0 {
-			p.Classifier = ebrc.Train(samples)
-		}
-		return
-	}
 	tc := prev.carry
 	prev.carry = nil
 	if tc != nil && slices.Equal(tc.segs, p.trainSegs) {
@@ -371,21 +334,6 @@ func (p *Pipeline) trainingSegments() []trainSeg {
 		}
 	}
 	return segs
-}
-
-// trainingSamples is the training set trainSegs lays out, for ebrc.Train.
-func (p *Pipeline) trainingSamples() []ebrc.Sample {
-	n := 0
-	for _, sg := range p.trainSegs {
-		n += sg.n
-	}
-	out := make([]ebrc.Sample, 0, n)
-	for _, sg := range p.trainSegs {
-		for _, line := range p.groupSamples[sg.gid][:sg.n] {
-			out = append(out, ebrc.Sample{Text: line, Type: sg.typ})
-		}
-	}
-	return out
 }
 
 // ManualLabelStats reports how many top templates were labeled and the

@@ -110,22 +110,3 @@ func (sp *ShardedPipeline) Summary() PipelineSummary {
 		Ambiguous:    sp.AmbiguousTemplates(),
 	}
 }
-
-// buildShardedPipeline trains the canonical NumStreams-shard stack over
-// a record view in arrival order — the batch counterpart of the
-// Incremental's per-shard builders.
-func buildShardedPipeline(view dataset.Records, cfg PipelineConfig) *ShardedPipeline {
-	var bs [NumStreams]*PipelineBuilder
-	for s := range bs {
-		bs[s] = NewPipelineBuilder(cfg)
-	}
-	for i := 0; i < view.Len(); i++ {
-		rec := view.At(i)
-		bs[StreamOf(rec)].Add(rec)
-	}
-	sp := &ShardedPipeline{Shards: make([]*Pipeline, NumStreams)}
-	for s := range bs {
-		sp.Shards[s] = bs[s].Finish()
-	}
-	return sp
-}

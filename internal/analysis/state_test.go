@@ -11,7 +11,8 @@ import (
 
 // TestStateRoundTripMidStream: checkpoint an Incremental mid-stream,
 // restore it, feed both the same remainder, and every analysis surface
-// must match — the property crash recovery rests on.
+// must match, each other and the batch reference — the property crash
+// recovery rests on.
 func TestStateRoundTripMidStream(t *testing.T) {
 	records := testCorpus()
 	half := len(records) / 2
@@ -40,8 +41,9 @@ func TestStateRoundTripMidStream(t *testing.T) {
 		live.Add(&records[i])
 		restored.Add(&records[i])
 	}
-	a := live.Finish(nil)
-	b := restored.Finish(nil)
+	a := live.Snapshot(nil)
+	b := restored.Snapshot(nil)
+	matchBatch(t, "live", a, records, nil)
 	if !reflect.DeepEqual(a.Classified, b.Classified) {
 		t.Fatal("classifications diverge after restore")
 	}
@@ -114,7 +116,7 @@ func TestStateRecordFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := restored.Finish(nil).Records
+	view := restored.Snapshot(nil).Records
 	for i := range recs {
 		if !reflect.DeepEqual(*view.At(i), recs[i]) {
 			t.Fatalf("record %d differs:\n got %#v\nwant %#v", i, *view.At(i), recs[i])

@@ -1,15 +1,17 @@
 package analysis
 
 import (
-	"reflect"
+	"bytes"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
 
 // TestNewFromSourceMatchesNew: the single-pass streaming constructor
-// must produce the same analysis as the slice constructor — same
-// classifications, same rank, same tables and figures.
+// and the slice constructor both answer what the batch reference does —
+// same classifications, same rank, same tables and figures.
 func TestNewFromSourceMatchesNew(t *testing.T) {
 	records := testCorpus()
 	slice := New(records, nil)
@@ -26,13 +28,38 @@ func TestNewFromSourceMatchesNew(t *testing.T) {
 	if streamed.Records.Len() != slice.Records.Len() {
 		t.Fatalf("streamed %d records, slice %d", streamed.Records.Len(), slice.Records.Len())
 	}
-	if !reflect.DeepEqual(streamed.Classified, slice.Classified) {
-		t.Fatal("classifications differ between streaming and slice constructors")
+	matchBatch(t, "slice constructor", slice, records, nil)
+	matchBatch(t, "streaming constructor", streamed, records, nil)
+}
+
+// TestNewKeepsCallerRecords: New reads the caller's slice in place —
+// its Analysis's records are the caller's, not copies.
+func TestNewKeepsCallerRecords(t *testing.T) {
+	records := testCorpus()
+	a := New(records, nil)
+	if a.Records.Len() != len(records) {
+		t.Fatalf("New holds %d records, want %d", a.Records.Len(), len(records))
 	}
-	if !reflect.DeepEqual(streamed.InEmailRank(), slice.InEmailRank()) {
-		t.Fatal("popularity rank differs between streaming and slice constructors")
+	for i := range records {
+		if a.Records.At(i) != &records[i] {
+			t.Fatalf("record %d was copied", i)
+		}
 	}
-	if !sameResults(streamed, slice) {
-		t.Fatal("tables and figures differ between streaming and slice constructors")
+}
+
+// TestNewFromSourceStopsTrainer: NewFromSource trains on a goroutine of
+// its own, and none is left running once it returns.
+func TestNewFromSourceStopsTrainer(t *testing.T) {
+	records := testCorpus()
+	NewFromSource(dataset.NewSliceSource(records), DefaultPipelineConfig(), nil)
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		stacks := buf[:runtime.Stack(buf, true)]
+		if !bytes.Contains(stacks, []byte("(*Incremental).trainLoop")) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a trainer goroutine outlived NewFromSource:\n%s", stacks)
+		}
 	}
 }

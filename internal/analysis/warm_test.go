@@ -70,13 +70,14 @@ func TestWarmSnapshotReusesUntouchedClassifiers(t *testing.T) {
 // training set did not move, the EBRC rebuilt from carried counts where
 // it did, clean verdicts copied and their fold carried — equals, byte
 // for byte, a cold snapshot of a fresh accumulator over the same records
-// and the batch Analysis (New), which carries nothing: verdicts,
-// round-1 set and whole set, with an environment so the geo collectors
-// fold too, and what the carried clean index answers — detections,
-// Figure 7 and the round-2 set under the warm snapshot's scope. The
-// history runs +1, +5, +20 and +1,000 records, then restores the
-// accumulator from a checkpoint of it mid-history and goes on warm from
-// there.
+// and the batch reference (batchAnalysis), which carries nothing and
+// walks every record: verdicts, round-1 set and whole set, with an
+// environment so the geo collectors fold too, and what the carried
+// clean index answers — detections, Figure 7 and the round-2 set under
+// the warm snapshot's scope. Its EBRCs predict what ebrc.Train's fit on
+// the same training sets does. The history runs +1, +5, +20 and +1,000
+// records, then restores the accumulator from a checkpoint of it
+// mid-history and goes on warm from there.
 func TestWarmSnapshotMatchesCold(t *testing.T) {
 	records, env := generated(11, 6000)
 	cfg := DefaultPipelineConfig()
@@ -113,30 +114,13 @@ func TestWarmSnapshotMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		det := warm.Detect()
-		fig := warm.Durations(det)
-		scoped, err := warm.ScopedPartials(scope)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, ref := range map[string]*Analysis{"cold snapshot": fresh.Snapshot(env), "batch": New(records[:added], env)} {
-			if !reflect.DeepEqual(warm.Classified, ref.Classified) {
-				t.Fatalf("%s: warm verdicts differ from the %s's", when, name)
-			}
-			if !bytes.Equal(warm.BouncedPartials().Marshal(), ref.BouncedPartials().Marshal()) {
-				t.Fatalf("%s: warm round-1 set differs from the %s's", when, name)
-			}
-			if !bytes.Equal(warm.Partials().Marshal(), ref.Partials().Marshal()) {
-				t.Fatalf("%s: warm partial set differs from the %s's", when, name)
-			}
-			if want := ref.Detect(); !reflect.DeepEqual(det, want) {
-				t.Fatalf("%s: warm detections differ from the %s's", when, name)
-			}
-			if want := ref.Durations(ref.Detect()); !reflect.DeepEqual(fig, want) {
-				t.Fatalf("%s: warm Figure 7 differs from the %s's", when, name)
-			}
-			if want, err := ref.ScopedPartials(scope); err != nil || !bytes.Equal(scoped.Marshal(), want.Marshal()) {
-				t.Fatalf("%s: warm round-2 set differs from the %s's (%v)", when, name, err)
+		got := productAnswers(t, warm, scope)
+		for name, want := range map[string]answers{
+			"cold snapshot":   productAnswers(t, fresh.Snapshot(env), scope),
+			"batch reference": batchAnswers(t, batchAnalysis(records[:added], env), scope),
+		} {
+			if d := got.diff(want); d != "" {
+				t.Fatalf("%s: warm %s differ from the %s's", when, d, name)
 			}
 		}
 	}
@@ -259,6 +243,18 @@ func TestWarmSnapshotCarriesCleanRecords(t *testing.T) {
 	if !bytes.Equal(cold.carried.Marshal(), other.carried.Marshal()) {
 		t.Fatal("a snapshot after DropCarried folds other bytes than the one before it")
 	}
+}
+
+// trainingSamples is the training set p.trainSegs lays out, as
+// ebrc.Train takes it: the reference the carried counts are held to.
+func (p *Pipeline) trainingSamples() []ebrc.Sample {
+	var out []ebrc.Sample
+	for _, sg := range p.trainSegs {
+		for _, line := range p.groupSamples[sg.gid][:sg.n] {
+			out = append(out, ebrc.Sample{Text: line, Type: sg.typ})
+		}
+	}
+	return out
 }
 
 // TestTrainCarryFollowsAnySegments: carried counts moved through any

@@ -41,7 +41,7 @@ func recoveredReport(t *testing.T, dir string, env *analysis.Environment) []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := inc.Finish(env)
+	a := inc.Snapshot(env)
 	st := &bounce.Study{Records: a.Records, Analysis: a}
 	st.Detections = a.Detect()
 	var buf bytes.Buffer

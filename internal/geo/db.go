@@ -3,6 +3,7 @@ package geo
 import (
 	"fmt"
 	"hash/fnv"
+	"net/netip"
 	"sync"
 
 	"repro/internal/simrng"
@@ -178,16 +179,18 @@ func (db *DB) allocPrefixLocked() uint32 {
 }
 
 // Lookup maps a synthetic IP back to its country code and AS number.
-// Unknown addresses return ok=false (the analysis treats them like
-// ip-api lookup failures).
+// Unknown addresses, and strings that are not a dotted-quad IPv4
+// address, return ok=false (the analysis treats them like ip-api lookup
+// failures).
 func (db *DB) Lookup(ip string) (countryCode string, asn int, ok bool) {
-	var a, b, c, d int
-	if _, err := fmt.Sscanf(ip, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
+	addr, err := netip.ParseAddr(ip)
+	if err != nil || !addr.Is4() {
 		return "", 0, false
 	}
+	q := addr.As4()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	own, ok := db.prefixOwn[uint32(a)<<8|uint32(b)]
+	own, ok := db.prefixOwn[uint32(q[0])<<8|uint32(q[1])]
 	if !ok {
 		return "", 0, false
 	}

@@ -1,7 +1,9 @@
 package geo
 
 import (
+	"fmt"
 	"math"
+	"net/netip"
 	"sort"
 	"strings"
 	"testing"
@@ -127,6 +129,68 @@ func TestAllocIPAvoidsReservedFirstOctets(t *testing.T) {
 			t.Fatalf("allocated IP %s in reserved first octet", ip)
 		}
 	}
+}
+
+// TestLookupRejectsMalformed: a string that is not a dotted-quad IPv4
+// address resolves to nothing, even where its first two numbers would
+// name an allocated prefix — an octet past 255 carried into the next,
+// trailing bytes, a fifth octet, a sign.
+func TestLookupRejectsMalformed(t *testing.T) {
+	db := NewDB()
+	ip := db.AllocIP("DE", 3320)
+	a, err := netip.ParseAddr(ip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := a.As4()
+	if q[0] == 0 {
+		t.Fatalf("allocated %s: no lower first octet to carry from", ip)
+	}
+	for _, s := range []string{
+		fmt.Sprintf("%d.%d.%d.%d", q[0]-1, 256+int(q[1]), q[2], q[3]),
+		ip + "junk",
+		ip + ".99",
+		"+" + ip,
+		" " + ip,
+		fmt.Sprintf("%d.%d.%d.%d", q[0], q[1], q[2], 256+int(q[3])),
+		fmt.Sprintf("%d.0%d.%d.%d", q[0], q[1], q[2], q[3]),
+		"::ffff:" + ip,
+	} {
+		if cc, asn, ok := db.Lookup(s); ok {
+			t.Errorf("Lookup(%q) = (%s,%d,true), want ok=false", s, cc, asn)
+		}
+	}
+	if cc, asn, ok := db.Lookup(ip); !ok || cc != "DE" || asn != 3320 {
+		t.Errorf("Lookup(%s) = (%s,%d,%v), want (DE,3320,true)", ip, cc, asn, ok)
+	}
+}
+
+// FuzzLookup: Lookup resolves exactly the strings netip parses as an
+// IPv4 address, and those as the address netip reads.
+func FuzzLookup(f *testing.F) {
+	db := NewDB()
+	for _, cc := range []string{"DE", "US", "HK"} {
+		ip := db.AllocIP(cc, GenericASN(cc))
+		f.Add(ip)
+		f.Add(ip + ".1")
+		f.Add("+" + ip)
+	}
+	f.Add("4.256.0.1")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		cc, asn, ok := db.Lookup(s)
+		a, err := netip.ParseAddr(s)
+		if err != nil || !a.Is4() {
+			if ok {
+				t.Fatalf("Lookup(%q) = (%s,%d,true) for what is not an IPv4 address", s, cc, asn)
+			}
+			return
+		}
+		wcc, wasn, wok := db.Lookup(a.String())
+		if cc != wcc || asn != wasn || ok != wok {
+			t.Fatalf("Lookup(%q) = (%s,%d,%v), Lookup(%s) = (%s,%d,%v)", s, cc, asn, ok, a, wcc, wasn, wok)
+		}
+	})
 }
 
 func TestLookupUnknown(t *testing.T) {
