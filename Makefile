@@ -40,10 +40,13 @@ loc:
 # environment — the same report over analysis.New of a plain slice, and
 # beside them one delta report, after 1,000 more records on a warm
 # accumulator, a snapshot's Detect and Figure 7 alone, cold and warm,
-# and a two-shard cluster's delta report, as ns/op, B/op and allocs/op.
+# and a two-shard cluster's delta report, as ns/op, B/op and allocs/op;
+# then the cold report again on one core and on two, since a cold
+# snapshot finishes, classifies and folds on every core it is given.
 # Reported, never asserted.
 bench-allocs:
 	$(GO) test -run '^$$' -bench 'ReportCold/no-env|Analyze/no-env|ReportDelta/no-env|DetectFig7|ClusterReport/two-rounds-delta' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'ReportCold/no-env' -cpu 1,2 -benchtime 1x -benchmem .
 
 # race runs the whole suite under the race detector.
 race:
@@ -95,7 +98,9 @@ chaos-shard-failover:
 # aggregates over one cached study, on one partial set rendered by
 # concurrent readers, on a study rendered while the next snapshots copy
 # its verdicts and extend its fold and index of clean records, on one
-# snapshot's scoped detect pass shared by concurrent callers, on the
+# snapshot's scoped detect pass shared by concurrent callers, on a
+# snapshot's substreams finished, records classified and fold built by
+# several workers, with and without an environment, on the
 # squat scan shared by concurrent reports, on records that land between a
 # coordinator's two fan-in rounds, and on /metrics and /v1/stats scraped
 # while a durable node applies, checkpoints, promotes and ingests (fast

@@ -54,10 +54,6 @@ func (cx *ClassifyCtx) matcher(shard int) *drain.Matcher {
 // immutable once returned, valid indefinitely, full-capacity (appends
 // copy out).
 func (cx *ClassifyCtx) ClassifyRecord(rec *dataset.Record) (c ClassifiedRecord) {
-	shard := StreamOf(rec)
-	p := cx.sp.Shards[shard]
-	m := cx.matcher(shard)
-
 	c.setFacts(rec)
 	n := len(rec.DeliveryResult)
 	if n == 0 {
@@ -68,6 +64,10 @@ func (cx *ClassifyCtx) ClassifyRecord(rec *dataset.Record) (c ClassifiedRecord) 
 		c.AttemptTypes = noneTypes[:n:n]
 		return c
 	}
+	// Only a record with an NDR line reads its substream's pipeline, so
+	// only it pays for StreamOf's hash.
+	shard := StreamOf(rec)
+	p, m := cx.sp.Shards[shard], cx.matcher(shard)
 	c.AttemptTypes = cx.types.Alloc(n)
 	var seen uint32 // bit per ndr.Type (T0..T16 fit easily)
 	var typeBuf [ndr.NumTypes + 1]ndr.Type

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 )
@@ -239,24 +240,31 @@ func (inc *Incremental) Snapshot(env *Environment) *Analysis {
 // popularity. Each substream's pipeline is finished warm against its
 // own predecessor — per-shard EBRC and vote reuse even when a sibling
 // shard changed. Then what the new records can change is redone: the
-// records that are not clean and the new ones are classified, fanned
-// out across GOMAXPROCS workers with a deterministic indexed merge, the
+// records that are not clean and the new ones are classified, the
 // previous snapshot's clean verdicts are copied, and its carried fold
 // and clean index are extended by the new records. With nothing carried
-// every record is new. The caller holds snapMu, or inc is its own.
+// every record is new. Finishing, classifying and folding each fan out
+// across GOMAXPROCS workers once the new records pay for more than one
+// (widthFor), so a cold snapshot runs on every core and a warm one's
+// short extension on the caller's goroutine: the sixteen substreams
+// are independent lineages, a verdict depends only on its record, and
+// the fold merges per-block sets whose merge is order-free. The clean
+// index alone stays serial (extendFold). The caller holds snapMu, or
+// inc is its own.
 func (inc *Incremental) build(view dataset.Records, bs [NumStreams]*PipelineBuilder, dirty []int32, counts map[string]int, env *Environment) *Analysis {
-	sp := &ShardedPipeline{Shards: make([]*Pipeline, NumStreams)}
-	for s := range bs {
-		sp.Shards[s] = bs[s].FinishWarm(inc.lastPipes[s])
-	}
-	copy(inc.lastPipes[:], sp.Shards)
-
 	verdicts := make([]ClassifiedRecord, view.Len())
 	m, fold, index := 0, (*PartialSet)(nil), (*cleanIndex)(nil)
 	if last := inc.last; last != nil && last.env == env {
 		m, fold, index = len(last.verdicts), last.fold, last.index
 		copy(verdicts, last.verdicts)
 	}
+
+	sp := &ShardedPipeline{Shards: make([]*Pipeline, NumStreams)}
+	fanOut(widthFor(len(verdicts)-m), NumStreams, func(s int) {
+		sp.Shards[s] = bs[s].FinishWarm(inc.lastPipes[s])
+	})
+	copy(inc.lastPipes[:], sp.Shards)
+
 	// dirty[:k] are the records before m the previous snapshot did not
 	// carry.
 	k, _ := slices.BinarySearch(dirty, int32(m))
@@ -276,27 +284,62 @@ func (inc *Incremental) build(view dataset.Records, bs [NumStreams]*PipelineBuil
 // are not clean. Neither fold nor index is ever written: a snapshot's
 // study may be reading them. New ones start from copies of them, unless
 // no record was added.
+//
+// The new records are folded in contiguous blocks, one set each, the
+// first set starting from the copy of fold; the sets are then merged
+// in block order, which gives the bytes of one fold since every
+// collector's state is order-free. The index is extended beside them
+// as one more task, serially: it numbers senders and receiver domains
+// in first-seen order, which the next snapshot extends.
 func extendFold(fold *PartialSet, index *cleanIndex, env *Environment, view dataset.Records, verdicts []ClassifiedRecord, dirty []int32, m int) (*PartialSet, *cleanIndex) {
 	n := len(verdicts)
 	if fold != nil && n == m {
 		return fold, index
 	}
-	next, build := NewPartialSet(env), index.builder(n-m-len(dirty))
-	next.part = partBounced
-	if fold != nil {
-		next.Merge(fold) // the same part: cannot fail
+	w := widthFor(n - m)
+	parts := make([]*PartialSet, w)
+	fanOut(w, 1+w, func(t int) {
+		if t == 0 {
+			index = extendIndex(index, view, verdicts, dirty, m)
+			return
+		}
+		lo, hi := block(t-1, w, m, n)
+		ps := NewPartialSet(env)
+		ps.part = partBounced
+		if t == 1 && fold != nil {
+			ps.Merge(fold) // the same part: cannot fail
+		}
+		j, _ := slices.BinarySearch(dirty, int32(lo))
+		for i := lo; i < hi; i++ {
+			rec, c := view.At(i), &verdicts[i]
+			ps.addFacts(rec, c)
+			if j < len(dirty) && int(dirty[j]) == i {
+				j++
+				continue
+			}
+			ps.addLabels(rec, c)
+		}
+		parts[t-1] = ps
+	})
+	for _, ps := range parts[1:] {
+		parts[0].Merge(ps) // the same part: cannot fail
 	}
-	for i := m; i < n; i++ {
-		rec, c := view.At(i), &verdicts[i]
-		next.addFacts(rec, c)
+	return parts[0], index
+}
+
+// extendIndex returns the index of the clean records below
+// len(verdicts), given index, that of the records below m (nil for
+// none), and dirty, the records from m on that are not clean.
+func extendIndex(index *cleanIndex, view dataset.Records, verdicts []ClassifiedRecord, dirty []int32, m int) *cleanIndex {
+	b := index.builder(len(verdicts) - m - len(dirty))
+	for i := m; i < len(verdicts); i++ {
 		if len(dirty) > 0 && int(dirty[0]) == i {
 			dirty = dirty[1:]
 			continue
 		}
-		next.addLabels(rec, c)
-		build.add(i, rec, c)
+		b.add(i, view.At(i), &verdicts[i])
 	}
-	return next, build.finish()
+	return b.finish()
 }
 
 // DropCarried forgets what the last snapshot handed the next — its
@@ -310,49 +353,69 @@ func (inc *Incremental) DropCarried() {
 }
 
 // classifyRange fills out[i] = classify(view.At(i)) for every i in idx
-// and every i from `from` on, fanning out across GOMAXPROCS workers when
-// there are enough records to amortize them. Each worker classifies its
-// contiguous block of that work through its own ClassifyCtx (reused
-// token buffers and verdict arenas — the zero-alloc batch path). Each
-// slot depends only on its own record, so the output is identical for
-// any worker count, and identical to per-record sp.ClassifyRecord.
+// and every i from `from` on, in widthFor contiguous blocks of that
+// work, each through its own ClassifyCtx (reused token buffers and
+// verdict arenas — the zero-alloc batch path). Each slot depends only
+// on its own record, so the output is identical for any worker count,
+// and identical to per-record sp.ClassifyRecord.
 func classifyRange(sp *ShardedPipeline, view dataset.Records, out []ClassifiedRecord, idx []int32, from int) {
 	n := len(idx) + len(out) - from
-	at := func(j int) int { // the j-th slot of the work
-		if j < len(idx) {
-			return int(idx[j])
-		}
-		return from + j - len(idx)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if w := n / 2048; workers > w {
-		workers = w
-	}
-	if workers <= 1 {
+	w := widthFor(n)
+	fanOut(w, w, func(k int) {
 		cx := sp.NewClassifyCtx()
-		for j := 0; j < n; j++ {
-			i := at(j)
+		lo, hi := block(k, w, 0, n)
+		for j := lo; j < hi; j++ {
+			i := from + j - len(idx) // the j-th slot of the work
+			if j < len(idx) {
+				i = int(idx[j])
+			}
 			out[i] = cx.ClassifyRecord(view.At(i))
 		}
-		return
+	})
+}
+
+// perWorker is how many records a snapshot's fan-outs give each worker
+// at least: fewer do not repay a goroutine and its own classify context
+// or partial set.
+const perWorker = 2048
+
+// widthFor is how many workers a snapshot stage over n records takes:
+// GOMAXPROCS, but no more than one per perWorker records, and one at
+// least.
+func widthFor(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/perWorker))
+}
+
+// block returns the k-th of w near-equal contiguous blocks of [lo, hi).
+func block(k, w, lo, hi int) (int, int) {
+	n := hi - lo
+	return lo + k*n/w, lo + (k+1)*n/w
+}
+
+// fanOut runs do(t) for every task t in [0, tasks) on w goroutines, the
+// caller's among them, each taking the lowest task not yet taken, and
+// returns once all have run. With w ≤ 1 the tasks run in order on the
+// caller's goroutine. It is the one fan-out of a snapshot.
+func fanOut(w, tasks int, do func(t int)) {
+	var next atomic.Int64
+	run := func() {
+		for {
+			t := int(next.Add(1)) - 1
+			if t >= tasks {
+				return
+			}
+			do(t)
+		}
 	}
 	var wg sync.WaitGroup
-	step := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += step {
-		hi := lo + step
-		if hi > n {
-			hi = n
-		}
+	for range min(w, tasks) - 1 {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			cx := sp.NewClassifyCtx()
-			for j := lo; j < hi; j++ {
-				i := at(j)
-				out[i] = cx.ClassifyRecord(view.At(i))
-			}
-		}(lo, hi)
+			run()
+		}()
 	}
+	run()
 	wg.Wait()
 }
 

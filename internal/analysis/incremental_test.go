@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -210,4 +211,40 @@ func TestIncrementalTrainerConcurrent(t *testing.T) {
 	wg.Wait()
 	inc.StopTrainer()
 	matchBatch(t, "trainer-fed", inc.Snapshot(nil), records, nil)
+}
+
+// TestIncrementalFanOutMatchesSerial: a snapshot finishes its
+// substreams, classifies and folds on GOMAXPROCS workers once the new
+// records pay for more than one, and answers exactly what it answers on
+// one — cold, then warm after an extension long enough to fan out too,
+// with and without an environment (whose geo database and proxy regions
+// the fold's workers then read at once). Under make race-parallel it is
+// also the race check of those workers.
+func TestIncrementalFanOutMatchesSerial(t *testing.T) {
+	records, env := generated(7, 12500)
+	cold := len(records) - 2*perWorker
+	snapshots := func(procs int, e *Environment) []*Analysis {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		if procs > 1 && (widthFor(cold) < procs || widthFor(len(records)-cold) < 2) {
+			t.Fatalf("%d records, %d of them cold, do not fan out on %d workers", len(records), cold, procs)
+		}
+		inc := NewIncremental(DefaultPipelineConfig())
+		inc.AddBatch(records[:cold])
+		first := inc.Snapshot(e)
+		inc.AddBatch(records[cold:])
+		return []*Analysis{first, inc.Snapshot(e)}
+	}
+	for _, e := range []*Environment{nil, env} {
+		serial, parallel := snapshots(1, e), snapshots(4, e)
+		for i, when := range []string{"cold", "warm"} {
+			scope, err := serial[i].BouncedPartials().MarshalScope()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := productAnswers(t, serial[i], scope)
+			if d := productAnswers(t, parallel[i], scope).diff(want); d != "" {
+				t.Fatalf("%s snapshot, environment %t: %s on 4 workers differ from one's", when, e != nil, d)
+			}
+		}
+	}
 }
