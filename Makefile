@@ -111,9 +111,12 @@ race-parallel:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# bench-parallel measures DeliverBatch scaling across fan-out widths.
+# bench-parallel measures DeliverBatch scaling across fan-out widths
+# and what a node's boot with an environment pays to replay delivery
+# (ReplayEnvironment, 80k emails, one worker and two). Reported, never
+# asserted.
 bench-parallel:
-	$(GO) test -run xxx -bench 'DeliveryEngineParallel|PipelineBuildStream' .
+	$(GO) test -run xxx -bench 'DeliveryEngineParallel|PipelineBuildStream|ReplayEnvironment' .
 
 # serve boots the bounce-analytics service fed by an in-process
 # delivery engine run; Ctrl-C drains the queue and flushes a report.

@@ -7,6 +7,7 @@
 package bounce_test
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -67,9 +68,11 @@ func BenchmarkDeliveryEngine(b *testing.B) {
 
 // BenchmarkDeliveryEngineParallel measures DeliverBatch throughput at
 // several fan-out widths over a pregenerated multi-day workload. The
-// dataset is identical at every width; on a 4+ core machine workers=4
-// should run ≥2x faster than workers=1 (on a single core the widths
-// track each other — the bench then measures fan-out overhead).
+// dataset is identical at every width. Workers claim whole shards,
+// largest first, so a width's speed-up is bounded by the largest
+// shard's share of a day (the Zipf head's), not by core count alone;
+// on a single core the widths track each other and the bench measures
+// fan-out overhead.
 func BenchmarkDeliveryEngineParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(benchName("workers=", workers), func(b *testing.B) {
@@ -92,6 +95,23 @@ func BenchmarkDeliveryEngineParallel(b *testing.B) {
 				e.DeliverBatch(subs, workers, func(dataset.Record, *world.Submission, delivery.Truth) {})
 			}
 			b.ReportMetric(float64(emails)/b.Elapsed().Seconds(), "emails/s")
+		})
+	}
+}
+
+// BenchmarkReplayEnvironment is what a node with an environment pays
+// at boot: regenerate the world and replay delivery over the
+// benchmark's 80k emails, at one worker (bounced's default) and two.
+func BenchmarkReplayEnvironment(b *testing.B) {
+	cfg := world.DefaultConfig()
+	cfg.TotalEmails = 80_000
+	for _, workers := range []int{1, 2} {
+		b.Run(benchName("workers=", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bounce.ReplayEnvironment(context.Background(), cfg, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -46,6 +46,9 @@ func (r DKIMResult) Pass() bool { return r == DKIMPass }
 // The simulation signs the message ID plus envelope fields (it never has
 // bodies); the cryptography is real Ed25519 (RFC 8463 permits Ed25519
 // DKIM keys), so broken published keys genuinely fail verification.
+// The receivers' auth stage signs and verifies only when SPF has not
+// passed: a message passes when either does, so only then can DKIM
+// decide the verdict.
 type Signature struct {
 	Domain   string // d= tag
 	Selector string // s= tag
@@ -108,36 +111,60 @@ func canonicalPayload(domain, msgID string) []byte {
 }
 
 // DKIMVerifier verifies signatures against keys published in the
-// simulated DNS.
+// simulated DNS. Lookup (the DNS query) and Check (the Ed25519
+// verification) are separate calls, so a caller that may not need the
+// verdict can still make the query, which moves the resolver's cache
+// and transient-failure draws, and skip the cryptography.
 type DKIMVerifier struct {
 	Resolver *dns.Resolver
 }
 
-// Verify checks sig over msgID at virtual time t.
+// DKIMKey is the outcome of looking up a signing key: a public key to
+// Check signatures against, or the result every signature gets
+// because no usable key was found.
+type DKIMKey struct {
+	pub ed25519.PublicKey
+	res DKIMResult
+}
+
+// Lookup resolves the key published at selector._domainkey.domain at
+// virtual time t. The first TXT record that parses as a DKIM key is
+// the key; a name with none is a permerror.
+func (v *DKIMVerifier) Lookup(domain, selector string, t time.Time) DKIMKey {
+	txts, code := v.Resolver.ResolveTXT(selector+"._domainkey."+domain, t)
+	switch code {
+	case dns.NoError:
+	case dns.NXDomain:
+		return DKIMKey{res: DKIMPermError} // no key published
+	default:
+		return DKIMKey{res: DKIMTempError}
+	}
+	for _, txt := range txts {
+		if pub, err := parseDKIMKey(txt); err == nil {
+			return DKIMKey{pub: pub}
+		}
+	}
+	return DKIMKey{res: DKIMPermError}
+}
+
+// Check verifies sig over msgID against the key.
+func (k DKIMKey) Check(sig Signature, msgID string) DKIMResult {
+	if k.pub == nil {
+		return k.res
+	}
+	if ed25519.Verify(k.pub, canonicalPayload(sig.Domain, msgID), sig.Sig) {
+		return DKIMPass
+	}
+	return DKIMFail
+}
+
+// Verify checks sig over msgID at virtual time t: Lookup of the key
+// sig names, then Check.
 func (v *DKIMVerifier) Verify(sig Signature, msgID string, t time.Time) DKIMResult {
 	if sig.Domain == "" || len(sig.Sig) == 0 {
 		return DKIMNone
 	}
-	name := sig.Selector + "._domainkey." + sig.Domain
-	txts, code := v.Resolver.ResolveTXT(name, t)
-	switch code {
-	case dns.NoError:
-	case dns.NXDomain:
-		return DKIMPermError // no key published
-	default:
-		return DKIMTempError
-	}
-	for _, txt := range txts {
-		pub, err := parseDKIMKey(txt)
-		if err != nil {
-			continue
-		}
-		if ed25519.Verify(pub, canonicalPayload(sig.Domain, msgID), sig.Sig) {
-			return DKIMPass
-		}
-		return DKIMFail
-	}
-	return DKIMPermError
+	return v.Lookup(sig.Domain, sig.Selector, t).Check(sig, msgID)
 }
 
 // parseDKIMKey extracts the Ed25519 public key from a DKIM TXT record.

@@ -2,7 +2,9 @@ package delivery
 
 import (
 	"context"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/dataset"
@@ -13,45 +15,41 @@ import (
 // across workers goroutines and hands results to consume in submission
 // order.
 //
-// Determinism: each worker owns the shards s with s % workers == its
-// index and processes that subset of subs in slice order, so every
-// shard sees its submissions in global sequence order no matter how
-// many workers run. Cross-shard state — blocklist spam reports — is
-// buffered per delivery and applied in a single
-// ordered merge after the barrier, which also means all deliveries in
-// a batch observe the blocklist as of batch start (spamtrap listings
-// propagate at the next batch, like a real DNSBL's publication delay).
+// Determinism: the batch's submissions are grouped by receiver-domain
+// shard, in slice order within each shard, and each worker claims
+// whole shards from a shared cursor, largest first, so the Zipf head's
+// shards start early and the small ones fill in behind them. A shard
+// is delivered by one goroutine in slice order, so every shard sees its
+// submissions in global sequence order no matter how many workers run
+// or which worker claims it. Cross-shard state — blocklist spam
+// reports — is buffered per delivery and applied in a single ordered
+// merge after the barrier, which also means all deliveries in a batch
+// observe the blocklist as of batch start (spamtrap listings propagate
+// at the next batch, like a real DNSBL's publication delay).
 func (e *Engine) DeliverBatch(subs []*world.Submission, workers int, consume func(rec dataset.Record, sub *world.Submission, truth Truth)) {
 	if len(subs) == 0 {
 		return
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > NumShards {
-		workers = NumShards
-	}
 	results := make([]result, len(subs))
-	if workers == 1 {
+	if workers <= 1 {
 		for i, sub := range subs {
 			results[i] = e.deliver(sub)
 		}
 	} else {
-		shards := make([]int, len(subs))
-		for i, sub := range subs {
-			shards[i] = e.shardOf(sub.Msg.To.Domain)
-		}
+		byShard, order := e.groupByShard(subs)
+		workers = min(workers, len(order))
+		var next atomic.Int32
 		var wg sync.WaitGroup
+		wg.Add(workers)
 		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
+			go func() {
 				defer wg.Done()
-				for i, sub := range subs {
-					if shards[i]%workers == wk {
-						results[i] = e.deliver(sub)
+				for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
+					for _, i := range byShard[order[k]] {
+						results[i] = e.deliver(subs[i])
 					}
 				}
-			}(wk)
+			}()
 		}
 		wg.Wait()
 	}
@@ -64,6 +62,23 @@ func (e *Engine) DeliverBatch(subs []*world.Submission, workers int, consume fun
 			consume(res.rec, subs[i], res.truth)
 		}
 	}
+}
+
+// groupByShard returns the indices of subs grouped by shard, in slice
+// order within each shard, and the non-empty shards largest first
+// (ties by shard number).
+func (e *Engine) groupByShard(subs []*world.Submission) (byShard [NumShards][]int, order []int) {
+	for i, sub := range subs {
+		s := e.shardOf(sub.Msg.To.Domain)
+		byShard[s] = append(byShard[s], i)
+	}
+	for s := range byShard {
+		if len(byShard[s]) > 0 {
+			order = append(order, s)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return len(byShard[order[a]]) > len(byShard[order[b]]) })
+	return byShard, order
 }
 
 // ParallelRun delivers the whole 15-month workload in chronological

@@ -38,19 +38,68 @@ type Template struct {
 func (tp *Template) Soft() bool { return tp.Code.Temporary() }
 
 // Render substitutes params into the template text.
-func (tp *Template) Render(p Params) string {
-	r := strings.NewReplacer(
-		"{addr}", p.Addr,
-		"{local}", p.Local,
-		"{domain}", p.Domain,
-		"{ip}", p.IP,
-		"{mx}", p.MX,
-		"{bl}", p.BL,
-		"{vendor}", p.Vendor,
-		"{sec}", p.Sec,
-		"{size}", p.Size,
-	)
-	return r.Replace(tp.Text)
+func (tp *Template) Render(p Params) string { return expand(tp.Text, &p) }
+
+// expand replaces each {placeholder} in text with its value from p in
+// one left-to-right pass. Substituted values are not rescanned, and a
+// brace that opens no placeholder is copied as is. No placeholder is a
+// prefix of another, so this is what a strings.Replacer over the nine
+// pairs produces, without building one per reply.
+func expand(text string, p *Params) string {
+	i := strings.IndexByte(text, '{')
+	if i < 0 {
+		return text
+	}
+	var b strings.Builder
+	b.Grow(len(text) + 32)
+	for i >= 0 {
+		b.WriteString(text[:i])
+		text = text[i:]
+		if v, n := p.placeholder(text); n > 0 {
+			b.WriteString(v)
+			text = text[n:]
+		} else {
+			b.WriteByte('{')
+			text = text[1:]
+		}
+		i = strings.IndexByte(text, '{')
+	}
+	b.WriteString(text)
+	return b.String()
+}
+
+// placeholder returns the value of the placeholder s starts with and
+// the placeholder's length, or a zero length when s, which starts with
+// '{', starts with none.
+func (p *Params) placeholder(s string) (string, int) {
+	end := strings.IndexByte(s, '}')
+	if end < 0 {
+		return "", 0
+	}
+	var v string
+	switch s[1:end] {
+	case "addr":
+		v = p.Addr
+	case "local":
+		v = p.Local
+	case "domain":
+		v = p.Domain
+	case "ip":
+		v = p.IP
+	case "mx":
+		v = p.MX
+	case "bl":
+		v = p.BL
+	case "vendor":
+		v = p.Vendor
+	case "sec":
+		v = p.Sec
+	case "size":
+		v = p.Size
+	default:
+		return "", 0
+	}
+	return v, end + 1
 }
 
 // enh is shorthand for constructing enhanced codes in the catalog.
@@ -208,6 +257,5 @@ var SuccessReplies = []string{
 // RenderSuccess renders a success reply variant (idx modulo the list).
 func RenderSuccess(idx int, p Params) string {
 	tpl := SuccessReplies[((idx%len(SuccessReplies))+len(SuccessReplies))%len(SuccessReplies)]
-	r := strings.NewReplacer("{vendor}", p.Vendor, "{domain}", p.Domain)
-	return r.Replace(tpl)
+	return expand(tpl, &p)
 }
