@@ -26,15 +26,15 @@ import (
 
 // NumShards is the fixed number of receiver-domain partitions the
 // engine's mutable state is split into. It is independent of the
-// worker count: a worker owns every shard s with s % workers == its
-// index, so the shard→state mapping (and therefore the dataset) never
-// changes when the worker count does.
+// worker count: workers claim whole shards per batch, so the
+// shard→state mapping (and therefore the dataset) never changes when
+// the worker count does.
 const NumShards = 16
 
 // Engine drives deliveries. Create with New. The engine is safe for
 // concurrent use through DeliverBatch/ParallelRun: mutable delivery
 // state is partitioned into NumShards receiver-domain shards, each
-// owned by exactly one worker goroutine per batch, and every
+// delivered by exactly one worker goroutine per batch, and every
 // submission draws from a private RNG stream derived from its message
 // ID rather than from engine-call order. Any worker count therefore
 // produces a byte-identical dataset for the same seed.
