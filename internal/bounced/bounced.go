@@ -52,9 +52,6 @@ type Config struct {
 	// registries) report sections consult. May be nil for ingest-only
 	// deployments; env-dependent sections then return zero results.
 	Env *analysis.Environment
-	// Pipeline overrides the classification pipeline parameters (zero
-	// selects the paper defaults).
-	Pipeline analysis.PipelineConfig
 	// QueueDepth bounds the ingest queue (default 1024). Producers
 	// block once it fills — backpressure, not loss.
 	QueueDepth int
@@ -226,7 +223,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		inc:       analysis.NewIncremental(cfg.Pipeline),
+		inc:       analysis.NewIncremental(analysis.PipelineConfig{}),
 		queue:     dataset.NewPipe(cfg.QueueDepth),
 		hist:      stats.NewHistogram(latencyBounds),
 		typeHits:  make(map[ndr.Type]*atomic.Uint64, len(ndr.AllTypes)),

@@ -11,8 +11,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/bounced"
 	"repro/internal/dataset"
-	"repro/internal/replication"
-	"repro/internal/store"
 )
 
 // walFiles returns dir's WAL segments by name.
@@ -62,19 +60,8 @@ func recoveredReport(t *testing.T, dir string, env *analysis.Environment) []byte
 func TestStandbyLogIsPrimaryLog(t *testing.T) {
 	records, env := fixture(t)
 	records = records[:1200]
-	pdir, sdir := t.TempDir(), t.TempDir()
-	open := func(dir string) *store.FS {
-		eng, err := store.Open(store.FSOptions{Dir: dir, SegmentBytes: 96 << 10, Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	pair := newReplPair(t,
-		bounced.Config{Env: env, Store: open(pdir), ReplAck: 1},
-		bounced.Config{Env: env, Store: open(sdir)},
-		replication.StandbyConfig{})
-	defer pair.stop()
+	pair := boot(t, row{standby: true, store: fsEngine, segmentBytes: 96 << 10, cfg: bounced.Config{Env: env}}).sets[0]
+	pdir, sdir := pair.primary.dir, pair.standby.dir
 	waitFor(t, 5*time.Second, "the standby's first poll", func() bool { return pair.sync.Status().Polls > 0 })
 
 	hostile := records[7].Clone()
@@ -87,32 +74,33 @@ func TestStandbyLogIsPrimaryLog(t *testing.T) {
 	notUTF8.DeliveryLatency = []int64{5}
 	notUTF8.FromIP, notUTF8.ToIP = []string{"5.0.0.1"}, []string{"20.0.0.9"}
 
-	sent := sendBatches(t, pair.pts.URL, "ids", 0, records[:600], 150)
+	url := pair.primary.url
+	sent := sendBatches(t, url, "ids", 0, records[:600], 150)
 	total := 600
-	if ir := postRecords(t, pair.pts.URL, encodeNDJSON(t, records[600:900])); ir.status != 200 || ir.Accepted != 300 {
+	if ir := send(t, url, batch{recs: records[600:900]}); ir.status != 200 || ir.Accepted != 300 {
 		t.Fatalf("streamed group: %+v", ir)
 	}
 	total += 300
 	for _, one := range []dataset.Record{records[900], hostile} {
-		if ir := postRecords(t, pair.pts.URL, encodeNDJSON(t, []dataset.Record{one})); ir.status != 200 || ir.Accepted != 1 {
+		if ir := send(t, url, batch{recs: []dataset.Record{one}}); ir.status != 200 || ir.Accepted != 1 {
 			t.Fatalf("bare record: %+v", ir)
 		}
 		total++
 	}
-	if ir := postBatch(t, pair.pts.URL, "hostile", []dataset.Record{hostile, records[901], hostile}); ir.status != 200 || ir.Accepted != 3 {
+	if ir := send(t, url, batch{id: "hostile", recs: []dataset.Record{hostile, records[901], hostile}}); ir.status != 200 || ir.Accepted != 3 {
 		t.Fatalf("escape-heavy batch: %+v", ir)
 	}
 	total += 3
-	if n, err := pair.primary.IngestBatch([]dataset.Record{notUTF8, records[902]}); err != nil || n != 2 {
+	if n, err := pair.primary.srv.IngestBatch([]dataset.Record{notUTF8, records[902]}); err != nil || n != 2 {
 		t.Fatalf("in-process producer: %d, %v", n, err)
 	}
 	total += 2
 	// One more acked batch: its semi-sync gate holds the reply until the
 	// standby has applied everything before it too.
-	sendBatches(t, pair.pts.URL, "ids", sent, records[903:1200], 150)
+	sendBatches(t, url, "ids", sent, records[903:1200], 150)
 	total += 297
 	waitFor(t, 10*time.Second, "the standby's log to reach the primary's", func() bool {
-		return pair.standby.AppliedIndex() == uint64(total)
+		return pair.standby.srv.AppliedIndex() == uint64(total)
 	})
 
 	pfiles, sfiles := walFiles(t, pdir), walFiles(t, sdir)

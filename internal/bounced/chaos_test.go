@@ -2,10 +2,8 @@ package bounced_test
 
 import (
 	"bytes"
-	"compress/gzip"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,7 +37,7 @@ func TestChaosDifferentialSeedSweep(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			srv := newServer(t, bounced.Config{
+			n := single(t, row{cfg: bounced.Config{
 				Env: env, QueueDepth: 96, Seed: seed, ReadTimeout: 5 * time.Second,
 				// Server-side hostility: torn request streams and a slowed
 				// consumer so admission control actually sheds. Corruption
@@ -47,13 +45,10 @@ func TestChaosDifferentialSeedSweep(t *testing.T) {
 				// be valid JSON, which is data corruption, not delivery
 				// failure, and would (correctly) break byte-equality.
 				Faults: &faultinject.Spec{Seed: seed, Torn: 0.2, Stall: 200 * time.Microsecond},
-			})
-			defer srv.Abort()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
+			}})
 
 			res, err := bounced.Chaos(bounced.ChaosConfig{
-				URL: ts.URL, Path: path, BatchSize: 64, Seed: seed, Gzip: seed%2 == 0,
+				URL: n.url, Path: path, BatchSize: 64, Seed: seed, Gzip: seed%2 == 0,
 				Faults: &faultinject.Spec{
 					Seed: seed + 100, Torn: 0.3, TruncGzip: 0.2, Dup: 0.5,
 					Loris: 0.15, LorisPause: time.Millisecond,
@@ -75,15 +70,10 @@ func TestChaosDifferentialSeedSweep(t *testing.T) {
 			if res.Deduped < res.Duplicates {
 				t.Fatalf("%d duplicate sends but only %d dedup acks", res.Duplicates, res.Deduped)
 			}
-			if err := bounced.ChaosVerify(ts.URL, res); err != nil {
+			if err := bounced.ChaosVerify(n.url, res); err != nil {
 				t.Fatal(err)
 			}
-
-			status, got := getBody(t, ts.URL+"/v1/report")
-			if status != http.StatusOK {
-				t.Fatalf("/v1/report status %d", status)
-			}
-			if !bytes.Equal(got, clean) {
+			if got := get(t, n.url+"/v1/report", http.StatusOK, nil); !bytes.Equal(got, clean) {
 				t.Fatalf("chaos report diverged from clean batch report (%d vs %d bytes)", len(got), len(clean))
 			}
 		})
@@ -98,19 +88,12 @@ func TestChaosDifferentialSeedSweep(t *testing.T) {
 func TestChaosCleanScheduleIsPlainReplay(t *testing.T) {
 	records, env := fixture(t)
 	path := filepath.Join(t.TempDir(), "corpus.jsonl.gz")
-	var zbuf bytes.Buffer
-	zw := gzip.NewWriter(&zbuf)
-	zw.Write(encodeNDJSON(t, records))
-	zw.Close()
-	if err := os.WriteFile(path, zbuf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, gzipped(encodeNDJSON(t, records)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(t, bounced.Config{Env: env})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{cfg: bounced.Config{Env: env}})
 
-	res, err := bounced.Chaos(bounced.ChaosConfig{URL: ts.URL, Path: path, BatchSize: 128, Seed: 9, Gzip: true})
+	res, err := bounced.Chaos(bounced.ChaosConfig{URL: n.url, Path: path, BatchSize: 128, Seed: 9, Gzip: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +106,12 @@ func TestChaosCleanScheduleIsPlainReplay(t *testing.T) {
 	if res.Presented != len(records) {
 		t.Fatalf("presented %d, want %d", res.Presented, len(records))
 	}
-	if err := bounced.ChaosVerify(ts.URL, res); err != nil {
+	if err := bounced.ChaosVerify(n.url, res); err != nil {
 		t.Fatal(err)
 	}
 	// A report waits for the store to fold in everything accepted.
-	if status, _ := getBody(t, ts.URL+"/v1/report?section=overview"); status != http.StatusOK {
-		t.Fatalf("/v1/report status %d", status)
-	}
-	if n := srv.Consumed(); n != uint64(len(records)) {
-		t.Fatalf("server consumed %d, want %d", n, len(records))
+	get(t, n.url+"/v1/report?section=overview", http.StatusOK, nil)
+	if got := n.srv.Consumed(); got != uint64(len(records)) {
+		t.Fatalf("server consumed %d, want %d", got, len(records))
 	}
 }

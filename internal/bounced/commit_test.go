@@ -2,56 +2,21 @@ package bounced_test
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro"
-	"repro/internal/analysis"
 	"repro/internal/bounced"
 	"repro/internal/dataset"
 	"repro/internal/replication"
 	"repro/internal/store"
 )
-
-// post sends one /v1/records request: streamed when id is empty, an
-// X-Batch-Id batch otherwise, gzip-encoded when gz is set.
-func post(t *testing.T, url, id string, body io.Reader, gz bool) ingestReply {
-	t.Helper()
-	ir, err := tryPost(url, id, body, gz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ir
-}
-
-// tryPost is post for goroutines other than the test's own.
-func tryPost(url, id string, body io.Reader, gz bool) (ir ingestReply, err error) {
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/records", body)
-	if err != nil {
-		return ir, err
-	}
-	if id != "" {
-		req.Header.Set(headerBatchID, id)
-	}
-	if gz {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return ir, err
-	}
-	defer resp.Body.Close()
-	ir.status = resp.StatusCode
-	return ir, json.NewDecoder(resp.Body).Decode(&ir)
-}
 
 // logUnit is one WAL unit copied out of a ReadTail callback.
 type logUnit struct {
@@ -86,13 +51,6 @@ func applyUnits(t *testing.T, standby *bounced.Server, units []logUnit) {
 	}
 }
 
-func waitConsumed(t *testing.T, srv *bounced.Server, n int) {
-	t.Helper()
-	waitFor(t, 10*time.Second, fmt.Sprintf("consumption of %d records", n), func() bool {
-		return srv.Consumed() == uint64(n)
-	})
-}
-
 // TestCommitConcurrentDuplicateID: two requests carrying one X-Batch-Id
 // that overlap between the dedup lookup and the commit must fold the
 // batch once. Request A is held mid-body (past the lookup, before its
@@ -100,33 +58,30 @@ func waitConsumed(t *testing.T, srv *bounced.Server, n int) {
 // answered as the replay it turned into.
 func TestCommitConcurrentDuplicateID(t *testing.T) {
 	records, env := fixture(t)
-	batch := records[:64]
-	body := encodeNDJSON(t, batch)
+	recs := records[:64]
+	body := encodeNDJSON(t, recs)
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
-			cfg := bounced.Config{Env: env}
-			eng := store.NewMem()
+			r := row{cfg: bounced.Config{Env: env}}
 			if durable {
-				cfg.Store = eng
+				r.store = memEngine
 			}
-			srv := newServer(t, cfg)
-			defer srv.Abort()
+			n := single(t, r)
 			// The handler reads the body only after its dedup lookup, so
 			// the first body read of the first request (A) says A is past
 			// the lookup.
 			reading := make(chan struct{})
 			var first sync.Once
-			h := srv.Handler()
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h := n.srv.Handler()
+			url := serve(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				first.Do(func() { r.Body = &signalBody{ReadCloser: r.Body, ch: reading} })
 				h.ServeHTTP(w, r)
 			}))
-			defer ts.Close()
 
 			pr, pw := io.Pipe()
 			replyA := make(chan ingestReply, 1)
 			go func() {
-				ir, err := tryPost(ts.URL, "dup-1", pr, false)
+				ir, err := try(url, batch{id: "dup-1", stream: pr})
 				if err != nil {
 					t.Error(err)
 				}
@@ -136,23 +91,24 @@ func TestCommitConcurrentDuplicateID(t *testing.T) {
 				t.Fatal(err)
 			}
 			<-reading
-			if ir := post(t, ts.URL, "dup-1", bytes.NewReader(body), false); ir.status != http.StatusOK || ir.Deduped || ir.Accepted != len(batch) {
+			if ir := send(t, url, batch{id: "dup-1", raw: body}); ir.status != http.StatusOK || ir.Deduped || ir.Accepted != len(recs) {
 				t.Fatalf("request B: status %d deduped %v accepted %d: %s", ir.status, ir.Deduped, ir.Accepted, ir.Error)
 			}
 			pw.Write(body[len(body)/2:])
 			pw.Close()
-			if ir := <-replyA; ir.status != http.StatusOK || !ir.Deduped || ir.Accepted != len(batch) {
+			if ir := <-replyA; ir.status != http.StatusOK || !ir.Deduped || ir.Accepted != len(recs) {
 				t.Fatalf("request A: status %d deduped %v accepted %d, want a dedup replay of %d: %s",
-					ir.status, ir.Deduped, ir.Accepted, len(batch), ir.Error)
+					ir.status, ir.Deduped, ir.Accepted, len(recs), ir.Error)
 			}
 			// Both requests are answered, so accepted is final; consumed
 			// catches up to it.
-			waitConsumed(t, srv, len(batch))
-			if st := serverStats(t, ts.URL); st["records_deduped"] != float64(len(batch)) || st["accepted"] != float64(len(batch)) {
-				t.Fatalf("accepted %v deduped %v, want %d each: the batch folded twice", st["accepted"], st["records_deduped"], len(batch))
+			waitConsumed(t, n.srv, len(recs))
+			var st map[string]any
+			if get(t, n.url+"/v1/stats", http.StatusOK, &st); st["records_deduped"] != float64(len(recs)) || st["accepted"] != float64(len(recs)) {
+				t.Fatalf("accepted %v deduped %v, want %d each: the batch folded twice", st["accepted"], st["records_deduped"], len(recs))
 			}
 			if durable {
-				if units := readUnits(t, eng, 0); len(units) != 1 || units[0].id != "dup-1" {
+				if units := readUnits(t, n.eng, 0); len(units) != 1 || units[0].id != "dup-1" {
 					t.Fatalf("log holds %d units, want the one dup-1 unit", len(units))
 				}
 			}
@@ -179,29 +135,21 @@ func (b *signalBody) Read(p []byte) (int, error) {
 // instead of sitting out its wait.
 func TestCommitAcceptedPrefixIsSynced(t *testing.T) {
 	records, env := fixture(t)
-	eng := store.NewMem()
-	srv := newServer(t, bounced.Config{Env: env, Store: eng})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{store: memEngine, cfg: bounced.Config{Env: env}})
 
 	body := append(encodeNDJSON(t, records[:2]), "{not json\n"...)
 	body = append(body, encodeNDJSON(t, records[2:3])...)
-	fsyncs := eng.Stats().Fsync.Count
-	ir := postRecords(t, ts.URL, body)
+	fsyncs := n.eng.Stats().Fsync.Count
+	ir := send(t, n.url, batch{raw: body})
 	if ir.status != http.StatusBadRequest || ir.Line != 3 || ir.Accepted != 2 {
 		t.Fatalf("status %d line %d accepted %d, want 400 at line 3 with 2 accepted", ir.status, ir.Line, ir.Accepted)
 	}
-	if got := eng.Stats().Fsync.Count; got <= fsyncs {
+	if got := n.eng.Stats().Fsync.Count; got <= fsyncs {
 		t.Errorf("fsyncs still %d after a reply reporting accepted: 2", got)
 	}
 	start := time.Now()
-	resp, err := http.Get(ts.URL + replication.PathWAL + "?from=0&wait=5s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	tr, err := replication.NewTailReader(resp.Body)
+	tail := get(t, n.url+replication.PathWAL+"?from=0&wait=5s", http.StatusOK, nil)
+	tr, err := replication.NewTailReader(bytes.NewReader(tail))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +174,8 @@ func TestCommitAcceptedPrefixIsSynced(t *testing.T) {
 // than its queue instead of waiting forever for room that cannot come.
 func TestApplyBatchLargerThanQueue(t *testing.T) {
 	records, env := fixture(t)
-	eng := store.NewMem()
-	standby := newServer(t, bounced.Config{Env: env, Standby: true, Store: eng, QueueDepth: 8})
-	defer standby.Abort()
+	n := single(t, row{store: memEngine, cfg: bounced.Config{Env: env, Standby: true, QueueDepth: 8}})
+	standby := n.srv
 	unit := &replication.Unit{ID: "big"}
 	for i := range records[:100] {
 		p, err := records[i].MarshalJSON()
@@ -248,7 +195,7 @@ func TestApplyBatchLargerThanQueue(t *testing.T) {
 		t.Fatal("ApplyBatch of a 100-record unit hangs on a standby with QueueDepth 8")
 	}
 	waitConsumed(t, standby, 100)
-	if units := readUnits(t, eng, 0); len(units) != 1 || len(units[0].payloads) != 100 {
+	if units := readUnits(t, n.eng, 0); len(units) != 1 || len(units[0].payloads) != 100 {
 		t.Fatalf("standby log holds %d units, want the one whole unit", len(units))
 	}
 }
@@ -268,70 +215,51 @@ func TestSourceEquivalence(t *testing.T) {
 	if len(records) > 3000 {
 		records = records[:3000]
 	}
-	memNode := newServer(t, bounced.Config{Env: env, QueueDepth: 8192})
-	defer memNode.Abort()
-	mts := httptest.NewServer(memNode.Handler())
-	defer mts.Close()
-	eng := store.NewMem()
-	durNode := newServer(t, bounced.Config{Env: env, Store: eng, QueueDepth: 8192})
-	defer durNode.Abort()
-	dts := httptest.NewServer(durNode.Handler())
-	defer dts.Close()
+	cfg := bounced.Config{Env: env, QueueDepth: 8192}
+	standbyCfg := bounced.Config{Env: env, QueueDepth: 8192, Standby: true}
+	mem := single(t, row{cfg: cfg})
+	dur := single(t, row{store: memEngine, cfg: cfg})
 
 	rng := rand.New(rand.NewSource(13))
-	type acked struct {
-		id    string
-		count int
-		body  []byte
-		gz    bool
-	}
-	var last acked
-	deduped := 0
+	var last batch // the last acked X-Batch-Id batch
+	lastCount, deduped := 0, 0
 	for off, step := 0, 0; off < len(records); step++ {
 		n := min(1+rng.Intn(400), len(records)-off)
-		id, gz, body := "", false, encodeNDJSON(t, records[off:off+n])
+		b := batch{recs: records[off : off+n]}
 		switch kind := rng.Intn(4); {
 		case kind == 3 && last.id != "":
 			// A retry of the last acked ID, sent again as it was.
-			id, n, body, gz = last.id, 0, last.body, last.gz
-			deduped += last.count
+			b, n = last, 0
+			deduped += lastCount
 		case kind == 2:
-			gz = true
-			var buf bytes.Buffer
-			zw := gzip.NewWriter(&buf)
-			zw.Write(body)
-			zw.Close()
-			body = buf.Bytes()
+			b.gzip = true
 			fallthrough
 		case kind == 1:
-			id = fmt.Sprintf("se-%d", step)
-			last = acked{id, n, body, gz}
+			b.id = fmt.Sprintf("se-%d", step)
+			last, lastCount = b, n
 		}
-		mr := post(t, mts.URL, id, bytes.NewReader(body), gz)
-		dr := post(t, dts.URL, id, bytes.NewReader(body), gz)
-		if mr != dr || mr.status != http.StatusOK || mr.Deduped != (n == 0) {
-			t.Fatalf("step %d (id %q, %d records): memory node %+v, durable node %+v", step, id, n, mr, dr)
+		mr, dr := send(t, mem.url, b), send(t, dur.url, b)
+		mr.header, dr.header = nil, nil
+		if !reflect.DeepEqual(mr, dr) || mr.status != http.StatusOK || mr.Deduped != (n == 0) {
+			t.Fatalf("step %d (id %q, %d records): memory node %+v, durable node %+v", step, b.id, n, mr, dr)
 		}
 		off += n
 	}
-	waitConsumed(t, memNode, len(records))
-	waitConsumed(t, durNode, len(records))
-	primaryLog := readUnits(t, eng, 0)
+	waitConsumed(t, mem.srv, len(records))
+	waitConsumed(t, dur.srv, len(records))
+	primaryLog := readUnits(t, dur.eng, 0)
 
-	standbyEng := store.NewMem()
-	standby := newServer(t, bounced.Config{Env: env, Standby: true, Store: standbyEng, QueueDepth: 8192})
-	defer standby.Abort()
-	sts := httptest.NewServer(standby.Handler())
-	defer sts.Close()
-	applyUnits(t, standby, primaryLog)
-	waitConsumed(t, standby, len(records))
+	standby := single(t, row{store: memEngine, cfg: standbyCfg})
+	applyUnits(t, standby.srv, primaryLog)
+	waitConsumed(t, standby.srv, len(records))
 
 	want := batchReport(t, records, env, bounce.AllSections)
-	for name, url := range map[string]string{"memory": mts.URL, "durable": dts.URL, "standby": sts.URL} {
-		if got := reportBytes(t, url); !bytes.Equal(got, want) {
+	for name, n := range map[string]*node{"memory": mem, "durable": dur, "standby": standby} {
+		if got := get(t, n.url+reportAll, http.StatusOK, nil); !bytes.Equal(got, want) {
 			t.Errorf("%s node report differs from batch (%d vs %d bytes)", name, len(got), len(want))
 		}
-		st := serverStats(t, url)
+		var st map[string]any
+		get(t, n.url+"/v1/stats", http.StatusOK, &st)
 		wantDedup := float64(deduped)
 		if name == "standby" {
 			wantDedup = 0 // retries go to the primary
@@ -341,7 +269,7 @@ func TestSourceEquivalence(t *testing.T) {
 				name, st["accepted"], st["consumed"], st["records_deduped"], len(records), len(records), wantDedup)
 		}
 	}
-	standbyLog := readUnits(t, standbyEng, 0)
+	standbyLog := readUnits(t, standby.eng, 0)
 	if len(standbyLog) != len(primaryLog) {
 		t.Fatalf("standby log has %d units, primary %d", len(standbyLog), len(primaryLog))
 	}
@@ -354,9 +282,9 @@ func TestSourceEquivalence(t *testing.T) {
 	}
 	// The replicated dedup window: the promoted standby acks a retry
 	// with the count the primary admitted.
-	standby.Promote(2, "test")
-	if ir := post(t, sts.URL, last.id, bytes.NewReader(last.body), last.gz); ir.status != http.StatusOK || !ir.Deduped || ir.Accepted != last.count {
-		t.Fatalf("retry of %q on the promoted standby: %+v, want deduped with %d", last.id, ir, last.count)
+	standby.srv.Promote(2, "test")
+	if ir := send(t, standby.url, last); ir.status != http.StatusOK || !ir.Deduped || ir.Accepted != lastCount {
+		t.Fatalf("retry of %q on the promoted standby: %+v, want deduped with %d", last.id, ir, lastCount)
 	}
 
 	// The straddle: a checkpoint at a record count inside unit u, as a
@@ -368,39 +296,33 @@ func TestSourceEquivalence(t *testing.T) {
 		}
 	}
 	at := int(u.start) + len(u.payloads)/2
-	helperEng := store.NewMem()
-	helper := newServer(t, bounced.Config{Env: env, Store: helperEng, QueueDepth: 8192})
-	defer helper.Abort()
-	if _, err := helper.IngestBatch(records[:at]); err != nil {
+	helper := single(t, row{store: memEngine, cfg: cfg})
+	if _, err := helper.srv.IngestBatch(records[:at]); err != nil {
 		t.Fatal(err)
 	}
-	waitConsumed(t, helper, at)
-	if err := helper.CheckpointNow(); err != nil {
+	waitConsumed(t, helper.srv, at)
+	if err := helper.srv.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := helperEng.Recover()
+	cp, err := helper.eng.Recover()
 	if err != nil || cp == nil || cp.Records != uint64(at) {
 		t.Fatalf("helper checkpoint: %v, %+v, want one at %d records", err, cp, at)
 	}
-	lateEng := store.NewMem()
-	late := newServer(t, bounced.Config{Env: env, Standby: true, Store: lateEng, QueueDepth: 8192})
-	defer late.Abort()
-	lts := httptest.NewServer(late.Handler())
-	defer lts.Close()
-	if err := late.ResetTo(cp); err != nil {
+	late := single(t, row{store: memEngine, cfg: standbyCfg})
+	if err := late.srv.ResetTo(cp); err != nil {
 		t.Fatal(err)
 	}
-	rest := readUnits(t, eng, uint64(at))
+	rest := readUnits(t, dur.eng, uint64(at))
 	if rest[0].start != u.start {
 		t.Fatalf("tail from %d starts with the unit at %d, want the straddling one at %d", at, rest[0].start, u.start)
 	}
-	applyUnits(t, late, rest)
-	waitConsumed(t, late, len(records))
-	if got := reportBytes(t, lts.URL); !bytes.Equal(got, want) {
+	applyUnits(t, late.srv, rest)
+	waitConsumed(t, late.srv, len(records))
+	if got := get(t, late.url+reportAll, http.StatusOK, nil); !bytes.Equal(got, want) {
 		t.Errorf("late standby report differs from batch (%d vs %d bytes)", len(got), len(want))
 	}
 	var lateRecs, primaryRecs [][]byte
-	for _, lu := range readUnits(t, lateEng, uint64(at)) {
+	for _, lu := range readUnits(t, late.eng, uint64(at)) {
 		lateRecs = append(lateRecs, lu.payloads...)
 	}
 	for _, pu := range primaryLog {
@@ -409,8 +331,8 @@ func TestSourceEquivalence(t *testing.T) {
 	if len(lateRecs) != len(records)-at || !bytes.Equal(bytes.Join(lateRecs, nil), bytes.Join(primaryRecs[at:], nil)) {
 		t.Fatalf("late standby log holds %d records past %d, want the primary's %d", len(lateRecs), at, len(records)-at)
 	}
-	late.Promote(2, "test")
-	if ir := post(t, lts.URL, u.id, bytes.NewReader(nil), false); ir.status != http.StatusOK || !ir.Deduped || ir.Accepted != len(u.payloads) {
+	late.srv.Promote(2, "test")
+	if ir := send(t, late.url, batch{id: u.id}); ir.status != http.StatusOK || !ir.Deduped || ir.Accepted != len(u.payloads) {
 		t.Fatalf("retry of straddled %q on the late standby: %+v, want deduped with the full %d", u.id, ir, len(u.payloads))
 	}
 }
@@ -422,15 +344,8 @@ func TestSourceEquivalence(t *testing.T) {
 // streamed and nothing at all under an X-Batch-Id.
 func TestClusterShardLineNumbersExact(t *testing.T) {
 	records, env := fixture(t)
-	var owned []dataset.Record
-	var foreign *dataset.Record
-	for i := range records {
-		if analysis.OwnerOf(&records[i], 2) == 0 {
-			owned = append(owned, records[i])
-		} else if foreign == nil {
-			foreign = &records[i]
-		}
-	}
+	parts := split(records, 2)
+	owned, foreign := parts[0], &parts[1][0]
 	const readerBlock = 512 << 10 // dataset.ParallelReader's block size
 	foreignLine := encodeNDJSON(t, []dataset.Record{*foreign})
 	// The first line of block 2 is the one whose newline is the first
@@ -458,42 +373,35 @@ func TestClusterShardLineNumbersExact(t *testing.T) {
 			pr.Close()
 		}
 		t.Run(fmt.Sprintf("streamed/line=%d", k), func(t *testing.T) {
-			srv := newServer(t, bounced.Config{Env: env, ShardCount: 2, ShardIndex: 0})
-			defer srv.Abort()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			ir := postRecords(t, ts.URL, body)
+			n := single(t, row{cfg: bounced.Config{Env: env, ShardCount: 2, ShardIndex: 0}})
+			ir := send(t, n.url, batch{raw: body})
 			if ir.status != http.StatusBadRequest || ir.Line != k || ir.Accepted != k-1 {
 				t.Fatalf("status %d line %d accepted %d, want 400 at line %d with %d accepted: %s",
 					ir.status, ir.Line, ir.Accepted, k, k-1, ir.Error)
 			}
-			waitConsumed(t, srv, k-1)
+			waitConsumed(t, n.srv, k-1)
 			if k == 1 {
 				return
 			}
-			sections := []bounce.Section{bounce.SecOverview}
-			status, got := getBody(t, ts.URL+"/v1/report?section=overview")
-			if want := batchReport(t, lines[:k-1], env, sections); status != http.StatusOK || !bytes.Equal(got, want) {
+			got := get(t, n.url+"/v1/report?section=overview", http.StatusOK, nil)
+			if want := batchReport(t, lines[:k-1], env, []bounce.Section{bounce.SecOverview}); !bytes.Equal(got, want) {
 				t.Fatalf("report over the accepted prefix differs from batch over lines 1..%d", k-1)
 			}
 		})
 		t.Run(fmt.Sprintf("batch/line=%d", k), func(t *testing.T) {
-			srv := newServer(t, bounced.Config{Env: env, ShardCount: 2, ShardIndex: 0, QueueDepth: 8192})
-			defer srv.Abort()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			_, ir := postBatchID(t, ts.URL, "lines-1", len(lines), body)
-			if ir.status != http.StatusBadRequest || ir.Line != k || ir.Accepted != 0 || srv.Accepted() != 0 {
+			n := single(t, row{cfg: bounced.Config{Env: env, ShardCount: 2, ShardIndex: 0, QueueDepth: 8192}})
+			ir := send(t, n.url, batch{id: "lines-1", declared: len(lines), raw: body})
+			if ir.status != http.StatusBadRequest || ir.Line != k || ir.Accepted != 0 || n.srv.Accepted() != 0 {
 				t.Fatalf("status %d line %d accepted %d (server %d), want 400 at line %d with nothing admitted: %s",
-					ir.status, ir.Line, ir.Accepted, srv.Accepted(), k, ir.Error)
+					ir.status, ir.Line, ir.Accepted, n.srv.Accepted(), k, ir.Error)
 			}
 			// Re-partitioned, the same ID goes through.
 			kept := append(append([]dataset.Record{}, lines[:k-1]...), lines[k:]...)
-			_, ir = postBatchID(t, ts.URL, "lines-1", len(kept), encodeNDJSON(t, kept))
+			ir = send(t, n.url, batch{id: "lines-1", declared: len(kept), recs: kept})
 			if ir.status != http.StatusOK || ir.Accepted != len(kept) {
 				t.Fatalf("resend without the foreign record: status %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
 			}
-			waitConsumed(t, srv, len(kept))
+			waitConsumed(t, n.srv, len(kept))
 		})
 	}
 }

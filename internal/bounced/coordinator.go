@@ -31,8 +31,6 @@ type CoordinatorConfig struct {
 	// Env supplies the external services report sections consult (same
 	// contract as Config.Env).
 	Env *analysis.Environment
-	// Client overrides the HTTP client used for shard fan-in.
-	Client *http.Client
 }
 
 // Coordinator is the thin fan-in tier of a sharded bounced deployment:
@@ -76,11 +74,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		urls[i] = strings.TrimRight(u, "/")
 	}
 	cfg.ShardURLs = urls
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	return &Coordinator{cfg: cfg, client: client, startedAt: time.Now()}, nil
+	return &Coordinator{cfg: cfg, client: &http.Client{Timeout: 30 * time.Second}, startedAt: time.Now()}, nil
 }
 
 // Handler returns the coordinator's HTTP routes.

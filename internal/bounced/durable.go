@@ -57,7 +57,7 @@ type journal struct {
 // background checkpoints.
 func openJournal(s *Server) (*journal, error) {
 	j := &journal{s: s, eng: s.cfg.Store}
-	inc, cp, info, err := recoverState(j.eng, s.cfg.Pipeline)
+	inc, cp, info, err := recoverState(j.eng, analysis.PipelineConfig{})
 	if err != nil {
 		return nil, err
 	}

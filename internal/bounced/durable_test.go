@@ -2,10 +2,8 @@ package bounced_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,41 +14,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/bounced"
 	"repro/internal/dataset"
-	"repro/internal/store"
 )
-
-// openEngine opens (or reopens) a filesystem storage engine on dir.
-func openEngine(t *testing.T, dir string) *store.FS {
-	t.Helper()
-	eng, err := store.Open(store.FSOptions{Dir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
-// postBatch sends one idempotent X-Batch-Id batch.
-func postBatch(t *testing.T, url, id string, records []dataset.Record) ingestReply {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/records", bytes.NewReader(encodeNDJSON(t, records)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(headerBatchID, id)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var ir ingestReply
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-		t.Fatal(err)
-	}
-	ir.status = resp.StatusCode
-	return ir
-}
-
-const headerBatchID = "X-Batch-Id"
 
 // sendBatches posts records in batches of size per, with IDs
 // "<prefix>-<index>" counting from firstIdx.
@@ -58,11 +22,8 @@ func sendBatches(t *testing.T, url, prefix string, firstIdx int, records []datas
 	t.Helper()
 	idx := firstIdx
 	for off := 0; off < len(records); off += per {
-		end := off + per
-		if end > len(records) {
-			end = len(records)
-		}
-		ir := postBatch(t, url, fmt.Sprintf("%s-%d", prefix, idx), records[off:end])
+		end := min(off+per, len(records))
+		ir := send(t, url, batch{id: fmt.Sprintf("%s-%d", prefix, idx), recs: records[off:end]})
 		if ir.status != http.StatusOK || ir.Accepted != end-off {
 			t.Fatalf("batch %s-%d: status %d accepted %d: %s", prefix, idx, ir.status, ir.Accepted, ir.Error)
 		}
@@ -71,46 +32,28 @@ func sendBatches(t *testing.T, url, prefix string, firstIdx int, records []datas
 	return idx
 }
 
-// reportBytes fetches the full online report.
-func reportBytes(t *testing.T, url string) []byte {
-	t.Helper()
-	status, got := getBody(t, url+"/v1/report?section=all")
-	if status != http.StatusOK {
-		t.Fatalf("/v1/report status %d", status)
-	}
-	return got
-}
-
 // TestDurableRestartResume: a graceful Drain checkpoints, the next boot
 // is replay-free, and the resumed server keeps producing batch-identical
 // reports as ingestion continues past the restart.
 func TestDurableRestartResume(t *testing.T) {
 	records, env := fixture(t)
-	dir := t.TempDir()
 	half := len(records) / 2
 
-	srv := newServer(t, bounced.Config{Env: env, Store: openEngine(t, dir)})
-	ts := httptest.NewServer(srv.Handler())
-	next := sendBatches(t, ts.URL, "a", 0, records[:half], 200)
-	ts.Close()
-	if got := srv.Drain(); got != uint64(half) {
+	n := single(t, row{store: fsEngine, cfg: bounced.Config{Env: env}})
+	next := sendBatches(t, n.url, "a", 0, records[:half], 200)
+	if got := n.drain(); got != uint64(half) {
 		t.Fatalf("drained %d records, want %d", got, half)
 	}
 
-	srv2 := newServer(t, bounced.Config{Env: env, Store: openEngine(t, dir)})
-	defer srv2.Abort()
-	ri := srv2.Recovery()
-	if ri.CheckpointRecords != uint64(half) || ri.Replayed != 0 {
+	n.restart()
+	if ri := n.srv.Recovery(); ri.CheckpointRecords != uint64(half) || ri.Replayed != 0 {
 		t.Fatalf("after clean drain: recovery %+v, want checkpoint at %d and no replay", ri, half)
 	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-
-	if got, want := reportBytes(t, ts2.URL), batchReport(t, records[:half], env, bounce.AllSections); !bytes.Equal(got, want) {
+	if got, want := get(t, n.url+reportAll, http.StatusOK, nil), batchReport(t, records[:half], env, bounce.AllSections); !bytes.Equal(got, want) {
 		t.Fatalf("post-restart report diverges from batch (%d vs %d bytes)", len(got), len(want))
 	}
-	sendBatches(t, ts2.URL, "a", next, records[half:], 200)
-	if got, want := reportBytes(t, ts2.URL), batchReport(t, records, env, bounce.AllSections); !bytes.Equal(got, want) {
+	sendBatches(t, n.url, "a", next, records[half:], 200)
+	if got, want := get(t, n.url+reportAll, http.StatusOK, nil), batchReport(t, records, env, bounce.AllSections); !bytes.Equal(got, want) {
 		t.Fatalf("resumed report diverges from batch over the full corpus (%d vs %d bytes)", len(got), len(want))
 	}
 }
@@ -122,7 +65,6 @@ func TestDurableRestartResume(t *testing.T) {
 // byte-identical to a batch run — zero loss, zero double-count.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	records, env := fixture(t)
-	dir := t.TempDir()
 	per := 200
 	if len(records) < 6*per {
 		per = len(records) / 6
@@ -130,43 +72,33 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	cut1 := 2 * per // checkpoint pinned here
 	cut := 4 * per  // crash point, at a batch boundary
 
-	srv := newServer(t, bounced.Config{Env: env, Store: openEngine(t, dir)})
-	ts := httptest.NewServer(srv.Handler())
-	next := sendBatches(t, ts.URL, "b", 0, records[:cut1], per)
+	n := single(t, row{store: fsEngine, cfg: bounced.Config{Env: env}})
+	next := sendBatches(t, n.url, "b", 0, records[:cut1], per)
 	// Pin a mid-stream checkpoint, then keep ingesting past it.
-	resp, err := http.Post(ts.URL+"/v1/checkpoint", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp := do(t, http.MethodPost, n.url+"/v1/checkpoint"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/checkpoint status %d", resp.StatusCode)
 	}
-	lastSent := sendBatches(t, ts.URL, "b", next, records[cut1:cut], per)
-	ts.Close()
-	srv.Abort() // the crash: buffered queue records are dropped
+	lastSent := sendBatches(t, n.url, "b", next, records[cut1:cut], per)
+	n.kill() // the crash: buffered queue records are dropped
 
-	srv2 := newServer(t, bounced.Config{Env: env, Store: openEngine(t, dir)})
-	defer srv2.Abort()
-	ri := srv2.Recovery()
+	n.restart()
+	ri := n.srv.Recovery()
 	if ri.CheckpointRecords == 0 {
 		t.Fatalf("recovery found no checkpoint: %+v", ri)
 	}
 	if ri.CheckpointRecords+uint64(ri.Replayed) != uint64(cut) {
 		t.Fatalf("recovery covers %d+%d records, want %d", ri.CheckpointRecords, ri.Replayed, cut)
 	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
 
 	// A retry of the last pre-crash batch (its ack may have been lost in
 	// flight) must dedup against the recovered window, not double-count.
-	retry := postBatch(t, ts2.URL, fmt.Sprintf("b-%d", lastSent-1), records[cut-per:cut])
+	retry := send(t, n.url, batch{id: fmt.Sprintf("b-%d", lastSent-1), recs: records[cut-per : cut]})
 	if retry.status != http.StatusOK || !retry.Deduped || retry.Accepted != per {
 		t.Fatalf("post-crash retry: status %d deduped %v accepted %d", retry.status, retry.Deduped, retry.Accepted)
 	}
 
-	sendBatches(t, ts2.URL, "b", lastSent, records[cut:], per)
-	got := reportBytes(t, ts2.URL)
+	sendBatches(t, n.url, "b", lastSent, records[cut:], per)
+	got := get(t, n.url+reportAll, http.StatusOK, nil)
 	want := batchReport(t, records, env, bounce.AllSections)
 	if !bytes.Equal(got, want) {
 		tmp := os.TempDir()
@@ -177,10 +109,6 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 
 	// The balance: the retried batch is the only dedup, nothing was shed
 	// or rejected, so accepted + deduped covers everything presented.
-	status, body := getBody(t, ts2.URL+"/v1/stats")
-	if status != http.StatusOK {
-		t.Fatalf("/v1/stats status %d", status)
-	}
 	var st struct {
 		Deduped    uint64 `json:"records_deduped"`
 		Durability *struct {
@@ -188,9 +116,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			NextIndex   uint64 `json:"next_index"`
 		} `json:"durability"`
 	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
+	get(t, n.url+"/v1/stats", http.StatusOK, &st)
 	if st.Deduped != uint64(per) {
 		t.Fatalf("deduped %d records, want %d", st.Deduped, per)
 	}
@@ -204,19 +130,16 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 // client's retry of that batch restores zero loss.
 func TestCrashRecoveryTornTail(t *testing.T) {
 	records, env := fixture(t)
-	dir := t.TempDir()
 	per := 150
-	n := 4 * per
+	total := 4 * per
 
-	srv := newServer(t, bounced.Config{Env: env, Store: openEngine(t, dir)})
-	ts := httptest.NewServer(srv.Handler())
-	sendBatches(t, ts.URL, "c", 0, records[:n], per)
-	ts.Close()
-	srv.Abort()
+	n := single(t, row{store: fsEngine, cfg: bounced.Config{Env: env}})
+	sendBatches(t, n.url, "c", 0, records[:total], per)
+	n.kill()
 
 	// Tear the log: cut into the final frame (the last batch's commit
 	// marker), the signature of a power cut mid-write.
-	segs, err := filepath.Glob(filepath.Join(dir, "wal", "seg-*.wal"))
+	segs, err := filepath.Glob(filepath.Join(n.dir, "wal", "seg-*.wal"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segments: %v", err)
 	}
@@ -229,23 +152,20 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2 := newServer(t, bounced.Config{Env: env, Store: openEngine(t, dir)})
-	defer srv2.Abort()
-	ri := srv2.Recovery()
+	n.restart()
+	ri := n.srv.Recovery()
 	if !ri.TornTruncated {
 		t.Fatalf("recovery did not flag the torn tail: %+v", ri)
 	}
 	if ri.DroppedUncommitted != per {
 		t.Fatalf("dropped %d uncommitted records, want the whole trailing batch (%d)", ri.DroppedUncommitted, per)
 	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
 
 	// Retry every batch, as a client that never saw acks would: the
 	// dropped one re-ingests, the surviving ones dedup.
 	reingested := 0
-	for i := 0; i < n/per; i++ {
-		ir := postBatch(t, ts2.URL, fmt.Sprintf("c-%d", i), records[i*per:(i+1)*per])
+	for i := 0; i < total/per; i++ {
+		ir := send(t, n.url, batch{id: fmt.Sprintf("c-%d", i), recs: records[i*per : (i+1)*per]})
 		if ir.status != http.StatusOK {
 			t.Fatalf("retry c-%d: status %d: %s", i, ir.status, ir.Error)
 		}
@@ -256,8 +176,8 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if reingested != 1 {
 		t.Fatalf("%d batches re-ingested on retry, want exactly the dropped one", reingested)
 	}
-	got := reportBytes(t, ts2.URL)
-	want := batchReport(t, records[:n], env, bounce.AllSections)
+	got := get(t, n.url+reportAll, http.StatusOK, nil)
+	want := batchReport(t, records[:total], env, bounce.AllSections)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-torn-tail report diverges from batch (%d vs %d bytes)", len(got), len(want))
 	}
@@ -267,27 +187,20 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 // WAL-backed too — an Abort after a plain POST loses nothing.
 func TestDurableStreamPath(t *testing.T) {
 	records, env := fixture(t)
-	dir := t.TempDir()
-	n := 300
+	const total = 300
 
-	srv := newServer(t, bounced.Config{Env: env, Store: openEngine(t, dir)})
-	ts := httptest.NewServer(srv.Handler())
-	ir := postRecords(t, ts.URL, encodeNDJSON(t, records[:n]))
-	if ir.status != http.StatusOK || ir.Accepted != n {
+	n := single(t, row{store: fsEngine, cfg: bounced.Config{Env: env}})
+	if ir := send(t, n.url, batch{recs: records[:total]}); ir.status != http.StatusOK || ir.Accepted != total {
 		t.Fatalf("stream ingest: status %d accepted %d", ir.status, ir.Accepted)
 	}
-	ts.Close()
-	srv.Abort()
+	n.kill()
 
-	srv2 := newServer(t, bounced.Config{Env: env, Store: openEngine(t, dir)})
-	defer srv2.Abort()
-	if got := srv2.Recovery().Replayed; got != n {
-		t.Fatalf("replayed %d records, want %d", got, n)
+	n.restart()
+	if got := n.srv.Recovery().Replayed; got != total {
+		t.Fatalf("replayed %d records, want %d", got, total)
 	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	got := reportBytes(t, ts2.URL)
-	want := batchReport(t, records[:n], env, bounce.AllSections)
+	got := get(t, n.url+reportAll, http.StatusOK, nil)
+	want := batchReport(t, records[:total], env, bounce.AllSections)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-crash stream report diverges (%d vs %d bytes)", len(got), len(want))
 	}
@@ -298,26 +211,20 @@ func TestDurableStreamPath(t *testing.T) {
 // carries exactly the three sections.
 func TestDurableCheckpointBuildsNoStudy(t *testing.T) {
 	records, env := fixture(t)
-	eng := store.NewMem()
-	srv := newServer(t, bounced.Config{Env: env, Store: eng})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	sendBatches(t, ts.URL, "c", 0, records[:600], 200)
-	waitConsumed(t, srv, 600)
+	n := single(t, row{store: memEngine, cfg: bounced.Config{Env: env}})
+	sendBatches(t, n.url, "c", 0, records[:600], 200)
+	waitConsumed(t, n.srv, 600)
 
-	resp, err := http.Post(ts.URL+"/v1/checkpoint", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp := do(t, http.MethodPost, n.url+"/v1/checkpoint"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/checkpoint status %d", resp.StatusCode)
 	}
-	if n := serverStats(t, ts.URL)["snapshots"].(float64); n != 0 {
-		t.Fatalf("the checkpoint took %v snapshots, want none", n)
+	var st struct {
+		Snapshots float64 `json:"snapshots"`
 	}
-	cp, err := eng.Recover()
+	if get(t, n.url+"/v1/stats", http.StatusOK, &st); st.Snapshots != 0 {
+		t.Fatalf("the checkpoint took %v snapshots, want none", st.Snapshots)
+	}
+	cp, err := n.eng.Recover()
 	if err != nil || cp == nil || cp.Records != 600 {
 		t.Fatalf("checkpoint %+v, err %v; want one at 600 records", cp, err)
 	}
@@ -347,19 +254,16 @@ func TestDurableRecoversParentCheckpoint(t *testing.T) {
 	foreign[4] = 0x7f // the envelope's format version, after the 4-byte magic
 	for name, blob := range map[string][]byte{"parent bytes": parent, "foreign version": foreign} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			srv := newServer(t, bounced.Config{Env: env, Store: openEngine(t, dir)})
-			ts := httptest.NewServer(srv.Handler())
-			next := sendBatches(t, ts.URL, "p", 0, records[:half], 200)
-			waitConsumed(t, srv, half)
-			if err := srv.CheckpointNow(); err != nil {
+			n := single(t, row{store: fsEngine, cfg: bounced.Config{Env: env}})
+			next := sendBatches(t, n.url, "p", 0, records[:half], 200)
+			waitConsumed(t, n.srv, half)
+			if err := n.srv.CheckpointNow(); err != nil {
 				t.Fatal(err)
 			}
-			sendBatches(t, ts.URL, "p", next, records[half:], 200)
-			ts.Close()
-			srv.Abort() // no final checkpoint: the second half is WAL tail
+			sendBatches(t, n.url, "p", next, records[half:], 200)
+			n.kill() // no final checkpoint: the second half is WAL tail
 
-			eng := openEngine(t, dir)
+			eng := n.openFS()
 			cp, err := eng.Recover()
 			if err != nil || cp == nil || cp.Records != uint64(half) {
 				t.Fatalf("checkpoint %+v, err %v; want one at %d records", cp, err, half)
@@ -370,17 +274,11 @@ func TestDurableRecoversParentCheckpoint(t *testing.T) {
 			}
 			eng.Close()
 
-			srv2, err := bounced.New(bounced.Config{Env: env, Store: openEngine(t, dir)})
-			if err != nil {
-				t.Fatalf("boot over a checkpoint with a partial section: %v", err)
-			}
-			defer srv2.Abort()
-			if ri := srv2.Recovery(); ri.CheckpointRecords != uint64(half) || ri.Replayed != len(records)-half {
+			n.restart() // the boot over a checkpoint with a partial section must succeed
+			if ri := n.srv.Recovery(); ri.CheckpointRecords != uint64(half) || ri.Replayed != len(records)-half {
 				t.Fatalf("recovery %+v, want checkpoint at %d and %d replayed", ri, half, len(records)-half)
 			}
-			ts2 := httptest.NewServer(srv2.Handler())
-			defer ts2.Close()
-			if got := reportBytes(t, ts2.URL); !bytes.Equal(got, want) {
+			if got := get(t, n.url+reportAll, http.StatusOK, nil); !bytes.Equal(got, want) {
 				t.Fatalf("report over a parent-format data dir diverges from batch (%d vs %d bytes)", len(got), len(want))
 			}
 		})

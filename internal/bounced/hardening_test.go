@@ -3,7 +3,6 @@ package bounced_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,78 +17,37 @@ import (
 	"repro/internal/faultinject"
 )
 
-// postBatchID posts an NDJSON body under an idempotent batch ID,
-// optionally declaring the record count.
-func postBatchID(t *testing.T, url, id string, declared int, body []byte) (*http.Response, ingestReply) {
-	t.Helper()
-	req, err := http.NewRequest("POST", url+"/v1/records", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	req.Header.Set("X-Batch-Id", id)
-	if declared >= 0 {
-		req.Header.Set("X-Batch-Records", strconv.Itoa(declared))
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var ir ingestReply
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-		t.Fatal(err)
-	}
-	ir.status = resp.StatusCode
-	return resp, ir
-}
-
-func serverStats(t *testing.T, url string) map[string]any {
-	t.Helper()
-	status, b := getBody(t, url+"/v1/stats")
-	if status != http.StatusOK {
-		t.Fatalf("/v1/stats status %d", status)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // TestBatchIdempotentDedup: replaying an admitted batch ID must be
 // acknowledged with the original accepted count without re-ingesting a
 // single record.
 func TestBatchIdempotentDedup(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{cfg: bounced.Config{Env: env}})
 
 	body := encodeNDJSON(t, records[:50])
-	_, ir := postBatchID(t, ts.URL, "batch-1", 50, body)
+	ir := send(t, n.url, batch{id: "batch-1", declared: 50, raw: body})
 	if ir.status != http.StatusOK || ir.Accepted != 50 {
 		t.Fatalf("first send: status %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
 	}
 	// Replay: same ID, same body — the retry a client issues when the
 	// first response was lost.
-	_, ir = postBatchID(t, ts.URL, "batch-1", 50, body)
+	ir = send(t, n.url, batch{id: "batch-1", declared: 50, raw: body})
 	if ir.status != http.StatusOK || ir.Accepted != 50 {
 		t.Fatalf("replay: status %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
 	}
-	if srv.Accepted() != 50 {
-		t.Fatalf("server accepted %d records, want 50 (replay must not re-ingest)", srv.Accepted())
+	if n.srv.Accepted() != 50 {
+		t.Fatalf("server accepted %d records, want 50 (replay must not re-ingest)", n.srv.Accepted())
 	}
-	st := serverStats(t, ts.URL)
+	var st map[string]any
+	get(t, n.url+"/v1/stats", http.StatusOK, &st)
 	if st["records_deduped"].(float64) != 50 || st["dedup_batches"].(float64) != 1 {
 		t.Fatalf("dedup accounting: deduped=%v batches=%v", st["records_deduped"], st["dedup_batches"])
 	}
 
 	// A fresh ID with the same payload ingests normally.
-	_, ir = postBatchID(t, ts.URL, "batch-2", 50, body)
-	if ir.status != http.StatusOK || srv.Accepted() != 100 {
-		t.Fatalf("new ID: status %d, server accepted %d want 100", ir.status, srv.Accepted())
+	ir = send(t, n.url, batch{id: "batch-2", declared: 50, raw: body})
+	if ir.status != http.StatusOK || n.srv.Accepted() != 100 {
+		t.Fatalf("new ID: status %d, server accepted %d want 100", ir.status, n.srv.Accepted())
 	}
 }
 
@@ -100,29 +58,26 @@ func TestBatchIdempotentDedup(t *testing.T) {
 func TestBatchShedWith429(t *testing.T) {
 	records, env := fixture(t)
 	// A stalled consumer (2ms per record) keeps the tiny queue full.
-	srv := newServer(t, bounced.Config{
+	n := single(t, row{cfg: bounced.Config{
 		Env: env, QueueDepth: 8,
 		Faults: &faultinject.Spec{Stall: 2 * time.Millisecond},
-	})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	}})
 
-	if _, ir := postBatchID(t, ts.URL, "fill", 8, encodeNDJSON(t, records[:8])); ir.status != http.StatusOK {
+	if ir := send(t, n.url, batch{id: "fill", declared: 8, recs: records[:8]}); ir.status != http.StatusOK {
 		t.Fatalf("fill batch: status %d: %s", ir.status, ir.Error)
 	}
 	// The queue holds 8 unconsumed records: the next batch cannot fit.
-	resp, ir := postBatchID(t, ts.URL, "shed-me", 8, encodeNDJSON(t, records[8:16]))
+	ir := send(t, n.url, batch{id: "shed-me", declared: 8, recs: records[8:16]})
 	if ir.status != http.StatusTooManyRequests {
 		t.Fatalf("overload batch: status %d, want 429: %s", ir.status, ir.Error)
 	}
-	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	ra, err := strconv.Atoi(ir.header.Get("Retry-After"))
 	if err != nil || ra < 1 {
-		t.Fatalf("Retry-After = %q, want integer seconds >= 1", resp.Header.Get("Retry-After"))
+		t.Fatalf("Retry-After = %q, want integer seconds >= 1", ir.header.Get("Retry-After"))
 	}
-	ms, err := strconv.ParseFloat(resp.Header.Get("X-Retry-After-Ms"), 64)
+	ms, err := strconv.ParseFloat(ir.header.Get("X-Retry-After-Ms"), 64)
 	if err != nil || ms <= 0 {
-		t.Fatalf("X-Retry-After-Ms = %q, want positive milliseconds", resp.Header.Get("X-Retry-After-Ms"))
+		t.Fatalf("X-Retry-After-Ms = %q, want positive milliseconds", ir.header.Get("X-Retry-After-Ms"))
 	}
 	if ir.RetryAfterMs != ms {
 		t.Fatalf("body retry_after_ms %v != header %v", ir.RetryAfterMs, ms)
@@ -131,7 +86,7 @@ func TestBatchShedWith429(t *testing.T) {
 	// Retry under the same ID until the consumer drains the queue.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, ir = postBatchID(t, ts.URL, "shed-me", 8, encodeNDJSON(t, records[8:16]))
+		ir = send(t, n.url, batch{id: "shed-me", declared: 8, recs: records[8:16]})
 		if ir.status == http.StatusOK {
 			break
 		}
@@ -143,17 +98,18 @@ func TestBatchShedWith429(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if srv.Accepted() != 16 {
-		t.Fatalf("accepted %d records, want 16", srv.Accepted())
+	if n.srv.Accepted() != 16 {
+		t.Fatalf("accepted %d records, want 16", n.srv.Accepted())
 	}
-	st := serverStats(t, ts.URL)
+	var st map[string]any
+	get(t, n.url+"/v1/stats", http.StatusOK, &st)
 	shed := uint64(st["records_shed"].(float64))
 	if shed < 8 || shed%8 != 0 {
 		t.Fatalf("records_shed = %d, want a positive multiple of 8", shed)
 	}
 	// The balance every chaos run must satisfy: presented = accepted +
 	// shed + rejected + deduped, with each request classified once.
-	presented := srv.Accepted() + shed +
+	presented := n.srv.Accepted() + shed +
 		uint64(st["records_rejected"].(float64)) + uint64(st["records_deduped"].(float64))
 	wantPresented := uint64(16 + shed) // 2 admitted batches + shed attempts
 	if presented != wantPresented {
@@ -165,19 +121,17 @@ func TestBatchShedWith429(t *testing.T) {
 // admit must 413 instead of shedding forever.
 func TestBatchOversizedRejected(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env, QueueDepth: 4})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{cfg: bounced.Config{Env: env, QueueDepth: 4}})
 
-	_, ir := postBatchID(t, ts.URL, "too-big", 16, encodeNDJSON(t, records[:16]))
+	ir := send(t, n.url, batch{id: "too-big", declared: 16, recs: records[:16]})
 	if ir.status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch: status %d, want 413: %s", ir.status, ir.Error)
 	}
-	if srv.Accepted() != 0 {
-		t.Fatalf("oversized batch partially ingested: %d", srv.Accepted())
+	if n.srv.Accepted() != 0 {
+		t.Fatalf("oversized batch partially ingested: %d", n.srv.Accepted())
 	}
-	st := serverStats(t, ts.URL)
+	var st map[string]any
+	get(t, n.url+"/v1/stats", http.StatusOK, &st)
 	if st["records_rejected"].(float64) != 16 {
 		t.Fatalf("records_rejected = %v, want 16", st["records_rejected"])
 	}
@@ -190,25 +144,21 @@ func TestBatchOversizedRejected(t *testing.T) {
 // soon as what was decoded passes it, not after the whole body is held.
 func TestBatchDeclaredCountIsBounded(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env, QueueDepth: 8})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{cfg: bounced.Config{Env: env, QueueDepth: 8}})
 
 	const lie = 4_000_000_000
-	if _, ir := postBatchID(t, ts.URL, "lie", lie, nil); ir.status != http.StatusRequestEntityTooLarge {
+	if ir := send(t, n.url, batch{id: "lie", declared: lie}); ir.status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("declared %d records: status %d, want 413: %s", lie, ir.status, ir.Error)
 	}
-	if _, ir := postBatchID(t, ts.URL, "big", -1, encodeNDJSON(t, records[:64])); ir.status != http.StatusRequestEntityTooLarge {
+	if ir := send(t, n.url, batch{id: "big", recs: records[:64]}); ir.status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("64 undeclared records into a queue of 8: status %d, want 413: %s", ir.status, ir.Error)
 	}
-	if status, _ := getBody(t, ts.URL+"/healthz"); status != http.StatusOK {
-		t.Fatalf("/healthz status %d after the refusals", status)
-	}
-	if _, ir := postBatchID(t, ts.URL, "fits", 8, encodeNDJSON(t, records[:8])); ir.status != http.StatusOK || ir.Accepted != 8 {
+	get(t, n.url+"/healthz", http.StatusOK, nil) // still up after the refusals
+	if ir := send(t, n.url, batch{id: "fits", declared: 8, recs: records[:8]}); ir.status != http.StatusOK || ir.Accepted != 8 {
 		t.Fatalf("a batch that fits: status %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
 	}
-	st := serverStats(t, ts.URL)
+	var st map[string]any
+	get(t, n.url+"/v1/stats", http.StatusOK, &st)
 	balance := st["accepted"].(float64) + st["records_shed"].(float64) +
 		st["records_rejected"].(float64) + st["records_deduped"].(float64)
 	if want := float64(lie + 64 + 8); balance != want {
@@ -225,11 +175,13 @@ func TestBatchDeclaredCountIsBounded(t *testing.T) {
 	req := httptest.NewRequest("POST", "/v1/records", bytes.NewReader(bytes.Repeat(one, copies)))
 	req.Header.Set("X-Batch-Id", "huge")
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
+	n.srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("%d undeclared records: status %d, want 413: %s", lines, rec.Code, rec.Body)
 	}
-	held := serverStats(t, ts.URL)["records_rejected"].(float64) - st["records_rejected"].(float64)
+	var after map[string]any
+	get(t, n.url+"/v1/stats", http.StatusOK, &after)
+	held := after["records_rejected"].(float64) - st["records_rejected"].(float64)
 	if held <= 8 || held >= float64(lines) {
 		t.Fatalf("refused after decoding %.0f of %d records, want more than the queue's 8 and not the whole body", held, lines)
 	}
@@ -240,35 +192,32 @@ func TestBatchDeclaredCountIsBounded(t *testing.T) {
 // unregistered so a corrected resend under the same ID succeeds.
 func TestBatchAtomicOnDecodeError(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{cfg: bounced.Config{Env: env}})
 
 	good := encodeNDJSON(t, records[:20])
 	lines := bytes.SplitAfter(good, []byte("\n"))
 	bad := bytes.Join([][]byte{bytes.Join(lines[:10], nil), []byte("{broken\n"), bytes.Join(lines[10:], nil)}, nil)
 
-	_, ir := postBatchID(t, ts.URL, "atomic", -1, bad)
+	ir := send(t, n.url, batch{id: "atomic", raw: bad})
 	if ir.status != http.StatusBadRequest || ir.Accepted != 0 {
 		t.Fatalf("malformed batch: status %d accepted %d, want 400/0", ir.status, ir.Accepted)
 	}
 	if ir.Line != 11 {
 		t.Fatalf("malformed batch line %d, want 11", ir.Line)
 	}
-	if srv.Accepted() != 0 {
-		t.Fatalf("atomic batch leaked %d records before the bad line", srv.Accepted())
+	if n.srv.Accepted() != 0 {
+		t.Fatalf("atomic batch leaked %d records before the bad line", n.srv.Accepted())
 	}
 	// Declared-count mismatches reject the batch too.
-	if _, ir := postBatchID(t, ts.URL, "miscount", 19, good); ir.status != http.StatusBadRequest {
+	if ir := send(t, n.url, batch{id: "miscount", declared: 19, raw: good}); ir.status != http.StatusBadRequest {
 		t.Fatalf("declared mismatch: status %d, want 400", ir.status)
 	}
 	// The corrected resend reuses the same ID.
-	if _, ir := postBatchID(t, ts.URL, "atomic", 20, good); ir.status != http.StatusOK || ir.Accepted != 20 {
+	if ir := send(t, n.url, batch{id: "atomic", declared: 20, raw: good}); ir.status != http.StatusOK || ir.Accepted != 20 {
 		t.Fatalf("corrected resend: status %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
 	}
-	if srv.Accepted() != 20 {
-		t.Fatalf("accepted %d, want 20", srv.Accepted())
+	if n.srv.Accepted() != 20 {
+		t.Fatalf("accepted %d, want 20", n.srv.Accepted())
 	}
 }
 
@@ -279,29 +228,26 @@ func TestBatchAtomicOnDecodeError(t *testing.T) {
 // deterministically.
 func TestServerFaultInjectionSurfacesDecodeError(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{
+	n := single(t, row{cfg: bounced.Config{
 		Env:    env,
 		Faults: &faultinject.Spec{Seed: 3, Torn: 1},
-	})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	}})
 
 	body := encodeNDJSON(t, records[:50])
 	for len(body) <= 17<<10 {
 		body = append(body, body...)
 	}
-	ir := postRecords(t, ts.URL, body)
+	ir := send(t, n.url, batch{raw: body})
 	if ir.status != http.StatusBadRequest || ir.Line < 1 {
 		t.Fatalf("torn stream: status %d line %d, want a line-numbered 400", ir.status, ir.Line)
 	}
-	st := serverStats(t, ts.URL)
+	var st map[string]any
+	get(t, n.url+"/v1/stats", http.StatusOK, &st)
 	if st["faults_injected"].(float64) < 1 {
 		t.Fatalf("faults_injected = %v, want >= 1", st["faults_injected"])
 	}
-	status, metrics := getBody(t, ts.URL+"/metrics")
-	if status != http.StatusOK || !strings.Contains(string(metrics), `bounced_faults_injected_total{kind="torn"}`) {
-		t.Fatalf("metrics missing injected-fault counter (status %d)", status)
+	if metrics := get(t, n.url+"/metrics", http.StatusOK, nil); !strings.Contains(string(metrics), `bounced_faults_injected_total{kind="torn"}`) {
+		t.Fatal("metrics missing injected-fault counter")
 	}
 }
 
@@ -310,13 +256,10 @@ func TestServerFaultInjectionSurfacesDecodeError(t *testing.T) {
 // /metrics samples — all three come from one read of the counters.
 func TestFaultsInjectedIsSumOfKinds(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{
+	n := single(t, row{cfg: bounced.Config{
 		Env:    env,
 		Faults: &faultinject.Spec{Seed: 5, Torn: 0.5, Corrupt: 0.5},
-	})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	}})
 
 	// Both cuts land in the first 32 KiB, so a larger body trips every
 	// fault its plan draws.
@@ -325,24 +268,25 @@ func TestFaultsInjectedIsSumOfKinds(t *testing.T) {
 		body = append(body, body...)
 	}
 	for range 8 {
-		postRecords(t, ts.URL, body)
+		send(t, n.url, batch{raw: body})
 	}
-	st := serverStats(t, ts.URL)
+	var st map[string]any
+	get(t, n.url+"/v1/stats", http.StatusOK, &st)
 	byKind, _ := st["faults_by_kind"].(map[string]any)
 	var sum float64
-	for _, n := range byKind {
-		sum += n.(float64)
+	for _, k := range byKind {
+		sum += k.(float64)
 	}
 	if len(byKind) < 2 || st["faults_injected"] != sum {
 		t.Fatalf("faults_injected = %v, faults_by_kind = %v: want two kinds summing to the total", st["faults_injected"], byKind)
 	}
-	_, metrics := getBody(t, ts.URL+"/metrics")
+	metrics := get(t, n.url+"/metrics", http.StatusOK, nil)
 	var promSum float64
 	for _, line := range strings.Split(string(metrics), "\n") {
 		if strings.HasPrefix(line, "bounced_faults_injected_total{") {
-			var n float64
-			fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n)
-			promSum += n
+			var k float64
+			fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &k)
+			promSum += k
 		}
 	}
 	if promSum != sum {
@@ -355,23 +299,15 @@ func TestFaultsInjectedIsSumOfKinds(t *testing.T) {
 // holding the ingest goroutine hostage, keeping the complete prefix.
 func TestReadDeadlineCutsSlowLoris(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env, ReadTimeout: 250 * time.Millisecond})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{cfg: bounced.Config{Env: env, ReadTimeout: 250 * time.Millisecond}})
 
 	pr, pw := io.Pipe()
 	done := make(chan ingestReply, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/v1/records", "application/x-ndjson", pr)
+		ir, err := try(n.url, batch{stream: pr})
 		if err != nil {
-			done <- ingestReply{status: -1, Error: err.Error()}
-			return
+			ir.status, ir.Error = -1, err.Error()
 		}
-		defer resp.Body.Close()
-		var ir ingestReply
-		json.NewDecoder(resp.Body).Decode(&ir)
-		ir.status = resp.StatusCode
 		done <- ir
 	}()
 
@@ -402,12 +338,10 @@ func TestReadDeadlineCutsSlowLoris(t *testing.T) {
 // request included.
 func TestDrainZeroLossUnderSlowLoris(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env, QueueDepth: 64, ReadTimeout: 300 * time.Millisecond})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{cfg: bounced.Config{Env: env, QueueDepth: 64, ReadTimeout: 300 * time.Millisecond}})
 
 	// A healthy batch lands first.
-	if ir := postRecords(t, ts.URL, encodeNDJSON(t, records[:100])); ir.status != http.StatusOK {
+	if ir := send(t, n.url, batch{recs: records[:100]}); ir.status != http.StatusOK {
 		t.Fatalf("healthy batch: status %d", ir.status)
 	}
 
@@ -422,15 +356,10 @@ func TestDrainZeroLossUnderSlowLoris(t *testing.T) {
 	pr, pw := io.Pipe()
 	lorisDone := make(chan ingestReply, 1)
 	go func() {
-		resp, err := lorisClient.Post(ts.URL+"/v1/records", "application/x-ndjson", pr)
+		ir, err := try(n.url, batch{stream: pr, client: lorisClient})
 		if err != nil {
-			lorisDone <- ingestReply{status: -1, Error: err.Error()}
-			return
+			ir.status, ir.Error = -1, err.Error()
 		}
-		defer resp.Body.Close()
-		var ir ingestReply
-		json.NewDecoder(resp.Body).Decode(&ir)
-		ir.status = resp.StatusCode
 		lorisDone <- ir
 	}()
 	pw.Write(encodeNDJSON(t, records[100:103]))
@@ -442,7 +371,7 @@ func TestDrainZeroLossUnderSlowLoris(t *testing.T) {
 	// for the loris request to be cut at its deadline), then drain.
 	shCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := ts.Config.Shutdown(shCtx); err != nil {
+	if err := n.ts.Config.Shutdown(shCtx); err != nil {
 		t.Fatalf("http shutdown: %v", err)
 	}
 	ir := <-lorisDone
@@ -451,13 +380,12 @@ func TestDrainZeroLossUnderSlowLoris(t *testing.T) {
 	}
 	pw.Close()
 
-	n := srv.Drain()
 	want := uint64(103)
-	if n != want || srv.Accepted() != want {
-		t.Fatalf("drained %d records (accepted %d), want %d", n, srv.Accepted(), want)
+	if got := n.drain(); got != want || n.srv.Accepted() != want {
+		t.Fatalf("drained %d records (accepted %d), want %d", got, n.srv.Accepted(), want)
 	}
 	var buf bytes.Buffer
-	if err := srv.WriteFinalReport(&buf, []bounce.Section{bounce.SecOverview}); err != nil {
+	if err := n.srv.WriteFinalReport(&buf, []bounce.Section{bounce.SecOverview}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), fmt.Sprintf("%d", want)) {
@@ -472,45 +400,36 @@ func TestDrainZeroLossUnderSlowLoris(t *testing.T) {
 // of a durable node (the dedup section's parallel arrays).
 func TestBatchDedupWindowEvictsFIFO(t *testing.T) {
 	records, env := fixture(t)
-	dir := t.TempDir()
-	cfg := func() bounced.Config {
-		return bounced.Config{Env: env, DedupWindow: 2, Store: openEngine(t, dir)}
-	}
-	srv := newServer(t, cfg())
-	ts := httptest.NewServer(srv.Handler())
-	retry := func(url, id string, wantDeduped bool) {
+	n := single(t, row{store: fsEngine, cfg: bounced.Config{Env: env, DedupWindow: 2}})
+	retry := func(id string, wantDeduped bool) {
 		t.Helper()
-		n := int(id[0]-'a') * 10
-		ir := postBatch(t, url, id, records[n:n+10])
+		from := int(id[0]-'a') * 10
+		ir := send(t, n.url, batch{id: id, recs: records[from : from+10]})
 		if ir.status != http.StatusOK || ir.Accepted != 10 || ir.Deduped != wantDeduped {
 			t.Fatalf("batch %s: status %d accepted %d deduped %v, want deduped %v: %s",
 				id, ir.status, ir.Accepted, ir.Deduped, wantDeduped, ir.Error)
 		}
 	}
 	for _, id := range []string{"a", "b", "c"} {
-		retry(ts.URL, id, false)
+		retry(id, false)
 	}
-	retry(ts.URL, "b", true)
-	retry(ts.URL, "c", true)
-	ts.Close()
-	if got := srv.Drain(); got != 30 {
+	retry("b", true)
+	retry("c", true)
+	if got := n.drain(); got != 30 {
 		t.Fatalf("drained %d records, want 30", got)
 	}
 
-	srv = newServer(t, cfg())
-	defer srv.Abort()
-	if ri := srv.Recovery(); ri.CheckpointRecords != 30 || ri.Replayed != 0 {
+	n.restart()
+	if ri := n.srv.Recovery(); ri.CheckpointRecords != 30 || ri.Replayed != 0 {
 		t.Fatalf("recovery %+v, want the window restored from a checkpoint at 30", ri)
 	}
-	ts = httptest.NewServer(srv.Handler())
-	defer ts.Close()
 	// a fell out of the window when c registered: its retry is new work,
 	// and registering it again evicts b — the oldest entry only if the
 	// restored window kept b ahead of c.
-	retry(ts.URL, "a", false)
-	retry(ts.URL, "c", true)
-	retry(ts.URL, "b", false)
-	if got := srv.Accepted(); got != 20 {
+	retry("a", false)
+	retry("c", true)
+	retry("b", false)
+	if got := n.srv.Accepted(); got != 20 {
 		t.Fatalf("restarted node accepted %d records, want the two evicted batches (20)", got)
 	}
 }

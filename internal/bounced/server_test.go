@@ -2,12 +2,8 @@ package bounced_test
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +15,6 @@ import (
 	"repro/internal/bounced"
 	"repro/internal/dataset"
 	"repro/internal/replication"
-	"repro/internal/store"
 )
 
 // The tiny corpus is generated once: every test replays slices of it.
@@ -42,17 +37,6 @@ func fixture(t *testing.T) ([]dataset.Record, *analysis.Environment) {
 	return fixtureRecs, fixtureEnv
 }
 
-// newServer builds a Server, failing the test on a construction error
-// (only durable configs can produce one).
-func newServer(t *testing.T, cfg bounced.Config) *bounced.Server {
-	t.Helper()
-	srv, err := bounced.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
-}
-
 // batchReport renders the sections the way bounceanalyze does over a
 // record file: single-pass streaming analysis, then report.
 func batchReport(t *testing.T, records []dataset.Record, env *analysis.Environment, sections []bounce.Section) []byte {
@@ -67,66 +51,13 @@ func batchReport(t *testing.T, records []dataset.Record, env *analysis.Environme
 	return buf.Bytes()
 }
 
-func encodeNDJSON(t *testing.T, records []dataset.Record) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for i := range records {
-		if err := enc.Encode(&records[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-func postRecords(t *testing.T, url string, body []byte) ingestReply {
-	t.Helper()
-	resp, err := http.Post(url+"/v1/records", "application/x-ndjson", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var ir ingestReply
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-		t.Fatal(err)
-	}
-	ir.status = resp.StatusCode
-	return ir
-}
-
-type ingestReply struct {
-	Accepted     int     `json:"accepted"`
-	Line         int     `json:"line"`
-	Error        string  `json:"error"`
-	Deduped      bool    `json:"deduped"`
-	RetryAfterMs float64 `json:"retry_after_ms"`
-	status       int
-}
-
-func getBody(t *testing.T, url string) (int, []byte) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, b
-}
-
 // TestReportMatchesBatchBytes is the differential test behind the
 // service's core invariant: at any checkpoint, GET /v1/report returns
 // byte-identical output to a batch bounceanalyze run over exactly the
 // records ingested so far.
 func TestReportMatchesBatchBytes(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{cfg: bounced.Config{Env: env}})
 
 	cut := len(records) / 2
 	checkpoints := []struct {
@@ -137,11 +68,8 @@ func TestReportMatchesBatchBytes(t *testing.T) {
 	for _, cp := range checkpoints {
 		// Ingest the next slice in several batches to exercise batching.
 		for sent < cp.upto {
-			end := sent + 200
-			if end > cp.upto {
-				end = cp.upto
-			}
-			ir := postRecords(t, ts.URL, encodeNDJSON(t, records[sent:end]))
+			end := min(sent+200, cp.upto)
+			ir := send(t, n.url, batch{recs: records[sent:end]})
 			if ir.status != http.StatusOK || ir.Accepted != end-sent {
 				t.Fatalf("%s: batch [%d:%d): status %d accepted %d: %s",
 					cp.name, sent, end, ir.status, ir.Accepted, ir.Error)
@@ -149,11 +77,7 @@ func TestReportMatchesBatchBytes(t *testing.T) {
 			sent = end
 		}
 		want := batchReport(t, records[:cp.upto], env, bounce.AllSections)
-		status, got := getBody(t, ts.URL+"/v1/report?section=all")
-		if status != http.StatusOK {
-			t.Fatalf("%s: /v1/report status %d", cp.name, status)
-		}
-		if !bytes.Equal(got, want) {
+		if got := get(t, n.url+reportAll, http.StatusOK, nil); !bytes.Equal(got, want) {
 			// Dump both reports so the divergence is diffable.
 			dir := os.TempDir()
 			os.WriteFile(filepath.Join(dir, "bounced_online.txt"), got, 0o644)
@@ -165,14 +89,10 @@ func TestReportMatchesBatchBytes(t *testing.T) {
 
 	// Section subsets go through the same path as bounceanalyze -section.
 	want := batchReport(t, records, env, []bounce.Section{bounce.SecTable1, bounce.SecFig8})
-	status, got := getBody(t, ts.URL+"/v1/report?section=table1,fig8")
-	if status != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("section subset diverges (status %d, %d vs %d bytes)", status, len(got), len(want))
+	if got := get(t, n.url+"/v1/report?section=table1,fig8", http.StatusOK, nil); !bytes.Equal(got, want) {
+		t.Fatalf("section subset diverges (%d vs %d bytes)", len(got), len(want))
 	}
-
-	if status, _ := getBody(t, ts.URL+"/v1/report?section=nope"); status != http.StatusBadRequest {
-		t.Fatalf("unknown section: got status %d, want 400", status)
-	}
+	get(t, n.url+"/v1/report?section=nope", http.StatusBadRequest, nil)
 }
 
 // TestDrainZeroLoss verifies the graceful-shutdown guarantee: every
@@ -180,7 +100,8 @@ func TestReportMatchesBatchBytes(t *testing.T) {
 // even under concurrent producers and a tiny queue.
 func TestDrainZeroLoss(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env, QueueDepth: 2})
+	n := single(t, row{cfg: bounced.Config{Env: env, QueueDepth: 2}})
+	srv := n.srv
 	const producers = 4
 	per := len(records) / producers
 	var wg sync.WaitGroup
@@ -198,7 +119,7 @@ func TestDrainZeroLoss(t *testing.T) {
 	}
 	wg.Wait()
 	want := uint64(producers * per)
-	if got := srv.Drain(); got != want {
+	if got := n.drain(); got != want {
 		t.Fatalf("drain consumed %d, want %d", got, want)
 	}
 	if srv.Consumed() != want {
@@ -222,22 +143,18 @@ func TestDrainZeroLoss(t *testing.T) {
 // line stays accepted.
 func TestIngestMalformedLine(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{cfg: bounced.Config{Env: env}})
 
 	body := append(encodeNDJSON(t, records[:2]), []byte("{this is not json}\n")...)
-	ir := postRecords(t, ts.URL, body)
+	ir := send(t, n.url, batch{raw: body})
 	if ir.status != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", ir.status)
 	}
 	if ir.Line != 3 || ir.Accepted != 2 {
 		t.Fatalf("line %d accepted %d, want line 3 accepted 2", ir.Line, ir.Accepted)
 	}
-	srv.Drain()
-	if srv.Consumed() != 2 {
-		t.Fatalf("consumed %d, want the 2 valid lines", srv.Consumed())
+	if got := n.drain(); got != 2 {
+		t.Fatalf("consumed %d, want the 2 valid lines", got)
 	}
 }
 
@@ -245,33 +162,13 @@ func TestIngestMalformedLine(t *testing.T) {
 // and sniffed from the magic bytes.
 func TestIngestGzip(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	n := single(t, row{cfg: bounced.Config{Env: env}})
 
-	plain := encodeNDJSON(t, records[:50])
-	var zbuf bytes.Buffer
-	zw := gzip.NewWriter(&zbuf)
-	zw.Write(plain)
-	zw.Close()
-
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/records", bytes.NewReader(zbuf.Bytes()))
-	req.Header.Set("Content-Encoding", "gzip")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if ir := send(t, n.url, batch{recs: records[:50], gzip: true}); ir.status != http.StatusOK || ir.Accepted != 50 {
+		t.Fatalf("declared gzip: status %d accepted %d", ir.status, ir.Accepted)
 	}
-	var ir ingestReply
-	json.NewDecoder(resp.Body).Decode(&ir)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || ir.Accepted != 50 {
-		t.Fatalf("declared gzip: status %d accepted %d", resp.StatusCode, ir.Accepted)
-	}
-
 	// Same bytes, no header: the magic-byte sniff must catch it.
-	ir = postRecords(t, ts.URL, zbuf.Bytes())
-	if ir.status != http.StatusOK || ir.Accepted != 50 {
+	if ir := send(t, n.url, batch{raw: gzipped(encodeNDJSON(t, records[:50]))}); ir.status != http.StatusOK || ir.Accepted != 50 {
 		t.Fatalf("sniffed gzip: status %d accepted %d", ir.status, ir.Accepted)
 	}
 }
@@ -279,22 +176,15 @@ func TestIngestGzip(t *testing.T) {
 // TestStatsAndMetrics smoke-tests the two observability endpoints.
 func TestStatsAndMetrics(t *testing.T) {
 	records, env := fixture(t)
-	srv := newServer(t, bounced.Config{Env: env, Seed: 42})
-	defer srv.Abort()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	url := single(t, row{cfg: bounced.Config{Env: env, Seed: 42}}).url
 
 	n := 300
-	postRecords(t, ts.URL, encodeNDJSON(t, records[:n]))
+	send(t, url, batch{recs: records[:n]})
 	// A report arms the live classifier; the next batch is then timed.
-	getBody(t, ts.URL+"/v1/report?section=overview")
-	postRecords(t, ts.URL, encodeNDJSON(t, records[n:2*n]))
-	getBody(t, ts.URL+"/v1/report?section=overview")
+	get(t, url+"/v1/report?section=overview", http.StatusOK, nil)
+	send(t, url, batch{recs: records[n : 2*n]})
+	get(t, url+"/v1/report?section=overview", http.StatusOK, nil)
 
-	status, body := getBody(t, ts.URL+"/v1/stats")
-	if status != http.StatusOK {
-		t.Fatalf("/v1/stats status %d", status)
-	}
 	var st struct {
 		Seed     uint64 `json:"seed"`
 		Accepted uint64 `json:"accepted"`
@@ -305,9 +195,7 @@ func TestStatsAndMetrics(t *testing.T) {
 			P50NS float64 `json:"p50_ns"`
 		} `json:"classify_latency"`
 	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("decode stats: %v\n%s", err, body)
-	}
+	get(t, url+"/v1/stats", http.StatusOK, &st)
 	if st.Seed != 42 || st.Accepted != uint64(2*n) || st.Consumed != uint64(2*n) || st.Batches != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -315,10 +203,7 @@ func TestStatsAndMetrics(t *testing.T) {
 		t.Fatalf("classify latency never observed: %+v", st.Classify)
 	}
 
-	status, body = getBody(t, ts.URL+"/metrics")
-	if status != http.StatusOK {
-		t.Fatalf("/metrics status %d", status)
-	}
+	body := get(t, url+"/metrics", http.StatusOK, nil)
 	for _, want := range []string{
 		"bounced_records_accepted_total 600",
 		"bounced_records_consumed_total 600",
@@ -349,43 +234,26 @@ func TestHandlerMountsByCapability(t *testing.T) {
 		{http.MethodGet, "/v1/repl/checkpoint", http.StatusOK},
 		{http.MethodPost, "/v1/promote", http.StatusConflict}, // nothing to promote
 	}
-	do := func(method, url string) *http.Response {
-		t.Helper()
-		req, err := http.NewRequest(method, url, nil)
-		if err != nil {
+	for name, store := range map[string]engine{"memory": noEngine, "durable": memEngine} {
+		n := single(t, row{store: store})
+		if _, err := n.srv.IngestBatch(records[:10]); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
-	for name, cfg := range map[string]bounced.Config{"memory": {}, "durable": {Store: store.NewMem()}} {
-		srv := newServer(t, cfg)
-		defer srv.Abort()
-		if _, err := srv.IngestBatch(records[:10]); err != nil {
-			t.Fatal(err)
-		}
-		waitConsumed(t, srv, 10) // a checkpoint of nothing folded yet writes nothing, and its GET is then a 404
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
+		waitConsumed(t, n.srv, 10) // a checkpoint of nothing folded yet writes nothing, and its GET is then a 404
 		for _, e := range journal {
 			want := e.status
-			if cfg.Store == nil {
+			if store == noEngine {
 				want = http.StatusNotFound
 			}
-			if got := do(e.method, ts.URL+e.path).StatusCode; got != want {
+			if got := do(t, e.method, n.url+e.path).StatusCode; got != want {
 				t.Errorf("%s node: %s %s = %d, want %d", name, e.method, e.path, got, want)
 			}
 		}
-		status, b := getBody(t, ts.URL+"/v1/repl/status")
 		var ns replication.NodeStatus
-		if err := json.Unmarshal(b, &ns); err != nil || status != http.StatusOK || ns.Role != "primary" || ns.Epoch != 1 {
-			t.Errorf("%s node: /v1/repl/status = %d %s (%v), want a primary at epoch 1", name, status, b, err)
+		if get(t, n.url+"/v1/repl/status", http.StatusOK, &ns); ns.Role != "primary" || ns.Epoch != 1 {
+			t.Errorf("%s node: /v1/repl/status = %+v, want a primary at epoch 1", name, ns)
 		}
-		resp := do(http.MethodGet, ts.URL+"/v1/records")
+		resp := do(t, http.MethodGet, n.url+"/v1/records")
 		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
 			t.Errorf("%s node: GET /v1/records = %d Allow %q, want 405 Allow POST", name, resp.StatusCode, resp.Header.Get("Allow"))
 		}

@@ -8,14 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/analysis"
+	"repro"
 	"repro/internal/bounced"
-	"repro/internal/dataset"
 	"repro/internal/replication"
 )
 
@@ -48,18 +48,10 @@ func TestCoordinatorGatherAbortsOnClientDisconnect(t *testing.T) {
 		<-r.Context().Done()
 		once.Do(func() { close(canceled) })
 	})
-	shard := httptest.NewServer(mux)
-	defer shard.Close()
-
-	coord, err := bounced.NewCoordinator(bounced.CoordinatorConfig{ShardURLs: []string{shard.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cts := httptest.NewServer(coord.Handler())
-	defer cts.Close()
+	cts := coordinator(t, nil, serve(t, mux))
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cts.URL+"/v1/report", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cts+"/v1/report", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +77,10 @@ func TestCoordinatorGatherAbortsOnClientDisconnect(t *testing.T) {
 // up the router's next election instead of failing the gather.
 func TestCoordinatorReprobeFollowsNewPrimary(t *testing.T) {
 	records, env := fixture(t)
-	want := singleNodeReport(t, records, env)
+	want := batchReport(t, records, env, bounce.PartialSections)
 
-	live := newServer(t, bounced.Config{Env: env})
-	defer live.Abort()
-	lts := httptest.NewServer(live.Handler())
-	defer lts.Close()
-	if ir := postRecords(t, lts.URL, encodeNDJSON(t, records)); ir.status != http.StatusOK {
+	live := single(t, row{cfg: bounced.Config{Env: env}})
+	if ir := send(t, live.url, batch{recs: records}); ir.status != http.StatusOK {
 		t.Fatalf("live shard ingest: %d %s", ir.status, ir.Error)
 	}
 
@@ -108,75 +97,21 @@ func TestCoordinatorReprobeFollowsNewPrimary(t *testing.T) {
 		probes++
 		primary := dead.URL
 		if probes > 1 {
-			primary = lts.URL
+			primary = live.url
 		}
 		mu.Unlock()
 		json.NewEncoder(w).Encode(replication.RouterStatus{Primary: primary, PrimaryEpoch: 2})
 	})
-	router := httptest.NewServer(rmux)
-	defer router.Close()
+	cts := coordinator(t, env, serve(t, rmux))
 
-	coord, err := bounced.NewCoordinator(bounced.CoordinatorConfig{ShardURLs: []string{router.URL}, Env: env})
-	if err != nil {
-		t.Fatal(err)
+	if got := get(t, cts+"/v1/report", http.StatusOK, nil); !bytes.Equal(got, want) {
+		t.Fatalf("re-probed report diverges from batch (%d vs %d bytes)", len(got), len(want))
 	}
-	cts := httptest.NewServer(coord.Handler())
-	defer cts.Close()
-
-	status, got := getBody(t, cts.URL+"/v1/report")
-	if status != http.StatusOK {
-		t.Fatalf("report through re-probe: status %d: %s", status, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("re-probed report diverges from single node (%d vs %d bytes)", len(got), len(want))
-	}
-	status, stats := getBody(t, cts.URL+"/v1/stats")
-	if status != http.StatusOK {
-		t.Fatalf("stats: status %d", status)
-	}
+	stats := get(t, cts+"/v1/stats", http.StatusOK, nil)
 	for _, needle := range []string{`"reprobes": 1`, `"routed": true`, `"epoch": 2`} {
 		if !strings.Contains(string(stats), needle) {
 			t.Fatalf("stats missing %s: %s", needle, stats)
 		}
-	}
-}
-
-// shardSet is one shard of a replicated-shard deployment: a semi-sync
-// primary plus a standby (both carrying the shard's coordinates) behind
-// a router, the topology DESIGN.md §14 describes.
-type shardSet struct {
-	pair   *replPair
-	router *replication.Router
-	rts    *httptest.Server
-	stop   func()
-}
-
-func newShardSet(t *testing.T, env *analysis.Environment, idx, cnt int) *shardSet {
-	t.Helper()
-	pair := newReplPair(t,
-		bounced.Config{Env: env, ShardCount: cnt, ShardIndex: idx, ReplAck: 1, ReplAckTimeout: 10 * time.Second},
-		bounced.Config{Env: env, ShardCount: cnt, ShardIndex: idx},
-		replication.StandbyConfig{ID: fmt.Sprintf("shard%d-standby", idx)})
-	router, err := replication.NewRouter(replication.RouterConfig{
-		Peers:         []string{pair.pts.URL, pair.sts.URL},
-		ProbeInterval: 20 * time.Millisecond,
-		Logf:          func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go router.Run(ctx)
-	rts := httptest.NewServer(router.Handler())
-	return &shardSet{
-		pair:   pair,
-		router: router,
-		rts:    rts,
-		stop: func() {
-			cancel()
-			rts.Close()
-			pair.stop()
-		},
 	}
 }
 
@@ -185,131 +120,98 @@ func newShardSet(t *testing.T, env *analysis.Environment, idx, cnt int) *shardSe
 // fanning in through the routers. Shard 0's primary dies mid-stream,
 // its standby promotes at a bumped epoch, the router re-elects it, the
 // client's owed retry dedups, and the coordinator's merged report is
-// byte-identical to an uninterrupted single node — every record
-// classified exactly once across the failover.
+// byte-identical to batch — every record classified exactly once
+// across the failover. It is the builder's largest row, so once its
+// cleanup has run the goroutine count must come back to where it
+// started: a leaked router or sync loop would slow every later test.
 func TestReplicatedShardsFailover(t *testing.T) {
 	records, env := fixture(t)
-	want := singleNodeReport(t, records, env)
+	want := batchReport(t, records, env, bounce.PartialSections)
+	before := runtime.NumGoroutine()
+	t.Run("topology", func(t *testing.T) {
+		c := boot(t, row{shards: 2, standby: true, router: true, store: memEngine, cfg: bounced.Config{Env: env}})
+		s0, s1 := c.sets[0], c.sets[1]
+		parts := split(records, 2)
+		if len(parts[0]) < 2 || len(parts[1]) < 1 {
+			t.Fatalf("degenerate split: %d/%d", len(parts[0]), len(parts[1]))
+		}
 
-	sets := []*shardSet{newShardSet(t, env, 0, 2), newShardSet(t, env, 1, 2)}
-	defer sets[0].stop()
-	defer sets[1].stop()
-	for i, s := range sets {
-		primary := s.pair.pts.URL
-		waitFor(t, 5*time.Second, fmt.Sprintf("shard %d router election", i), func() bool {
-			return s.router.Primary() == primary
-		})
-	}
+		// Shard 1 ingests its whole slice through its router, undisturbed.
+		if ir := send(t, s1.url, batch{id: "sr1-all", recs: parts[1]}); ir.status != http.StatusOK || ir.Accepted != len(parts[1]) {
+			t.Fatalf("shard 1 ingest: %d accepted %d of %d: %s", ir.status, ir.Accepted, len(parts[1]), ir.Error)
+		}
 
-	coord, err := bounced.NewCoordinator(bounced.CoordinatorConfig{
-		ShardURLs: []string{sets[0].rts.URL, sets[1].rts.URL}, Env: env,
+		// Shard 0 gets half its slice, then loses its primary.
+		half := len(parts[0]) / 2
+		if ir := send(t, s0.url, batch{id: "sr0-0", recs: parts[0][:half]}); ir.status != http.StatusOK || ir.Accepted != half {
+			t.Fatalf("shard 0 first half: %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
+		}
+		// Semi-sync acks: everything acked is already on the standby.
+		if got, want := s0.standby.srv.AppliedIndex(), s0.primary.srv.AppliedIndex(); got != want {
+			t.Fatalf("shard 0 standby applied %d, primary log end %d", got, want)
+		}
+		s0.primary.kill()
+		s0.promote(t)
+		if got := s0.standby.srv.Epoch(); got != 2 {
+			t.Fatalf("promoted epoch = %d, want 2", got)
+		}
+
+		// The retry a client owes for its in-flight batch must dedup on the
+		// promoted standby, through the same router address.
+		if ir := send(t, s0.url, batch{id: "sr0-0", recs: parts[0][:half]}); ir.status != http.StatusOK || !ir.Deduped {
+			t.Fatalf("owed retry via router: status %d deduped %v", ir.status, ir.Deduped)
+		}
+		// The rest of the stream lands on the survivor.
+		if ir := send(t, s0.url, batch{id: "sr0-1", recs: parts[0][half:]}); ir.status != http.StatusOK || ir.Accepted != len(parts[0])-half {
+			t.Fatalf("shard 0 second half: %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
+		}
+		// Ownership still holds on the promoted standby: a shard-1 record
+		// through shard 0's router is refused, not silently absorbed.
+		if ir := send(t, s0.url, batch{id: "sr0-stray", recs: parts[1][:1]}); ir.status != http.StatusBadRequest || !strings.Contains(ir.Error, "owned by shard 1") {
+			t.Fatalf("misroute after promotion: status %d error %q", ir.status, ir.Error)
+		}
+
+		if got := get(t, c.coord+"/v1/report", http.StatusOK, nil); !bytes.Equal(got, want) {
+			t.Fatalf("post-failover merged report diverges from batch (%d vs %d bytes)", len(got), len(want))
+		}
+
+		// The topology view names the promoted primary and its epoch.
+		var cs struct {
+			Shards []struct {
+				URL     string `json:"url"`
+				Routed  bool   `json:"routed"`
+				Primary string `json:"primary"`
+				Epoch   uint64 `json:"epoch"`
+			} `json:"shards"`
+		}
+		get(t, c.coord+"/v1/stats", http.StatusOK, &cs)
+		if len(cs.Shards) != 2 {
+			t.Fatalf("stats shards = %d", len(cs.Shards))
+		}
+		if survivor := s0.standby.url; !cs.Shards[0].Routed || cs.Shards[0].Primary != survivor || cs.Shards[0].Epoch != 2 {
+			t.Fatalf("shard 0 view = %+v, want routed primary %s at epoch 2", cs.Shards[0], survivor)
+		}
+		if !cs.Shards[1].Routed || cs.Shards[1].Epoch != 1 {
+			t.Fatalf("shard 1 view = %+v, want routed epoch 1", cs.Shards[1])
+		}
+
+		// Metrics expose the per-shard epoch gauges after the gather.
+		metrics := string(get(t, c.coord+"/metrics", http.StatusOK, nil))
+		if epochLine := fmt.Sprintf("coordinator_shard_epoch{shard=%q} 2", s0.url); !strings.Contains(metrics, epochLine) {
+			t.Fatalf("metrics missing %q:\n%s", epochLine, metrics)
+		}
+		if !strings.Contains(metrics, "coordinator_shard_lag_records{") {
+			t.Fatal("metrics missing per-shard lag gauge")
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cts := httptest.NewServer(coord.Handler())
-	defer cts.Close()
 
-	parts := make([][]dataset.Record, 2)
-	for i := range records {
-		own := analysis.OwnerOf(&records[i], 2)
-		parts[own] = append(parts[own], records[i])
-	}
-	if len(parts[0]) < 2 || len(parts[1]) < 1 {
-		t.Fatalf("degenerate split: %d/%d", len(parts[0]), len(parts[1]))
-	}
-
-	// Shard 1 ingests its whole slice through its router, undisturbed.
-	if ir := postBatch(t, sets[1].rts.URL, "sr1-all", parts[1]); ir.status != http.StatusOK || ir.Accepted != len(parts[1]) {
-		t.Fatalf("shard 1 ingest: %d accepted %d of %d: %s", ir.status, ir.Accepted, len(parts[1]), ir.Error)
-	}
-
-	// Shard 0 gets half its slice, then loses its primary.
-	half := len(parts[0]) / 2
-	if ir := postBatch(t, sets[0].rts.URL, "sr0-0", parts[0][:half]); ir.status != http.StatusOK || ir.Accepted != half {
-		t.Fatalf("shard 0 first half: %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
-	}
-	// Semi-sync acks: everything acked is already on the standby.
-	if got, want := sets[0].pair.standby.AppliedIndex(), sets[0].pair.primary.AppliedIndex(); got != want {
-		t.Fatalf("shard 0 standby applied %d, primary log end %d", got, want)
-	}
-	sets[0].pair.pts.Close()
-	sets[0].pair.primary.Abort()
-	resp, err := http.Post(sets[0].pair.sts.URL+replication.PathPromote, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("promote: status %d", resp.StatusCode)
-	}
-	if got := sets[0].pair.standby.Epoch(); got != 2 {
-		t.Fatalf("promoted epoch = %d, want 2", got)
-	}
-	survivor := sets[0].pair.sts.URL
-	waitFor(t, 5*time.Second, "shard 0 router re-election", func() bool {
-		return sets[0].router.Primary() == survivor
-	})
-
-	// The retry a client owes for its in-flight batch must dedup on the
-	// promoted standby, through the same router address.
-	if ir := postBatch(t, sets[0].rts.URL, "sr0-0", parts[0][:half]); ir.status != http.StatusOK || !ir.Deduped {
-		t.Fatalf("owed retry via router: status %d deduped %v", ir.status, ir.Deduped)
-	}
-	// The rest of the stream lands on the survivor.
-	if ir := postBatch(t, sets[0].rts.URL, "sr0-1", parts[0][half:]); ir.status != http.StatusOK || ir.Accepted != len(parts[0])-half {
-		t.Fatalf("shard 0 second half: %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
-	}
-	// Ownership still holds on the promoted standby: a shard-1 record
-	// through shard 0's router is refused, not silently absorbed.
-	if ir := postBatch(t, sets[0].rts.URL, "sr0-stray", parts[1][:1]); ir.status != http.StatusBadRequest || !strings.Contains(ir.Error, "owned by shard 1") {
-		t.Fatalf("misroute after promotion: status %d error %q", ir.status, ir.Error)
-	}
-
-	status, got := getBody(t, cts.URL+"/v1/report")
-	if status != http.StatusOK {
-		t.Fatalf("coordinator report: status %d: %s", status, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("post-failover merged report diverges from single node (%d vs %d bytes)", len(got), len(want))
-	}
-
-	// The topology view names the promoted primary and its epoch.
-	status, stats := getBody(t, cts.URL+"/v1/stats")
-	if status != http.StatusOK {
-		t.Fatalf("coordinator stats: status %d", status)
-	}
-	var cs struct {
-		Shards []struct {
-			URL     string `json:"url"`
-			Routed  bool   `json:"routed"`
-			Primary string `json:"primary"`
-			Epoch   uint64 `json:"epoch"`
-		} `json:"shards"`
-	}
-	if err := json.Unmarshal(stats, &cs); err != nil {
-		t.Fatal(err)
-	}
-	if len(cs.Shards) != 2 {
-		t.Fatalf("stats shards = %d", len(cs.Shards))
-	}
-	if !cs.Shards[0].Routed || cs.Shards[0].Primary != survivor || cs.Shards[0].Epoch != 2 {
-		t.Fatalf("shard 0 view = %+v, want routed primary %s at epoch 2", cs.Shards[0], survivor)
-	}
-	if !cs.Shards[1].Routed || cs.Shards[1].Epoch != 1 {
-		t.Fatalf("shard 1 view = %+v, want routed epoch 1", cs.Shards[1])
-	}
-
-	// Metrics expose the per-shard epoch gauges after the gather.
-	status, metrics := getBody(t, cts.URL+"/metrics")
-	if status != http.StatusOK {
-		t.Fatalf("coordinator metrics: status %d", status)
-	}
-	epochLine := fmt.Sprintf("coordinator_shard_epoch{shard=%q} 2", sets[0].rts.URL)
-	if !strings.Contains(string(metrics), epochLine) {
-		t.Fatalf("metrics missing %q:\n%s", epochLine, metrics)
-	}
-	if !strings.Contains(string(metrics), "coordinator_shard_lag_records{") {
-		t.Fatal("metrics missing per-shard lag gauge")
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5 s after teardown, %d before boot:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -3,14 +3,15 @@ package bounced_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro"
 	"repro/internal/analysis"
 	"repro/internal/bounced"
 	"repro/internal/dataset"
@@ -18,41 +19,28 @@ import (
 )
 
 // TestClusterTwoRoundsMatchSingleNode: the coordinator's two-round
-// report is byte-identical to one node's for 1, 2, 3 and 16 shards,
-// without an environment and with one (whose leak corpus makes the
-// recipient sets and bulk counts travel), and for every merge order of
-// 3.
+// report is byte-identical to batch for 1, 2, 3 and 16 shards, without
+// an environment and with one (whose leak corpus makes the recipient
+// sets and bulk counts travel), and for every merge order of 3.
 func TestClusterTwoRoundsMatchSingleNode(t *testing.T) {
 	records, fullEnv := fixture(t)
 	for _, env := range []*analysis.Environment{nil, fullEnv} {
-		want := singleNodeReport(t, records, env)
+		want := batchReport(t, records, env, bounce.PartialSections)
 		for _, n := range []int{1, 2, 3, 16} {
-			servers, cleanup := clusterNodes(t, records, env, n)
-			orders := [][]int{nil}
-			if n == 3 {
-				orders = [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
-			}
-			for _, order := range orders {
-				urls := make([]string, n)
-				for i := range urls {
-					urls[i] = servers[i].URL
-					if order != nil {
-						urls[i] = servers[order[i]].URL
+			t.Run(fmt.Sprintf("env=%v/shards=%d", env != nil, n), func(t *testing.T) {
+				c := fedShards(t, records, env, n)
+				coords := []string{c.coord}
+				if n == 3 {
+					for _, o := range orders3[1:] {
+						coords = append(coords, coordinator(t, env, c.sets[o[0]].url, c.sets[o[1]].url, c.sets[o[2]].url))
 					}
 				}
-				coord, err := bounced.NewCoordinator(bounced.CoordinatorConfig{ShardURLs: urls, Env: env})
-				if err != nil {
-					t.Fatal(err)
+				for i, cts := range coords {
+					if got := get(t, cts+"/v1/report", http.StatusOK, nil); !bytes.Equal(got, want) {
+						t.Errorf("order %d: report diverges from batch (%d vs %d bytes)", i, len(got), len(want))
+					}
 				}
-				cts := httptest.NewServer(coord.Handler())
-				status, got := getBody(t, cts.URL+"/v1/report")
-				cts.Close()
-				if status != http.StatusOK || !bytes.Equal(got, want) {
-					t.Errorf("env=%v shards=%d order=%v: status %d, report diverges from single node (%d vs %d bytes)",
-						env != nil, n, order, status, len(got), len(want))
-				}
-			}
-			cleanup()
+			})
 		}
 	}
 }
@@ -128,93 +116,52 @@ func (p *roundProxy) counts() (round1s, moved int) {
 // reports.
 func TestClusterIngestBetweenRounds(t *testing.T) {
 	records, env := fixture(t)
-	var own [2][]int // record indexes per shard, in corpus order
-	for i := range records {
-		o := analysis.OwnerOf(&records[i], 2)
-		own[o] = append(own[o], i)
-	}
-	a, b := len(own[0])/3, 2*len(own[0])/3
-	pick := func(idx []int) []dataset.Record {
-		out := make([]dataset.Record, len(idx))
-		for i, j := range idx {
-			out[i] = records[j]
-		}
-		return out
-	}
+	parts := split(records, 2)
+	a, b := len(parts[0])/3, 2*len(parts[0])/3
 	// without returns the corpus, in order, minus shard 0's records from
 	// its from-th on: what the cluster holds before they land.
-	without := func(from int) []dataset.Record {
-		late := map[int]bool{}
-		for _, j := range own[0][from:] {
-			late[j] = true
-		}
-		var out []dataset.Record
+	without := func(from int) (out []dataset.Record) {
+		seen := 0
 		for i := range records {
-			if !late[i] {
-				out = append(out, records[i])
+			if analysis.OwnerOf(&records[i], 2) == 0 {
+				if seen++; seen > from {
+					continue
+				}
 			}
+			out = append(out, records[i])
 		}
 		return out
 	}
 
-	srvs := make([]*bounced.Server, 2)
-	shards := make([]*httptest.Server, 2)
-	for i := range srvs {
-		srvs[i] = newServer(t, bounced.Config{Env: env, ShardCount: 2, ShardIndex: i})
-		defer srvs[i].Abort()
-		shards[i] = httptest.NewServer(srvs[i].Handler())
-		defer shards[i].Close()
-	}
-	if ir := postRecords(t, shards[0].URL, encodeNDJSON(t, pick(own[0][:a]))); ir.status != http.StatusOK {
+	// Coordinator B is the cluster's own; A gathers from shard 0
+	// through the proxy.
+	c := boot(t, row{shards: 2, cfg: bounced.Config{Env: env}})
+	shard0 := c.sets[0].url
+	if ir := send(t, shard0, batch{recs: parts[0][:a]}); ir.status != http.StatusOK {
 		t.Fatalf("shard 0: status %d: %s", ir.status, ir.Error)
 	}
-	if ir := postRecords(t, shards[1].URL, encodeNDJSON(t, pick(own[1]))); ir.status != http.StatusOK {
+	if ir := send(t, c.sets[1].url, batch{recs: parts[1]}); ir.status != http.StatusOK {
 		t.Fatalf("shard 1: status %d: %s", ir.status, ir.Error)
 	}
 	// ingest posts records to shard 0 from inside the proxy, where
 	// t.Fatal must not be called.
 	ingest := func(recs []dataset.Record) {
-		var body bytes.Buffer
-		enc := json.NewEncoder(&body)
-		for i := range recs {
-			enc.Encode(&recs[i])
-		}
-		resp, err := http.Post(shards[0].URL+"/v1/records", "application/x-ndjson", &body)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("ingest between the rounds: status %d", resp.StatusCode)
+		if ir, err := try(shard0, batch{recs: recs}); err != nil || ir.status != http.StatusOK {
+			t.Errorf("ingest between the rounds: status %d, %v", ir.status, err)
 		}
 	}
 
-	proxy := &roundProxy{shard: shards[0].URL}
-	pts := httptest.NewServer(proxy)
-	defer pts.Close()
-	coordA, err := bounced.NewCoordinator(bounced.CoordinatorConfig{ShardURLs: []string{pts.URL, shards[1].URL}, Env: env})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ats := httptest.NewServer(coordA.Handler())
-	defer ats.Close()
-	coordB, err := bounced.NewCoordinator(bounced.CoordinatorConfig{ShardURLs: []string{shards[0].URL, shards[1].URL}, Env: env})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bts := httptest.NewServer(coordB.Handler())
-	defer bts.Close()
+	proxy := &roundProxy{shard: shard0}
+	ats := coordinator(t, env, serve(t, proxy), c.sets[1].url)
 
 	// Records land between A's rounds: its report is over the records
 	// each shard held at its round 1.
 	proxy.mu.Lock()
-	proxy.between = func() { ingest(pick(own[0][a:b])) }
+	proxy.between = func() { ingest(parts[0][a:b]) }
 	proxy.mu.Unlock()
-	status, got := getBody(t, ats.URL+"/v1/report")
-	if want := singleNodeReport(t, without(a), env); status != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("ingest between the rounds: status %d, report is not batch over the round-1 records (%d vs %d bytes): %.200s", status, len(got), len(want), got)
+	got := get(t, ats+"/v1/report", http.StatusOK, nil)
+	if want := batchReport(t, without(a), env, bounce.PartialSections); !bytes.Equal(got, want) {
+		t.Fatalf("ingest between the rounds: report is not batch over the round-1 records (%d vs %d bytes): %.200s", len(got), len(want), got)
 	}
 	if round1s, moved := proxy.counts(); round1s != 1 || moved != 0 {
 		t.Fatalf("ingest between the rounds: %d round 1s and %d 409s, want 1 and 0", round1s, moved)
@@ -222,13 +169,13 @@ func TestClusterIngestBetweenRounds(t *testing.T) {
 
 	// B's whole gather runs between A's rounds, over newer records: B's
 	// report is correct, and A's costs one 409 and one more gather.
-	full := singleNodeReport(t, records, env)
+	full := batchReport(t, records, env, bounce.PartialSections)
 	var bStatus int
 	var bGot []byte
 	proxy.mu.Lock()
 	proxy.between = func() {
-		ingest(pick(own[0][b:]))
-		resp, err := http.Get(bts.URL + "/v1/report")
+		ingest(parts[0][b:])
+		resp, err := http.Get(c.coord + "/v1/report")
 		if err != nil {
 			t.Error(err)
 			return
@@ -238,9 +185,8 @@ func TestClusterIngestBetweenRounds(t *testing.T) {
 		bGot, _ = io.ReadAll(resp.Body)
 	}
 	proxy.mu.Unlock()
-	status, got = getBody(t, ats.URL+"/v1/report")
-	if status != http.StatusOK || !bytes.Equal(got, full) {
-		t.Fatalf("after a 409: status %d, report diverges from batch (%d vs %d bytes): %.200s", status, len(got), len(full), got)
+	if got := get(t, ats+"/v1/report", http.StatusOK, nil); !bytes.Equal(got, full) {
+		t.Fatalf("after a 409: report diverges from batch (%d vs %d bytes): %.200s", len(got), len(full), got)
 	}
 	if bStatus != http.StatusOK || !bytes.Equal(bGot, full) {
 		t.Fatalf("the interleaved coordinator: status %d, report diverges from batch (%d vs %d bytes)", bStatus, len(bGot), len(full))
@@ -248,7 +194,7 @@ func TestClusterIngestBetweenRounds(t *testing.T) {
 	if round1s, moved := proxy.counts(); round1s != 2 || moved != 1 {
 		t.Fatalf("interleaved round 1: %d round 1s and %d 409s through the proxy, want 2 and 1", round1s, moved)
 	}
-	_, metrics := getBody(t, ats.URL+"/metrics")
+	metrics := get(t, ats+"/metrics", http.StatusOK, nil)
 	for _, line := range []string{"coordinator_fanin_errors_total 0", "coordinator_reprobes_total 0", "coordinator_fanins_total 2"} {
 		if !strings.Contains(string(metrics), line+"\n") {
 			t.Errorf("coordinator metrics lack %q:\n%s", line, metrics)
@@ -277,20 +223,9 @@ func TestClusterRefusesVersionSkew(t *testing.T) {
 		round2.Do(func() { t.Error("round 2 reached a shard whose round 1 was refused") })
 		http.Error(w, "no round 2 here", http.StatusMethodNotAllowed)
 	})
-	parent := httptest.NewServer(mux)
-	defer parent.Close()
-
-	coord, err := bounced.NewCoordinator(bounced.CoordinatorConfig{ShardURLs: []string{parent.URL}})
-	if err != nil {
-		t.Fatal(err)
+	cts := coordinator(t, nil, serve(t, mux))
+	if body := get(t, cts+"/v1/report", http.StatusServiceUnavailable, nil); !strings.Contains(string(body), "version 1, want 2") {
+		t.Fatalf("version-1 shard: body %s, want a 503 naming version 1 and 2", body)
 	}
-	cts := httptest.NewServer(coord.Handler())
-	defer cts.Close()
-	status, body := getBody(t, cts.URL+"/v1/report")
-	if status != http.StatusServiceUnavailable || !strings.Contains(string(body), "version 1, want 2") {
-		t.Fatalf("version-1 shard: status %d body %s, want a 503 naming version 1 and 2", status, body)
-	}
-	if status, _ := getBody(t, cts.URL+"/v1/stats"); status != http.StatusServiceUnavailable {
-		t.Fatalf("version-1 shard: stats status %d, want 503", status)
-	}
+	get(t, cts+"/v1/stats", http.StatusServiceUnavailable, nil)
 }

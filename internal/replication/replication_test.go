@@ -3,7 +3,6 @@ package replication
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -366,26 +365,9 @@ func TestStandbyAutoFailover(t *testing.T) {
 	}
 }
 
-// staticNode serves a fixed NodeStatus — a router probe target.
-func staticNode(t *testing.T, role string, epoch uint64) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc(PathStatus, func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(NodeStatus{Role: role, Epoch: epoch, NextIndex: 1})
-	})
-	mux.HandleFunc("/v1/records", func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		w.Header().Set("X-Node-Epoch", strconv.FormatUint(epoch, 10))
-		fmt.Fprintf(w, `{"echo":%d}`, len(body))
-	})
-	return httptest.NewServer(mux)
-}
-
 func TestRouterElectionAndForward(t *testing.T) {
-	primary := staticNode(t, "primary", 1)
-	defer primary.Close()
-	standby := staticNode(t, "standby", 1)
-	defer standby.Close()
+	primary := newMutableNode(t, "primary", 1)
+	standby := newMutableNode(t, "standby", 1)
 
 	r, err := NewRouter(RouterConfig{
 		Peers:         []string{standby.URL, primary.URL},
@@ -439,8 +421,7 @@ func TestRouterElectionAndForward(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	promoted := staticNode(t, "primary", 2)
-	defer promoted.Close()
+	promoted := newMutableNode(t, "primary", 2)
 	r2, err := NewRouter(RouterConfig{
 		Peers:         []string{standby.URL, promoted.URL},
 		ProbeInterval: 20 * time.Millisecond,
@@ -462,10 +443,8 @@ func TestRouterElectionAndForward(t *testing.T) {
 // TestRouterPrefersHighestEpoch: a zombie old primary next to the
 // promoted standby must lose the election.
 func TestRouterPrefersHighestEpoch(t *testing.T) {
-	zombie := staticNode(t, "primary", 1)
-	defer zombie.Close()
-	promoted := staticNode(t, "primary", 2)
-	defer promoted.Close()
+	zombie := newMutableNode(t, "primary", 1)
+	promoted := newMutableNode(t, "primary", 2)
 
 	r, err := NewRouter(RouterConfig{
 		Peers: []string{zombie.URL, promoted.URL},

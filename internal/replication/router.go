@@ -43,16 +43,15 @@ type Router struct {
 	probes      atomic.Uint64
 }
 
+// probeTimeout bounds one status probe.
+const probeTimeout = 500 * time.Millisecond
+
 // RouterConfig configures a Router.
 type RouterConfig struct {
 	// Peers are the replica set's base URLs.
 	Peers []string
 	// ProbeInterval paces the health sweep (default 250ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one status probe (default 500ms).
-	ProbeTimeout time.Duration
-	// Client overrides the forwarding client (tests).
-	Client *http.Client
 	// Logf receives probe/failover events; default log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -95,19 +94,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 250 * time.Millisecond
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 500 * time.Millisecond
-	}
 	r := &Router{
 		cfg:        cfg,
 		logf:       cfg.Logf,
-		fwd:        cfg.Client,
-		probeC:     &http.Client{Timeout: cfg.ProbeTimeout},
+		fwd:        &http.Client{},
+		probeC:     &http.Client{Timeout: probeTimeout},
 		peerStatus: map[string]*PeerStatus{},
 		nudge:      make(chan struct{}, 1),
-	}
-	if r.fwd == nil {
-		r.fwd = &http.Client{}
 	}
 	if r.logf == nil {
 		r.logf = log.Printf

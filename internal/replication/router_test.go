@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -167,16 +168,19 @@ func TestRouterForwardStripsHopByHop(t *testing.T) {
 	}
 }
 
-// mutableNode is a probe target whose role/epoch can change mid-test —
-// a node living through demotion and promotion.
+// mutableNode is a router probe target whose role/epoch can change
+// mid-test — a node living through demotion and promotion. It echoes a
+// /v1/records body's length under its epoch, so a test can tell which
+// peer a forward reached. It closes when the test ends.
 type mutableNode struct {
+	*httptest.Server
 	mu    sync.Mutex
 	role  string
 	epoch uint64
-	srv   *httptest.Server
 }
 
-func newMutableNode(role string, epoch uint64) *mutableNode {
+func newMutableNode(t *testing.T, role string, epoch uint64) *mutableNode {
+	t.Helper()
 	n := &mutableNode{role: role, epoch: epoch}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathStatus, func(w http.ResponseWriter, _ *http.Request) {
@@ -185,7 +189,16 @@ func newMutableNode(role string, epoch uint64) *mutableNode {
 		n.mu.Unlock()
 		json.NewEncoder(w).Encode(st)
 	})
-	n.srv = httptest.NewServer(mux)
+	mux.HandleFunc("/v1/records", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		n.mu.Lock()
+		epoch := n.epoch
+		n.mu.Unlock()
+		w.Header().Set("X-Node-Epoch", strconv.FormatUint(epoch, 10))
+		fmt.Fprintf(w, `{"echo":%d}`, len(body))
+	})
+	n.Server = httptest.NewServer(mux)
+	t.Cleanup(n.Close)
 	return n
 }
 
@@ -201,18 +214,16 @@ func (n *mutableNode) set(role string, epoch uint64) {
 // otherwise every batch bounces off its write refusal instead of
 // getting a retryable 503.
 func TestRouterDropsDemotedPrimary(t *testing.T) {
-	a := newMutableNode("primary", 1)
-	defer a.srv.Close()
-	b := newMutableNode("standby", 1)
-	defer b.srv.Close()
+	a := newMutableNode(t, "primary", 1)
+	b := newMutableNode(t, "standby", 1)
 
-	r, err := NewRouter(RouterConfig{Peers: []string{a.srv.URL, b.srv.URL}, Logf: t.Logf})
+	r, err := NewRouter(RouterConfig{Peers: []string{a.URL, b.URL}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.sweep()
-	if r.Primary() != a.srv.URL {
-		t.Fatalf("primary = %q, want %q", r.Primary(), a.srv.URL)
+	if r.Primary() != a.URL {
+		t.Fatalf("primary = %q, want %q", r.Primary(), a.URL)
 	}
 
 	// A demotes but stays healthy; nothing else is primary yet.
@@ -225,8 +236,8 @@ func TestRouterDropsDemotedPrimary(t *testing.T) {
 	// B promotes at a bumped epoch; the next sweep follows it.
 	b.set("primary", 2)
 	r.sweep()
-	if r.Primary() != b.srv.URL {
-		t.Fatalf("primary = %q, want promoted %q", r.Primary(), b.srv.URL)
+	if r.Primary() != b.URL {
+		t.Fatalf("primary = %q, want promoted %q", r.Primary(), b.URL)
 	}
 }
 

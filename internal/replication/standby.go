@@ -64,12 +64,6 @@ type StandbyConfig struct {
 	// primary has been unreachable for this long. 0 means manual
 	// promotion only.
 	FailoverTimeout time.Duration
-	// MaxBatch caps records per poll response (default 8192) so a
-	// standby catching up streams in bounded chunks.
-	MaxBatch int
-	// Client overrides the HTTP client (tests). Its Timeout is ignored;
-	// per-request deadlines are derived from PollWait.
-	Client *http.Client
 	// Logf receives sync-loop events; default log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -113,6 +107,10 @@ type SyncStatus struct {
 // pruned past our offset (410) or disowns our position (409).
 var errResync = errors.New("replication: resync required")
 
+// maxBatch caps records per poll response so a standby catching up
+// streams in bounded chunks.
+const maxBatch = 8192
+
 // NewStandby wires a sync loop; call Run to start it.
 func NewStandby(cfg StandbyConfig, applier Applier) (*Standby, error) {
 	if cfg.PrimaryURL == "" {
@@ -130,13 +128,9 @@ func NewStandby(cfg StandbyConfig, applier Applier) (*Standby, error) {
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = 200 * time.Millisecond
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 8192
-	}
-	st := &Standby{cfg: cfg, applier: applier, client: cfg.Client, logf: cfg.Logf}
-	if st.client == nil {
-		st.client = &http.Client{}
-	}
+	// The client has no Timeout: per-request deadlines derive from
+	// PollWait.
+	st := &Standby{cfg: cfg, applier: applier, client: &http.Client{}, logf: cfg.Logf}
 	if st.logf == nil {
 		st.logf = log.Printf
 	}
@@ -202,8 +196,8 @@ func (st *Standby) syncOnce(ctx context.Context) error {
 	from := st.applier.AppliedIndex()
 	u := fmt.Sprintf("%s%s?from=%d&id=%s&applied=%d&wait=%s&max=%d",
 		st.cfg.PrimaryURL, PathWAL, from, url.QueryEscape(st.cfg.ID), from,
-		st.cfg.PollWait, st.cfg.MaxBatch)
-	// The budget covers a held long-poll plus a full MaxBatch transfer.
+		st.cfg.PollWait, maxBatch)
+	// The budget covers a held long-poll plus a full maxBatch transfer.
 	rctx, done := st.pollCtx(ctx, st.cfg.PollWait+30*time.Second)
 	defer done()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
