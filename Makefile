@@ -42,12 +42,14 @@ loc:
 # environment — the same report over analysis.New of a plain slice, and
 # beside them one delta report, after 1,000 more records on a warm
 # accumulator, a snapshot's Detect and Figure 7 alone, cold and warm,
-# and a two-shard cluster's delta report, as ns/op, B/op and allocs/op;
+# and a two-shard cluster's delta report, as ns/op, B/op and allocs/op,
+# and the live heap per record a node holds after ingesting the 80k
+# emails in 500-line bodies and answering one report (HeldHeap);
 # then the cold report again on one core and on two, since a cold
 # snapshot finishes, classifies and folds on every core it is given.
 # Reported, never asserted.
 bench-allocs:
-	$(GO) test -run '^$$' -bench 'ReportCold/no-env|Analyze/no-env|ReportDelta/no-env|DetectFig7|ClusterReport/two-rounds-delta' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'ReportCold/no-env|Analyze/no-env|ReportDelta/no-env|DetectFig7|ClusterReport/two-rounds-delta|HeldHeap' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'ReportCold/no-env' -cpu 1,2 -benchtime 1x -benchmem .
 
 # race runs the whole suite under the race detector.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // Stable binary codec for partial-aggregate snapshots. The encoding is
@@ -116,6 +117,22 @@ func (d *dec) str() string {
 		return ""
 	}
 	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+// strView is str without the copy: the string views d's input, so it
+// is valid only as long as the caller keeps that input unchanged.
+func (d *dec) strView() string {
+	n := d.u64()
+	if d.err != nil {
+		return ""
+	}
+	if uint64(len(d.b)) < n {
+		d.fail()
+		return ""
+	}
+	s := unsafe.String(unsafe.SliceData(d.b), int(n))
 	d.b = d.b[n:]
 	return s
 }

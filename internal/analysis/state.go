@@ -105,11 +105,14 @@ func RestoreIncremental(b []byte) (*Incremental, error) {
 
 	inc := NewIncremental(cfg)
 	n := d.count()
+	var rec dataset.Record
+	var scratch recordScratch
 	for i := 0; i < n && d.err == nil; i++ {
-		rec := d.record()
-		inc.store.Append(rec)
-		inc.counts[rec.ToDomain()]++
-		if !clean(&rec) {
+		d.recordView(&rec, &scratch)
+		if d.err != nil {
+			break
+		}
+		if !clean(inc.absorb(&rec)) {
 			inc.dirty = append(inc.dirty, int32(i))
 		}
 	}
@@ -161,18 +164,27 @@ func (e *enc) record(r *dataset.Record) {
 	e.str(r.EmailFlag)
 }
 
-func (d *dec) record() dataset.Record {
-	var r dataset.Record
-	r.From = d.str()
-	r.To = d.str()
+// recordScratch backs the attempt slices recordView hands out, reused
+// from one record to the next.
+type recordScratch struct {
+	strs []string
+	ints []int64
+}
+
+// recordView decodes one record into *r without copying: its strings
+// view d's input and its slices view sc, both valid only until the next
+// call, so r must be copied (RecordStore.AppendCopy) before then.
+func (d *dec) recordView(r *dataset.Record, sc *recordScratch) {
+	sc.strs, sc.ints = sc.strs[:0], sc.ints[:0]
+	r.From = d.strView()
+	r.To = d.strView()
 	r.StartTime = time.Unix(0, d.i64()).UTC()
 	r.EndTime = time.Unix(0, d.i64()).UTC()
-	r.FromIP = d.recStrList()
-	r.ToIP = d.recStrList()
-	r.DeliveryResult = d.recStrList()
-	r.DeliveryLatency = d.recI64List()
-	r.EmailFlag = d.str()
-	return r
+	r.FromIP = d.recStrListView(sc)
+	r.ToIP = d.recStrListView(sc)
+	r.DeliveryResult = d.recStrListView(sc)
+	r.DeliveryLatency = d.recI64ListView(sc)
+	r.EmailFlag = d.strView()
 }
 
 func (e *enc) recStrList(s []string) {
@@ -182,11 +194,20 @@ func (e *enc) recStrList(s []string) {
 	}
 }
 
-func (d *dec) recStrList() []string {
+// recStrListView decodes a recStrList as views appended to sc.strs.
+func (d *dec) recStrListView(sc *recordScratch) []string {
 	if !d.boolv() {
 		return nil
 	}
-	return d.strList()
+	n := d.count()
+	if n == 0 {
+		return []string{} // present but empty, as MarshalJSON's []
+	}
+	lo := len(sc.strs)
+	for i := 0; i < n && d.err == nil; i++ {
+		sc.strs = append(sc.strs, d.strView())
+	}
+	return sc.strs[lo:len(sc.strs):len(sc.strs)]
 }
 
 // recI64List keeps the nil/empty distinction i64List drops.
@@ -200,14 +221,18 @@ func (e *enc) recI64List(v []int64) {
 	}
 }
 
-func (d *dec) recI64List() []int64 {
+// recI64ListView decodes a recI64List into sc.ints.
+func (d *dec) recI64ListView(sc *recordScratch) []int64 {
 	if !d.boolv() {
 		return nil
 	}
 	n := d.count()
-	out := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.i64())
+	if n == 0 {
+		return []int64{}
 	}
-	return out
+	lo := len(sc.ints)
+	for i := 0; i < n && d.err == nil; i++ {
+		sc.ints = append(sc.ints, d.i64())
+	}
+	return sc.ints[lo:len(sc.ints):len(sc.ints)]
 }

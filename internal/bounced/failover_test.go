@@ -59,6 +59,24 @@ func TestFailoverReportByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPromoteThenKillKeepsEpoch: the checkpoint that fences the old
+// epoch is taken on a goroutine of its own after a promotion, and a
+// node stopped right after promoting must still have written it — the
+// stop waits for it — or a restart comes back at the old epoch and
+// un-fences a zombie.
+func TestPromoteThenKillKeepsEpoch(t *testing.T) {
+	records, env := fixture(t)
+	s := boot(t, row{standby: true, store: fsEngine, cfg: bounced.Config{Env: env}}).sets[0]
+	sendBatches(t, s.primary.url, "pk", 0, records, 256)
+	s.primary.kill()
+	s.promote(t)
+	s.standby.kill()
+	s.standby.restart()
+	if got := s.standby.srv.Epoch(); got != 2 {
+		t.Fatalf("epoch after promote, kill and restart = %d, want 2", got)
+	}
+}
+
 // TestSemiSyncNeedsStore: semi-sync acks without a WAL would gate
 // nothing — every batch acked, none replicated — so New must refuse the
 // configuration rather than boot it (bounced -repl-ack 1 without

@@ -337,8 +337,9 @@ func (s *Server) ResetTo(cp *store.Checkpoint) error {
 // Promote flips the node from standby to primary under the given
 // epoch. Idempotent; reports whether this call won the flip. The new
 // epoch is checkpointed right away so a post-promotion restart cannot
-// resurrect the old one (which would un-fence a zombie). Implements
-// replication.Applier.
+// resurrect the old one (which would un-fence a zombie); Drain and
+// Abort wait for that checkpoint before they close the store.
+// Implements replication.Applier.
 func (s *Server) Promote(epoch uint64, reason string) bool {
 	if !s.standby.CompareAndSwap(true, false) {
 		return false
@@ -351,11 +352,7 @@ func (s *Server) Promote(epoch uint64, reason string) bool {
 	// node's does: it starts from no carried snapshot state.
 	s.incState().DropCarried()
 	log.Printf("bounced: promoted to primary at epoch %d: %s", s.epoch.Load(), reason)
-	go func() {
-		if err := s.j.checkpoint(); err != nil {
-			log.Printf("bounced: post-promotion checkpoint: %v", err)
-		}
-	}()
+	s.j.promotionCheckpoint()
 	return true
 }
 

@@ -21,6 +21,10 @@ func (s *Server) study() *bounce.Study {
 	if s.snapStudy != nil && s.snapAt == n {
 		return s.snapStudy
 	}
+	// The stale study is not served again; dropping it before the next
+	// is built lets its verdicts go as soon as the snapshot has copied
+	// them, instead of both slices living through the build.
+	s.snapStudy = nil
 	t0 := time.Now()
 	a := s.incState().Snapshot(s.cfg.Env)
 	s.snapMs = float64(time.Since(t0).Nanoseconds()) / 1e6

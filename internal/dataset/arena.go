@@ -41,7 +41,13 @@ type byteArena struct {
 // per-call allocation (amortized: one chunk allocation per
 // byteArenaChunk bytes interned).
 func (a *byteArena) intern(b []byte) string {
-	n := len(b)
+	return a.copyString(unsafe.String(unsafe.SliceData(b), len(b)))
+}
+
+// copyString is intern for a string: the copy lives in the arena, so it
+// pins nothing of the memory s came from.
+func (a *byteArena) copyString(s string) string {
+	n := len(s)
 	if n == 0 {
 		return ""
 	}
@@ -53,7 +59,7 @@ func (a *byteArena) intern(b []byte) string {
 		a.buf = make([]byte, 0, size)
 	}
 	off := len(a.buf)
-	a.buf = append(a.buf, b...)
+	a.buf = append(a.buf, s...)
 	return unsafe.String(&a.buf[off], n)
 }
 

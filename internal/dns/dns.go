@@ -195,10 +195,12 @@ func apex(name string) string {
 	return tld2
 }
 
-// Answer is the result of an authoritative query.
+// Answer is the result of an authoritative query. Its records are the
+// authority's own, shared by every answer that names them: read them,
+// never write through them.
 type Answer struct {
 	Code    RCode
-	Records []Record
+	Records []*Record
 	TTL     time.Duration
 }
 
@@ -215,11 +217,11 @@ func (a *Authority) Query(name string, typ RType, t time.Time) Answer {
 			return Answer{Code: o.Code}
 		}
 	}
-	var out []Record
+	var out []*Record
 	minTTL := time.Duration(0)
 	for _, r := range a.records[name] {
 		if r.Type == typ && r.activeAt(t) {
-			out = append(out, *r)
+			out = append(out, r)
 			if minTTL == 0 || r.TTL < minTTL {
 				minTTL = r.TTL
 			}

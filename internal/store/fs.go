@@ -1161,14 +1161,14 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	}
 	cp := &Checkpoint{Records: binary.LittleEndian.Uint64(body[5:13]), Sections: map[string][]byte{}}
 	rest := body[13:]
-	n, w := binary.Uvarint(rest)
+	n, w := checkpointUvarint(rest)
 	if w <= 0 {
 		return nil, errors.New("truncated checkpoint")
 	}
 	rest = rest[w:]
 	var prev string
 	for i := uint64(0); i < n; i++ {
-		nameLen, w := binary.Uvarint(rest)
+		nameLen, w := checkpointUvarint(rest)
 		if w <= 0 || uint64(len(rest)-w) < nameLen {
 			return nil, errors.New("truncated checkpoint")
 		}
@@ -1180,7 +1180,7 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 			return nil, fmt.Errorf("checkpoint section %q after %q: names repeat or are out of order", name, prev)
 		}
 		prev = name
-		secLen, w2 := binary.Uvarint(rest)
+		secLen, w2 := checkpointUvarint(rest)
 		if w2 <= 0 || uint64(len(rest)-w2) < secLen {
 			return nil, errors.New("truncated checkpoint")
 		}
@@ -1191,6 +1191,19 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, errors.New("trailing bytes in checkpoint")
 	}
 	return cp, nil
+}
+
+// checkpointUvarint is binary.Uvarint that also refuses, as it refuses
+// a truncated one (w <= 0), a value spelt in more bytes than
+// encodeCheckpoint writes it with: a checkpoint that decodes then
+// re-encodes to the bytes it came from.
+func checkpointUvarint(b []byte) (uint64, int) {
+	v, w := binary.Uvarint(b)
+	var buf [binary.MaxVarintLen64]byte
+	if w > 0 && w != len(binary.AppendUvarint(buf[:0], v)) {
+		return 0, 0
+	}
+	return v, w
 }
 
 func writeFileSync(path string, b []byte) error {
