@@ -178,6 +178,16 @@ func Analyze(records []dataset.Record, env *analysis.Environment) *analysis.Anal
 	return analysis.New(records, env)
 }
 
+// Reference is batch bounceanalyze over src: one streamed pass of the
+// default pipeline, returned as a Study whose detections resolve on
+// first use. It is the report every node, coordinator and replay is
+// held to byte for byte — a coordinator to its PartialSections — so it
+// is the batch path, never the incremental one it checks.
+func Reference(src dataset.RecordSource, env *analysis.Environment) *Study {
+	a := analysis.NewFromSource(src, analysis.DefaultPipelineConfig(), env)
+	return &Study{Records: a.Records, Analysis: a}
+}
+
 // Run executes a full study: generate, deliver, classify, detect.
 func Run(opts Options) *Study {
 	s, _ := RunCtx(context.Background(), opts)

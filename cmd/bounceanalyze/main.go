@@ -135,9 +135,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		w := e.W
 		src := dataset.NewContextSource(ctx, f)
-		env := bounce.NewEnvironment(w)
+		env := bounce.NewEnvironment(e.W)
 		if *shards > 1 {
 			// Sharded batch mode: partition by substream ownership, analyze
 			// each shard independently, gather the two rounds through the
@@ -147,12 +146,11 @@ func main() {
 			return
 		}
 		// Stream the file through the pipeline in a single pass.
-		a := analysis.NewFromSource(src, analysis.DefaultPipelineConfig(), env)
+		study = bounce.Reference(src, env)
 		f.Close()
 		if err := src.Err(); err != nil {
 			log.Fatal(err)
 		}
-		study = &bounce.Study{World: w, Records: a.Records, Analysis: a}
 	}
 
 	if *asJSON {

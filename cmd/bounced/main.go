@@ -472,14 +472,15 @@ func splitList(arg string) []string {
 // loadgenMain is the replay client: it sends a record file to a running
 // bounced (or, with -shard-urls, to a sharded deployment) as sequential
 // idempotent X-Batch-Id batches, retrying each until it is accepted, so
-// the server's report ends byte-identical to batch over the file. -chaos
-// arms the client-side fault schedule on top (DESIGN.md §9). Measuring
-// is bench/'s job, not this client's.
+// the server's report ends byte-identical to batch over the file, then
+// checks the zero-loss balance over every node it fed (ChaosVerify;
+// -no-verify skips it). -chaos arms the client-side fault schedule on
+// top (DESIGN.md §9). Measuring is bench/'s job, not this client's.
 func loadgenMain(args []string) {
 	fs := flag.NewFlagSet("bounced loadgen", flag.ExitOnError)
 	var (
 		url     = fs.String("url", "http://localhost:8425", "bounced base URL")
-		shardsA = fs.String("shard-urls", "", "comma-separated per-shard ingest URLs (shard node or its router); records route by substream ownership and -url is ignored")
+		shardsA = fs.String("shard-urls", "", "comma-separated per-shard ingest URLs (shard node or its router); records route by substream ownership, the balance check sums these nodes' counters, and -url is ignored")
 		in      = fs.String("in", "", "JSONL(.gz) record file to replay (required)")
 		batch   = fs.Int("batch", 500, "records per POST")
 		rate    = fs.Float64("rate", 0, "records per second (0 = unthrottled)")
@@ -501,24 +502,23 @@ func loadgenMain(args []string) {
 	if csp.Seed == 0 {
 		csp.Seed = *seed
 	}
-	shardURLs := splitList(*shardsA)
-	res, err := bounced.Chaos(bounced.ChaosConfig{
-		URL: *url, ShardURLs: shardURLs, Path: *in, BatchSize: *batch, Seed: *seed,
+	cfg := bounced.ChaosConfig{
+		URL: *url, ShardURLs: splitList(*shardsA), Path: *in, BatchSize: *batch, Seed: *seed,
 		Faults: csp, MaxRetries: *retries, Gzip: *gz, Rate: *rate,
 		Progress: os.Stderr,
-	})
+	}
+	res, err := bounced.Chaos(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The zero-loss balance is the run's pass/fail line: every presented
-	// record classified exactly once, server-side. A restarted server
-	// starts its counters over, so cross-restart drills verify by report
-	// differential instead (-no-verify). Sharded runs also skip it: no
-	// single node's counters cover the stream (verify via the
-	// coordinator's report).
+	// record classified exactly once, summed over every node the replay
+	// fed, and every accepted record in its node's store. A restarted
+	// server starts its counters over, so cross-restart drills verify by
+	// report differential instead (-no-verify).
 	verdict := "balance unchecked"
-	if !*noVerif && len(shardURLs) == 0 {
-		if err := bounced.ChaosVerify(*url, res); err != nil {
+	if !*noVerif {
+		if err := bounced.ChaosVerify(cfg, res); err != nil {
 			log.Fatalf("%v (the balance holds only against a server that started empty; -no-verify skips it)", err)
 		}
 		verdict = "balance OK"

@@ -33,7 +33,8 @@ type ChaosConfig struct {
 	// entry must be shard i's ingest address — the shard node itself or
 	// its replica-set router. Batches stay sequential across the whole
 	// stream, which preserves per-substream ingestion order because a
-	// substream lives entirely inside one shard.
+	// substream lives entirely inside one shard. ChaosVerify balances
+	// the run over the sum of these targets' counters.
 	ShardURLs []string
 	// Path is the JSONL (optionally gzipped) record file to replay.
 	Path string
@@ -60,8 +61,8 @@ type ChaosConfig struct {
 
 // ChaosResult summarizes a chaos replay. Presented is the total record
 // count across every HTTP send (damaged, shed, duplicated, and clean):
-// the server's accepted+shed+rejected+deduped counters must sum to
-// exactly this, or records were lost or double-counted.
+// the targets' accepted+shed+rejected+deduped counters must sum to
+// exactly this, or records were lost or double-counted (ChaosVerify).
 type ChaosResult struct {
 	Records     int               `json:"records"`
 	Batches     int               `json:"batches"`
@@ -381,33 +382,70 @@ func postChaos(client *http.Client, url string, id string, count int, payload []
 	return resp.StatusCode, reply, retryMs, nil
 }
 
-// ChaosVerify checks the zero-loss balance on the target server after
-// a chaos run that started from an empty store: every record the
-// client presented must be classified exactly once as accepted, shed,
-// rejected, or deduped, and the store must have consumed every
-// accepted record.
-func ChaosVerify(url string, res *ChaosResult) error {
-	resp, err := http.Get(url + "/v1/stats")
+// ChaosVerify checks the zero-loss balance of a replay against
+// cfg's targets (ShardURLs, else URL), each of which started from an
+// empty store: summed over the targets' /v1/stats, the server acked
+// exactly res.Records and classified every record res.Presented counts
+// exactly once as accepted, shed, rejected or deduped; and on each
+// target the store consumed every record it accepted (POST /v1/snapshot
+// folds everything accepted before it answers). It is the one place
+// the balance is computed: a test that presents records by hand passes
+// a ChaosResult holding what it presented and what was acked.
+func ChaosVerify(cfg ChaosConfig, res *ChaosResult) error {
+	urls := cfg.ShardURLs
+	if len(urls) == 0 {
+		urls = []string{cfg.URL}
+	}
+	var sum struct{ accepted, shed, rejected, deduped uint64 }
+	for _, url := range urls {
+		var st struct {
+			Accepted        uint64 `json:"accepted"`
+			RecordsShed     uint64 `json:"records_shed"`
+			RecordsRejected uint64 `json:"records_rejected"`
+			RecordsDeduped  uint64 `json:"records_deduped"`
+		}
+		if err := chaosJSON(http.MethodGet, url+"/v1/stats", &st); err != nil {
+			return err
+		}
+		var snap struct {
+			Records uint64 `json:"records"`
+		}
+		if err := chaosJSON(http.MethodPost, url+"/v1/snapshot", &snap); err != nil {
+			return err
+		}
+		if snap.Records != st.Accepted {
+			return fmt.Errorf("chaos verify: %s accepted %d records but its store holds %d", url, st.Accepted, snap.Records)
+		}
+		sum.accepted += st.Accepted
+		sum.shed += st.RecordsShed
+		sum.rejected += st.RecordsRejected
+		sum.deduped += st.RecordsDeduped
+	}
+	if sum.accepted != uint64(res.Records) {
+		return fmt.Errorf("chaos verify: server accepted %d records, client was acked %d", sum.accepted, res.Records)
+	}
+	balance := sum.accepted + sum.shed + sum.rejected + sum.deduped
+	if balance != uint64(res.Presented) {
+		return fmt.Errorf("chaos verify: accepted %d + shed %d + rejected %d + deduped %d = %d, client presented %d",
+			sum.accepted, sum.shed, sum.rejected, sum.deduped, balance, res.Presented)
+	}
+	return nil
+}
+
+// chaosJSON sends an empty method request to url and decodes its 200
+// reply into v.
+func chaosJSON(method, url string, v any) error {
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	var st struct {
-		Accepted        uint64 `json:"accepted"`
-		RecordsShed     uint64 `json:"records_shed"`
-		RecordsRejected uint64 `json:"records_rejected"`
-		RecordsDeduped  uint64 `json:"records_deduped"`
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("chaos verify: %s %s: status %d", method, url, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return err
-	}
-	if int(st.Accepted) != res.Records {
-		return fmt.Errorf("chaos verify: server accepted %d records, client was acked %d", st.Accepted, res.Records)
-	}
-	balance := st.Accepted + st.RecordsShed + st.RecordsRejected + st.RecordsDeduped
-	if int(balance) != res.Presented {
-		return fmt.Errorf("chaos verify: accepted %d + shed %d + rejected %d + deduped %d = %d, client presented %d",
-			st.Accepted, st.RecordsShed, st.RecordsRejected, st.RecordsDeduped, balance, res.Presented)
-	}
-	return nil
+	return json.NewDecoder(resp.Body).Decode(v)
 }

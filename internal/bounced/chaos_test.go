@@ -47,13 +47,14 @@ func TestChaosDifferentialSeedSweep(t *testing.T) {
 				Faults: &faultinject.Spec{Seed: seed, Torn: 0.2, Stall: 200 * time.Microsecond},
 			}})
 
-			res, err := bounced.Chaos(bounced.ChaosConfig{
+			cfg := bounced.ChaosConfig{
 				URL: n.url, Path: path, BatchSize: 64, Seed: seed, Gzip: seed%2 == 0,
 				Faults: &faultinject.Spec{
 					Seed: seed + 100, Torn: 0.3, TruncGzip: 0.2, Dup: 0.5,
 					Loris: 0.15, LorisPause: time.Millisecond,
 				},
-			})
+			}
+			res, err := bounced.Chaos(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +71,7 @@ func TestChaosDifferentialSeedSweep(t *testing.T) {
 			if res.Deduped < res.Duplicates {
 				t.Fatalf("%d duplicate sends but only %d dedup acks", res.Duplicates, res.Deduped)
 			}
-			if err := bounced.ChaosVerify(n.url, res); err != nil {
+			if err := bounced.ChaosVerify(cfg, res); err != nil {
 				t.Fatal(err)
 			}
 			if got := get(t, n.url+"/v1/report", http.StatusOK, nil); !bytes.Equal(got, clean) {
@@ -84,7 +85,7 @@ func TestChaosDifferentialSeedSweep(t *testing.T) {
 // degrade Chaos to an ordinary idempotent replay with zero damage —
 // the client bounced loadgen is. It replays a gzipped file as gzipped
 // bodies, so the round trip through the real HTTP stack covers both
-// decoders, and the server must have folded every record.
+// decoders, and the server must have folded every record (ChaosVerify).
 func TestChaosCleanScheduleIsPlainReplay(t *testing.T) {
 	records, env := fixture(t)
 	path := filepath.Join(t.TempDir(), "corpus.jsonl.gz")
@@ -93,7 +94,8 @@ func TestChaosCleanScheduleIsPlainReplay(t *testing.T) {
 	}
 	n := single(t, row{cfg: bounced.Config{Env: env}})
 
-	res, err := bounced.Chaos(bounced.ChaosConfig{URL: n.url, Path: path, BatchSize: 128, Seed: 9, Gzip: true})
+	cfg := bounced.ChaosConfig{URL: n.url, Path: path, BatchSize: 128, Seed: 9, Gzip: true}
+	res, err := bounced.Chaos(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +108,38 @@ func TestChaosCleanScheduleIsPlainReplay(t *testing.T) {
 	if res.Presented != len(records) {
 		t.Fatalf("presented %d, want %d", res.Presented, len(records))
 	}
-	if err := bounced.ChaosVerify(n.url, res); err != nil {
+	if err := bounced.ChaosVerify(cfg, res); err != nil {
 		t.Fatal(err)
 	}
-	// A report waits for the store to fold in everything accepted.
-	get(t, n.url+"/v1/report?section=overview", http.StatusOK, nil)
-	if got := n.srv.Consumed(); got != uint64(len(records)) {
-		t.Fatalf("server consumed %d, want %d", got, len(records))
+}
+
+// TestChaosShardedReplay: the chaos client against two shards, each
+// record routed to its owner, under a fault schedule. The balance holds
+// over the sum of both shards' counters, and the coordinator's merged
+// report equals batch over the whole corpus.
+func TestChaosShardedReplay(t *testing.T) {
+	records, env := fixture(t)
+	path := filepath.Join(t.TempDir(), "corpus.jsonl")
+	if err := os.WriteFile(path, encodeNDJSON(t, records), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := boot(t, row{shards: 2, cfg: bounced.Config{Env: env}})
+	cfg := bounced.ChaosConfig{
+		ShardURLs: []string{c.sets[0].url, c.sets[1].url}, Path: path, BatchSize: 64, Seed: 5,
+		Faults: &faultinject.Spec{Seed: 105, Torn: 0.3, TruncGzip: 0.2, Dup: 0.5},
+	}
+	res, err := bounced.Chaos(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Records != len(records) || res.Faulted == 0 || res.Duplicates == 0 {
+		t.Fatalf("sharded chaos run: %+v, want %d records with faults and duplicates fired", res, len(records))
+	}
+	if err := bounced.ChaosVerify(cfg, res); err != nil {
+		t.Fatal(err)
+	}
+	want := batchReport(t, records, env, bounce.PartialSections)
+	if got := get(t, c.coord+"/v1/report", http.StatusOK, nil); !bytes.Equal(got, want) {
+		t.Fatalf("coordinator report after a sharded chaos replay diverges from batch (%d vs %d bytes)", len(got), len(want))
 	}
 }

@@ -84,6 +84,7 @@ func TestBatchShedWith429(t *testing.T) {
 	}
 
 	// Retry under the same ID until the consumer drains the queue.
+	sheds := 1
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		ir = send(t, n.url, batch{id: "shed-me", declared: 8, recs: records[8:16]})
@@ -93,27 +94,21 @@ func TestBatchShedWith429(t *testing.T) {
 		if ir.status != http.StatusTooManyRequests {
 			t.Fatalf("retry: status %d: %s", ir.status, ir.Error)
 		}
+		sheds++
 		if time.Now().After(deadline) {
 			t.Fatal("batch still shed after 10s")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n.srv.Accepted() != 16 {
-		t.Fatalf("accepted %d records, want 16", n.srv.Accepted())
-	}
 	var st map[string]any
 	get(t, n.url+"/v1/stats", http.StatusOK, &st)
-	shed := uint64(st["records_shed"].(float64))
-	if shed < 8 || shed%8 != 0 {
-		t.Fatalf("records_shed = %d, want a positive multiple of 8", shed)
+	if shed := st["records_shed"].(float64); shed != float64(8*sheds) {
+		t.Fatalf("records_shed = %.0f, want 8 for each of the %d 429s", shed, sheds)
 	}
-	// The balance every chaos run must satisfy: presented = accepted +
-	// shed + rejected + deduped, with each request classified once.
-	presented := n.srv.Accepted() + shed +
-		uint64(st["records_rejected"].(float64)) + uint64(st["records_deduped"].(float64))
-	wantPresented := uint64(16 + shed) // 2 admitted batches + shed attempts
-	if presented != wantPresented {
-		t.Fatalf("accounting balance: presented %d, want %d", presented, wantPresented)
+	// Two admitted batches and every shed attempt, each classified once.
+	res := &bounced.ChaosResult{Records: 16, Presented: 16 + 8*sheds}
+	if err := bounced.ChaosVerify(bounced.ChaosConfig{URL: n.url}, res); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -157,13 +152,12 @@ func TestBatchDeclaredCountIsBounded(t *testing.T) {
 	if ir := send(t, n.url, batch{id: "fits", declared: 8, recs: records[:8]}); ir.status != http.StatusOK || ir.Accepted != 8 {
 		t.Fatalf("a batch that fits: status %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
 	}
+	res := &bounced.ChaosResult{Records: 8, Presented: lie + 64 + 8}
+	if err := bounced.ChaosVerify(bounced.ChaosConfig{URL: n.url}, res); err != nil {
+		t.Fatal(err)
+	}
 	var st map[string]any
 	get(t, n.url+"/v1/stats", http.StatusOK, &st)
-	balance := st["accepted"].(float64) + st["records_shed"].(float64) +
-		st["records_rejected"].(float64) + st["records_deduped"].(float64)
-	if want := float64(lie + 64 + 8); balance != want {
-		t.Fatalf("accepted+shed+rejected+deduped = %.0f, want %.0f presented", balance, want)
-	}
 
 	// A body of several decode blocks is refused after the first: what
 	// was counted rejected is what had been decoded, not the whole body.

@@ -37,15 +37,12 @@ func fixture(t *testing.T) ([]dataset.Record, *analysis.Environment) {
 	return fixtureRecs, fixtureEnv
 }
 
-// batchReport renders the sections the way bounceanalyze does over a
-// record file: single-pass streaming analysis, then report.
+// batchReport renders the sections of batch bounceanalyze over records
+// (bounce.Reference).
 func batchReport(t *testing.T, records []dataset.Record, env *analysis.Environment, sections []bounce.Section) []byte {
 	t.Helper()
-	a := analysis.NewFromSource(dataset.NewSliceSource(records), analysis.DefaultPipelineConfig(), env)
-	st := &bounce.Study{Records: a.Records, Analysis: a}
-	st.Detections = a.Detect()
 	var buf bytes.Buffer
-	if err := st.WriteReport(&buf, sections); err != nil {
+	if err := bounce.Reference(dataset.NewSliceSource(records), env).WriteReport(&buf, sections); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

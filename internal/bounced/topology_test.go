@@ -10,7 +10,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,9 +87,14 @@ type cluster struct {
 	coord string // the coordinator's URL when shards > 0
 }
 
-// boot builds r and returns it running.
+// boot builds r and returns it running. Its first cleanup, and so the
+// last to run, audits what the row leaves behind: once every node, loop
+// and router has stopped, no goroutine running repro code may remain
+// that was not there before boot.
 func boot(t *testing.T, r row) *cluster {
 	t.Helper()
+	before := ownGoroutines()
+	t.Cleanup(func() { auditGoroutines(t, before) })
 	c := &cluster{t: t, row: r}
 	for i := range max(r.shards, 1) {
 		cfg := r.cfg
@@ -132,6 +139,67 @@ func boot(t *testing.T, r row) *cluster {
 		c.coord = coordinator(t, r.cfg.Env, urls...)
 	}
 	return c
+}
+
+// ownGoroutines maps the ID of every goroutine whose stack holds a
+// repro/ frame, or was started from one, to that stack.
+func ownGoroutines() map[string]string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	own := make(map[string]string)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		head, stack, _ := strings.Cut(g, "\n")
+		if id, _, ok := strings.Cut(strings.TrimPrefix(head, "goroutine "), " "); ok && strings.Contains(stack, "repro/") {
+			own[id] = g
+		}
+	}
+	return own
+}
+
+// auditGoroutines fails t unless, within 5 s, every goroutine running
+// repro code was already running at before; the failure names the
+// innermost repro function of each one left.
+func auditGoroutines(t *testing.T, before map[string]string) {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var leaked, names []string
+		for id, g := range ownGoroutines() {
+			if _, ok := before[id]; !ok {
+				leaked = append(leaked, g)
+				names = append(names, reproFunc(g))
+			}
+		}
+		if len(leaked) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines outlived the row 5 s after teardown: %s\n\n%s",
+				len(leaked), strings.Join(names, ", "), strings.Join(leaked, "\n\n"))
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// reproFunc is the innermost repro/ function in a goroutine's stack
+// dump, else the function that started it.
+func reproFunc(g string) string {
+	for _, line := range strings.Split(g, "\n") {
+		if strings.HasPrefix(line, "repro/") {
+			return line[:strings.LastIndex(line, "(")]
+		}
+		if created, ok := strings.CutPrefix(line, "created by "); ok {
+			return "started by " + created
+		}
+	}
+	return "?"
 }
 
 // single boots a one-node row and returns the node.

@@ -80,6 +80,7 @@ type ParallelReader struct {
 	cancel chan struct{}
 	once   sync.Once
 	block  int
+	wg     sync.WaitGroup // the scanner and the workers
 
 	cur     *chunk
 	curIdx  int
@@ -111,6 +112,7 @@ func newParallelReaderSize(r io.Reader, workers, block int) *ParallelReader {
 		cancel: make(chan struct{}),
 		block:  block,
 	}
+	p.wg.Add(workers + 1)
 	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
@@ -119,6 +121,7 @@ func newParallelReaderSize(r io.Reader, workers, block int) *ParallelReader {
 }
 
 func (p *ParallelReader) worker() {
+	defer p.wg.Done()
 	d := GetDecoder()
 	defer PutDecoder(d)
 	for c := range p.jobs {
@@ -175,6 +178,7 @@ func countLines(buf []byte) int {
 }
 
 func (p *ParallelReader) scan(r io.Reader) {
+	defer p.wg.Done()
 	defer close(p.jobs)
 	defer close(p.order)
 	line := 0        // global lines handed to workers so far
@@ -367,6 +371,9 @@ func (p *ParallelReader) Close() {
 	for c := range p.order {
 		<-c.done
 	}
+	// A block handed to a worker just as cancel closed never reached
+	// order; its decode ends before the workers do.
+	p.wg.Wait()
 }
 
 // ParallelFileSource is an OpenParallel handle: a ParallelReader over an

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -418,21 +419,30 @@ func TestParallelReaderTruncatedTailAtBoundary(t *testing.T) {
 
 // TestParallelReaderEarlyClose: closing mid-stream must release the
 // pipeline without deadlocking, and blank lines keep global numbering.
+// Close returns only once every block handed to a worker is decoded:
+// with the in-order queue full, the scanner's last block is in a
+// worker's hands but not in that queue when Close cancels.
 func TestParallelReaderEarlyClose(t *testing.T) {
-	recs := varied(4 * testChunkLines)
+	recs := varied(40 * testChunkLines)
 	data := encodeJSONL(t, recs)
 	data = append([]byte("\n\n"), data...) // leading blanks shift line numbers
-	p := newParallelReaderSize(bytes.NewReader(data), 4, testBlock)
-	rec, ok := p.Next()
-	if !ok || rec == nil {
-		t.Fatal("no first record")
-	}
-	if p.Line() != 3 {
-		t.Fatalf("first record on line %d, want 3 (after two blanks)", p.Line())
-	}
-	p.Close()
-	if p.Err() != nil {
-		t.Fatalf("unexpected error after close: %v", p.Err())
+	for range 100 {
+		p := newParallelReaderSize(bytes.NewReader(data), 4, 8*testBlock)
+		rec, ok := p.Next()
+		if !ok || rec == nil {
+			t.Fatal("no first record")
+		}
+		if p.Line() != 3 {
+			t.Fatalf("first record on line %d, want 3 (after two blanks)", p.Line())
+		}
+		p.Close()
+		if p.Err() != nil {
+			t.Fatalf("unexpected error after close: %v", p.Err())
+		}
+		buf := make([]byte, 1<<20)
+		if n := bytes.Count(buf[:runtime.Stack(buf, true)], []byte("dataset.decodeChunk(")); n > 0 {
+			t.Fatalf("%d blocks still decoding after Close", n)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/analysis"
+	"repro/internal/dataset"
 	"repro/internal/world"
 )
 
@@ -84,8 +85,8 @@ func TestIncrementalStudyRendersWhileNextSnapshots(t *testing.T) {
 	st := &bounce.Study{Records: a.Records, Analysis: a}
 
 	var want bytes.Buffer
-	ref := analysis.New(records[:n], env)
-	if err := (&bounce.Study{Records: ref.Records, Analysis: ref}).WriteReport(&want, bounce.AllSections); err != nil {
+	ref := bounce.Reference(dataset.NewSliceSource(records[:n]), env)
+	if err := ref.WriteReport(&want, bounce.AllSections); err != nil {
 		t.Fatal(err)
 	}
 	wantPartial := ref.BouncedPartials().Marshal()

@@ -44,11 +44,8 @@ func TestShardedPartialReportMatchesBatch(t *testing.T) {
 	records := st.Records.Flatten()
 	env := bounce.NewEnvironment(st.World)
 
-	a := analysis.NewFromSource(dataset.NewSliceSource(records), analysis.DefaultPipelineConfig(), env)
-	ref := &bounce.Study{Records: a.Records, Analysis: a}
-	ref.Detections = a.Detect()
 	var want bytes.Buffer
-	if err := ref.WriteReport(&want, bounce.PartialSections); err != nil {
+	if err := bounce.Reference(dataset.NewSliceSource(records), env).WriteReport(&want, bounce.PartialSections); err != nil {
 		t.Fatal(err)
 	}
 
@@ -106,10 +103,8 @@ func TestShardedPartialTwoRoundsReportMatchesBatch(t *testing.T) {
 		return buf.Bytes()
 	}
 	for _, env := range []*analysis.Environment{nil, bounce.NewEnvironment(st.World)} {
-		a := analysis.NewFromSource(dataset.NewSliceSource(records), analysis.DefaultPipelineConfig(), env)
-		ref := &bounce.Study{Records: a.Records, Analysis: a, Detections: a.Detect()}
 		var want bytes.Buffer
-		if err := ref.WriteReport(&want, bounce.PartialSections); err != nil {
+		if err := bounce.Reference(dataset.NewSliceSource(records), env).WriteReport(&want, bounce.PartialSections); err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 3, 16} {

@@ -161,15 +161,22 @@ func run(sc scenario, work string) error {
 	if err := dataset.WriteFile(corpus, recs); err != nil {
 		return err
 	}
-	// Decoded back, so the reference analyses what the servers will see.
+	// Decoded back, so the reference analyses what the servers will see:
+	// batch bounceanalyze over every corpus record in order, and for a
+	// coordinator the sections its merged partials render.
 	recs, err := dataset.ReadFile(corpus)
 	if err != nil {
 		return err
 	}
-	want, err := reference(recs, sc.shards > 0)
-	if err != nil {
+	sections := bounce.AllSections
+	if sc.shards > 0 {
+		sections = bounce.PartialSections
+	}
+	var ref bytes.Buffer
+	if err := bounce.Reference(dataset.NewSliceSource(recs), nil).WriteReport(&ref, sections); err != nil {
 		return err
 	}
+	want := ref.Bytes()
 
 	sets, coord, err := boot(ps, sc)
 	if err != nil {
@@ -191,7 +198,11 @@ func run(sc scenario, work string) error {
 				streamed <- fmt.Errorf("client panicked: %v", p)
 			}
 		}()
-		_, err := bounced.Chaos(client)
+		res, err := bounced.Chaos(client)
+		if res != nil {
+			log.Printf("client: %d records in %d batches (%d presented, %d retries, %d shed, %d faulted) in %.2fs",
+				res.Records, res.Batches, res.Presented, res.Retries, res.Shed, res.Faulted, res.Seconds)
+		}
 		streamed <- err
 	}()
 
@@ -366,22 +377,6 @@ func waitElected(ps *procs, router, node *child) error {
 		err := getJSON(router.url+replication.PathRouterStatus, &rs)
 		return rs.Primary == node.url, err
 	})
-}
-
-// reference renders the report a correct topology must serve once it
-// holds every corpus record in order: the batch path, in-process.
-// partial selects the coordinator's rendering (merged partial
-// aggregates, no squat or advice sections).
-func reference(recs []dataset.Record, partial bool) ([]byte, error) {
-	a := bounce.Analyze(recs, nil)
-	st := &bounce.Study{Records: a.Records, Analysis: a}
-	var buf bytes.Buffer
-	if partial {
-		err := bounce.NewPartialStudy(st.Partials()).WriteReport(&buf, bounce.PartialSections)
-		return buf.Bytes(), err
-	}
-	err := st.WriteReport(&buf, bounce.AllSections)
-	return buf.Bytes(), err
 }
 
 // The slices of /v1/stats the drills read.
