@@ -120,82 +120,85 @@ func TestCoordinatorReprobeFollowsNewPrimary(t *testing.T) {
 // its standby promotes at a bumped epoch, the router re-elects it, the
 // client's owed retry dedups, and the coordinator's merged report is
 // byte-identical to batch — every record classified exactly once
-// across the failover.
+// across the failover. The topology lives in a subtest so its cleanup,
+// goroutine audit included, finishes before the parent returns.
 func TestReplicatedShardsFailover(t *testing.T) {
 	records, env := fixture(t)
 	want := batchReport(t, records, env, bounce.PartialSections)
-	c := boot(t, row{shards: 2, standby: true, router: true, store: memEngine, cfg: bounced.Config{Env: env}})
-	s0, s1 := c.sets[0], c.sets[1]
-	parts := split(records, 2)
-	if len(parts[0]) < 2 || len(parts[1]) < 1 {
-		t.Fatalf("degenerate split: %d/%d", len(parts[0]), len(parts[1]))
-	}
+	t.Run("topology", func(t *testing.T) {
+		c := boot(t, row{shards: 2, standby: true, router: true, store: memEngine, cfg: bounced.Config{Env: env}})
+		s0, s1 := c.sets[0], c.sets[1]
+		parts := split(records, 2)
+		if len(parts[0]) < 2 || len(parts[1]) < 1 {
+			t.Fatalf("degenerate split: %d/%d", len(parts[0]), len(parts[1]))
+		}
 
-	// Shard 1 ingests its whole slice through its router, undisturbed.
-	if ir := send(t, s1.url, batch{id: "sr1-all", recs: parts[1]}); ir.status != http.StatusOK || ir.Accepted != len(parts[1]) {
-		t.Fatalf("shard 1 ingest: %d accepted %d of %d: %s", ir.status, ir.Accepted, len(parts[1]), ir.Error)
-	}
+		// Shard 1 ingests its whole slice through its router, undisturbed.
+		if ir := send(t, s1.url, batch{id: "sr1-all", recs: parts[1]}); ir.status != http.StatusOK || ir.Accepted != len(parts[1]) {
+			t.Fatalf("shard 1 ingest: %d accepted %d of %d: %s", ir.status, ir.Accepted, len(parts[1]), ir.Error)
+		}
 
-	// Shard 0 gets half its slice, then loses its primary.
-	half := len(parts[0]) / 2
-	if ir := send(t, s0.url, batch{id: "sr0-0", recs: parts[0][:half]}); ir.status != http.StatusOK || ir.Accepted != half {
-		t.Fatalf("shard 0 first half: %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
-	}
-	// Semi-sync acks: everything acked is already on the standby.
-	if got, want := s0.standby.srv.AppliedIndex(), s0.primary.srv.AppliedIndex(); got != want {
-		t.Fatalf("shard 0 standby applied %d, primary log end %d", got, want)
-	}
-	s0.primary.kill()
-	s0.promote(t)
-	if got := s0.standby.srv.Epoch(); got != 2 {
-		t.Fatalf("promoted epoch = %d, want 2", got)
-	}
+		// Shard 0 gets half its slice, then loses its primary.
+		half := len(parts[0]) / 2
+		if ir := send(t, s0.url, batch{id: "sr0-0", recs: parts[0][:half]}); ir.status != http.StatusOK || ir.Accepted != half {
+			t.Fatalf("shard 0 first half: %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
+		}
+		// Semi-sync acks: everything acked is already on the standby.
+		if got, want := s0.standby.srv.AppliedIndex(), s0.primary.srv.AppliedIndex(); got != want {
+			t.Fatalf("shard 0 standby applied %d, primary log end %d", got, want)
+		}
+		s0.primary.kill()
+		s0.promote(t)
+		if got := s0.standby.srv.Epoch(); got != 2 {
+			t.Fatalf("promoted epoch = %d, want 2", got)
+		}
 
-	// The retry a client owes for its in-flight batch must dedup on the
-	// promoted standby, through the same router address.
-	if ir := send(t, s0.url, batch{id: "sr0-0", recs: parts[0][:half]}); ir.status != http.StatusOK || !ir.Deduped {
-		t.Fatalf("owed retry via router: status %d deduped %v", ir.status, ir.Deduped)
-	}
-	// The rest of the stream lands on the survivor.
-	if ir := send(t, s0.url, batch{id: "sr0-1", recs: parts[0][half:]}); ir.status != http.StatusOK || ir.Accepted != len(parts[0])-half {
-		t.Fatalf("shard 0 second half: %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
-	}
-	// Ownership still holds on the promoted standby: a shard-1 record
-	// through shard 0's router is refused, not silently absorbed.
-	if ir := send(t, s0.url, batch{id: "sr0-stray", recs: parts[1][:1]}); ir.status != http.StatusBadRequest || !strings.Contains(ir.Error, "owned by shard 1") {
-		t.Fatalf("misroute after promotion: status %d error %q", ir.status, ir.Error)
-	}
+		// The retry a client owes for its in-flight batch must dedup on the
+		// promoted standby, through the same router address.
+		if ir := send(t, s0.url, batch{id: "sr0-0", recs: parts[0][:half]}); ir.status != http.StatusOK || !ir.Deduped {
+			t.Fatalf("owed retry via router: status %d deduped %v", ir.status, ir.Deduped)
+		}
+		// The rest of the stream lands on the survivor.
+		if ir := send(t, s0.url, batch{id: "sr0-1", recs: parts[0][half:]}); ir.status != http.StatusOK || ir.Accepted != len(parts[0])-half {
+			t.Fatalf("shard 0 second half: %d accepted %d: %s", ir.status, ir.Accepted, ir.Error)
+		}
+		// Ownership still holds on the promoted standby: a shard-1 record
+		// through shard 0's router is refused, not silently absorbed.
+		if ir := send(t, s0.url, batch{id: "sr0-stray", recs: parts[1][:1]}); ir.status != http.StatusBadRequest || !strings.Contains(ir.Error, "owned by shard 1") {
+			t.Fatalf("misroute after promotion: status %d error %q", ir.status, ir.Error)
+		}
 
-	if got := get(t, c.coord+"/v1/report", http.StatusOK, nil); !bytes.Equal(got, want) {
-		t.Fatalf("post-failover merged report diverges from batch (%d vs %d bytes)", len(got), len(want))
-	}
+		if got := get(t, c.coord+"/v1/report", http.StatusOK, nil); !bytes.Equal(got, want) {
+			t.Fatalf("post-failover merged report diverges from batch (%d vs %d bytes)", len(got), len(want))
+		}
 
-	// The topology view names the promoted primary and its epoch.
-	var cs struct {
-		Shards []struct {
-			URL     string `json:"url"`
-			Routed  bool   `json:"routed"`
-			Primary string `json:"primary"`
-			Epoch   uint64 `json:"epoch"`
-		} `json:"shards"`
-	}
-	get(t, c.coord+"/v1/stats", http.StatusOK, &cs)
-	if len(cs.Shards) != 2 {
-		t.Fatalf("stats shards = %d", len(cs.Shards))
-	}
-	if survivor := s0.standby.url; !cs.Shards[0].Routed || cs.Shards[0].Primary != survivor || cs.Shards[0].Epoch != 2 {
-		t.Fatalf("shard 0 view = %+v, want routed primary %s at epoch 2", cs.Shards[0], survivor)
-	}
-	if !cs.Shards[1].Routed || cs.Shards[1].Epoch != 1 {
-		t.Fatalf("shard 1 view = %+v, want routed epoch 1", cs.Shards[1])
-	}
+		// The topology view names the promoted primary and its epoch.
+		var cs struct {
+			Shards []struct {
+				URL     string `json:"url"`
+				Routed  bool   `json:"routed"`
+				Primary string `json:"primary"`
+				Epoch   uint64 `json:"epoch"`
+			} `json:"shards"`
+		}
+		get(t, c.coord+"/v1/stats", http.StatusOK, &cs)
+		if len(cs.Shards) != 2 {
+			t.Fatalf("stats shards = %d", len(cs.Shards))
+		}
+		if survivor := s0.standby.url; !cs.Shards[0].Routed || cs.Shards[0].Primary != survivor || cs.Shards[0].Epoch != 2 {
+			t.Fatalf("shard 0 view = %+v, want routed primary %s at epoch 2", cs.Shards[0], survivor)
+		}
+		if !cs.Shards[1].Routed || cs.Shards[1].Epoch != 1 {
+			t.Fatalf("shard 1 view = %+v, want routed epoch 1", cs.Shards[1])
+		}
 
-	// Metrics expose the per-shard epoch gauges after the gather.
-	metrics := string(get(t, c.coord+"/metrics", http.StatusOK, nil))
-	if epochLine := fmt.Sprintf("coordinator_shard_epoch{shard=%q} 2", s0.url); !strings.Contains(metrics, epochLine) {
-		t.Fatalf("metrics missing %q:\n%s", epochLine, metrics)
-	}
-	if !strings.Contains(metrics, "coordinator_shard_lag_records{") {
-		t.Fatal("metrics missing per-shard lag gauge")
-	}
+		// Metrics expose the per-shard epoch gauges after the gather.
+		metrics := string(get(t, c.coord+"/metrics", http.StatusOK, nil))
+		if epochLine := fmt.Sprintf("coordinator_shard_epoch{shard=%q} 2", s0.url); !strings.Contains(metrics, epochLine) {
+			t.Fatalf("metrics missing %q:\n%s", epochLine, metrics)
+		}
+		if !strings.Contains(metrics, "coordinator_shard_lag_records{") {
+			t.Fatal("metrics missing per-shard lag gauge")
+		}
+	})
 }
